@@ -35,18 +35,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fleet import ChurnPlan, FleetConfig, FleetReport
+from ..fleet import FleetConfig, FleetReport
 from ..fleet.loadgen import churn_plan_for_trace, run_fleet_load
-from ..serve import ServeConfig, SolverService, replay, restamp
+from ..serve import restamp
 from ..serve.loadgen import TraceRequest
 from ..serve.metrics import Histogram
 from ..workloads.registry import TABLE2
+from .gates import (
+    Gate,
+    GatedReport,
+    mark,
+    ok_solutions,
+    service_reference,
+    solution_mismatches,
+)
 
 __all__ = [
     "ChurnDrillReport",
     "run_churn_drill",
     "format_churn_drill",
-    "run_churn_drill_cli",
 ]
 
 #: the scripted sequence the acceptance criteria name: join a fifth
@@ -91,20 +98,6 @@ def _registry_trace(
     return trace
 
 
-def _reference(
-    trace: list[TraceRequest], serve: ServeConfig, flush_every: int
-) -> dict[int, np.ndarray]:
-    """Per-index solution vectors from one plain SolverService — the
-    ground truth every surviving fleet response must match bitwise."""
-    service = SolverService(serve)
-    responses = replay(service, trace, flush_every=flush_every)
-    service.shutdown()
-    return {
-        r.request_id: r.x for r in responses
-        if r.status == "ok" and r.x is not None
-    }
-
-
 def _percentile_split(
     report: FleetReport, first_index: int, last_index: int
 ) -> tuple[float, float]:
@@ -140,7 +133,7 @@ def _fingerprint(report: FleetReport) -> str:
 
 
 @dataclass
-class ChurnDrillReport:
+class ChurnDrillReport(GatedReport):
     """Outcome of the scripted churn drill + the four gate verdicts."""
 
     nodes_initial: int
@@ -156,35 +149,23 @@ class ChurnDrillReport:
     makespan_seconds: float
     deterministic: bool
     events: list[dict] = field(default_factory=list)
-    report: FleetReport | None = field(repr=False, default=None)
 
-    # -- gates -----------------------------------------------------------
-    @property
-    def remap_ok(self) -> bool:
-        return bool(self.events) and all(
-            ev["within_bound"] for ev in self.events
-        )
-
-    @property
-    def bitwise_ok(self) -> bool:
-        return self.checked > 0 and self.mismatches == 0
+    gates = (
+        Gate("deterministic", lambda r: r.deterministic),
+        Gate(
+            "remap_ok",
+            lambda r: bool(r.events)
+            and all(ev["within_bound"] for ev in r.events),
+        ),
+        Gate("bitwise_ok", lambda r: r.checked > 0 and r.mismatches == 0),
+        Gate("recovery_ok", lambda r: r.recovery_ratio <= RECOVERY_FACTOR),
+    )
 
     @property
     def recovery_ratio(self) -> float:
         if self.pre_p99 <= 0:
             return 0.0 if self.post_p99 <= 0 else float("inf")
         return self.post_p99 / self.pre_p99
-
-    @property
-    def recovery_ok(self) -> bool:
-        return self.recovery_ratio <= RECOVERY_FACTOR
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.remap_ok and self.bitwise_ok
-            and self.recovery_ok and self.deterministic
-        )
 
     # -- export ----------------------------------------------------------
     def perf_record(self) -> dict:
@@ -197,29 +178,16 @@ class ChurnDrillReport:
             "bitwise_checked": int(self.checked),
             "bitwise_mismatches": int(self.mismatches),
             "churn_events": len(self.events),
-            "warmed_keys": sum(
-                int(ev["warmed_keys"]) for ev in self.events
-            ),
-            "published_keys": sum(
-                int(ev["published_keys"]) for ev in self.events
-            ),
-            "aborted_writes": sum(
-                int(ev["aborted_writes"]) for ev in self.events
-            ),
         }
+        for key in ("warmed_keys", "published_keys", "aborted_writes"):
+            counters[key] = sum(int(ev[key]) for ev in self.events)
         timings: dict = {
             "pre_p99": float(self.pre_p99),
             "post_p99": float(self.post_p99),
             "recovery_ratio": float(self.recovery_ratio),
             "makespan_seconds": float(self.makespan_seconds),
         }
-        labels: dict = {
-            "deterministic": str(self.deterministic).lower(),
-            "remap_ok": str(self.remap_ok).lower(),
-            "bitwise_ok": str(self.bitwise_ok).lower(),
-            "recovery_ok": str(self.recovery_ok).lower(),
-            "passed": str(self.passed).lower(),
-        }
+        labels: dict = self.gate_labels()
         for ev in self.events:
             key = f"{ev['action']}_node{ev['node_id']}"
             timings[f"{key}_remap_fraction"] = float(ev["remap_fraction"])
@@ -246,7 +214,7 @@ def run_churn_drill(
     # through the pending window and the crash finds work in flight
     flush_every = 9
 
-    def _once() -> tuple[FleetReport, ChurnPlan]:
+    def _once() -> tuple[FleetReport, list[TraceRequest]]:
         trace = _registry_trace(
             abbrs=abbrs, stamps=stamps, n=n, seed=seed,
             arrival_gap=2e-4,
@@ -256,25 +224,17 @@ def run_churn_drill(
         report = run_fleet_load(
             trace, cfg, flush_every=flush_every, churn=plan
         )
-        return report, plan
+        return report, trace
 
-    first, _ = _once()
+    first, trace = _once()
     second, _ = _once()
     deterministic = _fingerprint(first) == _fingerprint(second)
 
     # bitwise gate against the single-service ground truth
-    trace = _registry_trace(
-        abbrs=abbrs, stamps=stamps, n=n, seed=seed, arrival_gap=2e-4
+    checked, mismatches = solution_mismatches(
+        ok_solutions(first.responses, key="index"),
+        service_reference(trace, FleetConfig().serve, flush_every),
     )
-    reference = _reference(trace, FleetConfig().serve, flush_every)
-    checked = mismatches = 0
-    for resp in first.responses:
-        if resp.status != "ok" or resp.x is None:
-            continue
-        ref = reference.get(resp.index)
-        checked += 1
-        if ref is None or not np.array_equal(resp.x, ref):
-            mismatches += 1
 
     records = first.churn_records
     first_idx = min(
@@ -298,14 +258,10 @@ def run_churn_drill(
         makespan_seconds=float(first.makespan_seconds),
         deterministic=deterministic,
         events=[r.as_dict() for r in records],
-        report=first,
     )
 
 
 def format_churn_drill(report: ChurnDrillReport) -> str:
-    def verdict(ok: bool) -> str:
-        return "ok" if ok else "FAIL"
-
     lines = [
         f"churn drill: {report.requests} requests through "
         f"{report.nodes_initial} nodes, {len(report.events)} scripted "
@@ -330,30 +286,24 @@ def format_churn_drill(report: ChurnDrillReport) -> str:
                 f"{ev['aborted_writes']} publish(es)"
             )
         lines.append(
-            f"  [{verdict(ev['within_bound']):>4s}] "
+            f"  {mark(ev['within_bound'])} "
             f"{ev['action']:<5s} node {ev['node_id']} @ trace index "
             f"{ev['applied_at_index']}: remap "
             f"{ev['remap_fraction']:.4f} vs bound "
             f"{ev['theoretical_bound']:.4f}+0.05{extra}"
         )
     lines += [
-        f"  [{verdict(report.bitwise_ok):>4s}] bitwise: "
+        f"  {report.mark('bitwise_ok')} bitwise: "
         f"{report.checked} responses checked vs single-service replay, "
         f"{report.mismatches} mismatch(es); shed {report.shed}, "
         f"lost {report.lost}",
-        f"  [{verdict(report.recovery_ok):>4s}] recovery: p99 "
+        f"  {report.mark('recovery_ok')} recovery: p99 "
         f"{report.pre_p99 * 1e3:.3f} ms pre-churn -> "
         f"{report.post_p99 * 1e3:.3f} ms post-churn "
         f"(ratio {report.recovery_ratio:.2f} <= {RECOVERY_FACTOR})",
-        f"  [{verdict(report.deterministic):>4s}] determinism: "
+        f"  {report.mark('deterministic')} determinism: "
         + ("byte-identical across reruns"
            if report.deterministic else "reruns DIVERGED"),
         f"  drill {'PASSED' if report.passed else 'FAILED'}",
     ]
     return "\n".join(lines)
-
-
-def run_churn_drill_cli(*, smoke: bool = False, seed: int = 0) -> int:
-    report = run_churn_drill(smoke=smoke, seed=seed)
-    print(format_churn_drill(report))
-    return 0 if report.passed else 1

@@ -27,18 +27,16 @@ Three gates, asserted by the CLI exit status and the perf baseline:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..core.incremental import IncrementalPolicy
 from ..serve.loadgen import (
-    LoadReport,
     TraceRequest,
     run_load,
     synthesize_drift_trace,
 )
 from ..serve.service import ServeConfig
+from .gates import Gate, GatedReport, ok_solutions, solution_mismatches
 
 __all__ = [
     "GATE_AMORTIZED_RATIO",
@@ -46,7 +44,6 @@ __all__ = [
     "DriftReport",
     "run_drift_bench",
     "format_drift_report",
-    "run_drift_bench_cli",
 ]
 
 #: minimum off/on amortized simulated analysis-cost ratio
@@ -58,7 +55,7 @@ GATE_HIT_RATE = 0.9
 
 
 @dataclass
-class DriftReport:
+class DriftReport(GatedReport):
     """Outcome of one on/off drift replay pair (simulated seconds)."""
 
     requests: int
@@ -74,8 +71,21 @@ class DriftReport:
     analyze_seconds_on: float
     bitwise_checked: int
     bitwise_mismatches: int
-    on: LoadReport = field(repr=False, default=None)  # type: ignore[assignment]
-    off: LoadReport = field(repr=False, default=None)  # type: ignore[assignment]
+
+    gates = (
+        Gate(
+            "amortized_ok",
+            lambda r: r.amortized_ratio >= GATE_AMORTIZED_RATIO,
+        ),
+        Gate(
+            "hit_rate_ok",
+            lambda r: r.incremental_hit_rate >= GATE_HIT_RATE,
+        ),
+        Gate(
+            "bitwise_ok",
+            lambda r: r.bitwise_checked > 0 and r.bitwise_mismatches == 0,
+        ),
+    )
 
     # -- derived ---------------------------------------------------------
     @property
@@ -98,26 +108,8 @@ class DriftReport:
             return 0.0
         return self.incremental_hits / self.eligible_misses
 
-    @property
-    def bitwise_ok(self) -> bool:
-        return self.bitwise_checked > 0 and self.bitwise_mismatches == 0
-
-    @property
-    def amortized_ok(self) -> bool:
-        return self.amortized_ratio >= GATE_AMORTIZED_RATIO
-
-    @property
-    def hit_rate_ok(self) -> bool:
-        return self.incremental_hit_rate >= GATE_HIT_RATE
-
-    @property
-    def passed(self) -> bool:
-        return self.amortized_ok and self.hit_rate_ok and self.bitwise_ok
-
     # -- export ----------------------------------------------------------
     def perf_record(self) -> dict:
-        """Exact counters + banded timings for the perf-snapshot suite
-        (shape of every other ``perf_record`` hook)."""
         counters = {
             "requests": int(self.requests),
             "completed": int(self.completed),
@@ -136,12 +128,7 @@ class DriftReport:
             "amortized_ratio": float(self.amortized_ratio),
             "incremental_hit_rate": float(self.incremental_hit_rate),
         }
-        labels = {
-            "amortized_ok": str(self.amortized_ok).lower(),
-            "hit_rate_ok": str(self.hit_rate_ok).lower(),
-            "bitwise_ok": str(self.bitwise_ok).lower(),
-            "passed": str(self.passed).lower(),
-        }
+        labels = self.gate_labels()
         return {"counters": counters, "timings": timings, "labels": labels}
 
 
@@ -176,19 +163,9 @@ def run_drift_bench(*, smoke: bool = False, seed: int = 0) -> DriftReport:
         baseline=False,
     )
 
-    checked = mismatches = 0
-    off_by_id = {r.request_id: r for r in off.responses}
-    for resp in on.responses:
-        if resp.status != "ok" or resp.x is None:
-            continue
-        ref = off_by_id.get(resp.request_id)
-        checked += 1
-        if (
-            ref is None
-            or ref.x is None
-            or not np.array_equal(resp.x, ref.x)
-        ):
-            mismatches += 1
+    checked, mismatches = solution_mismatches(
+        ok_solutions(on.responses), ok_solutions(off.responses)
+    )
 
     counters = on.stats.get("counters", {})
     phases_on = on.stats.get("phase_seconds", {})
@@ -208,15 +185,10 @@ def run_drift_bench(*, smoke: bool = False, seed: int = 0) -> DriftReport:
         + float(phases_on.get("analysis_delta", 0.0)),
         bitwise_checked=checked,
         bitwise_mismatches=mismatches,
-        on=on,
-        off=off,
     )
 
 
 def format_drift_report(report: DriftReport) -> str:
-    def verdict(ok: bool) -> str:
-        return "ok" if ok else "FAIL"
-
     lines = [
         f"drift bench: {report.requests} requests, "
         f"{report.num_families} drifting families "
@@ -225,24 +197,18 @@ def format_drift_report(report: DriftReport) -> str:
         f"{report.cache_misses} misses "
         f"({report.incremental_hits} spliced, "
         f"{report.incremental_fallbacks} over-threshold fallbacks)",
-        f"  [{verdict(report.hit_rate_ok):>4s}] incremental hit rate "
+        f"  {report.mark('hit_rate_ok')} incremental hit rate "
         f"{report.incremental_hit_rate:.3f} over "
         f"{report.eligible_misses} eligible misses "
         f"(gate >= {GATE_HIT_RATE})",
-        f"  [{verdict(report.amortized_ok):>4s}] amortized analysis "
+        f"  {report.mark('amortized_ok')} amortized analysis "
         f"cost {report.analyze_seconds_off * 1e3:.3f} ms cold vs "
         f"{report.analyze_seconds_on * 1e3:.3f} ms incremental = "
         f"{report.amortized_ratio:.2f}x "
         f"(gate >= {GATE_AMORTIZED_RATIO}x)",
-        f"  [{verdict(report.bitwise_ok):>4s}] bitwise: "
+        f"  {report.mark('bitwise_ok')} bitwise: "
         f"{report.bitwise_checked} solutions compared, "
         f"{report.bitwise_mismatches} mismatches",
         f"  verdict: {'PASS' if report.passed else 'FAIL'}",
     ]
     return "\n".join(lines)
-
-
-def run_drift_bench_cli(*, smoke: bool = False, seed: int = 0) -> int:
-    report = run_drift_bench(smoke=smoke, seed=seed)
-    print(format_drift_report(report))
-    return 0 if report.passed else 1

@@ -26,6 +26,7 @@ Run via ``repro fault-drill [--smoke]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, cast
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from ..gpusim import GPU, FaultInjector, FaultPlan, scaled_device, scaled_host
 from ..serve import BreakerConfig, ServeConfig, SolverService
 from ..sparse import residual_norm
 from ..workloads import circuit_like
+from .gates import Gate, GatedReport, factor_mismatches
 
 __all__ = ["ScenarioResult", "DrillReport", "run_fault_drill", "format_drill"]
 
@@ -70,17 +72,21 @@ class ScenarioResult:
 
 
 @dataclass
-class DrillReport:
+class DrillReport(GatedReport):
     """All scenario outcomes + the determinism verdict."""
 
     results: list[ScenarioResult] = field(default_factory=list)
     deterministic: bool = True
 
-    @property
-    def all_handled(self) -> bool:
-        return all(
-            r.outcome in (RECOVERED, DEGRADED) for r in self.results
-        )
+    gates = (
+        Gate("deterministic", lambda r: r.deterministic),
+        Gate(
+            "all_handled",
+            lambda r: all(
+                x.outcome in (RECOVERED, DEGRADED) for x in r.results
+            ),
+        ),
+    )
 
     def perf_record(self) -> dict:
         """Machine-readable record for the perf-snapshot suite: per-scenario
@@ -88,10 +94,7 @@ class DrillReport:
         outcome strings (exact labels)."""
         counters: dict = {"scenarios": len(self.results)}
         timings: dict = {}
-        labels: dict = {
-            "deterministic": str(self.deterministic).lower(),
-            "all_handled": str(self.all_handled).lower(),
-        }
+        labels: dict = self.gate_labels()
         for r in self.results:
             key = r.name.replace("-", "_")
             counters[f"{key}_faults_injected"] = int(r.faults_injected)
@@ -109,7 +112,7 @@ def _drill_matrix(n: int, seed: int):
 def _resilient_config(
     *, device_bytes: int | None = None
 ) -> SolverConfig:
-    kw = {"resilience": ResilienceConfig()}
+    kw: dict[str, Any] = {"resilience": ResilienceConfig()}
     if device_bytes is not None:
         kw["device"] = scaled_device(device_bytes)
         kw["host"] = scaled_host(8 * device_bytes)
@@ -122,25 +125,27 @@ def _run_pipeline(cfg: SolverConfig, a, plan: FaultPlan | None):
     injector = None
     if plan is not None:
         injector = FaultInjector(gpu, plan)
-        gpu = injector
+        # the pipeline drives any GPU-shaped proxy stack
+        gpu = cast(GPU, injector)
     result = EndToEndLU(cfg).factorize(a, gpu=gpu)
     return result, injector
 
 
 def _pipeline_scenario(
-    name: str, cfg: SolverConfig, a, b, plan: FaultPlan
+    name: str, n: int, seed: int, plan: FaultPlan
 ) -> ScenarioResult:
-    """Faulted run vs. fault-free twin on the same config/workload."""
+    """Faulted run vs. fault-free twin on a memory-starved device."""
+    a = _drill_matrix(n, seed)
+    rng = np.random.default_rng(seed)
+    b = rng.random(n)
+    need = SolverConfig().scratch_bytes_per_row(n) * n
+    cfg = _resilient_config(device_bytes=max(need // 3, 1 << 20))
     base, _ = _run_pipeline(cfg, a, None)
     res, injector = _run_pipeline(cfg, a, plan)
     rec = res.recovery
     x_base = base.solve(b)
     x = res.solve(b)
-    match = (
-        np.array_equal(base.L.data, res.L.data)
-        and np.array_equal(base.U.data, res.U.data)
-        and np.array_equal(x_base, x)
-    )
+    match = factor_mismatches(base, res) == 0 and np.array_equal(x_base, x)
     residual = residual_norm(a, x, b)
     actions = len(rec.events) if rec is not None else 0
     outcome = RECOVERED
@@ -167,23 +172,13 @@ def _pipeline_scenario(
 
 
 def _scenario_flaky_link(n: int, seed: int) -> ScenarioResult:
-    a = _drill_matrix(n, seed)
-    rng = np.random.default_rng(seed)
-    b = rng.random(n)
-    need = SolverConfig().scratch_bytes_per_row(n) * n
-    cfg = _resilient_config(device_bytes=max(need // 3, 1 << 20))
     plan = FaultPlan(
         seed=seed, transfer_fault_rate=0.08, kernel_fault_rate=0.03
     )
-    return _pipeline_scenario("flaky-link", cfg, a, b, plan)
+    return _pipeline_scenario("flaky-link", n, seed, plan)
 
 
 def _scenario_oom_storm(n: int, seed: int) -> ScenarioResult:
-    a = _drill_matrix(n, seed)
-    rng = np.random.default_rng(seed)
-    b = rng.random(n)
-    need = SolverConfig().scratch_bytes_per_row(n) * n
-    cfg = _resilient_config(device_bytes=max(need // 3, 1 << 20))
     plan = FaultPlan(
         seed=seed,
         memory_pressure_rate=0.15,
@@ -192,7 +187,7 @@ def _scenario_oom_storm(n: int, seed: int) -> ScenarioResult:
         # the storm then hits a chunk schedule sized for a healthy device
         pressure_min_op=8,
     )
-    return _pipeline_scenario("oom-storm", cfg, a, b, plan)
+    return _pipeline_scenario("oom-storm", n, seed, plan)
 
 
 def _scenario_singular(n: int, seed: int) -> ScenarioResult:
@@ -247,6 +242,7 @@ def _scenario_dead_device(n: int, seed: int) -> ScenarioResult:
     with SolverService(cfg) as svc:
         resp = svc.solve(a, b)
         resp.raise_for_status()
+        assert resp.x is not None
         residual = residual_norm(a, resp.x, b)
         st = svc.stats()
     breaker = st["breakers"][0]
@@ -312,9 +308,3 @@ def format_drill(report: DrillReport) -> str:
            else "MISMATCH between re-runs (seeded reproducibility broken)")
     )
     return "\n".join(lines)
-
-
-def run_fault_drill_cli(*, smoke: bool = False, seed: int = 0) -> int:
-    report = run_fault_drill(smoke=smoke, seed=seed)
-    print(format_drill(report))
-    return 0 if (report.all_handled and report.deterministic) else 1

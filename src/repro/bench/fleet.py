@@ -12,8 +12,7 @@ match a plain single-:class:`~repro.serve.SolverService` replay of the
 identical trace exactly — node count, routing, the L2 tier and
 shedding may only move *time*, never numerics.
 
-``repro fleet-bench`` prints the table; ``repro bench fleet``
-runs the same sweep through the experiment runner.
+``repro fleet-bench`` prints the table.
 """
 
 from __future__ import annotations
@@ -29,14 +28,13 @@ from ..fleet import (
     FleetReport,
     run_fleet_load,
 )
-from ..serve import ServeConfig, SolverService, replay, synthesize_trace
-from ..serve.loadgen import TraceRequest
+from ..serve import synthesize_trace
+from .gates import ok_solutions, service_reference, solution_mismatches
 
 __all__ = [
     "FleetScalingPoint",
     "FleetBenchReport",
     "run_fleet_bench",
-    "run_fleet",
 ]
 
 
@@ -118,36 +116,6 @@ class FleetBenchReport:
         return "\n".join(lines)
 
 
-def _single_service_reference(
-    trace: list[TraceRequest], serve: ServeConfig, flush_every: int
-) -> dict[int, np.ndarray]:
-    """Solution vector per trace index from one plain SolverService —
-    the numeric ground truth every fleet point must match bitwise."""
-    service = SolverService(serve)
-    responses = replay(service, trace, flush_every=flush_every)
-    service.shutdown()
-    return {
-        r.request_id: r.x for r in responses
-        if r.status == "ok" and r.x is not None
-    }
-
-
-def _identical(
-    report: FleetReport, reference: dict[int, np.ndarray]
-) -> bool:
-    """Every admitted ``ok`` fleet response matches the single-service
-    solution for the same trace index bitwise."""
-    checked = 0
-    for resp in report.responses:
-        if resp.status != "ok" or resp.x is None:
-            continue
-        ref = reference.get(resp.index)
-        if ref is None or not np.array_equal(resp.x, ref):
-            return False
-        checked += 1
-    return checked > 0
-
-
 def _point(
     report: FleetReport,
     reference: dict[int, np.ndarray],
@@ -156,6 +124,11 @@ def _point(
     overloaded: bool = False,
 ) -> FleetScalingPoint:
     base = base_makespan or report.makespan_seconds
+    # every admitted ``ok`` response matches the single-service solution
+    # for the same trace index bitwise
+    checked, mismatches = solution_mismatches(
+        ok_solutions(report.responses, key="index"), reference
+    )
     return FleetScalingPoint(
         num_nodes=report.num_nodes,
         requests=report.requests,
@@ -172,7 +145,7 @@ def _point(
             base / report.makespan_seconds
             if report.makespan_seconds > 0 else 0.0
         ),
-        results_identical=_identical(report, reference),
+        results_identical=checked > 0 and mismatches == 0,
         overloaded=overloaded,
     )
 
@@ -209,9 +182,7 @@ def run_fleet_bench(
         zipf_s=zipf_s,
     )
     base_cfg = FleetConfig(num_nodes=1)
-    reference = _single_service_reference(
-        trace, base_cfg.serve, flush_every
-    )
+    reference = service_reference(trace, base_cfg.serve, flush_every)
 
     points: list[FleetScalingPoint] = []
     base_makespan: float | None = None
@@ -243,8 +214,3 @@ def run_fleet_bench(
         zipf_s=zipf_s,
         points=tuple(points),
     )
-
-
-def run_fleet() -> str:
-    """Experiment-runner entry point (``repro bench fleet``)."""
-    return run_fleet_bench(smoke=True).format()

@@ -1,0 +1,172 @@
+"""Declared gates, the gated-drill registry and shared bitwise compares.
+
+A gated drill argues like the paper: measured values set against stated
+bounds.  Its report class lists those bounds once as a ``gates`` table
+of :class:`Gate`; :class:`GatedReport` derives the verdicts, ``passed``
+and the perf-record gate labels from it.  :data:`EXPERIMENTS` declares
+each drill once, and the CLI subcommands and perf scenarios are
+generated from it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable, ClassVar, Iterable
+
+import numpy as np
+
+from ..serve import ServeConfig, SolverService, replay
+from ..serve.loadgen import TraceRequest
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One pass/fail predicate over a report, exported under ``label``."""
+
+    label: str
+    check: Callable[[Any], bool]
+
+
+class GatedReport:
+    """Mixin for reports whose verdict is a class-level ``gates`` table."""
+
+    gates: ClassVar[tuple[Gate, ...]] = ()
+
+    def verdicts(self) -> dict[str, bool]:
+        return {gate.label: bool(gate.check(self)) for gate in self.gates}
+
+    @property
+    def passed(self) -> bool:
+        return all(self.verdicts().values())
+
+    def mark(self, label: str) -> str:
+        """The ``[  ok]``/``[FAIL]`` prefix of one gate's report line."""
+        return mark(self.verdicts()[label])
+
+    def gate_labels(self) -> dict[str, str]:
+        """Every verdict plus ``passed``, as perf-record labels."""
+        labels = {k: str(v).lower() for k, v in self.verdicts().items()}
+        labels["passed"] = str(self.passed).lower()
+        return labels
+
+    def perf_record(self) -> dict[str, Any]:
+        """Counters, timings and labels of the drill's perf scenario."""
+        raise NotImplementedError
+
+
+def mark(ok: bool) -> str:
+    return f"[{'ok' if ok else 'FAIL':>4s}]"
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One gated drill: CLI subcommand, perf scenario, runner, renderer."""
+
+    command: str
+    scenario: str
+    run: Callable[..., GatedReport]
+    format: Callable[[Any], str]
+    help: str
+
+
+EXPERIMENTS: tuple[Experiment, ...]
+
+
+def __getattr__(name: str) -> Any:
+    # The drills import the gate vocabulary above, so the registry that
+    # imports them is built on first access rather than at import time.
+    if name != "EXPERIMENTS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import churn, drift, fault_drill, supernodal
+
+    experiments = (
+        Experiment(
+            "fault-drill",
+            "faults/drill",
+            fault_drill.run_fault_drill,
+            fault_drill.format_drill,
+            "recovery-ladder drill: flaky link, OOM storm, singular "
+            "workload, dead device (each must recover or degrade)",
+        ),
+        Experiment(
+            "churn-drill",
+            "fleet/churn",
+            churn.run_churn_drill,
+            churn.format_churn_drill,
+            "join, drain and crash fleet nodes mid-replay; gates remap, "
+            "bitwise identity, p99 recovery and determinism",
+        ),
+        Experiment(
+            "drift-bench",
+            "serve/drift",
+            drift.run_drift_bench,
+            drift.format_drift_report,
+            "drifting-pattern replay with incremental re-analysis on vs "
+            "off; gates amortized cost, splice hit rate, bitwise identity",
+        ),
+        Experiment(
+            "supernodal-bench",
+            "supernodal/e2e",
+            supernodal.run_supernodal_bench,
+            supernodal.format_supernodal_report,
+            "per-column vs supernodal numeric on a FEM + circuit pair; "
+            "gates time/launch ratios, singleton split, bitwise identity",
+        ),
+    )
+    globals()["EXPERIMENTS"] = experiments
+    return experiments
+
+
+#: the ``(matrix, array)`` pairs two factorizations must share bitwise:
+#: the fill pattern and both factors' structure and values
+FACTOR_ARRAYS = (
+    ("filled", "indptr"),
+    ("filled", "indices"),
+    ("L", "indptr"),
+    ("L", "indices"),
+    ("L", "data"),
+    ("U", "indptr"),
+    ("U", "indices"),
+    ("U", "data"),
+)
+
+
+def factor_mismatches(ref: Any, got: Any) -> int:
+    """How many of :data:`FACTOR_ARRAYS` differ between two results."""
+    bad = 0
+    for m, arr in FACTOR_ARRAYS:
+        a, b = getattr(ref, m), getattr(got, m)
+        bad += not np.array_equal(getattr(a, arr), getattr(b, arr))
+    return bad
+
+
+def ok_solutions(
+    responses: Iterable[Any], key: str = "request_id"
+) -> dict[int, np.ndarray]:
+    """Solution vector per ``key`` of every ``ok`` response."""
+    return {
+        getattr(r, key): r.x
+        for r in responses
+        if r.status == "ok" and r.x is not None
+    }
+
+
+def solution_mismatches(
+    got: dict[int, np.ndarray], ref: dict[int, np.ndarray]
+) -> tuple[int, int]:
+    """``(checked, mismatches)`` of ``got``'s solutions against ``ref``."""
+    bad = sum(
+        i not in ref or not np.array_equal(x, ref[i]) for i, x in got.items()
+    )
+    return len(got), bad
+
+
+def service_reference(
+    trace: list[TraceRequest], serve: ServeConfig, flush_every: int
+) -> dict[int, np.ndarray]:
+    """Per-index solution vectors from one plain SolverService — the
+    ground truth every fleet response must match bitwise."""
+    service = SolverService(serve)
+    responses = replay(service, trace, flush_every=flush_every)
+    service.shutdown()
+    return ok_solutions(responses)

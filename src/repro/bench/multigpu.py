@@ -13,8 +13,7 @@ on one registry workload and reports, per point:
   must match the single-device :class:`~repro.core.pipeline.EndToEndLU`
   run bitwise (sharding may only move time, never results).
 
-``repro multigpu-bench`` prints the table; ``repro bench multigpu``
-runs the same sweep through the experiment runner.
+``repro multigpu-bench`` prints the table.
 """
 
 from __future__ import annotations
@@ -22,17 +21,15 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core import EndToEndLU, SolverConfig, multi_gpu_endtoend
 from ..sparse import CSRMatrix
 from ..workloads.registry import by_abbr
+from .gates import factor_mismatches
 
 __all__ = [
     "ScalingPoint",
     "MultiGpuBenchReport",
     "run_multigpu_bench",
-    "run_multigpu",
 ]
 
 
@@ -72,12 +69,6 @@ class MultiGpuBenchReport:
     weak: bool
     points: tuple[ScalingPoint, ...]
 
-    def speedup_at(self, num_devices: int) -> float:
-        for pt in self.points:
-            if pt.num_devices == num_devices:
-                return pt.speedup
-        raise KeyError(f"no sweep point for {num_devices} devices")
-
     @property
     def all_identical(self) -> bool:
         return all(pt.results_identical for pt in self.points)
@@ -103,20 +94,6 @@ class MultiGpuBenchReport:
                 f"{'yes' if pt.results_identical else 'NO':>9s}"
             )
         return "\n".join(lines)
-
-
-def _identical(res, single) -> bool:
-    """Bitwise factor / pattern / pivot equality vs. the 1-device run."""
-    return bool(
-        np.array_equal(res.filled.indptr, single.filled.indptr)
-        and np.array_equal(res.filled.indices, single.filled.indices)
-        and np.array_equal(res.L.indptr, single.L.indptr)
-        and np.array_equal(res.L.indices, single.L.indices)
-        and np.array_equal(res.L.data, single.L.data)
-        and np.array_equal(res.U.indptr, single.U.indptr)
-        and np.array_equal(res.U.indices, single.U.indices)
-        and np.array_equal(res.U.data, single.U.data)
-    )
 
 
 def _instance(abbr: str, n: int) -> CSRMatrix:
@@ -183,7 +160,7 @@ def run_multigpu_bench(
                 halo_bytes=int(res.halo_bytes),
                 halo_batches=int(res.halo_batches),
                 halo_wait_seconds=float(res.halo_wait_seconds),
-                results_identical=_identical(res, single),
+                results_identical=factor_mismatches(single, res) == 0,
             )
         )
     return MultiGpuBenchReport(
@@ -195,10 +172,3 @@ def run_multigpu_bench(
         weak=bool(weak),
         points=tuple(points),
     )
-
-
-def run_multigpu() -> str:
-    """Experiment-runner entry point (``repro bench multigpu``)."""
-    strong = run_multigpu_bench(smoke=True)
-    weak = run_multigpu_bench(smoke=True, weak=True, devices=(1, 2, 4))
-    return strong.format() + "\n\n" + weak.format()

@@ -10,10 +10,11 @@ for a sweep of out-of-core chunk sizes.  Reports, per configuration:
 * copy-engine and compute utilization over the async regions' makespan;
 * overlap efficiency (fraction of serial busy time hidden);
 * a results-identical flag (fill structure and factors must match
-  bitwise — overlap may only move time, never results).
+  bitwise — overlap may only move time, never results);
+* the overlap run's copy/compute op counts, stream and sync-region
+  counts, and bytes moved (the ``overlap/e2e_CR2`` perf record).
 
-``repro overlap-bench`` prints the table; ``repro bench overlap`` runs
-the same sweep through the experiment runner.
+``repro overlap-bench`` prints the table.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core import EndToEndLU, SolverConfig
+from ..streams.device import SyncReport
 from ..symbolic import symbolic_fill_reference
 from ..workloads.registry import by_abbr
+from .gates import factor_mismatches
 
-__all__ = ["OverlapRow", "OverlapReport", "run_overlap_bench", "run_overlap"]
+__all__ = ["OverlapRow", "OverlapReport", "run_overlap_bench"]
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,13 @@ class OverlapRow:
     chunk_rows: int
     serial_seconds: float
     overlap_seconds: float
-    h2d_utilization: float
-    d2h_utilization: float
-    compute_utilization: float
-    overlap_efficiency: float
+    #: the overlap run's copy/compute engines over all its async regions
+    engines: SyncReport
+    sync_regions: int
+    bytes_h2d: int
+    bytes_d2h: int
+    filled_nnz: int
+    numeric_format: str
     results_identical: bool
 
     @property
@@ -51,6 +55,33 @@ class OverlapRow:
         return (self.serial_seconds - self.overlap_seconds) / (
             self.serial_seconds
         )
+
+    def perf_record(self) -> dict:
+        """Exact counters + banded timings for the perf-snapshot suite."""
+        eng = self.engines
+        return {
+            "counters": {
+                "filled_nnz": self.filled_nnz,
+                "results_identical": int(self.results_identical),
+                "h2d_ops": eng.h2d_ops,
+                "d2h_ops": eng.d2h_ops,
+                "compute_ops": eng.compute_ops,
+                "n_streams": eng.n_streams,
+                "sync_regions": self.sync_regions,
+                "bytes_h2d": self.bytes_h2d,
+                "bytes_d2h": self.bytes_d2h,
+            },
+            "timings": {
+                "serial_seconds": self.serial_seconds,
+                "overlap_seconds": self.overlap_seconds,
+                "overlap_drop": self.drop,
+                "overlap_efficiency": eng.overlap_efficiency,
+                "h2d_utilization": eng.utilization("h2d"),
+                "d2h_utilization": eng.utilization("d2h"),
+                "compute_utilization": eng.utilization("compute"),
+            },
+            "labels": {"numeric_format": self.numeric_format},
+        }
 
 
 @dataclass(frozen=True)
@@ -72,12 +103,14 @@ class OverlapReport:
             f"{'eff':>5s} {'identical':>9s}",
         ]
         for r in self.rows:
+            eng = r.engines
             lines.append(
                 f"{r.chunk_rows:>6d} {r.serial_seconds * 1e3:>10.3f} "
                 f"{r.overlap_seconds * 1e3:>11.3f} {r.drop:>6.1%} "
-                f"{r.h2d_utilization:>5.0%} {r.d2h_utilization:>5.0%} "
-                f"{r.compute_utilization:>5.0%} "
-                f"{r.overlap_efficiency:>5.0%} "
+                f"{eng.utilization('h2d'):>5.0%} "
+                f"{eng.utilization('d2h'):>5.0%} "
+                f"{eng.utilization('compute'):>5.0%} "
+                f"{eng.overlap_efficiency:>5.0%} "
                 f"{'yes' if r.results_identical else 'NO':>9s}"
             )
         return "\n".join(lines)
@@ -110,25 +143,19 @@ def run_overlap_bench(
         res_on = EndToEndLU(
             dataclasses.replace(base, overlap=True)
         ).factorize(a)
-        report = res_on.gpu.combined_report()
-        identical = (
-            np.array_equal(res_off.filled.indptr, res_on.filled.indptr)
-            and np.array_equal(
-                res_off.filled.indices, res_on.filled.indices
-            )
-            and np.array_equal(res_off.L.data, res_on.L.data)
-            and np.array_equal(res_off.U.data, res_on.U.data)
-        )
+        gpu = res_on.gpu  # StreamedGPU (overlap=True)
         rows.append(
             OverlapRow(
                 chunk_rows=int(cr),
                 serial_seconds=float(res_off.sim_seconds),
                 overlap_seconds=float(res_on.sim_seconds),
-                h2d_utilization=float(report.utilization("h2d")),
-                d2h_utilization=float(report.utilization("d2h")),
-                compute_utilization=float(report.utilization("compute")),
-                overlap_efficiency=float(report.overlap_efficiency),
-                results_identical=bool(identical),
+                engines=gpu.combined_report(),
+                sync_regions=len(gpu.reports),
+                bytes_h2d=gpu.ledger.get_count("bytes_h2d"),
+                bytes_d2h=gpu.ledger.get_count("bytes_d2h"),
+                filled_nnz=int(res_on.filled.nnz),
+                numeric_format=str(res_on.numeric.data_format),
+                results_identical=factor_mismatches(res_off, res_on) == 0,
             )
         )
     return OverlapReport(
@@ -138,8 +165,3 @@ def run_overlap_bench(
         mem_divisor=int(mem_divisor),
         rows=tuple(rows),
     )
-
-
-def run_overlap() -> str:
-    """Experiment-runner entry point (``repro bench overlap``)."""
-    return run_overlap_bench(smoke=True).format()

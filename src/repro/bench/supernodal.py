@@ -33,12 +33,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core import SolverConfig
 from ..core.pipeline import EndToEndResult
 from ..core.solver import factorize
 from ..workloads import by_abbr
+from .gates import FACTOR_ARRAYS, Gate, GatedReport, factor_mismatches
 
 __all__ = [
     "GATE_FEM_TIME_RATIO",
@@ -47,7 +46,6 @@ __all__ = [
     "SupernodalReport",
     "run_supernodal_bench",
     "format_supernodal_report",
-    "run_supernodal_bench_cli",
 ]
 
 #: minimum off/on simulated ``numeric``-phase time ratio on the FEM instance
@@ -65,7 +63,7 @@ CIRCUIT_ABBR = "OT2"
 
 
 @dataclass
-class SupernodalReport:
+class SupernodalReport(GatedReport):
     """Outcome of one on/off factorization pair (simulated seconds)."""
 
     n: int
@@ -90,6 +88,23 @@ class SupernodalReport:
     bitwise_checked: int
     bitwise_mismatches: int
 
+    gates = (
+        Gate("fem_time_ok", lambda r: r.fem_time_ratio >= GATE_FEM_TIME_RATIO),
+        Gate(
+            "fem_launch_ok",
+            lambda r: r.fem_launch_ratio >= GATE_FEM_LAUNCH_RATIO,
+        ),
+        Gate(
+            "circuit_ok",
+            lambda r: r.circuit_singleton_fraction
+            >= GATE_CIRCUIT_SINGLETON_FRACTION,
+        ),
+        Gate(
+            "bitwise_ok",
+            lambda r: r.bitwise_checked > 0 and r.bitwise_mismatches == 0,
+        ),
+    )
+
     # -- derived ---------------------------------------------------------
     @property
     def fem_time_ratio(self) -> float:
@@ -109,38 +124,8 @@ class SupernodalReport:
             return 0.0
         return self.circuit_singleton_panels / self.circuit_panels
 
-    @property
-    def fem_time_ok(self) -> bool:
-        return self.fem_time_ratio >= GATE_FEM_TIME_RATIO
-
-    @property
-    def fem_launch_ok(self) -> bool:
-        return self.fem_launch_ratio >= GATE_FEM_LAUNCH_RATIO
-
-    @property
-    def circuit_ok(self) -> bool:
-        return (
-            self.circuit_singleton_fraction
-            >= GATE_CIRCUIT_SINGLETON_FRACTION
-        )
-
-    @property
-    def bitwise_ok(self) -> bool:
-        return self.bitwise_checked > 0 and self.bitwise_mismatches == 0
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.fem_time_ok
-            and self.fem_launch_ok
-            and self.circuit_ok
-            and self.bitwise_ok
-        )
-
     # -- export ----------------------------------------------------------
     def perf_record(self) -> dict:
-        """Exact counters + banded timings for the perf-snapshot suite
-        (shape of every other ``perf_record`` hook)."""
         counters = {
             "n": int(self.n),
             "fem_launches_off": int(self.fem_launches_off),
@@ -174,11 +159,7 @@ class SupernodalReport:
         labels = {
             "fem_abbr": self.fem_abbr,
             "circuit_abbr": self.circuit_abbr,
-            "fem_time_ok": str(self.fem_time_ok).lower(),
-            "fem_launch_ok": str(self.fem_launch_ok).lower(),
-            "circuit_ok": str(self.circuit_ok).lower(),
-            "bitwise_ok": str(self.bitwise_ok).lower(),
-            "passed": str(self.passed).lower(),
+            **self.gate_labels(),
         }
         return {"counters": counters, "timings": timings, "labels": labels}
 
@@ -186,32 +167,15 @@ class SupernodalReport:
 def _factor_pair(
     abbr: str, *, n: int, seed: int
 ) -> tuple[EndToEndResult, EndToEndResult, int]:
-    """Factorize one registry instance on both numeric paths.
-
-    Returns ``(off, on, mismatches)`` where ``mismatches`` counts factor
-    arrays (pattern, ``L``/``U`` structure and values) that differ.
-    """
+    """Factorize one registry instance on both numeric paths; returns
+    ``(off, on, mismatches)`` (see :func:`.gates.factor_mismatches`)."""
     spec = dataclasses.replace(
         by_abbr(abbr), n_scaled=n, seed=by_abbr(abbr).seed + seed
     )
     a = spec.generate()
     off = factorize(a, SolverConfig(), supernodal=False)
     on = factorize(a, SolverConfig(), supernodal=True)
-    mismatches = 0
-    pairs = [
-        (off.filled.indptr, on.filled.indptr),
-        (off.filled.indices, on.filled.indices),
-        (off.L.indptr, on.L.indptr),
-        (off.L.indices, on.L.indices),
-        (off.L.data, on.L.data),
-        (off.U.indptr, on.U.indptr),
-        (off.U.indices, on.U.indices),
-        (off.U.data, on.U.data),
-    ]
-    for ref, got in pairs:
-        if not np.array_equal(ref, got):
-            mismatches += 1
-    return off, on, mismatches
+    return off, on, factor_mismatches(off, on)
 
 
 def run_supernodal_bench(
@@ -243,15 +207,12 @@ def run_supernodal_bench(
         circuit_launches_on=launches(cir_on),
         circuit_panels=cir_on.numeric.panels,
         circuit_singleton_panels=cir_on.numeric.singleton_panels,
-        bitwise_checked=16,  # 8 factor arrays per instance, 2 instances
+        bitwise_checked=2 * len(FACTOR_ARRAYS),  # 2 instances
         bitwise_mismatches=fem_bad + cir_bad,
     )
 
 
 def format_supernodal_report(report: SupernodalReport) -> str:
-    def verdict(ok: bool) -> str:
-        return "ok" if ok else "FAIL"
-
     lines = [
         f"supernodal bench: {report.fem_abbr} (fem) + "
         f"{report.circuit_abbr} (circuit) at n={report.n}, "
@@ -260,29 +221,23 @@ def format_supernodal_report(report: SupernodalReport) -> str:
         f"({report.fem_singleton_panels} singleton, coverage "
         f"{report.fem_panel_coverage:.2f}) in "
         f"{report.fem_panel_waves} waves",
-        f"  [{verdict(report.fem_time_ok):>4s}] fem numeric time "
+        f"  {report.mark('fem_time_ok')} fem numeric time "
         f"{report.fem_numeric_seconds_off * 1e6:.1f} us per-column vs "
         f"{report.fem_numeric_seconds_on * 1e6:.1f} us supernodal = "
         f"{report.fem_time_ratio:.2f}x "
         f"(gate >= {GATE_FEM_TIME_RATIO}x)",
-        f"  [{verdict(report.fem_launch_ok):>4s}] fem numeric launches "
+        f"  {report.mark('fem_launch_ok')} fem numeric launches "
         f"{report.fem_launches_off} per-column vs "
         f"{report.fem_launches_on} supernodal = "
         f"{report.fem_launch_ratio:.2f}x "
         f"(gate >= {GATE_FEM_LAUNCH_RATIO}x)",
-        f"  [{verdict(report.circuit_ok):>4s}] circuit partition "
+        f"  {report.mark('circuit_ok')} circuit partition "
         f"{report.circuit_singleton_panels}/{report.circuit_panels} "
         f"singleton panels = {report.circuit_singleton_fraction:.2f} "
         f"(gate >= {GATE_CIRCUIT_SINGLETON_FRACTION})",
-        f"  [{verdict(report.bitwise_ok):>4s}] bitwise: "
+        f"  {report.mark('bitwise_ok')} bitwise: "
         f"{report.bitwise_checked} factor arrays compared, "
         f"{report.bitwise_mismatches} mismatches",
         f"  verdict: {'PASS' if report.passed else 'FAIL'}",
     ]
     return "\n".join(lines)
-
-
-def run_supernodal_bench_cli(*, smoke: bool = False, seed: int = 0) -> int:
-    report = run_supernodal_bench(smoke=smoke, seed=seed)
-    print(format_supernodal_report(report))
-    return 0 if report.passed else 1

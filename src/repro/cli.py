@@ -7,8 +7,8 @@ Commands
 ``analyze``   structural report: pattern statistics, fill-in, levels,
               numeric-format decision — a Table 2-style row for any matrix.
 ``generate``  write a synthetic workload matrix (circuit/fem/mesh) to .mtx.
-``bench``     run one paper experiment by name (fig3..fig8, table3, table4)
-              or ``all`` (EXPERIMENTS.md regeneration).
+``bench``     run one paper experiment by name (fig3..fig8, table3, table4,
+              serve_bench) or ``all`` (EXPERIMENTS.md regeneration).
 ``report``    structural report table for several .mtx files at once.
 ``trace``     factorize a .mtx and write a Chrome trace of the simulated
               device timeline (load in chrome://tracing or Perfetto).
@@ -32,25 +32,12 @@ Commands
               point; reports throughput scaling, tier split, shed rate
               and the bitwise results-identical flag (see
               docs/fleet.md).
-``churn-drill``   replay a trace through a 4-node fleet while the
-              topology churns (join with L2 warm-up, graceful drain,
-              crash); gates remap fraction vs the ring bound, bitwise
-              identity of every non-shed response, p99 recovery and
-              rerun determinism (see docs/churn.md).
-``drift-bench``   replay a drifting-pattern trace with incremental
-              re-analysis on vs off; gates the amortized analysis-cost
-              ratio, the family-donor splice hit rate and bitwise
-              identity of every solution (see docs/incremental.md).
-``supernodal-bench`` factorize one FEM and one circuit registry
-              instance on the per-column oracle vs the supernodal panel
-              schedule; gates the FEM-class simulated-time and
-              kernel-launch reductions, the circuit-class
-              mostly-singleton partition, and bitwise factor identity
-              (see docs/supernodal.md).
-``fault-drill``   run the four fault/recovery scenarios (flaky link,
-              OOM storm, singular workload, dead device) and verify
-              every one recovers or degrades to the CPU fallback, with
-              deterministic event logs (see docs/faults.md).
+``fault-drill``, ``churn-drill``, ``drift-bench``, ``supernodal-bench``
+              the gated drills: each prints its report and exits 1 if
+              any declared gate fails.  Their subcommands (``--smoke``,
+              ``--seed``) are generated from
+              :data:`repro.bench.gates.EXPERIMENTS` (see docs/faults.md,
+              docs/churn.md, docs/incremental.md, docs/supernodal.md).
 ``perf``      benchmark-snapshot subsystem: ``perf run`` captures a
               schema-versioned ``BENCH_*.json`` snapshot of the curated
               scenario suite, ``perf compare`` gates it against the
@@ -63,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -283,28 +271,10 @@ def cmd_fleet_bench(args) -> int:
     return 0 if report.all_identical else 1
 
 
-def cmd_fault_drill(args) -> int:
-    from .bench.fault_drill import run_fault_drill_cli
-
-    return run_fault_drill_cli(smoke=args.smoke, seed=args.seed)
-
-
-def cmd_churn_drill(args) -> int:
-    from .bench.churn import run_churn_drill_cli
-
-    return run_churn_drill_cli(smoke=args.smoke, seed=args.seed)
-
-
-def cmd_drift_bench(args) -> int:
-    from .bench.drift import run_drift_bench_cli
-
-    return run_drift_bench_cli(smoke=args.smoke, seed=args.seed)
-
-
-def cmd_supernodal_bench(args) -> int:
-    from .bench.supernodal import run_supernodal_bench_cli
-
-    return run_supernodal_bench_cli(smoke=args.smoke, seed=args.seed)
+def cmd_experiment(exp, args) -> int:
+    report = exp.run(smoke=args.smoke, seed=args.seed)
+    print(exp.format(report))
+    return 0 if report.passed else 1
 
 
 def cmd_perf(args) -> int:
@@ -456,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="run a paper experiment")
     sp.add_argument("experiment",
                     choices=["fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-                             "table3", "table4", "serve_bench", "overlap",
-                             "multigpu", "fleet", "all"])
+                             "table3", "table4", "serve_bench", "all"])
     sp.add_argument("--fast", action="store_true")
     sp.set_defaults(fn=cmd_bench)
 
@@ -564,55 +533,16 @@ def build_parser() -> argparse.ArgumentParser:
                          "largest node count")
     sp.set_defaults(fn=cmd_fleet_bench)
 
-    sp = sub.add_parser(
-        "fault-drill",
-        help="exercise the recovery ladder: flaky link, OOM storm, "
-             "singular workload, dead device (each must recover or "
-             "degrade to the CPU fallback, deterministically)",
-    )
-    sp.add_argument("--smoke", action="store_true",
-                    help="small matrices (CI-sized run)")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="fault-plan seed (same seed -> identical drill)")
-    sp.set_defaults(fn=cmd_fault_drill)
+    from .bench.gates import EXPERIMENTS
 
-    sp = sub.add_parser(
-        "churn-drill",
-        help="replay a trace through a 4-node fleet while nodes join, "
-             "drain out, and crash mid-flight; gates remap fraction, "
-             "bitwise identity, p99 recovery and rerun determinism",
-    )
-    sp.add_argument("--smoke", action="store_true",
-                    help="small trace (CI-sized run)")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="trace seed (same seed -> identical drill)")
-    sp.set_defaults(fn=cmd_churn_drill)
-
-    sp = sub.add_parser(
-        "drift-bench",
-        help="replay a drifting-pattern trace with incremental "
-             "re-analysis on vs off; gates the amortized analysis-cost "
-             "ratio, splice hit rate, and bitwise identity",
-    )
-    sp.add_argument("--smoke", action="store_true",
-                    help="small trace (CI-sized run)")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="trace seed (same seed -> identical replay)")
-    sp.set_defaults(fn=cmd_drift_bench)
-
-    sp = sub.add_parser(
-        "supernodal-bench",
-        help="factorize a FEM + circuit registry pair on the per-column "
-             "oracle vs the supernodal panel schedule; gates FEM "
-             "time/launch reductions, the circuit singleton split, and "
-             "bitwise factor identity",
-    )
-    sp.add_argument("--smoke", action="store_true",
-                    help="registry-scaled instances (CI-sized run)")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="generator seed offset (same seed -> identical "
-                         "instances)")
-    sp.set_defaults(fn=cmd_supernodal_bench)
+    for exp in EXPERIMENTS:
+        sp = sub.add_parser(exp.command, help=exp.help)
+        sp.add_argument("--smoke", action="store_true",
+                        help="small instances (CI-sized run)")
+        sp.add_argument("--seed", type=int, default=0,
+                        help="workload/fault seed (same seed -> "
+                             "identical run)")
+        sp.set_defaults(fn=partial(cmd_experiment, exp))
 
     sp = sub.add_parser(
         "perf",

@@ -253,6 +253,15 @@ class FaultInjector(GPUProxy):
             ),
         )
 
+    def launch_panel(self, flops, tiles, *, kind="panel-factor",
+                     from_device=False):
+        return self._launch(
+            "panel",
+            lambda: self.inner.launch_panel(
+                flops, tiles, kind=kind, from_device=from_device,
+            ),
+        )
+
     def launch_utility(self, items, *, from_device=False):
         return self._launch(
             "utility",

@@ -1,6 +1,6 @@
 """The curated perf-snapshot scenario suite.
 
-Four scenario families, each seeded and therefore bit-deterministic:
+The scenario families, each seeded and therefore bit-deterministic:
 
 * ``e2e/<abbr>`` — the full pipeline (preprocess → out-of-core symbolic →
   levelize → numeric) on workload-registry matrices, run on a
@@ -21,26 +21,16 @@ Four scenario families, each seeded and therefore bit-deterministic:
   results-identical flag.
 * ``multigpu/symbolic_OT2`` (full mode) — sharded symbolic
   factorization over four devices (makespan, balance, summed ledgers).
+* ``multigpu/e2e`` — the end-to-end multi-GPU solver over four devices.
 * ``serve/replay`` — a repeated-pattern trace through the solver service
   (cache hit rate, latency percentiles, speedup vs. cold solves).
-* ``serve/drift`` — the incremental re-analysis bench: one drifting
-  family trace replayed with splicing on vs off (incremental hit rate,
-  amortized analyze-cost ratio, bitwise-identity flag — the gates of
-  ``repro drift-bench``).
 * ``fleet/serve`` — the cluster tier: a zipf trace over a 4-node fleet
   with a deliberately tight L1 (routing balance, L1/L2 tier hit rates,
   shed count, exact latency percentiles).
-* ``fleet/churn`` — the topology-churn drill: a replay through a 4-node
-  fleet while a node joins (L2-backed warm-up), one drains out
-  gracefully and one crashes (remap fractions vs the ring bound,
-  bitwise-identity check, p99 recovery ratio, rerun determinism).
-* ``faults/drill`` — the four-scenario recovery-ladder drill (fault and
-  recovery-action counts, outcomes, overheads).
-* ``supernodal/e2e`` — the blocked-numeric bench: one FEM and one
-  circuit registry instance factorized on the per-column oracle vs the
-  supernodal panel schedule (FEM time/launch ratios, circuit singleton
-  fraction, bitwise-identity flag — the gates of
-  ``repro supernodal-bench``).
+* ``faults/drill``, ``fleet/churn``, ``serve/drift``, ``supernodal/e2e``
+  — the gated drills of :data:`repro.bench.gates.EXPERIMENTS`: each
+  records the drill's counters and timings plus one label per gate and
+  ``passed``.
 
 ``run_suite`` executes them all and returns a
 :class:`~repro.perf.snapshot.PerfSnapshot`.
@@ -52,6 +42,7 @@ import dataclasses
 from functools import partial
 from typing import Any, Callable
 
+from ..bench.gates import EXPERIMENTS, Experiment
 from ..core import EndToEndLU, SolverConfig
 from ..core.outofcore import outofcore_symbolic
 from ..gpusim import GPU, TracingGPU, scaled_device, scaled_host
@@ -177,63 +168,19 @@ def _overlap_scenario(smoke: bool) -> ScenarioRecord:
     segment-window executor — where transfers dominate and the two copy
     engines have real work to hide.
     """
-    import numpy as np
+    from ..bench.overlap import run_overlap_bench
 
-    spec = by_abbr("CR2")
-    chunk_rows = _SMOKE_CHUNK_ROWS if smoke else 128
     # full mode needs n large enough that the halved device still sits
     # below the all-rows symbolic requirement for this nearly-dense fill
-    n = _SMOKE_N if smoke else 320
-    spec = dataclasses.replace(spec, n_scaled=n)
-    a = spec.generate()
-    filled = symbolic_fill_reference(a)
-    device = spec.device_for_symbolic(a, filled.nnz, chunk_rows=chunk_rows)
-    device = dataclasses.replace(
-        device, memory_bytes=device.memory_bytes // 2
+    report = run_overlap_bench(
+        chunk_rows=(_SMOKE_CHUNK_ROWS if smoke else 128,),
+        n=_SMOKE_N if smoke else 320,
     )
-    base = SolverConfig(device=device, host=spec.host_for(device))
-    res_off = EndToEndLU(base).factorize(a)
-    res_on = EndToEndLU(
-        dataclasses.replace(base, overlap=True)
-    ).factorize(a)
-
-    identical = (
-        np.array_equal(res_off.filled.indptr, res_on.filled.indptr)
-        and np.array_equal(res_off.filled.indices, res_on.filled.indices)
-        and np.array_equal(res_off.L.data, res_on.L.data)
-        and np.array_equal(res_off.U.data, res_on.U.data)
+    (row,) = report.rows
+    sizes = {"counters": {"n": report.n, "nnz": report.nnz}}
+    return ScenarioRecord.from_parts(
+        "overlap/e2e_CR2", row.perf_record(), sizes
     )
-    report = res_on.gpu.combined_report()  # StreamedGPU (overlap=True)
-    off_s = float(res_off.sim_seconds)
-    on_s = float(res_on.sim_seconds)
-    part = {
-        "counters": {
-            "n": int(a.n_rows),
-            "nnz": int(a.nnz),
-            "filled_nnz": int(res_on.filled.nnz),
-            "results_identical": int(identical),
-            "h2d_ops": int(report.h2d_ops),
-            "d2h_ops": int(report.d2h_ops),
-            "compute_ops": int(report.compute_ops),
-            "n_streams": int(report.n_streams),
-            "sync_regions": len(res_on.gpu.reports),
-            "bytes_h2d": res_on.gpu.ledger.get_count("bytes_h2d"),
-            "bytes_d2h": res_on.gpu.ledger.get_count("bytes_d2h"),
-        },
-        "timings": {
-            "serial_seconds": off_s,
-            "overlap_seconds": on_s,
-            "overlap_drop": (off_s - on_s) / off_s if off_s else 0.0,
-            "overlap_efficiency": float(report.overlap_efficiency),
-            "h2d_utilization": float(report.utilization("h2d")),
-            "d2h_utilization": float(report.utilization("d2h")),
-            "compute_utilization": float(report.utilization("compute")),
-        },
-        "labels": {
-            "numeric_format": str(res_on.numeric.data_format),
-        },
-    }
-    return ScenarioRecord.from_parts("overlap/e2e_CR2", part)
 
 
 def _multigpu_scenario(smoke: bool) -> ScenarioRecord:
@@ -312,34 +259,9 @@ def _fleet_scenario(smoke: bool) -> ScenarioRecord:
     return ScenarioRecord.from_parts("fleet/serve", report.perf_record())
 
 
-def _churn_scenario(smoke: bool) -> ScenarioRecord:
-    from ..bench.churn import run_churn_drill
-
-    report = run_churn_drill(smoke=smoke, seed=0)
-    return ScenarioRecord.from_parts("fleet/churn", report.perf_record())
-
-
-def _drift_scenario(smoke: bool) -> ScenarioRecord:
-    from ..bench.drift import run_drift_bench
-
-    report = run_drift_bench(smoke=smoke, seed=0)
-    return ScenarioRecord.from_parts("serve/drift", report.perf_record())
-
-
-def _supernodal_scenario(smoke: bool) -> ScenarioRecord:
-    from ..bench.supernodal import run_supernodal_bench
-
-    report = run_supernodal_bench(smoke=smoke, seed=0)
-    return ScenarioRecord.from_parts(
-        "supernodal/e2e", report.perf_record()
-    )
-
-
-def _faults_scenario(smoke: bool) -> ScenarioRecord:
-    from ..bench.fault_drill import run_fault_drill
-
-    report = run_fault_drill(smoke=smoke, seed=0)
-    return ScenarioRecord.from_parts("faults/drill", report.perf_record())
+def _experiment_scenario(exp: Experiment, smoke: bool) -> ScenarioRecord:
+    report = exp.run(smoke=smoke, seed=0)
+    return ScenarioRecord.from_parts(exp.scenario, report.perf_record())
 
 
 def _scenarios(smoke: bool) -> dict[str, Callable[[], ScenarioRecord]]:
@@ -361,11 +283,9 @@ def _scenarios(smoke: bool) -> dict[str, Callable[[], ScenarioRecord]]:
         )
     runners["multigpu/e2e"] = partial(_multigpu_e2e_scenario, smoke)
     runners["serve/replay"] = partial(_serve_scenario, smoke)
-    runners["serve/drift"] = partial(_drift_scenario, smoke)
     runners["fleet/serve"] = partial(_fleet_scenario, smoke)
-    runners["fleet/churn"] = partial(_churn_scenario, smoke)
-    runners["faults/drill"] = partial(_faults_scenario, smoke)
-    runners["supernodal/e2e"] = partial(_supernodal_scenario, smoke)
+    for exp in EXPERIMENTS:
+        runners[exp.scenario] = partial(_experiment_scenario, exp, smoke)
     return runners
 
 

@@ -1,0 +1,74 @@
+"""The gated-drill registry (repro.bench.gates): each drill is declared
+once, and its CLI subcommand, perf scenario, verdicts and exit status
+all derive from that declaration."""
+
+import argparse
+import dataclasses
+
+import pytest
+
+from repro import cli
+from repro.bench.gates import EXPERIMENTS, Gate
+from repro.perf import run_scenario, scenario_names
+
+
+def _subcommands() -> dict:
+    parser = cli.build_parser()
+    (action,) = (
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+@pytest.fixture(scope="module", params=EXPERIMENTS, ids=lambda e: e.command)
+def drill(request):
+    exp = request.param
+    return exp, exp.run(smoke=True, seed=0)
+
+
+def test_every_experiment_has_a_subcommand_and_a_smoke_scenario():
+    commands = _subcommands()
+    smoke = scenario_names(smoke=True)
+    assert len({e.command for e in EXPERIMENTS}) == len(EXPERIMENTS)
+    for exp in EXPERIMENTS:
+        assert exp.command in commands
+        assert exp.scenario in smoke
+
+
+def test_record_gate_labels_equal_verdicts(drill):
+    exp, report = drill
+    verdicts = report.verdicts()
+    assert list(verdicts) == [g.label for g in type(report).gates]
+    assert report.passed == all(verdicts.values())
+    labels = run_scenario(exp.scenario, smoke=True).labels
+    for label, ok in verdicts.items():
+        assert labels[label] == str(ok).lower()
+    assert labels["passed"] == str(report.passed).lower()
+
+
+def test_passing_drill_exits_zero(drill, capsys):
+    exp, report = drill
+    cached = dataclasses.replace(exp, run=lambda **kw: report)
+    args = argparse.Namespace(smoke=True, seed=0)
+    assert cli.cmd_experiment(cached, args) == 0
+    assert capsys.readouterr().out == exp.format(report) + "\n"
+
+
+def test_failing_gate_exits_one_and_prints_fail(monkeypatch, capsys):
+    from repro.bench.supernodal import SupernodalReport
+
+    forced = tuple(
+        Gate(g.label, lambda r: False) if g.label == "circuit_ok" else g
+        for g in SupernodalReport.gates
+    )
+    monkeypatch.setattr(SupernodalReport, "gates", forced)
+    rc = cli.main(["supernodal-bench", "--smoke"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "[FAIL] circuit partition" in out
+    assert "[  ok] bitwise" in out
+    assert "verdict: FAIL" in out
+    labels = run_scenario("supernodal/e2e", smoke=True).labels
+    assert labels["circuit_ok"] == labels["passed"] == "false"
+    assert labels["bitwise_ok"] == "true"

@@ -3,12 +3,12 @@ determinism across re-runs, CLI contract."""
 
 import pytest
 
+from repro import cli
 from repro.bench.fault_drill import (
     DEGRADED,
     RECOVERED,
     format_drill,
     run_fault_drill,
-    run_fault_drill_cli,
 )
 
 
@@ -22,7 +22,7 @@ class TestFaultDrill:
         assert [r.name for r in report.results] == [
             "flaky-link", "oom-storm", "singular-workload", "dead-device",
         ]
-        assert report.all_handled
+        assert report.verdicts()["all_handled"]
 
     def test_deterministic_across_reruns(self, report):
         assert report.deterministic
@@ -51,5 +51,5 @@ class TestFaultDrill:
         assert "determinism: identical" in out
         for r in report.results:
             assert r.name in out
-        assert run_fault_drill_cli(smoke=True, seed=0) == 0
+        assert cli.main(["fault-drill", "--smoke", "--seed", "0"]) == 0
         assert "fault drill" in capsys.readouterr().out

@@ -87,6 +87,16 @@ class TestFailBeforeCharge:
         assert gpu.ledger.get_count("kernel_launches") == 0
         assert gpu.ledger.get_count("injected_kernel_faults") == 1
 
+    def test_panel_kernel_fault_books_nothing(self):
+        gpu, inj = make_injector(kernel_fault_rate=1.0)
+        with pytest.raises(KernelFaultError) as ei:
+            inj.launch_panel(1000, 10)
+        assert inj.op_index == 1
+        assert ei.value.kernel == "panel"
+        assert gpu.ledger.total_seconds == 0.0
+        assert gpu.ledger.get_count("panel_kernel_launches") == 0
+        assert gpu.ledger.get_count("injected_kernel_faults") == 1
+
     def test_max_faults_budget_respected(self):
         gpu, inj = make_injector(transfer_fault_rate=1.0, max_faults=2)
         for _ in range(2):

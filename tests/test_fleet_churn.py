@@ -487,15 +487,16 @@ def test_churn_drill_smoke_passes_all_gates():
     from repro.bench.churn import format_churn_drill, run_churn_drill
 
     report = run_churn_drill(smoke=True, seed=0)
+    verdicts = report.verdicts()
     assert report.passed
-    assert report.remap_ok and all(
+    assert verdicts["remap_ok"] and all(
         ev["within_bound"] for ev in report.events
     )
-    assert report.bitwise_ok and report.mismatches == 0
+    assert verdicts["bitwise_ok"] and report.mismatches == 0
     assert report.checked == report.completed
     assert report.lost > 0  # the scripted crash found work in flight
     assert report.deterministic
-    assert report.recovery_ok
+    assert verdicts["recovery_ok"]
     assert report.recovery_ratio <= 1.5
     text = format_churn_drill(report)
     assert "drill PASSED" in text
