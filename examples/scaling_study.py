@@ -20,7 +20,7 @@ import sys
 
 from repro.bench.device_sweep import run_device_sweep
 from repro.core import EndToEndLU, SolverConfig, multi_gpu_symbolic
-from repro.gpusim import TracingGPU, scaled_device, scaled_host
+from repro.gpusim import GPU, TracingGPU, scaled_device, scaled_host
 from repro.workloads import by_abbr, circuit_like
 
 
@@ -55,7 +55,7 @@ def main() -> None:
 
     # ---- 3. execution trace --------------------------------------------------
     out = sys.argv[1] if len(sys.argv) > 1 else "pipeline_trace.json"
-    gpu = TracingGPU(spec=cfg.device, host=cfg.host, cost=cfg.cost_model)
+    gpu = TracingGPU(GPU(spec=cfg.device, host=cfg.host, cost=cfg.cost_model))
     res = EndToEndLU(cfg).factorize(a, gpu=gpu)
     gpu.write_chrome_trace(out)
     counts = gpu.event_counts()

@@ -152,11 +152,11 @@ def cmd_report(args) -> int:
 
 def cmd_trace(args) -> int:
     from .core import EndToEndLU
-    from .gpusim import TracingGPU
+    from .gpusim import GPU, TracingGPU
 
     a = _load(args.matrix)
     cfg = _config(args)
-    gpu = TracingGPU(spec=cfg.device, host=cfg.host, cost=cfg.cost_model)
+    gpu = TracingGPU(GPU(spec=cfg.device, host=cfg.host, cost=cfg.cost_model))
     res = EndToEndLU(cfg).factorize(a, gpu=gpu)
     gpu.write_chrome_trace(args.out)
     counts = gpu.event_counts()

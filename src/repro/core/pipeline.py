@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gpusim import GPU
+from ..gpusim import GPU, GPUProxy
 from ..graph import DependencyGraph, LevelSchedule, build_dependency_graph
 from ..numeric import lu_solve_permuted
 from ..preprocess import PreprocessResult, preprocess
@@ -237,7 +237,7 @@ class EndToEndLU:
     def __init__(self, config: SolverConfig | None = None) -> None:
         self.config = config or SolverConfig()
 
-    def factorize(self, a: CSRMatrix, *, gpu: GPU | None = None
+    def factorize(self, a: CSRMatrix, *, gpu: GPU | GPUProxy | None = None
                   ) -> EndToEndResult:
         """Run the full pipeline on square matrix ``a``."""
         cfg = self.config
@@ -249,9 +249,8 @@ class EndToEndLU:
             # around the device so retries re-execute the injected path.
             gpu = ResilientGPU(gpu, cfg.resilience.op_retry)
         if cfg.overlap and not isinstance(gpu, StreamedGPU):
-            # outermost wrapper: async enqueues find the fault gates and
-            # retry policy below by delegation, and serial ops still pass
-            # through the whole stack after draining the async region
+            # outermost wrapper: async enqueues and serial ops (after
+            # draining the async region) both pass down the whole stack
             gpu = StreamedGPU(gpu)
 
         # Pre-processing runs on the host and is outside the paper's

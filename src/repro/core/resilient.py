@@ -30,9 +30,10 @@ recovered run is reproducible from the fault plan's seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..errors import RecoverableError
-from ..gpusim import GPU, GPUProxy
+from ..gpusim import GPU, DeviceOp, GPUProxy
 
 __all__ = [
     "RetryPolicy",
@@ -122,8 +123,14 @@ class RecoveryLog:
 
     events: list[RecoveryEvent] = field(default_factory=list)
 
-    def record(self, kind: str, where: str, attempt: int,
-               sim_time_s: float, detail: str = "") -> None:
+    def record(
+        self,
+        kind: str,
+        where: str,
+        attempt: int,
+        sim_time_s: float,
+        detail: str = "",
+    ) -> None:
         self.events.append(
             RecoveryEvent(kind, where, attempt, sim_time_s, detail)
         )
@@ -187,92 +194,53 @@ class ResilientGPU(GPUProxy):
     """Rung 1 of the ladder: a :class:`GPU` whose individual operations
     retry transient faults with exponential backoff.
 
-    Backoff time is charged aside to the ``retry`` category (never to the
-    enclosing phase), and a ``retries`` ledger counter is kept, so the
-    overhead of surviving faults is exactly the ``retry`` bucket.
+    A serial op's backoff is charged aside to the ``retry`` category
+    (never to the enclosing phase).  An async op's backoff is booked
+    busy-only and pushes its issuing stream, so the makespan charged at
+    synchronize carries the wall cost once.  A ``retries`` ledger counter
+    is kept either way, so the overhead of surviving faults is exactly
+    the ``retry`` bucket.
     """
 
-    def __init__(self, inner: GPU, policy: RetryPolicy | None = None,
-                 log: RecoveryLog | None = None) -> None:
+    def __init__(
+        self, inner: GPU | GPUProxy, policy: RetryPolicy | None = None
+    ) -> None:
         super().__init__(inner)
         self.policy = policy or RetryPolicy()
-        self.recovery_log = log if log is not None else RecoveryLog()
+        self.recovery_log = RecoveryLog()
 
-    # ------------------------------------------------------------------
-    def _retry(self, op: str, fn):
+    def execute(self, op: DeviceOp) -> Any:
         policy = self.policy
         for attempt in range(1, policy.max_attempts + 1):
             try:
-                return fn()
+                return self.inner.execute(op)
             except RecoverableError as exc:
                 if attempt >= policy.max_attempts:
                     raise
                 delay = policy.delay(attempt)
                 ledger = self.inner.ledger
-                ledger.charge_aside(delay, "retry")
+                if op.stream is not None:
+                    op.delay_s += delay
+                    ledger.charge_busy(delay, "retry")
+                    where = f"async-{op.kind}"
+                else:
+                    ledger.charge_aside(delay, "retry")
+                    label = op.args[1] if op.kind == "malloc" else ""
+                    where = f"malloc:{label}" if label else op.kind
                 ledger.count("retries")
                 self.recovery_log.record(
-                    "op-retry", op, attempt, ledger.total_seconds,
+                    "op-retry",
+                    where,
+                    attempt,
+                    ledger.total_seconds,
                     detail=type(exc).__name__,
                 )
 
-    # -- intercepted operations ----------------------------------------
-    def h2d(self, nbytes: int, category: str | None = "transfer") -> None:
-        self._retry("h2d", lambda: self.inner.h2d(nbytes, category))
 
-    def d2h(self, nbytes: int, category: str | None = "transfer") -> None:
-        self._retry("d2h", lambda: self.inner.d2h(nbytes, category))
-
-    def malloc(self, nbytes: int, label: str = ""):
-        return self._retry(
-            f"malloc:{label}" if label else "malloc",
-            lambda: self.inner.malloc(nbytes, label),
-        )
-
-    def launch_traversal(self, edges, avg_degree, blocks, *,
-                         from_device=False, compute_derate=1.0):
-        return self._retry(
-            "traversal",
-            lambda: self.inner.launch_traversal(
-                edges, avg_degree, blocks,
-                from_device=from_device, compute_derate=compute_derate,
-            ),
-        )
-
-    def launch_numeric(self, flops, blocks, *, concurrency_cap=None,
-                       search_steps=0, from_device=False):
-        return self._retry(
-            "numeric",
-            lambda: self.inner.launch_numeric(
-                flops, blocks, concurrency_cap=concurrency_cap,
-                search_steps=search_steps, from_device=from_device,
-            ),
-        )
-
-    def launch_panel(self, flops, tiles, *, kind="panel-factor",
-                     from_device=False):
-        return self._retry(
-            "panel",
-            lambda: self.inner.launch_panel(
-                flops, tiles, kind=kind, from_device=from_device,
-            ),
-        )
-
-    def launch_utility(self, items, *, from_device=False):
-        return self._retry(
-            "utility",
-            lambda: self.inner.launch_utility(items, from_device=from_device),
-        )
-
-
-def recovery_log_of(gpu: GPU) -> RecoveryLog | None:
-    """The :class:`RecoveryLog` attached anywhere in a proxy stack."""
-    while gpu is not None:
-        log = getattr(gpu, "recovery_log", None)
-        if log is not None:
-            return log
-        gpu = getattr(gpu, "inner", None)
-    return None
+def recovery_log_of(gpu: GPU | GPUProxy) -> RecoveryLog | None:
+    """The :class:`RecoveryLog` attached anywhere in a proxy stack (a proxy
+    resolves unknown attributes on the layer it wraps)."""
+    return getattr(gpu, "recovery_log", None)
 
 
 @dataclass
@@ -329,6 +297,9 @@ def run_chunk(
             checkpoint.chunk_retries += 1
             if log is not None:
                 log.record(
-                    "chunk-retry", where, attempt, ledger.total_seconds,
+                    "chunk-retry",
+                    where,
+                    attempt,
+                    ledger.total_seconds,
                     detail=type(exc).__name__,
                 )

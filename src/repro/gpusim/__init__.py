@@ -10,7 +10,8 @@ V100 substrate (see DESIGN.md §2): a deterministic analytic simulator with
 * :mod:`~repro.gpusim.costmodel` — the documented constants converting real,
   measured work counts into simulated seconds;
 * :mod:`~repro.gpusim.engine` — the :class:`GPU` facade algorithms program
-  against (malloc / h2d / launch kernels);
+  against (malloc / h2d / launch kernels), and the :class:`GPUProxy` base
+  whose layers each see every op as one :class:`DeviceOp`;
 * :mod:`~repro.gpusim.unified` — the unified-memory pager with fault groups
   and prefetching (the §4.3 baseline);
 * :mod:`~repro.gpusim.ledger` — per-phase simulated-time accounting;
@@ -27,8 +28,8 @@ from .device import (
     scaled_device,
     scaled_host,
 )
-from .engine import GPU
-from .faults import FaultEvent, FaultInjector, FaultPlan, GPUProxy
+from .engine import GPU, DeviceOp, GPUProxy
+from .faults import FaultEvent, FaultInjector, FaultPlan
 from .interconnect import (
     NVLINK2,
     PCIE3,
@@ -53,6 +54,7 @@ __all__ = [
     "scaled_device",
     "scaled_host",
     "GPU",
+    "DeviceOp",
     "GPUProxy",
     "FaultPlan",
     "FaultEvent",

@@ -5,17 +5,26 @@ kernels) talk to this class only: they ``malloc``/``free`` device buffers,
 ``h2d``/``d2h`` explicit transfers, and ``launch_*`` kernels with *measured*
 work counts.  All seconds flow through the :class:`~repro.gpusim.costmodel.
 CostModel` into the :class:`~repro.gpusim.ledger.TimeLedger`.
+
+Wrapper layers (fault injection, retry, streams, tracing) derive from
+:class:`GPUProxy`, which writes the op surface once: every call becomes a
+:class:`DeviceOp` passed down the stack by ``execute`` until
+:meth:`GPU.execute` books it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import ConfigurationError
 from .costmodel import CostModel, DEFAULT_COST_MODEL
 from .device import DeviceSpec, HostSpec, V100, XEON_E5_2680
 from .ledger import TimeLedger
 from .memory import Buffer, DeviceMemoryPool
+
+if TYPE_CHECKING:
+    from ..streams.core import Stream
 
 
 def _check_nbytes(nbytes: int, what: str) -> int:
@@ -27,7 +36,9 @@ def _check_nbytes(nbytes: int, what: str) -> int:
     """
     nbytes = int(nbytes)
     if nbytes < 0:
-        raise ConfigurationError(f"{what} byte count must be >= 0, got {nbytes}")
+        raise ConfigurationError(
+            f"{what} byte count must be >= 0, got {nbytes}"
+        )
     return nbytes
 
 
@@ -137,7 +148,11 @@ class GPU:
         )
         self._launch_overhead(from_device)
         secs = self.cost.gpu_numeric_seconds(
-            int(flops), int(blocks), cap, self.spec, search_steps=int(search_steps)
+            int(flops),
+            int(blocks),
+            cap,
+            self.spec,
+            search_steps=int(search_steps),
         )
         self.ledger.charge(secs, "gpu_compute")
         return secs
@@ -159,14 +174,14 @@ class GPU:
         the generic launch counters so benchmarks can report the blocked
         path's launch economy directly."""
         self._launch_overhead(from_device)
-        secs = self.cost.gpu_panel_seconds(
-            int(flops), int(tiles), self.spec
-        )
+        secs = self.cost.gpu_panel_seconds(int(flops), int(tiles), self.spec)
         self.ledger.charge(secs, "gpu_compute")
         self.ledger.count("panel_kernel_launches")
         return secs
 
-    def launch_utility(self, items: int, *, from_device: bool = False) -> float:
+    def launch_utility(
+        self, items: int, *, from_device: bool = False
+    ) -> float:
         """Small regular kernel (prefix sum, init, compaction): full-width,
         bandwidth-friendly work over ``items`` elements."""
         self._launch_overhead(from_device)
@@ -181,9 +196,141 @@ class GPU:
         self.ledger.count("bytes_hbm", int(nbytes))
         return secs
 
+    def execute(self, op: DeviceOp) -> Any:
+        """Bottom of every proxy stack: book ``op`` on this device (an
+        async op runs its place step instead of serial booking)."""
+        if op.place is not None:
+            return op.place(op)
+        return getattr(self, _SERIAL[op.kind])(*op.args, **op.kw)
+
     # -- convenience -------------------------------------------------------
     def snapshot(self) -> dict:
         snap = self.ledger.snapshot()
         snap["device"] = self.spec.name
         snap["peak_device_bytes"] = self.pool.peak_bytes
         return snap
+
+
+#: op kind -> the :class:`GPU` method that books it serially
+_SERIAL = {
+    "h2d": "h2d",
+    "d2h": "d2h",
+    "traversal": "launch_traversal",
+    "numeric": "launch_numeric",
+    "panel": "launch_panel",
+    "utility": "launch_utility",
+    "malloc": "malloc",
+    "hbm": "hbm_traffic",
+}
+
+
+@dataclass(slots=True)
+class DeviceOp:
+    """One device operation on its way down a :class:`GPUProxy` stack.
+
+    ``args``/``kw`` are the arguments of the serial :class:`GPU` method
+    that books ``kind``; ``args[0]`` is always the work count (bytes,
+    edges, flops or items).  An asynchronous enqueue also carries its
+    issuing ``stream`` and a ``place`` step that :meth:`GPU.execute` runs
+    instead of serial booking.  A retry layer adds its backoff to
+    ``delay_s`` (the place step pushes the stream by it), and the place
+    step records where the op landed in ``span``.
+    """
+
+    kind: str
+    args: tuple
+    kw: dict = field(default_factory=dict)
+    stream: Stream | None = None
+    place: Callable[[DeviceOp], Any] | None = None
+    delay_s: float = 0.0
+    #: ``(stream, engine, start_s, duration_s, blocks)`` once placed
+    span: tuple[str, str, float, float, int | None] | None = None
+
+
+class GPUProxy:
+    """Delegating wrapper base: behaves as the wrapped ``GPU`` everywhere.
+
+    The device op surface is written once, here: each method packs its
+    call into a :class:`DeviceOp` and hands it to :meth:`execute`, which
+    forwards to the wrapped layer.  A layer overrides only ``execute``
+    and passes the op on with ``self.inner.execute(op)``; every other
+    attribute (``ledger``, ``pool``, ``spec``, ``free``, ``snapshot`` …)
+    resolves on the wrapped instance.  Wrappers therefore stack:
+    ``ResilientGPU(FaultInjector(TracingGPU(GPU(...))))``.
+    """
+
+    def __init__(self, inner: GPU | GPUProxy) -> None:
+        self.inner = inner
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.inner, name)
+
+    @property
+    def unwrapped(self) -> GPU:
+        """The innermost real :class:`GPU` under any proxy stack."""
+        gpu = self.inner
+        while isinstance(gpu, GPUProxy):
+            gpu = gpu.inner
+        return gpu
+
+    def execute(self, op: DeviceOp) -> Any:
+        return self.inner.execute(op)
+
+    # -- the op surface: one DeviceOp per call ---------------------------
+    def malloc(self, nbytes: int, label: str = "") -> Buffer:
+        return self.execute(DeviceOp("malloc", (nbytes, label)))
+
+    def h2d(self, nbytes: int, category: str | None = "transfer") -> None:
+        self.execute(DeviceOp("h2d", (nbytes,), {"category": category}))
+
+    def d2h(self, nbytes: int, category: str | None = "transfer") -> None:
+        self.execute(DeviceOp("d2h", (nbytes,), {"category": category}))
+
+    def launch_traversal(
+        self,
+        edges: int,
+        avg_degree: float,
+        blocks: int,
+        *,
+        from_device: bool = False,
+        compute_derate: float = 1.0,
+    ) -> float:
+        kw = {"from_device": from_device, "compute_derate": compute_derate}
+        op = DeviceOp("traversal", (edges, avg_degree, blocks), kw)
+        return self.execute(op)
+
+    def launch_numeric(
+        self,
+        flops: int,
+        blocks: int,
+        *,
+        concurrency_cap: int | None = None,
+        search_steps: int = 0,
+        from_device: bool = False,
+    ) -> float:
+        kw = {
+            "concurrency_cap": concurrency_cap,
+            "search_steps": search_steps,
+            "from_device": from_device,
+        }
+        return self.execute(DeviceOp("numeric", (flops, blocks), kw))
+
+    def launch_panel(
+        self,
+        flops: int,
+        tiles: int,
+        *,
+        kind: str = "panel-factor",
+        from_device: bool = False,
+    ) -> float:
+        kw = {"kind": kind, "from_device": from_device}
+        return self.execute(DeviceOp("panel", (flops, tiles), kw))
+
+    def launch_utility(
+        self, items: int, *, from_device: bool = False
+    ) -> float:
+        kw = {"from_device": from_device}
+        return self.execute(DeviceOp("utility", (items,), kw))
+
+    def hbm_traffic(self, nbytes: int) -> float:
+        return self.execute(DeviceOp("hbm", (nbytes,)))

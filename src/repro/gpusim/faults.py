@@ -34,6 +34,7 @@ Injected events are recorded both on :attr:`FaultInjector.events` and as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -44,9 +45,9 @@ from ..errors import (
     MemoryPressureError,
     TransferError,
 )
-from .engine import GPU
+from .engine import GPU, DeviceOp, GPUProxy
 
-__all__ = ["FaultPlan", "FaultEvent", "FaultInjector", "GPUProxy"]
+__all__ = ["FaultPlan", "FaultEvent", "FaultInjector"]
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,11 @@ class FaultPlan:
     max_faults: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("transfer_fault_rate", "kernel_fault_rate",
-                     "memory_pressure_rate"):
+        for name in (
+            "transfer_fault_rate",
+            "kernel_fault_rate",
+            "memory_pressure_rate",
+        ):
             rate = getattr(self, name)
             if not (0.0 <= rate <= 1.0):
                 raise ConfigurationError(f"{name} must be in [0, 1]")
@@ -116,34 +120,15 @@ class FaultEvent:
         return (self.op_index, self.kind, self.op, self.detail)
 
 
-class GPUProxy:
-    """Delegating wrapper base: behaves as the wrapped ``GPU`` everywhere.
+class FaultInjector(GPUProxy):
+    """Wraps a :class:`GPU` and injects the faults of a :class:`FaultPlan`.
 
-    Subclasses override the operations they intercept; every other
-    attribute (``ledger``, ``pool``, ``spec``, ``free``, ``snapshot`` …)
-    resolves on the wrapped instance.  Wrappers therefore stack:
-    ``ResilientGPU(FaultInjector(GPU(...)))``.
+    Every op except ``hbm`` traffic ticks the operation counter; serial
+    and async ops share one seeded draw sequence, so an async enqueue
+    faults exactly where its serial twin would.
     """
 
-    def __init__(self, inner: GPU) -> None:
-        self.inner = inner
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
-
-    @property
-    def unwrapped(self) -> GPU:
-        """The innermost real :class:`GPU` under any proxy stack."""
-        gpu = self.inner
-        while isinstance(gpu, GPUProxy):
-            gpu = gpu.inner
-        return gpu
-
-
-class FaultInjector(GPUProxy):
-    """Wraps a :class:`GPU` and injects the faults of a :class:`FaultPlan`."""
-
-    def __init__(self, inner: GPU, plan: FaultPlan) -> None:
+    def __init__(self, inner: GPU | GPUProxy, plan: FaultPlan) -> None:
         super().__init__(inner)
         self.plan = plan
         self.events: list[FaultEvent] = []
@@ -187,9 +172,8 @@ class FaultInjector(GPUProxy):
             and self._budget_left()
             and self._rng.random() < self.plan.memory_pressure_rate
         ):
-            withheld = int(
-                max(0, self.inner.pool.free_bytes) * self.plan.pressure_fraction
-            )
+            free = max(0, self.inner.pool.free_bytes)
+            withheld = int(free * self.plan.pressure_fraction)
             if withheld > 0:
                 self._pressure_reserved = withheld
                 self._pressure_until = now + self.plan.pressure_duration_s
@@ -208,73 +192,35 @@ class FaultInjector(GPUProxy):
         self.inner.ledger.count("faults_injected")
         return True
 
-    # -- intercepted operations ----------------------------------------
-    def h2d(self, nbytes: int, category: str | None = "transfer") -> None:
-        self._tick("h2d")
-        if self._fault(self.plan.transfer_fault_rate):
-            self.inner.ledger.count("injected_transfer_faults")
-            self._record("transfer", "h2d", detail=f"{int(nbytes)}B")
-            raise TransferError("h2d", int(nbytes), self.op_index)
-        self.inner.h2d(nbytes, category)
-
-    def d2h(self, nbytes: int, category: str | None = "transfer") -> None:
-        self._tick("d2h")
-        if self._fault(self.plan.transfer_fault_rate):
-            self.inner.ledger.count("injected_transfer_faults")
-            self._record("transfer", "d2h", detail=f"{int(nbytes)}B")
-            raise TransferError("d2h", int(nbytes), self.op_index)
-        self.inner.d2h(nbytes, category)
-
-    def _launch(self, kernel: str, fn):
-        self._tick(kernel)
-        if self._fault(self.plan.kernel_fault_rate):
+    # -- the intercepted op --------------------------------------------
+    def execute(self, op: DeviceOp) -> Any:
+        """Tick, draw, and raise before anything is charged — or pass the
+        op on unchanged."""
+        kind = op.kind
+        if kind == "hbm":
+            return self.inner.execute(op)
+        self._tick(kind)
+        if kind == "malloc":
+            return self._malloc(op)
+        if kind in ("h2d", "d2h"):
+            if self._fault(self.plan.transfer_fault_rate):
+                nbytes = int(op.args[0])
+                self.inner.ledger.count("injected_transfer_faults")
+                self._record("transfer", kind, detail=f"{nbytes}B")
+                raise TransferError(kind, nbytes, self.op_index)
+        elif self._fault(self.plan.kernel_fault_rate):
             self.inner.ledger.count("injected_kernel_faults")
-            self._record("kernel", kernel)
-            raise KernelFaultError(kernel, self.op_index)
-        return fn()
+            self._record("kernel", kind)
+            raise KernelFaultError(kind, self.op_index)
+        return self.inner.execute(op)
 
-    def launch_traversal(self, edges, avg_degree, blocks, *,
-                         from_device=False, compute_derate=1.0):
-        return self._launch(
-            "traversal",
-            lambda: self.inner.launch_traversal(
-                edges, avg_degree, blocks,
-                from_device=from_device, compute_derate=compute_derate,
-            ),
-        )
-
-    def launch_numeric(self, flops, blocks, *, concurrency_cap=None,
-                       search_steps=0, from_device=False):
-        return self._launch(
-            "numeric",
-            lambda: self.inner.launch_numeric(
-                flops, blocks, concurrency_cap=concurrency_cap,
-                search_steps=search_steps, from_device=from_device,
-            ),
-        )
-
-    def launch_panel(self, flops, tiles, *, kind="panel-factor",
-                     from_device=False):
-        return self._launch(
-            "panel",
-            lambda: self.inner.launch_panel(
-                flops, tiles, kind=kind, from_device=from_device,
-            ),
-        )
-
-    def launch_utility(self, items, *, from_device=False):
-        return self._launch(
-            "utility",
-            lambda: self.inner.launch_utility(items, from_device=from_device),
-        )
-
-    def malloc(self, nbytes: int, label: str = ""):
-        self._tick("malloc")
+    def _malloc(self, op: DeviceOp) -> Any:
         try:
-            return self.inner.malloc(nbytes, label)
+            return self.inner.execute(op)
         except MemoryPressureError:
             raise
         except DeviceMemoryError as exc:
+            nbytes, label = op.args
             if (
                 self._pressure_reserved
                 and int(nbytes) <= exc.available + self._pressure_reserved
@@ -287,32 +233,6 @@ class FaultInjector(GPUProxy):
                     exc.requested, exc.available, exc.what
                 ) from exc
             raise
-
-    # -- asynchronous-enqueue gates --------------------------------------
-    # The streams subsystem resolves op schedules at enqueue and charges
-    # nothing until synchronize, so it cannot route async ops through the
-    # intercepted serial methods above.  Instead it calls these gates at
-    # enqueue time: same tick / draw / record sequence, same determinism
-    # (one RNG consumed in op order), but no delegation to the wrapped
-    # serial operation — a passing gate books nothing.
-
-    def transfer_fault_gate(self, op: str, nbytes: int) -> None:
-        """Fault decision for an async ``h2d``/``d2h`` enqueue; raises
-        :class:`TransferError` exactly as the serial interception would."""
-        self._tick(op)
-        if self._fault(self.plan.transfer_fault_rate):
-            self.inner.ledger.count("injected_transfer_faults")
-            self._record("transfer", op, detail=f"{int(nbytes)}B")
-            raise TransferError(op, int(nbytes), self.op_index)
-
-    def kernel_fault_gate(self, kernel: str) -> None:
-        """Fault decision for an async kernel enqueue; raises
-        :class:`KernelFaultError` exactly as the serial interception would."""
-        self._tick(kernel)
-        if self._fault(self.plan.kernel_fault_rate):
-            self.inner.ledger.count("injected_kernel_faults")
-            self._record("kernel", kernel)
-            raise KernelFaultError(kernel, self.op_index)
 
     # -- introspection --------------------------------------------------
     def event_log(self) -> list[tuple]:

@@ -1,7 +1,7 @@
 """Execution tracing: a timeline of simulated device events.
 
-Wraps a :class:`~repro.gpusim.engine.GPU` so every kernel launch, transfer
-and allocation is recorded with its simulated start/end time.  Traces can
+A proxy layer over a :class:`~repro.gpusim.engine.GPU` records every kernel
+launch, transfer and allocation with its simulated start/end time.  Traces can
 be exported as Chrome trace-event JSON (``chrome://tracing`` /
 `Perfetto <https://ui.perfetto.dev>`_) — the natural way to *see* the
 pipeline's phase structure, chunk loops and level waves.
@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
-from .engine import GPU
+from .engine import GPU, DeviceOp, GPUProxy
 
 
 @dataclass(frozen=True)
@@ -31,110 +32,72 @@ class TraceEvent:
         return self.start_s + self.duration_s
 
 
-class TracingGPU(GPU):
-    """A :class:`GPU` that records every operation as a trace event.
+#: op kind -> (event name, category, name of the ``args[0]`` work count);
+#: ``hbm`` traffic is not traced
+_EVENTS = {
+    "h2d": ("h2d", "transfer", "bytes"),
+    "d2h": ("d2h", "transfer", "bytes"),
+    "traversal": ("traversal_kernel", "kernel", "edges"),
+    "numeric": ("numeric_kernel", "kernel", "flops"),
+    "panel": ("panel_kernel", "kernel", "flops"),
+    "utility": ("utility_kernel", "kernel", "items"),
+    "malloc": ("malloc", "alloc", "bytes"),
+}
 
-    Drop-in: pass wherever a ``GPU`` is expected.  ``events`` accumulates
-    in operation order; ``to_chrome_trace`` serializes them.
+
+def _serial_args(op: DeviceOp, work: str) -> dict:
+    """Event args of a serial op: its work count, then the kind's extras."""
+    args: dict = {work: int(op.args[0])}
+    if op.kind == "traversal":
+        args["blocks"] = int(op.args[2])
+        args["dynamic_parallelism"] = bool(op.kw["from_device"])
+    elif op.kind == "numeric":
+        args["blocks"] = int(op.args[1])
+        args["search_steps"] = int(op.kw["search_steps"])
+    elif op.kind == "panel":
+        args["tiles"] = int(op.args[1])
+        args["kind"] = str(op.kw["kind"])
+    return args
+
+
+class TracingGPU(GPUProxy):
+    """A proxy layer that records every operation as a trace event.
+
+    ``TracingGPU(GPU(...))`` times each event by its op alone; placed
+    further out, a serial event also spans retry backoff booked below it.
+    Async ops are recorded at the engine slot their place step resolved,
+    so tracing must sit below a :class:`~repro.streams.StreamedGPU` to
+    see them.  ``events`` accumulates in operation order;
+    ``to_chrome_trace`` serializes them.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, inner: GPU | GPUProxy) -> None:
+        super().__init__(inner)
         self.events: list[TraceEvent] = []
 
-    # -- recording helpers ------------------------------------------------
-    def _record(self, name: str, category: str, start: float,
-                **args) -> None:
-        self.events.append(
-            TraceEvent(
-                name=name,
-                category=category,
-                start_s=start,
-                duration_s=self.ledger.total_seconds - start,
-                args=args,
-            )
-        )
-
-    def record_async(self, name: str, category: str, start_s: float,
-                     duration_s: float, **args) -> None:
-        """Append an event with *explicit* times (asynchronous ops resolve
-        their schedule at enqueue, so their timeline position is not the
-        ledger's running total).  ``args`` should carry ``stream`` so the
-        Chrome export can place the event on its own lane."""
-        self.events.append(
-            TraceEvent(
-                name=name,
-                category=category,
-                start_s=start_s,
-                duration_s=duration_s,
-                args=args,
-            )
-        )
-
-    # -- overridden operations ----------------------------------------------
-    def h2d(self, nbytes: int, category=None) -> None:  # noqa: D102
-        t0 = self.ledger.total_seconds
-        super().h2d(nbytes, category)
-        if int(nbytes) > 0:
-            self._record("h2d", "transfer", t0, bytes=int(nbytes))
-
-    def d2h(self, nbytes: int, category=None) -> None:  # noqa: D102
-        t0 = self.ledger.total_seconds
-        super().d2h(nbytes, category)
-        if int(nbytes) > 0:
-            self._record("d2h", "transfer", t0, bytes=int(nbytes))
-
-    def launch_traversal(self, edges, avg_degree, blocks, *,
-                         from_device=False, compute_derate=1.0):  # noqa: D102
-        t0 = self.ledger.total_seconds
-        out = super().launch_traversal(
-            edges, avg_degree, blocks,
-            from_device=from_device, compute_derate=compute_derate,
-        )
-        self._record(
-            "traversal_kernel", "kernel", t0,
-            edges=int(edges), blocks=int(blocks),
-            dynamic_parallelism=bool(from_device),
-        )
+    def execute(self, op: DeviceOp) -> Any:
+        ledger = self.inner.ledger
+        start = ledger.total_seconds
+        out = self.inner.execute(op)
+        if op.kind not in _EVENTS:
+            return out
+        name, category, work = _EVENTS[op.kind]
+        if op.span is not None:  # async: where its place step put it
+            stream, engine, start, dur, blocks = op.span
+            args: dict = {"stream": stream, "engine": engine}
+            if blocks is not None:
+                args["blocks"] = blocks
+            args[work] = int(op.args[0])
+            name = f"{name}_async"
+        elif category == "transfer" and int(op.args[0]) == 0:
+            return out  # a zero-byte transfer issues no DMA
+        else:
+            if op.kind == "malloc":  # an instant at the allocation's return
+                name, start = f"{name}:{op.args[1]}", ledger.total_seconds
+            dur = ledger.total_seconds - start
+            args = _serial_args(op, work)
+        self.events.append(TraceEvent(name, category, start, dur, args))
         return out
-
-    def launch_numeric(self, flops, blocks, *, concurrency_cap=None,
-                       search_steps=0, from_device=False):  # noqa: D102
-        t0 = self.ledger.total_seconds
-        out = super().launch_numeric(
-            flops, blocks, concurrency_cap=concurrency_cap,
-            search_steps=search_steps, from_device=from_device,
-        )
-        self._record(
-            "numeric_kernel", "kernel", t0,
-            flops=int(flops), blocks=int(blocks),
-            search_steps=int(search_steps),
-        )
-        return out
-
-    def launch_panel(self, flops, tiles, *, kind="panel-factor",
-                     from_device=False):  # noqa: D102
-        t0 = self.ledger.total_seconds
-        out = super().launch_panel(
-            flops, tiles, kind=kind, from_device=from_device,
-        )
-        self._record(
-            "panel_kernel", "kernel", t0,
-            flops=int(flops), tiles=int(tiles), kind=str(kind),
-        )
-        return out
-
-    def launch_utility(self, items, *, from_device=False):  # noqa: D102
-        t0 = self.ledger.total_seconds
-        out = super().launch_utility(items, from_device=from_device)
-        self._record("utility_kernel", "kernel", t0, items=int(items))
-        return out
-
-    def malloc(self, nbytes, label=""):  # noqa: D102
-        buf = super().malloc(nbytes, label)
-        self._record(f"malloc:{label}", "alloc", self.ledger.total_seconds,
-                     bytes=int(nbytes))
-        return buf
 
     # -- export ---------------------------------------------------------------
     def to_chrome_trace(self) -> list[dict]:
@@ -146,12 +109,14 @@ class TracingGPU(GPU):
         one lane per stream (tid 10+, first-appearance order), so
         transfer/compute overlap is visible as concurrent rows.
         """
-        out = []
+        out: list[dict] = []
         stream_tids: dict[str, int] = {}
         for ev in self.events:
             stream = ev.args.get("stream")
             if stream is not None:
-                tid = stream_tids.setdefault(str(stream), 10 + len(stream_tids))
+                tid = stream_tids.setdefault(
+                    str(stream), 10 + len(stream_tids)
+                )
             else:
                 tid = {"kernel": 1, "transfer": 2}.get(ev.category, 3)
             out.append(
@@ -192,9 +157,7 @@ class TracingGPU(GPU):
         counts = self.event_counts()
         return {
             "total_events": len(self.events),
-            "events_by_category": {
-                cat: counts[cat] for cat in sorted(counts)
-            },
+            "events_by_category": {cat: counts[cat] for cat in sorted(counts)},
             "busy_seconds_by_category": {
                 cat: self.busy_seconds(cat) for cat in sorted(counts)
             },

@@ -104,7 +104,7 @@ def _e2e_scenario(
     filled = symbolic_fill_reference(a)
     device = spec.device_for_symbolic(a, filled.nnz, chunk_rows=chunk_rows)
     cfg = SolverConfig(device=device, host=spec.host_for(device))
-    gpu = TracingGPU(spec=cfg.device, host=cfg.host, cost=cfg.cost_model)
+    gpu = TracingGPU(GPU(spec=cfg.device, host=cfg.host, cost=cfg.cost_model))
     res = EndToEndLU(cfg).factorize(a, gpu=gpu)
     split = res.symbolic.split_point
     extra = {

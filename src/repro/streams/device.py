@@ -23,26 +23,26 @@ Accounting contract (the part tests pin down):
   ``StreamedGPU`` synchronizes first — a serial op is a sync point, so
   mixed serial/async code is always correct, merely unoverlapped.
 
-Fault injection composes at enqueue: if the wrapped stack contains a
-:class:`~repro.gpusim.faults.FaultInjector`, every async enqueue passes
-through its fault *gate* (same seeded draw sequence as serial
-interception) and may raise ``TransferError``/``KernelFaultError`` —
-"inside an in-flight async copy" from the pipeline's point of view.
-When the stack carries a retry policy (a
-:class:`~repro.core.resilient.ResilientGPU` below, or one passed
-explicitly), gated faults are retried with the same backoff schedule;
-the backoff pushes the issuing stream's timeline and is booked to the
-``retry`` bucket via ``charge_busy``, so the makespan carries the wall
-cost exactly once.
+Fault injection and retry compose at enqueue: an async op is a
+:class:`~repro.gpusim.engine.DeviceOp` carrying its stream and a place
+step, sent down the same chain as a serial op.  A
+:class:`~repro.gpusim.faults.FaultInjector` below ticks and draws for it
+exactly as for its serial twin and may raise
+``TransferError``/``KernelFaultError`` — "inside an in-flight async copy"
+from the pipeline's point of view.  A
+:class:`~repro.core.resilient.ResilientGPU` below retries it; the backoff
+pushes the issuing stream's timeline and is booked to the ``retry``
+bucket via ``charge_busy``, so the makespan carries the wall cost
+exactly once.  Only an op that gets through runs its place step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, cast
 
-from ..errors import RecoverableError
-from ..gpusim.engine import GPU, _check_nbytes
-from ..gpusim.faults import GPUProxy
+from ..gpusim.engine import GPU, DeviceOp, GPUProxy, _check_nbytes
 from .core import ComputeEngine, CopyEngine, Event, Stream, next_event_id
 
 __all__ = ["StreamedGPU", "SyncReport"]
@@ -112,16 +112,14 @@ class SyncReport:
 class StreamedGPU(GPUProxy):
     """Asynchronous facade: streams + copy engines over a serial ``GPU``.
 
-    Wrap *outermost* (``StreamedGPU(ResilientGPU(FaultInjector(gpu)))``)
-    so serial ops still pass through the whole stack and async enqueues
-    can find the fault gates and retry policy by delegation.
+    Wrap *outermost* (``StreamedGPU(ResilientGPU(FaultInjector(gpu)))``):
+    async enqueues travel down the same op chain as serial ops, so they
+    pass the fault gate and the retry layer below, and their place step
+    runs where serial booking would.
     """
 
-    def __init__(self, inner: GPU, *, retry=None) -> None:
+    def __init__(self, inner: GPU | GPUProxy) -> None:
         super().__init__(inner)
-        #: explicit retry policy for gated async faults; when ``None``
-        #: the wrapped stack's ``policy`` (ResilientGPU) is used if any
-        self.retry = retry
         self._streams: dict[str, Stream] = {}
         self._h2d_engine = CopyEngine("h2d")
         self._d2h_engine = CopyEngine("d2h")
@@ -129,6 +127,14 @@ class StreamedGPU(GPUProxy):
         self._open = False
         self._base_s = 0.0
         self.reports: list[SyncReport] = []
+
+    def execute(self, op: DeviceOp) -> Any:
+        """Any serial op except an allocation first drains the async
+        region (CUDA's default-stream semantics): mixed code stays
+        correct, just unoverlapped."""
+        if op.stream is None and op.kind != "malloc":
+            self.synchronize()
+        return self.inner.execute(op)
 
     # -- streams and events ------------------------------------------------
     def stream(self, name: str) -> Stream:
@@ -156,49 +162,12 @@ class StreamedGPU(GPUProxy):
             self._open = True
             self._base_s = self.ledger.total_seconds
 
-    def _gated(self, gate_name: str, op: str, *gate_args) -> float:
-        """Run the fault gate (if any) with retry; returns the total
-        backoff delay to push onto the issuing stream's timeline."""
-        gate = getattr(self.inner, gate_name, None)
-        if gate is None:
-            return 0.0
-        policy = self.retry
-        if policy is None:
-            policy = getattr(self.inner, "policy", None)
-        if policy is None:
-            gate(op, *gate_args)  # an escaped fault is rung 2's problem
-            return 0.0
-        delay_total = 0.0
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                gate(op, *gate_args)
-                return delay_total
-            except RecoverableError as exc:
-                if attempt >= policy.max_attempts:
-                    raise
-                delay = policy.delay(attempt)
-                delay_total += delay
-                ledger = self.ledger
-                # busy-bucket only: the stream idles through the backoff,
-                # so the makespan (charged at sync) carries the wall cost
-                ledger.charge_busy(delay, "retry")
-                ledger.count("retries")
-                log = getattr(self.inner, "recovery_log", None)
-                if log is not None:
-                    log.record(
-                        "op-retry", f"async-{op}", attempt,
-                        ledger.total_seconds, detail=type(exc).__name__,
-                    )
-        raise AssertionError("unreachable")
-
-    def _trace(self, name: str, category: str, start_rel: float,
-               duration_s: float, stream: str, engine: str, **args) -> None:
-        rec = getattr(self.inner, "record_async", None)
-        if rec is not None:
-            rec(
-                name, category, self._base_s + start_rel, duration_s,
-                stream=stream, engine=engine, **args,
-            )
+    def _enqueue(self, kind: str, work: int, stream: str | Stream,
+                 place: Callable) -> Event:
+        """Send an async op down the chain; ``place`` books it at the
+        bottom, after the fault gate and retry layers let it through."""
+        op = DeviceOp(kind, (work,), stream=self._resolve(stream), place=place)
+        return self.execute(op)
 
     # -- asynchronous transfers -------------------------------------------
     def h2d_async(self, nbytes: int, stream: str | Stream = "h2d",
@@ -217,21 +186,25 @@ class StreamedGPU(GPUProxy):
     def _transfer_async(self, op: str, engine: CopyEngine, nbytes: int,
                         stream: str | Stream, category: str | None) -> Event:
         nbytes = _check_nbytes(nbytes, op)
-        st = self._resolve(stream)
         if nbytes == 0:  # no DMA issued — same no-op as the serial path
+            st = self._resolve(stream)
             return Event(next_event_id(), st.name, st.tail_s)
-        delay = self._gated("transfer_fault_gate", op, nbytes)
+        place = partial(self._place_transfer, engine, category)
+        return self._enqueue(op, nbytes, stream, place)
+
+    def _place_transfer(self, engine: CopyEngine, category: str | None,
+                        op: DeviceOp) -> Event:
+        nbytes, st = op.args[0], cast(Stream, op.stream)
         self._ensure_open()
         dur = self.cost.transfer_seconds(nbytes)
-        start = engine.schedule(st.tail_s + delay, dur)
+        start = engine.schedule(st.tail_s + op.delay_s, dur)
         st.tail_s = max(st.tail_s, start + dur)
         ledger = self.ledger
         if category is not None:
             ledger.charge_busy(dur, category)
-        ledger.count(f"{op}_transfers")
-        ledger.count(f"bytes_{op}", nbytes)
-        self._trace(f"{op}_async", "transfer", start, dur,
-                    st.name, op, bytes=nbytes)
+        ledger.count(f"{op.kind}_transfers")
+        ledger.count(f"bytes_{op.kind}", nbytes)
+        op.span = (st.name, op.kind, self._base_s + start, dur, None)
         return Event(next_event_id(), st.name, start + dur)
 
     # -- asynchronous kernels ---------------------------------------------
@@ -254,10 +227,8 @@ class StreamedGPU(GPUProxy):
         )
         if compute_derate < 1.0:
             secs /= max(compute_derate, 1e-6)
-        return self._kernel_async(
-            "traversal", secs, int(blocks), stream,
-            from_device=from_device, edges=int(edges),
-        )
+        place = partial(self._place_kernel, secs, int(blocks), from_device)
+        return self._enqueue("traversal", edges, stream, place)
 
     def launch_numeric_async(
         self,
@@ -278,30 +249,26 @@ class StreamedGPU(GPUProxy):
             int(flops), int(blocks), cap, self.spec,
             search_steps=int(search_steps),
         )
-        return self._kernel_async(
-            "numeric", secs, int(blocks), stream, flops=int(flops),
-        )
+        place = partial(self._place_kernel, secs, int(blocks), False)
+        return self._enqueue("numeric", flops, stream, place)
 
     def launch_utility_async(self, items: int,
                              stream: str | Stream = "compute") -> Event:
         """Enqueue a full-width utility kernel (prefix sum, compaction);
         these are bandwidth-bound and occupy the whole device."""
         secs = items / self.cost.gpu_traversal_edges_per_s
-        return self._kernel_async(
-            "utility", secs, self.spec.max_concurrent_blocks, stream,
-            items=int(items),
-        )
+        blocks = self.spec.max_concurrent_blocks
+        place = partial(self._place_kernel, secs, blocks, False)
+        return self._enqueue("utility", items, stream, place)
 
-    def _kernel_async(self, kind: str, secs: float, blocks: int,
-                      stream: str | Stream, *, from_device: bool = False,
-                      **trace_args) -> Event:
-        delay = self._gated("kernel_fault_gate", kind)
+    def _place_kernel(self, secs: float, blocks: int, from_device: bool,
+                      op: DeviceOp) -> Event:
         self._ensure_open()
-        st = self._resolve(stream)
+        st = cast(Stream, op.stream)
         dur = self.cost.launch_seconds(from_device=from_device) + secs
         engine = self._compute_engine
         engine.prune(min(s.tail_s for s in self._streams.values()))
-        start = engine.schedule(st.tail_s + delay, dur, blocks)
+        start = engine.schedule(st.tail_s + op.delay_s, dur, blocks)
         st.tail_s = max(st.tail_s, start + dur)
         ledger = self.ledger
         # the launch overhead contributes to the schedule (dur) but — as
@@ -311,8 +278,7 @@ class StreamedGPU(GPUProxy):
         ledger.count(
             "child_kernel_launches" if from_device else "kernel_launches"
         )
-        self._trace(f"{kind}_kernel_async", "kernel", start, dur,
-                    st.name, "compute", blocks=int(blocks), **trace_args)
+        op.span = (st.name, "compute", self._base_s + start, dur, blocks)
         return Event(next_event_id(), st.name, start + dur)
 
     # -- synchronization ---------------------------------------------------
@@ -348,48 +314,6 @@ class StreamedGPU(GPUProxy):
     def combined_report(self) -> SyncReport:
         """Aggregate of every synchronized region so far."""
         return SyncReport.combine(self.reports)
-
-    # -- serial operations are sync points --------------------------------
-    # Any blocking op first drains the async region (CUDA's default-stream
-    # semantics): mixed code stays correct, just unoverlapped.
-    def h2d(self, nbytes: int, category: str | None = "transfer") -> None:
-        self.synchronize()
-        return self.inner.h2d(nbytes, category)
-
-    def d2h(self, nbytes: int, category: str | None = "transfer") -> None:
-        self.synchronize()
-        return self.inner.d2h(nbytes, category)
-
-    def launch_traversal(self, edges, avg_degree, blocks, *,
-                         from_device=False, compute_derate=1.0):
-        self.synchronize()
-        return self.inner.launch_traversal(
-            edges, avg_degree, blocks,
-            from_device=from_device, compute_derate=compute_derate,
-        )
-
-    def launch_numeric(self, flops, blocks, *, concurrency_cap=None,
-                       search_steps=0, from_device=False):
-        self.synchronize()
-        return self.inner.launch_numeric(
-            flops, blocks, concurrency_cap=concurrency_cap,
-            search_steps=search_steps, from_device=from_device,
-        )
-
-    def launch_panel(self, flops, tiles, *, kind="panel-factor",
-                     from_device=False):
-        self.synchronize()
-        return self.inner.launch_panel(
-            flops, tiles, kind=kind, from_device=from_device,
-        )
-
-    def launch_utility(self, items, *, from_device=False):
-        self.synchronize()
-        return self.inner.launch_utility(items, from_device=from_device)
-
-    def hbm_traffic(self, nbytes: int):
-        self.synchronize()
-        return self.inner.hbm_traffic(nbytes)
 
     def snapshot(self) -> dict:
         self.synchronize()

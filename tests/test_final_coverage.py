@@ -106,10 +106,10 @@ class TestSolveGpuDefaults:
 
 class TestTraceBusySeconds:
     def test_unknown_category_zero(self):
-        from repro.gpusim import TracingGPU
+        from repro.gpusim import GPU, TracingGPU
 
-        gpu = TracingGPU(spec=scaled_device(1 << 20),
-                         host=scaled_host(8 << 20))
+        gpu = TracingGPU(GPU(spec=scaled_device(1 << 20),
+                             host=scaled_host(8 << 20)))
         gpu.launch_utility(100)
         assert gpu.busy_seconds("nonexistent") == 0.0
         assert gpu.busy_seconds("kernel") > 0.0

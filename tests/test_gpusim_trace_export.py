@@ -8,13 +8,13 @@ the event list is constructed directly so the field mapping of
 import json
 
 from repro.core import SolverConfig
-from repro.gpusim import TracingGPU, scaled_device, scaled_host
+from repro.gpusim import GPU, TracingGPU, scaled_device, scaled_host
 from repro.gpusim.trace import TraceEvent
 
 
 def make_gpu(mem=8 << 20):
     c = SolverConfig(device=scaled_device(mem), host=scaled_host(8 * mem))
-    return TracingGPU(spec=c.device, host=c.host, cost=c.cost_model)
+    return TracingGPU(GPU(spec=c.device, host=c.host, cost=c.cost_model))
 
 
 class TestToChromeTrace:

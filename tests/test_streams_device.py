@@ -160,12 +160,15 @@ class TestFaultGates:
         assert gpu.ledger.get_count("bytes_h2d") == 0
 
     def test_retry_policy_exhausts_deterministically(self):
-        inner = FaultInjector(
-            GPU(spec=scaled_device(64 * MB)),
-            FaultPlan(seed=3, transfer_fault_rate=1.0),
-        )
         policy = RetryPolicy(max_attempts=3, base_delay_s=1e-4)
-        gpu = StreamedGPU(inner, retry=policy)
+        inner = ResilientGPU(
+            FaultInjector(
+                GPU(spec=scaled_device(64 * MB)),
+                FaultPlan(seed=3, transfer_fault_rate=1.0),
+            ),
+            policy,
+        )
+        gpu = StreamedGPU(inner)
         with pytest.raises(TransferError):
             gpu.h2d_async(MB)
         assert gpu.ledger.get_count("retries") == 2  # attempts 1 and 2
@@ -181,7 +184,7 @@ class TestFaultGates:
             ),
             RetryPolicy(max_attempts=6, base_delay_s=1e-4),
         )
-        gpu = StreamedGPU(inner)  # policy found down the stack
+        gpu = StreamedGPU(inner)  # async ops retry in the layer below
         for _ in range(20):
             gpu.h2d_async(MB)
         report = gpu.synchronize()
@@ -196,7 +199,7 @@ class TestFaultGates:
 
 class TestTraceLanes:
     def test_streams_get_own_concurrent_lanes(self):
-        tracer = TracingGPU(spec=scaled_device(64 * MB))
+        tracer = TracingGPU(GPU(spec=scaled_device(64 * MB)))
         gpu = StreamedGPU(tracer)
         gpu.h2d_async(MB, "up")
         gpu.d2h_async(MB, "down")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import EndToEndLU, SolverConfig
-from repro.gpusim import TracingGPU, scaled_device, scaled_host
+from repro.gpusim import GPU, TracingGPU, scaled_device, scaled_host
 from repro.graph import detect_supernodes
 from repro.sparse import CSRMatrix
 from repro.symbolic import symbolic_fill_reference
@@ -23,7 +23,7 @@ class TestTracingGPU:
     @pytest.fixture
     def traced(self):
         c = cfg()
-        gpu = TracingGPU(spec=c.device, host=c.host, cost=c.cost_model)
+        gpu = TracingGPU(GPU(spec=c.device, host=c.host, cost=c.cost_model))
         a = circuit_like(150, 6.0, seed=101)
         res = EndToEndLU(c).factorize(a, gpu=gpu)
         return gpu, res
@@ -50,7 +50,9 @@ class TestTracingGPU:
     def test_results_identical_to_untraced(self):
         c = cfg()
         a = circuit_like(120, 6.0, seed=102)
-        traced_gpu = TracingGPU(spec=c.device, host=c.host, cost=c.cost_model)
+        traced_gpu = TracingGPU(
+            GPU(spec=c.device, host=c.host, cost=c.cost_model)
+        )
         r1 = EndToEndLU(c).factorize(a, gpu=traced_gpu)
         r2 = EndToEndLU(c).factorize(a)
         assert r1.L.allclose(r2.L)
