@@ -9,7 +9,8 @@ pivot, then push updates into every *sub-column* ``k > j`` with
     As(i, k) -= As(i, j) * As(j, k)    for every i > j with As(i, j) != 0
 
 Symbolic correctness guarantees every target position ``(i, k)`` exists in
-the filled pattern, which the implementation asserts.
+the filled pattern; a pattern that breaks this raises
+:class:`~repro.errors.SparseFormatError`.
 
 The function counts the exact flops and (optionally) binary-search probe
 steps it performs; the GPU executor (:mod:`repro.core.numeric_gpu`) replays
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import SingularMatrixError
+from ..errors import SingularMatrixError, SparseFormatError
 from ..graph import LevelSchedule
 from ..sparse import CSCMatrix, CSRMatrix
 
@@ -149,16 +150,21 @@ def factorize_in_place(
                 rows_k = indices[ks:ke]
                 # As(j, k): the multiplier from row j of U
                 pj = int(np.searchsorted(rows_k, j))
-                assert pj < len(rows_k) and rows_k[pj] == j, (
-                    "symbolic pattern is missing U entry "
-                    f"({j}, {k}) — filled pattern is inconsistent"
-                )
+                if pj >= len(rows_k) or rows_k[pj] != j:
+                    raise SparseFormatError(
+                        "symbolic pattern is missing U entry "
+                        f"({j}, {k}) — filled pattern is inconsistent"
+                    )
                 ujk = data[ks + pj]
                 if len(sub_rows):
                     pos = np.searchsorted(rows_k, sub_rows)
-                    assert np.all(
-                        (pos < len(rows_k)) & (rows_k[pos] == sub_rows)
-                    ), f"fill positions missing in column {k}"
+                    # a row past the column's end clips onto its last
+                    # (smaller) row, so it reads as missing too
+                    last = len(rows_k) - 1
+                    if not np.all(rows_k[np.minimum(pos, last)] == sub_rows):
+                        raise SparseFormatError(
+                            f"fill positions missing in column {k}"
+                        )
                     data[ks:ke][pos] -= l_vals * ujk
                     stats.update_flops += 2 * len(sub_rows)
                     level_flops += 2 * len(sub_rows)

@@ -13,10 +13,18 @@ The key observation is that every *position* the scalar loop computes —
 diagonal offsets, sub-diagonal slices, the ``(j, k)`` sub-column pairs
 and the flat target of every single update — depends only on the filled
 pattern, never on the values.  So the kernel resolves them up front, in
-level-batches bounded by :data:`_MAX_BATCH_UPDATES`, with one ragged
-gather (:func:`concat_ranges`) plus one batched binary search
-(``np.searchsorted``) against the globally sorted entry keys
-``col * n + row`` (the sorted-CSC property Algorithm 6 relies on).
+level-batches bounded by :data:`_MAX_BATCH_UPDATES`: one ragged gather
+(:func:`concat_ranges`) lists each batch's updates, and one gather
+through a dense position map (:class:`_PositionMap`, slot
+``(col - c0) * n + row`` -> flat CSC position, ``-1`` where the pattern
+has no entry) finds every multiplier and every target at once.  The map
+covers a window of target columns sized so that it never holds more
+than :data:`_MAX_MAP_ENTRIES` slots (32 MB); a pattern with
+``n * n`` within that cap is a single window, larger ones loop over
+windows.  This replaces a per-update binary search on the host only:
+Algorithm 6's device kernel still finds each target by binary search in
+the sorted column, and ``count_search_steps`` still charges its probe
+depth to simulated time, unchanged.
 
 That structure-only *plan* is cached on the schedule object: repeated
 refactorizations of the same pattern (the serving tier's bread and
@@ -46,7 +54,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SingularMatrixError
+from ..errors import SingularMatrixError, SparseFormatError
 from ..graph import LevelSchedule
 from ..sparse import CSCMatrix, CSRMatrix
 from ..sparse.ranges import concat_ranges
@@ -57,6 +65,10 @@ __all__ = ["factorize_in_place_fast"]
 #: batch; levels are processed strictly in order within and across
 #: batches, so batching never reorders the floating-point update stream.
 _MAX_BATCH_UPDATES = 1 << 22
+
+#: cap on the slots of the dense position map (int64, so 32 MB) that
+#: resolves update targets; columns are mapped in windows that fit it.
+_MAX_MAP_ENTRIES = 1 << 22
 
 
 def _diag_positions(indices: np.ndarray, col_ids: np.ndarray,
@@ -127,6 +139,109 @@ class _NumericPlan:
         )
 
 
+class _PositionMap:
+    """Flat CSC position of any ``(row, col)`` through a bounded dense map.
+
+    The map covers a window of ``width`` consecutive columns
+    ``[c0, c0 + width)``: slot ``(col - c0) * n + row`` holds the flat
+    position of entry ``(row, col)`` and ``-1`` where the pattern has no
+    entry, so resolving a whole stream of probes is one gather and the
+    pattern check is ``pos >= 0``.  ``width`` keeps the map within
+    ``_MAX_MAP_ENTRIES`` slots (``n`` slots when ``n`` alone exceeds it);
+    a pattern with ``n * n`` within the cap is one window, loaded once
+    for the whole plan.
+    """
+
+    def __init__(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        col_ids: np.ndarray,
+        n: int,
+    ) -> None:
+        self.indptr = indptr
+        self.indices = indices
+        self.col_ids = col_ids
+        self.n = n
+        self.width = max(1, min(n, _MAX_MAP_ENTRIES // max(n, 1)))
+        self.n_windows = -(-n // self.width)
+        self.slots = np.full(self.width * n, -1, dtype=np.int64)
+        self.loaded = -1
+        self.loaded_slots = np.empty(0, dtype=np.int64)
+
+    def _load(self, wi: int) -> None:
+        """Make the map hold the entries of window ``wi``'s columns."""
+        if wi == self.loaded:
+            return
+        self.slots[self.loaded_slots] = -1
+        c0 = wi * self.width
+        s = int(self.indptr[c0])
+        e = int(self.indptr[min(self.n, c0 + self.width)])
+        self.loaded_slots = (self.col_ids[s:e] - c0) * self.n
+        self.loaded_slots += self.indices[s:e]
+        self.slots[self.loaded_slots] = np.arange(s, e, dtype=np.int64)
+        self.loaded = wi
+
+    def _lookup(
+        self,
+        wi: int,
+        pair_j: np.ndarray,
+        pair_k: np.ndarray,
+        pair_rows: np.ndarray,
+        l_flat: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of ``(j, k)`` and of the targets ``(indices[l], k)``
+        for pairs whose column ``k`` lies in window ``wi``."""
+        self._load(wi)
+        base = (pair_k - wi * self.width) * self.n
+        pos_ujk = self.slots[base + pair_j]
+        if (pos_ujk < 0).any():
+            raise SparseFormatError(
+                "symbolic pattern is missing a U entry — filled pattern "
+                "is inconsistent"
+            )
+        slot = np.repeat(base, pair_rows)
+        slot += self.indices[l_flat]
+        pos_tgt = self.slots[slot]
+        if (pos_tgt < 0).any():
+            raise SparseFormatError(
+                "fill positions missing — filled pattern is inconsistent"
+            )
+        return pos_ujk, pos_tgt
+
+    def resolve(
+        self, b: _BatchPlan, pair_j: np.ndarray, pair_k: np.ndarray
+    ) -> None:
+        """Set ``b.pos_ujk`` and ``b.pos_tgt`` for the batch's pairs.
+
+        Pairs are grouped by window with a stable sort and the results
+        written back in pair order, so the streams (and with them the
+        update order) do not depend on the window size.
+        """
+        win = pair_k // self.width
+        counts = np.bincount(win, minlength=self.n_windows)
+        if np.count_nonzero(counts) == 1:
+            # the whole batch in one window: gather in place, no grouping
+            b.pos_ujk, b.pos_tgt = self._lookup(
+                int(win[0]), pair_j, pair_k, b.pair_rows, b.l_flat
+            )
+            return
+        order = np.argsort(win, kind="stable")
+        ends = np.cumsum(counts)
+        b.pos_ujk = np.empty(len(pair_k), dtype=np.int64)
+        b.pos_tgt = np.empty(len(b.l_flat), dtype=np.int64)
+        for wi in np.flatnonzero(counts):
+            sel = order[ends[wi] - counts[wi] : ends[wi]]
+            t_sel = concat_ranges(b.exp_off[sel], b.pair_rows[sel])
+            b.pos_ujk[sel], b.pos_tgt[t_sel] = self._lookup(
+                int(wi),
+                pair_j[sel],
+                pair_k[sel],
+                b.pair_rows[sel],
+                b.l_flat[t_sel],
+            )
+
+
 def _build_plan(
     As: CSCMatrix,
     row_adjacency: CSRMatrix,
@@ -138,10 +253,6 @@ def _build_plan(
     n = As.n_cols
 
     col_ids = As.col_ids_of_entries().astype(np.int64, copy=False)
-    # CSC row indices are sorted within each column and columns are laid
-    # out in order, so these keys are globally sorted: one searchsorted
-    # resolves any batch of (row, col) probes.
-    keys = col_ids * n + indices
     diag_pos = _diag_positions(indices, col_ids, n)
     col_nnz = np.diff(indptr)
     # sub-diagonal slice of each column: (diag_pos + 1 .. column end)
@@ -178,6 +289,7 @@ def _build_plan(
     plan.n = n
     plan.diag_pos = diag_pos
     plan.batches = []
+    pos_map = _PositionMap(indptr, indices, col_ids, n)
 
     start = 0
     while start < len(levels):
@@ -208,32 +320,12 @@ def _build_plan(
         pair_k = r_indices[
             concat_ranges(sc_start[cols_cat], pair_cnt)
         ].astype(np.int64, copy=False)
-        if len(pair_k):
-            probe = pair_k * n + pair_j
-            pos_ujk = np.searchsorted(keys, probe)
-            assert np.array_equal(
-                keys[np.minimum(pos_ujk, len(keys) - 1)], probe
-            ), (
-                "symbolic pattern is missing a U entry — filled pattern "
-                "is inconsistent"
-            )
-        else:
-            pos_ujk = np.empty(0, dtype=np.int64)
-        b.pos_ujk = pos_ujk
         b.pair_rows = pair_rows = sub_len[pair_j]
         b.exp_off = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(pair_rows)]
         )
-        b.l_flat = l_flat = concat_ranges(sub_start[pair_j], pair_rows)
-        if len(l_flat):
-            tgt = np.repeat(pair_k, pair_rows) * n + indices[l_flat]
-            pos_tgt = np.searchsorted(keys, tgt)
-            assert np.array_equal(
-                keys[np.minimum(pos_tgt, len(keys) - 1)], tgt
-            ), "fill positions missing — filled pattern is inconsistent"
-        else:
-            pos_tgt = np.empty(0, dtype=np.int64)
-        b.pos_tgt = pos_tgt
+        b.l_flat = concat_ranges(sub_start[pair_j], pair_rows)
+        pos_map.resolve(b, pair_j, pair_k)
         b.sc_cnt = sc_cnt = sub_len[cols_cat]
         b.scale_off = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(sc_cnt)]

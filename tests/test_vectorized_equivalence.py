@@ -20,9 +20,10 @@ import pytest
 
 from repro.core import EndToEndLU, SolverConfig
 from repro.core.refactorize import analyze
-from repro.errors import SingularMatrixError
+from repro.errors import SingularMatrixError, SparseFormatError
 from repro.graph.depgraph import build_dependency_graph
 from repro.graph.levelize import kahn_levels, levelize_cpu
+from repro.numeric import vectorized
 from repro.numeric.rightlooking import factorize_in_place
 from repro.numeric.vectorized import factorize_in_place_fast
 from repro.perf.wallclock import (
@@ -113,6 +114,36 @@ def test_numeric_factors_bitwise_and_stats_identical(spec):
         assert _stats_tuple(s_ref) == _stats_tuple(s_fast)
 
 
+@pytest.mark.parametrize("spec", _registry_specs(), ids=lambda s: s.abbr)
+def test_windowed_position_map_bitwise_and_bounded(spec, monkeypatch):
+    # benchmark sizes fit one map window; a small cap makes every
+    # registry pattern span several, each resolved by its own gather
+    cap = 4 * _N
+    monkeypatch.setattr(vectorized, "_MAX_MAP_ENTRIES", cap)
+    maps = []
+
+    class _Recorded(vectorized._PositionMap):
+        def __init__(self, *args):
+            super().__init__(*args)
+            maps.append((len(self.slots), self.n_windows))
+
+    monkeypatch.setattr(vectorized, "_PositionMap", _Recorded)
+    filled = symbolic_fill_reference(_generate(spec))
+    sched = levelize_cpu(build_dependency_graph(filled))
+    ref, fast = filled.to_csc(), filled.to_csc()
+    s_ref = factorize_in_place(
+        ref, filled, sched, count_search_steps=True, slow=True
+    )
+    s_fast = factorize_in_place_fast(
+        fast, filled, sched, count_search_steps=True
+    )
+    assert np.array_equal(ref.data, fast.data)  # bitwise
+    assert _stats_tuple(s_ref) == _stats_tuple(s_fast)
+    assert maps and all(
+        slots <= cap and windows > 1 for slots, windows in maps
+    )
+
+
 # ---------------------------------------------------------------------------
 # error and recovery branches
 
@@ -182,6 +213,52 @@ def test_mid_level_failure_partial_state_identical():
     _assert_paths_agree(
         m.astype(np.float32), dtype=np.float32, count_search_steps=True
     )
+
+
+def _arrow_fill_without(row, col):
+    """Full filled pattern of a 5x5 arrow matrix, minus entry (row, col)."""
+    d = 4.0 * np.eye(5)
+    d[0, :] = d[:, 0] = 1.0
+    d[0, 0] = 4.0
+    filled = symbolic_fill_reference(CSRMatrix.from_dense(d))
+    rows = filled.row_ids_of_entries()
+    keep = (rows != row) | (filled.indices != col)
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(rows[keep], minlength=5))]
+    )
+    broken = CSRMatrix(
+        5, 5, indptr, filled.indices[keep], filled.data[keep]
+    )
+    return filled, broken
+
+
+@pytest.mark.parametrize(
+    "slow, map_cap",
+    [(True, None), (False, None), (False, 5)],
+    ids=["oracle", "fast", "fast-one-column-windows"],
+)
+def test_missing_fill_entry_raises_sparse_format_error(
+    slow, map_cap, monkeypatch
+):
+    # column 0 updates every row of column 3, including the dropped fill;
+    # with one-column windows, row 4's slot last held (4, 2), so a map
+    # that kept stale slots would hide the gap
+    if map_cap is not None:
+        monkeypatch.setattr(vectorized, "_MAX_MAP_ENTRIES", map_cap)
+    _, broken = _arrow_fill_without(4, 3)
+    sched = levelize_cpu(build_dependency_graph(broken))
+    with pytest.raises(SparseFormatError, match="fill positions missing"):
+        factorize_in_place(broken.to_csc(), broken, sched, slow=slow)
+
+
+@pytest.mark.parametrize("slow", [True, False], ids=["oracle", "fast"])
+def test_missing_u_entry_raises_sparse_format_error(slow):
+    # the row adjacency still lists multiplier (0, 3), which the CSC
+    # lacks; (0, 3) is no update's target, so only this check can fire
+    filled, broken = _arrow_fill_without(0, 3)
+    sched = levelize_cpu(build_dependency_graph(filled))
+    with pytest.raises(SparseFormatError, match="missing (a )?U entry"):
+        factorize_in_place(broken.to_csc(), filled, sched, slow=slow)
 
 
 # ---------------------------------------------------------------------------
