@@ -49,7 +49,7 @@ def unified_symbolic(
     t0 = ledger.total_seconds
 
     with ledger.phase("symbolic"):
-        filled = symbolic_fill_reference(a, slow=config.slow_host_loops)
+        filled = symbolic_fill_reference(a)
         edges_per_row = traversal_edges_per_row(a, filled)
         frontier = frontier_counts(filled)
         fill_count = filled.row_nnz().astype(np.int64)

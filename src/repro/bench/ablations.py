@@ -177,10 +177,10 @@ def run_split_sweep(
         return sym
 
     naive = run(False)
-    points = [
-        SplitSweepPoint(f, run(True, f).sim_seconds, run(True, f).split_point)
-        for f in fractions
-    ]
+    points = []
+    for f in fractions:
+        sym = run(True, f)
+        points.append(SplitSweepPoint(f, sym.sim_seconds, sym.split_point))
     return SplitSweepResult(spec.abbr, naive.sim_seconds, points)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -79,19 +78,6 @@ class SolverConfig:
 
     pivot_tolerance: float = 0.0
     preprocess: PreprocessOptions = field(default_factory=PreprocessOptions)
-
-    #: run the scalar (per-column / per-vertex Python loop) host paths
-    #: instead of the vectorized bulk-NumPy ones.  Factors, schedules,
-    #: counters and simulated-time charges are identical either way —
-    #: only wall-clock changes.  The flag exists so the equivalence suite
-    #: can drive the whole pipeline through the scalar oracles; setting
-    #: ``REPRO_SLOW_HOST_LOOPS=1`` flips the default for a whole process
-    #: (how the wall-clock A/B of the perf suite is measured).
-    slow_host_loops: bool = field(
-        default_factory=lambda: os.environ.get(
-            "REPRO_SLOW_HOST_LOOPS", ""
-        ).lower() in ("1", "true", "yes")
-    )
 
     #: recovery ladder (retries, chunk resume, pivot perturbation); ``None``
     #: disables resilience entirely (historical behaviour)

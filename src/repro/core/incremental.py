@@ -208,7 +208,7 @@ def incremental_analyze_pre(
     if structure_changed:
         graph = build_dependency_graph(filled)
         with ledger.phase("levelize-delta"):
-            schedule = kahn_levels(graph, slow=config.slow_host_loops)
+            schedule = kahn_levels(graph)
             # repair waves only where membership could have moved: the
             # structurally-changed columns plus every column whose level
             # actually shifted

@@ -28,7 +28,6 @@ import numpy as np
 
 from ..gpusim import GPU
 from ..graph import DependencyGraph, LevelSchedule, kahn_levels
-from .config import SolverConfig
 
 
 @dataclass
@@ -53,36 +52,26 @@ def _wave_workloads(graph: DependencyGraph, schedule: LevelSchedule
     return out
 
 
-def levelize_gpu_dynamic(
-    gpu: GPU, graph: DependencyGraph, config: SolverConfig | None = None
-) -> LevelizeResult:
+def levelize_gpu_dynamic(gpu: GPU, graph: DependencyGraph) -> LevelizeResult:
     """Algorithm 5: device-resident Kahn's with dynamic parallelism."""
-    return _levelize_gpu(
-        gpu, graph, from_device=True, slow=_slow_of(config)
-    )
+    return _levelize_gpu(gpu, graph, from_device=True)
 
 
 def levelize_gpu_hostlaunch(
-    gpu: GPU, graph: DependencyGraph, config: SolverConfig | None = None
+    gpu: GPU, graph: DependencyGraph
 ) -> LevelizeResult:
     """Same waves, host-launched kernels + per-wave host sync ([37] style)."""
-    return _levelize_gpu(
-        gpu, graph, from_device=False, slow=_slow_of(config)
-    )
+    return _levelize_gpu(gpu, graph, from_device=False)
 
 
-def _slow_of(config: SolverConfig | None) -> bool:
-    return False if config is None else config.slow_host_loops
-
-
-def _levelize_gpu(gpu: GPU, graph: DependencyGraph, *, from_device: bool,
-                  slow: bool = False) -> LevelizeResult:
+def _levelize_gpu(gpu: GPU, graph: DependencyGraph, *, from_device: bool
+                  ) -> LevelizeResult:
     ledger = gpu.ledger
     t0 = ledger.total_seconds
     l0 = ledger.get_count("kernel_launches")
     c0 = ledger.get_count("child_kernel_launches")
     with ledger.phase("levelize"):
-        schedule = kahn_levels(graph, slow=slow)
+        schedule = kahn_levels(graph)
         waves = _wave_workloads(graph, schedule)
         n, m = graph.n, graph.num_edges
 
@@ -113,14 +102,12 @@ def _levelize_gpu(gpu: GPU, graph: DependencyGraph, *, from_device: bool,
     )
 
 
-def levelize_cpu_serial(
-    gpu: GPU, graph: DependencyGraph, config: SolverConfig | None = None
-) -> LevelizeResult:
+def levelize_cpu_serial(gpu: GPU, graph: DependencyGraph) -> LevelizeResult:
     """Sequential CPU levelization (the pre-paper status quo)."""
     ledger = gpu.ledger
     t0 = ledger.total_seconds
     with ledger.phase("levelize"):
-        schedule = kahn_levels(graph, slow=_slow_of(config))
+        schedule = kahn_levels(graph)
         ledger.charge(
             gpu.cost.cpu_serial_seconds(graph.n + graph.num_edges),
             "cpu_compute",

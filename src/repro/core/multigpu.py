@@ -262,7 +262,7 @@ def multi_gpu_symbolic(
     hst = host or config.host
     n = a.n_rows
 
-    filled = symbolic_fill_reference(a, slow=config.slow_host_loops)
+    filled = symbolic_fill_reference(a)
     edges = traversal_edges_per_row(a, filled)
     frontier = frontier_counts(filled)
     fill_count = filled.row_nnz().astype(np.int64)
@@ -595,14 +595,14 @@ def multi_gpu_endtoend(
     pre = preprocess(a, config.preprocess)
     work = pre.matrix
     n = work.n_rows
-    filled = symbolic_fill_reference(work, slow=config.slow_host_loops)
+    filled = symbolic_fill_reference(work)
     graph = build_dependency_graph(filled)
     lev_graph = graph
     if config.prune_dependency_edges:
         from ..graph import sparsify_for_levels
 
         lev_graph, _ = sparsify_for_levels(graph)
-    schedule = kahn_levels(lev_graph, slow=config.slow_host_loops)
+    schedule = kahn_levels(lev_graph)
     owner = _cyclic_level_owner(schedule, d_count)
 
     As = filled.to_csc()
@@ -627,11 +627,11 @@ def multi_gpu_endtoend(
             avg_degree=avg_degree, config=config, ship_to_host=False,
         )
         if not config.levelize_on_gpu:
-            levelize_cpu_serial(gpu, lev_graph, config)
+            levelize_cpu_serial(gpu, lev_graph)
         elif config.levelize_dynamic_parallelism:
-            levelize_gpu_dynamic(gpu, lev_graph, config)
+            levelize_gpu_dynamic(gpu, lev_graph)
         else:
-            levelize_gpu_hostlaunch(gpu, lev_graph, config)
+            levelize_gpu_hostlaunch(gpu, lev_graph)
         gpus.append(gpu)
         residents.append({"graph": graph_bufs, "rows": out_buf})
 
@@ -719,7 +719,6 @@ def multi_gpu_endtoend(
         As, filled, schedule,
         pivot_tolerance=config.pivot_tolerance,
         count_search_steps=(fmt == "csc"),
-        slow=config.slow_host_loops,
     )
     L, U = extract_lu(As)
 

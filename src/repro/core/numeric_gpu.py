@@ -115,7 +115,6 @@ def factorize_with_pivot_recovery(
             schedule,
             pivot_tolerance=config.pivot_tolerance,
             count_search_steps=count_search_steps,
-            slow=config.slow_host_loops,
         )
     except SingularMatrixError as exc:
         if backup is None:
@@ -130,7 +129,6 @@ def factorize_with_pivot_recovery(
             pivot_tolerance=config.pivot_tolerance,
             count_search_steps=count_search_steps,
             pivot_perturbation=perturb,
-            slow=config.slow_host_loops,
         )
         gpu.ledger.count("pivot_recoveries")
         log = recovery_log_of(gpu)

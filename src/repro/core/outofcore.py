@@ -222,7 +222,7 @@ def outofcore_symbolic(
 
     with ledger.phase("symbolic"):
         # -- ground-truth structure (device kernels compute exactly this) --
-        filled = symbolic_fill_reference(a, slow=config.slow_host_loops)
+        filled = symbolic_fill_reference(a)
         edges_per_row = traversal_edges_per_row(a, filled)
         frontier = frontier_counts(filled)
         avg_degree = a.nnz / max(n, 1)

@@ -276,11 +276,11 @@ class EndToEndLU:
 
             lev_graph, _ = sparsify_for_levels(graph)
         if not cfg.levelize_on_gpu:
-            lev = levelize_cpu_serial(gpu, lev_graph, cfg)
+            lev = levelize_cpu_serial(gpu, lev_graph)
         elif cfg.levelize_dynamic_parallelism:
-            lev = levelize_gpu_dynamic(gpu, lev_graph, cfg)
+            lev = levelize_gpu_dynamic(gpu, lev_graph)
         else:
-            lev = levelize_gpu_hostlaunch(gpu, lev_graph, cfg)
+            lev = levelize_gpu_hostlaunch(gpu, lev_graph)
 
         # -- numeric -----------------------------------------------------------
         if (

@@ -25,6 +25,7 @@ from ..numeric import lu_solve_permuted
 from ..preprocess import PreprocessResult, preprocess
 from ..sparse import CSCMatrix, CSRMatrix
 from ..sparse.types import INDEX_DTYPE
+from ..symbolic.incremental import _flat_keys
 from .config import SolverConfig
 from .levelize_gpu import levelize_gpu_dynamic
 from .numeric_gpu import NumericResult, numeric_factorize_gpu
@@ -87,17 +88,18 @@ class ReusableAnalysis:
         self._scatter = self._build_scatter_map()
 
     def _build_scatter_map(self) -> np.ndarray:
-        src = self.pre.matrix
-        dst = self.filled
-        out = np.empty(src.nnz, dtype=INDEX_DTYPE)
-        for i in range(src.n_rows):
-            s_cols, _ = src.row(i)
-            d_start = int(dst.indptr[i])
-            d_cols = dst.indices[d_start : int(dst.indptr[i + 1])]
-            pos = np.searchsorted(d_cols, s_cols)
-            assert np.all(d_cols[pos] == s_cols)
-            out[int(src.indptr[i]) : int(src.indptr[i + 1])] = d_start + pos
-        return out
+        # the filled pattern's flat keys are sorted, so one batched
+        # search places every original entry
+        dst_keys = _flat_keys(self.filled)
+        src_keys = _flat_keys(self.pre.matrix)
+        pos = np.searchsorted(dst_keys, src_keys)
+        found = pos < len(dst_keys)
+        found[found] = dst_keys[pos[found]] == src_keys[found]
+        if not found.all():
+            raise SparseFormatError(
+                "filled pattern is missing an original entry"
+            )
+        return pos.astype(INDEX_DTYPE)
 
     # ------------------------------------------------------------------
     @property
@@ -205,7 +207,7 @@ def analyze(a: CSRMatrix, config: SolverConfig | None = None,
     pre = preprocess(a, cfg.preprocess)
     sym = outofcore_symbolic(gpu, pre.matrix, cfg)
     graph = build_dependency_graph(sym.filled)
-    lev = levelize_gpu_dynamic(gpu, graph, cfg)
+    lev = levelize_gpu_dynamic(gpu, graph)
     if cfg.supernodal:
         # pre-warm the panel schedule so it is charged (``panelize``)
         # here with the other pattern-dependent phases; every

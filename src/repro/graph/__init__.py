@@ -24,7 +24,6 @@ from .levelize import (
     TYPE_A_MAX_SUBCOLS,
     TYPE_C_WARP_TEAMS,
     kahn_levels,
-    levelize_cpu,
 )
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "sparsify_for_levels",
     "SparsifyStats",
     "LevelSchedule",
-    "levelize_cpu",
     "kahn_levels",
     "TYPE_A_MAX_SUBCOLS",
     "TYPE_C_WARP_TEAMS",

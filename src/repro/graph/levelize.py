@@ -6,16 +6,12 @@ longest-path depth in the dependency DAG:
 
     level(k) = max(-1, level(c1), level(c2), ...) + 1
 
-Two CPU schedulers live here:
-
-* :func:`levelize_cpu` — the GLU 3.0-style sequential pass (what previous
-  work ran on the host; the baseline of §3.3);
-* :func:`kahn_levels` — the classic Kahn queue formulation whose GPU
-  dynamic-parallelism port is the paper's Algorithm 5
-  (:mod:`repro.core.levelize_gpu`).
-
-Both return a :class:`LevelSchedule`; tests assert they agree with each
-other and with networkx's longest-path computation.
+:func:`kahn_levels` computes it with the classic Kahn queue formulation,
+whose GPU dynamic-parallelism port is the paper's Algorithm 5
+(:mod:`repro.core.levelize_gpu`).  Tests assert it agrees with the
+GLU 3.0-style sequential pass previous work ran on the host
+(:func:`repro.oracles.levelize_cpu`, the baseline of §3.3) and with
+networkx's longest-path computation.
 """
 
 from __future__ import annotations
@@ -110,8 +106,7 @@ def _wave_sweep(
     ``Topo`` kernel.  Waves with only a handful of edges decrement
     edge-at-a-time instead, skipping the bincount's fixed cost.  A
     node's wave index equals its longest-path depth (it reaches
-    in-degree zero right after its last predecessor), so the sweep
-    serves :func:`levelize_cpu` and :func:`kahn_levels` alike.
+    in-degree zero right after its last predecessor).
     """
     indptr = graph.indptr
     targets = graph.targets
@@ -150,70 +145,13 @@ def _wave_sweep(
     return level, levels, processed
 
 
-def levelize_cpu(graph: DependencyGraph, *, slow: bool = False) -> LevelSchedule:
-    """GLU 3.0-style sequential levelization.
-
-    Because every edge goes forward (i -> j implies i < j), a single
-    ascending pass computes the longest-path level of each column.  The
-    default path derives the identical longest-path levels from the bulk
-    wave sweep (wave index == longest-path depth on a DAG); ``slow=True``
-    runs the original per-column propagation loop.  Both return identical
-    schedules.
-    """
-    if not slow:
-        level, levels, processed = _wave_sweep(graph)
-        if processed == graph.n:
-            return LevelSchedule(level_of=level, levels=levels)
-        # not a DAG — fall through and replicate the sequential pass
-    level = np.full(graph.n, -1, dtype=INDEX_DTYPE)
-    # Process in column order; propagate to successors.
-    for i in range(graph.n):
-        if level[i] < 0:
-            level[i] = 0
-        succ = graph.successors(i)
-        if len(succ):
-            level[succ] = np.maximum(level[succ], level[i] + 1)
-    return LevelSchedule(level_of=level)
-
-
-def kahn_levels(graph: DependencyGraph, *, slow: bool = False) -> LevelSchedule:
+def kahn_levels(graph: DependencyGraph) -> LevelSchedule:
     """Kahn's algorithm by frontier waves; the CPU reference of Algorithm 5.
 
     Level ``k`` is the k-th wave of zero-in-degree nodes.  Raises
-    :class:`~repro.errors.CycleError` if the graph is not a DAG.  With
-    ``slow=True`` the wave successor lists are walked node by node as in
-    the original formulation instead of gathered in bulk; the resulting
-    schedule is identical.
+    :class:`~repro.errors.CycleError` if the graph is not a DAG.
     """
-    if not slow:
-        level, levels, processed = _wave_sweep(graph)
-        if processed != graph.n:
-            raise CycleError(graph.n - processed)
-        return LevelSchedule(level_of=level, levels=levels)
-    indeg = graph.in_degree.copy()
-    level = np.full(graph.n, -1, dtype=INDEX_DTYPE)
-    queue = np.flatnonzero(indeg == 0).astype(INDEX_DTYPE)
-    processed = 0
-    level_num = 0
-    levels: list[np.ndarray] = []
-    while len(queue):
-        level[queue] = level_num
-        levels.append(queue.copy())
-        processed += len(queue)
-        # decrement in-degrees of all successors of the wave
-        nexts: list[np.ndarray] = []
-        for u in queue:
-            succ = graph.successors(int(u))
-            if len(succ):
-                nexts.append(succ)
-        if nexts:
-            cat = np.concatenate(nexts)
-            dec = np.bincount(cat, minlength=graph.n)
-            indeg -= dec
-            queue = np.flatnonzero((indeg == 0) & (dec > 0)).astype(INDEX_DTYPE)
-        else:
-            queue = np.empty(0, dtype=INDEX_DTYPE)
-        level_num += 1
+    level, levels, processed = _wave_sweep(graph)
     if processed != graph.n:
         raise CycleError(graph.n - processed)
     return LevelSchedule(level_of=level, levels=levels)

@@ -1,9 +1,11 @@
 """Numeric factorization substrate (CPU algorithms + triangular solves).
 
 The production GPU path (:mod:`repro.core.numeric_gpu`) wraps
-:func:`factorize_in_place` — the in-place hybrid right-looking kernel — with
+:func:`factorize_in_place` — the in-place hybrid right-looking kernel,
+vectorized per level (:mod:`repro.numeric.vectorized`) — with
 device-memory management and kernel-time charging; the left-looking and
-dense references exist to cross-check it.
+dense references and the scalar loop in :mod:`repro.oracles` exist to
+cross-check it.
 """
 
 from .condest import condest, onenorm, onenorm_inverse_estimate, pivot_growth
@@ -11,7 +13,7 @@ from .gmres import GmresResult, gmres
 from .ilu import ilu0, ilu0_preconditioner
 from .leftlooking import dense_lu_nopivot, factorize_leftlooking
 from .refine import RefinementResult, iterative_refinement, make_lu_solver
-from .rightlooking import NumericStats, extract_lu, factorize_in_place
+from .rightlooking import NumericStats, extract_lu
 from .supernodal import (
     PanelWave,
     SupernodalPlan,
@@ -27,6 +29,7 @@ from .trisolve import (
     lu_solve_multi,
     lu_solve_permuted,
 )
+from .vectorized import factorize_in_place
 
 __all__ = [
     "NumericStats",

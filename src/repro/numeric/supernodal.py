@@ -2,7 +2,7 @@
 
 The supernodal path changes *how the timeline is modeled*, never the
 numbers: values are still produced by the per-column right-looking
-kernel (:func:`repro.numeric.factorize_in_place`, scalar or vectorized),
+kernel (:func:`repro.numeric.factorize_in_place`),
 which stays the differential oracle — the same identical-by-construction
 contract the multi-GPU solver and the streams overlap use.  What this
 module computes is the panel-wave *charging schedule* the simulated GPU

@@ -1,13 +1,14 @@
-"""Vectorized per-level right-looking numeric kernel (fast host path).
+"""Vectorized per-level right-looking numeric kernel (Algorithm 2).
 
-Semantically identical to the scalar loop in
-:mod:`repro.numeric.rightlooking` — same factors *bitwise*, same
-:class:`~repro.numeric.rightlooking.NumericStats` (including the
-``per_level`` tuples the GPU executor charges kernels from, and the
-``perturbed_columns`` recovery record), same error behaviour — but the
-per-column / per-sub-column Python loops are replaced by bulk NumPy
-operations, in the spirit of the structure-aware blocking line of work:
-operate on structure in blocks, not element at a time.
+:func:`factorize_in_place` is semantically identical to the scalar
+per-column loop (:func:`repro.oracles.factorize_in_place`) — same factors
+*bitwise*, same :class:`~repro.numeric.rightlooking.NumericStats`
+(including the ``per_level`` tuples the GPU executor charges kernels
+from, and the ``perturbed_columns`` recovery record), same error
+behaviour — but the per-column / per-sub-column Python loops are
+replaced by bulk NumPy operations, in the spirit of the structure-aware
+blocking line of work: operate on structure in blocks, not element at a
+time.
 
 The key observation is that every *position* the scalar loop computes —
 diagonal offsets, sub-diagonal slices, the ``(j, k)`` sub-column pairs
@@ -58,8 +59,9 @@ from ..errors import SingularMatrixError, SparseFormatError
 from ..graph import LevelSchedule
 from ..sparse import CSCMatrix, CSRMatrix
 from ..sparse.ranges import concat_ranges
+from .rightlooking import NumericStats
 
-__all__ = ["factorize_in_place_fast"]
+__all__ = ["factorize_in_place"]
 
 #: cap on the flattened update-position stream precomputed per level
 #: batch; levels are processed strictly in order within and across
@@ -366,7 +368,7 @@ def _plan_for(
     return plan
 
 
-def factorize_in_place_fast(
+def factorize_in_place(
     As: CSCMatrix,
     row_adjacency: CSRMatrix,
     schedule: LevelSchedule,
@@ -374,14 +376,36 @@ def factorize_in_place_fast(
     pivot_tolerance: float = 0.0,
     count_search_steps: bool = False,
     pivot_perturbation: float = 0.0,
-):
-    """Vectorized twin of :func:`repro.numeric.factorize_in_place`.
+) -> NumericStats:
+    """Run Algorithm 2 in place on the filled CSC matrix ``As``.
 
-    See that function for the parameter contract; this one only changes
-    how fast the identical result is produced.
+    Parameters
+    ----------
+    As:
+        Filled matrix (original values + explicit zeros at fill positions).
+        Modified in place: on return the strictly-lower part holds ``L``
+        (unit diagonal implicit) and the upper part holds ``U``.
+    row_adjacency:
+        CSR view of the *same* filled pattern, used to enumerate the
+        sub-columns of each column (row ``j``'s upper entries).
+    schedule:
+        Level schedule from levelization; columns are processed level by
+        level in the given order.
+    pivot_tolerance:
+        Pivots with ``|pivot| <= pivot_tolerance`` raise
+        :class:`~repro.errors.SingularMatrixError`.
+    count_search_steps:
+        When true, also accumulate the binary-search probe count a sorted-CSC
+        kernel (Algorithm 6) would execute for each searched access.
+    pivot_perturbation:
+        When positive, a numerically zero/tiny pivot is *replaced* by
+        ``±pivot_perturbation`` (keeping the pivot's sign; ``+`` for an
+        exact zero) instead of raising — static pivot perturbation in the
+        SuperLU_DIST tradition.  Perturbed columns are recorded in
+        :attr:`NumericStats.perturbed_columns`; the caller is expected to
+        follow up with iterative refinement.  A *structurally* missing
+        pivot still raises: no perturbation fixes an absent diagonal.
     """
-    from .rightlooking import NumericStats
-
     data = As.data
     stats = NumericStats()
     plan = _plan_for(As, row_adjacency, schedule, count_search_steps)

@@ -713,9 +713,7 @@ class BatchScheduler:
                 continue
             try:
                 pre = preprocess(viable[0].a, cfg.preprocess)
-                filled = symbolic_fill_reference(
-                    pre.matrix, slow=cfg.slow_host_loops
-                )
+                filled = symbolic_fill_reference(pre.matrix)
                 t += cost.cpu_traversal_seconds(filled.nnz, host)
                 L, U = factorize_leftlooking(pre.matrix, filled)
                 # update flops bounded by column-of-L x row-of-U products

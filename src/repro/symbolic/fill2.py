@@ -10,12 +10,13 @@ Because each source row only reads the immutable input matrix, all rows can
 be processed independently — the property that makes the algorithm
 GPU-friendly and that the out-of-core scheme (Algorithm 3/4) chunks over.
 
-This module is the *faithful executable specification*: a direct, readable
-transcription used for validation and for small problems.  The production
-path derives the identical structure via the bitset row-merge in
-:mod:`repro.symbolic.reference` (same fixpoint, sequential-friendly) and the
-per-row traversal *costs* analytically in :mod:`repro.symbolic.stats`; the
-test suite proves all three agree.
+This module is the *executable specification*, used for validation and
+for small problems; its per-vertex transcription is
+:func:`repro.oracles.fill2_row`.  The production path derives the
+identical structure via the bitset row-merge in
+:mod:`repro.symbolic.reference` (same fixpoint, sequential-friendly) and
+the per-row traversal *costs* analytically in :mod:`repro.symbolic.stats`;
+the test suite proves all three agree.
 """
 
 from __future__ import annotations
@@ -56,77 +57,22 @@ class Fill2RowResult:
         return len(self.l_cols) + len(self.u_cols)
 
 
-def fill2_row(a: CSRMatrix, src: int, *, slow: bool = False) -> Fill2RowResult:
+def fill2_row(a: CSRMatrix, src: int) -> Fill2RowResult:
     """Run Algorithm 1 for row ``src`` of matrix ``a``.
 
     The ``fill`` stamp array of the paper is allocated per call here for
     clarity; the batched driver :func:`fill2_rows` reuses one stamp array
     across rows exactly like the GPU kernel reuses its per-thread-block
     scratch (the ``c x n`` buffer of §3.2).
-
-    With ``slow=True`` the original per-vertex Python traversal runs
-    instead of the vectorized per-wave expansion; both return identical
-    structure *and* identical traversal counters.
     """
-    n = a.n_rows
-    fill = np.full(n, -1, dtype=INDEX_DTYPE)
-    if slow:
-        return _fill2_row_stamped(a, src, fill)
+    fill = np.full(a.n_rows, -1, dtype=INDEX_DTYPE)
     return _fill2_row_waves(a, src, fill)
-
-
-def _fill2_row_stamped(
-    a: CSRMatrix, src: int, fill: np.ndarray
-) -> Fill2RowResult:
-    res = Fill2RowResult(src=src)
-    in_l: list[int] = []
-    in_u: list[int] = []
-
-    # lines 1-10: mark the original nonzeros of row src
-    fill[src] = src
-    cols, _ = a.row(src)
-    res.edges_scanned += len(cols)
-    for v in cols.tolist():
-        if fill[v] != src:
-            fill[v] = src
-            (in_l if v < src else in_u).append(v)
-    if fill[src] == src and src not in in_u:
-        in_u.append(src)  # diagonal treated as present
-
-    # lines 11-27: thresholds in increasing order
-    threshold = 0
-    while threshold < src:
-        if fill[threshold] != src:
-            threshold += 1
-            continue
-        frontier = [threshold]
-        res.frontier_visits += 1
-        while frontier:
-            res.max_frontier = max(res.max_frontier, len(frontier))
-            new_frontier: list[int] = []
-            for f in frontier:
-                nbrs, _ = a.row(f)
-                res.edges_scanned += len(nbrs)
-                for nb in nbrs.tolist():
-                    if fill[nb] != src:
-                        fill[nb] = src
-                        if nb > threshold:
-                            (in_l if nb < src else in_u).append(nb)
-                        else:
-                            new_frontier.append(nb)
-                            res.frontier_visits += 1
-            frontier = new_frontier
-        threshold += 1
-
-    res.l_cols = np.asarray(sorted(in_l), dtype=INDEX_DTYPE)
-    res.u_cols = np.asarray(sorted(set(in_u)), dtype=INDEX_DTYPE)
-    return res
 
 
 def _fill2_row_waves(
     a: CSRMatrix, src: int, fill: np.ndarray
 ) -> Fill2RowResult:
-    """Vectorized twin of :func:`_fill2_row_stamped`.
+    """Algorithm 1 for one row, expanded wave by wave.
 
     The threshold ordering is a true data dependence (each BFS reads the
     stamp set earlier thresholds produced) and stays sequential, driven
@@ -137,7 +83,7 @@ def _fill2_row_waves(
     expand vertex-at-a-time, where the interpreter beats NumPy's
     per-call overhead.  Wave membership and all three traversal counters
     are order-independent within a wave, so the counters match the
-    scalar path exactly.
+    per-vertex traversal (:func:`repro.oracles.fill2_row`) exactly.
     """
     res = Fill2RowResult(src=src)
     indptr, indices = a.indptr, a.indices
@@ -224,19 +170,18 @@ def _fill2_row_waves(
 
 
 def fill2_rows(
-    a: CSRMatrix, rows: np.ndarray | None = None, *, slow: bool = False
+    a: CSRMatrix, rows: np.ndarray | None = None
 ) -> list[Fill2RowResult]:
     """Run fill2 for a batch of source rows (all rows by default)."""
     if rows is None:
         rows = np.arange(a.n_rows, dtype=INDEX_DTYPE)
     fill = np.full(a.n_rows, -1, dtype=INDEX_DTYPE)
-    per_row = _fill2_row_stamped if slow else _fill2_row_waves
-    return [per_row(a, int(r), fill) for r in rows]
+    return [_fill2_row_waves(a, int(r), fill) for r in rows]
 
 
-def fill2_pattern(a: CSRMatrix, *, slow: bool = False) -> CSRMatrix:
+def fill2_pattern(a: CSRMatrix) -> CSRMatrix:
     """Full filled pattern via fill2 (values 0 at fills; tests/small inputs)."""
-    results = fill2_rows(a, slow=slow)
+    results = fill2_rows(a)
     n = a.n_rows
     counts = np.array([r.row_nnz for r in results], dtype=INDEX_DTYPE)
     indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)

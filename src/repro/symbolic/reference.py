@@ -24,28 +24,6 @@ from ..sparse import CSRMatrix
 from ..sparse.types import INDEX_DTYPE
 
 
-def _rows_as_bitsets(a: CSRMatrix) -> list[int]:
-    """Each row's column pattern as a Python int bitset (diagonal forced)."""
-    rows: list[int] = []
-    for i in range(a.n_rows):
-        cols, _ = a.row(i)
-        bits = 1 << i
-        for c in cols.tolist():
-            bits |= 1 << c
-        rows.append(bits)
-    return rows
-
-
-def _bitset_to_indices(bits: int) -> np.ndarray:
-    """Set-bit positions of ``bits`` in increasing order (scalar oracle)."""
-    out = []
-    while bits:
-        lsb = bits & -bits
-        out.append(lsb.bit_length() - 1)
-        bits ^= lsb
-    return np.asarray(out, dtype=INDEX_DTYPE)
-
-
 def _bitsets_to_bitmap(bitrows: list[int], n: int) -> np.ndarray:
     """Stack bitsets into an ``(len(bitrows), n)`` 0/1 ``uint8`` matrix."""
     width = (n + 7) // 8 if n else 1
@@ -83,21 +61,12 @@ def symbolic_fill_bitsets(a: CSRMatrix) -> list[int]:
     return filled
 
 
-def _row_bits(a: CSRMatrix, i: int) -> int:
-    cols, _ = a.row(i)
-    bits = 0
-    for c in cols.tolist():
-        bits |= 1 << c
-    return bits
-
-
 def _all_row_bits(a: CSRMatrix) -> list[int]:
     """Every row's column pattern as an int bitset, built in bulk.
 
     One scatter of ``1 << (col % 8)`` into a packed ``(rows, bytes)``
-    byte map replaces the per-entry Python shift-or loop of
-    :func:`_row_bits`; the bigints are then sliced straight out of the
-    buffer.
+    byte map replaces a per-entry Python shift-or loop; the bigints are
+    then sliced straight out of the buffer.
     """
     width = (a.n_cols + 7) // 8 if a.n_cols else 1
     packed = np.zeros((a.n_rows, width), dtype=np.uint8)
@@ -130,7 +99,7 @@ def _pattern_key(a: CSRMatrix) -> bytes:
     return h.digest()
 
 
-def symbolic_fill_reference(a: CSRMatrix, *, slow: bool = False) -> CSRMatrix:
+def symbolic_fill_reference(a: CSRMatrix) -> CSRMatrix:
     """Filled pattern ``As`` of ``L + U`` as a CSR matrix.
 
     Values carry over from ``A`` where the position was original and are 0
@@ -138,11 +107,9 @@ def symbolic_fill_reference(a: CSRMatrix, *, slow: bool = False) -> CSRMatrix:
     state).  A structurally-missing diagonal is inserted with value 0.
     The (pattern-only) fill structure is memoized on the pattern hash.
 
-    With ``slow=True`` the materialization runs the original per-row
-    bit-walk and scatter; the default unpacks all bitsets into one 0/1
-    bitmap and places every original value with a single batched binary
-    search over the sorted global keys ``row * n + col``.  Both produce
-    identical arrays.
+    All bitsets unpack into one 0/1 bitmap, and every original value is
+    placed with a single batched binary search over the sorted global
+    keys ``row * n + col``.
     """
     if a.n_rows != a.n_cols:
         raise ValueError("symbolic factorization requires a square matrix")
@@ -155,20 +122,6 @@ def symbolic_fill_reference(a: CSRMatrix, *, slow: bool = False) -> CSRMatrix:
             _FILL_CACHE.pop(next(iter(_FILL_CACHE)))
         _FILL_CACHE[key] = bitrows
     indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
-    if slow:
-        counts = np.array([b.bit_count() for b in bitrows], dtype=INDEX_DTYPE)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=INDEX_DTYPE)
-        data = np.zeros(int(indptr[-1]), dtype=a.data.dtype)
-        for i in range(n):
-            cols_filled = _bitset_to_indices(bitrows[i])
-            s = int(indptr[i])
-            indices[s : s + len(cols_filled)] = cols_filled
-            # scatter original values into the filled row
-            orig_cols, orig_vals = a.row(i)
-            pos = np.searchsorted(cols_filled, orig_cols)
-            data[s + pos] = orig_vals
-        return CSRMatrix(n, n, indptr, indices, data, check=False)
     bitmap = _bitsets_to_bitmap(bitrows, n)
     np.cumsum(bitmap.sum(axis=1, dtype=INDEX_DTYPE), out=indptr[1:])
     # row-major flat positions of the filled pattern, globally sorted —

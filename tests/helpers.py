@@ -4,7 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import oracles
 from repro.sparse import COOMatrix
+
+
+def use_oracles(monkeypatch) -> None:
+    """Run the default pipeline through the scalar loops of
+    :mod:`repro.oracles` by rebinding each call site's name."""
+    for module, name in (
+        ("repro.core.outofcore", "symbolic_fill_reference"),
+        ("repro.core.levelize_gpu", "kahn_levels"),
+        ("repro.core.numeric_gpu", "factorize_in_place"),
+    ):
+        monkeypatch.setattr(f"{module}.{name}", getattr(oracles, name))
 
 
 def random_dense(n: int, density: float, seed: int, *, dominant: bool = True

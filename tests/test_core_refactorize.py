@@ -101,6 +101,31 @@ class TestAnalyze:
         with pytest.raises(SparseFormatError):
             an.refactorize(grown)
 
+    def test_filled_row_missing_its_last_entry_is_refused(self, pattern):
+        """An original entry past the last column of its filled row is a
+        typed error, not an ``IndexError`` (and survives ``python -O``)."""
+        an = analyze(pattern, cfg())
+        src, filled = an.pre.matrix, an.filled
+        last = filled.indptr[1:] - 1
+        # a row whose last filled entry is an original one
+        row = next(
+            i for i in range(src.n_rows)
+            if filled.indices[last[i]] == src.row(i)[0].max()
+        )
+        keep = np.ones(filled.nnz, dtype=bool)
+        keep[last[row]] = False
+        indptr = filled.indptr.copy()
+        indptr[row + 1 :] -= 1
+        broken = CSRMatrix(
+            filled.n_rows, filled.n_cols, indptr,
+            filled.indices[keep], filled.data[keep],
+        )
+        with pytest.raises(SparseFormatError):
+            type(an)(
+                an.gpu, an.config, an.pre, broken, an.graph, an.schedule,
+                an.analysis_seconds,
+            )
+
 
 class TestAnalysisFootprint:
     """The nbytes accounting the serving cache budgets against."""

@@ -4,12 +4,12 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro import oracles
 from repro.errors import CycleError
 from repro.graph import (
     DependencyGraph,
     build_dependency_graph,
     kahn_levels,
-    levelize_cpu,
     sub_column_counts,
 )
 from repro.sparse import CSRMatrix
@@ -81,7 +81,7 @@ class TestLevelizers:
         filled = symbolic_fill_reference(CSRMatrix.from_dense(d))
         g = build_dependency_graph(filled)
         np.testing.assert_array_equal(
-            levelize_cpu(g).level_of, kahn_levels(g).level_of
+            oracles.levelize_cpu(g).level_of, kahn_levels(g).level_of
         )
 
     @pytest.mark.parametrize("seed", range(6))

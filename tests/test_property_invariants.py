@@ -3,8 +3,9 @@
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from repro import oracles
 from repro.gpusim import TimeLedger
-from repro.graph import build_dependency_graph, kahn_levels, levelize_cpu
+from repro.graph import build_dependency_graph, kahn_levels
 from repro.preprocess import (
     maximum_matching,
     rcm_ordering,
@@ -68,7 +69,7 @@ def test_levelizers_always_agree_and_validate(a):
     filled = symbolic_fill_reference(a)
     g = build_dependency_graph(filled)
     k = kahn_levels(g)
-    c = levelize_cpu(g)
+    c = oracles.levelize_cpu(g)
     np.testing.assert_array_equal(k.level_of, c.level_of)
     k.validate_against(g)
     # levels partition the columns

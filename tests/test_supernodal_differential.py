@@ -16,6 +16,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from helpers import use_oracles
 
 from repro.core import EndToEndLU, SolverConfig, analyze
 from repro.core.numeric_gpu import numeric_factorize_gpu
@@ -68,23 +69,25 @@ def _assert_same_factors(res, ref, where: str) -> None:
 @pytest.mark.parametrize(
     "spec", _registry_specs(), ids=lambda s: s.abbr
 )
-def test_factors_bitwise_identical_across_paths(spec):
-    """Registry sweep: {supernodal on/off} x {slow/fast host loops} all
-    produce the same bits; only launches and simulated seconds move."""
+def test_factors_bitwise_identical_across_paths(spec, monkeypatch):
+    """Registry sweep: {supernodal on/off} x {scalar oracle / production
+    host loops} all produce the same bits; only launches and simulated
+    seconds move."""
     a = dataclasses.replace(spec, n_scaled=_N).generate()
     ref = EndToEndLU(SolverConfig(supernodal=False)).factorize(a)
     runs = {}
     for slow in (False, True):
-        for supernodal in (False, True):
-            cfg = SolverConfig(
-                supernodal=supernodal, slow_host_loops=slow
-            )
-            res = EndToEndLU(cfg).factorize(a)
-            where = f"{spec.abbr} slow={slow} supernodal={supernodal}"
-            _assert_same_factors(res, ref, where)
-            expected = "supernodal" if supernodal else "per-column"
-            assert res.numeric.numeric_path == expected, where
-            runs[(slow, supernodal)] = res
+        with monkeypatch.context() as m:
+            if slow:
+                use_oracles(m)
+            for supernodal in (False, True):
+                cfg = SolverConfig(supernodal=supernodal)
+                res = EndToEndLU(cfg).factorize(a)
+                where = f"{spec.abbr} slow={slow} supernodal={supernodal}"
+                _assert_same_factors(res, ref, where)
+                expected = "supernodal" if supernodal else "per-column"
+                assert res.numeric.numeric_path == expected, where
+                runs[(slow, supernodal)] = res
 
     # the host-loop knob must not leak into the *performance* record
     # either: same panel partition, same launch counts per path

@@ -6,26 +6,29 @@ right-looking numeric kernel and its cached structure plan) may only
 change wall-clock, never a result.  For every workload in the registry
 this harness asserts bitwise-identical factors, identical level
 schedules, identical traversal counters and identical simulated-time
-charges between ``slow=True`` (the readable per-element loops) and the
-default fast paths — including the error and pivot-perturbation
+charges between the readable per-element loops in :mod:`repro.oracles`
+and the production paths — including the error and pivot-perturbation
 branches.  The wall-clock budget checker that CI layers on top is unit
 tested at the bottom.
 """
 
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import use_oracles
 
-from repro.core import EndToEndLU, SolverConfig
+import repro
+from repro import oracles
+from repro.core import EndToEndLU
 from repro.core.refactorize import analyze
 from repro.errors import SingularMatrixError, SparseFormatError
 from repro.graph.depgraph import build_dependency_graph
-from repro.graph.levelize import kahn_levels, levelize_cpu
-from repro.numeric import vectorized
-from repro.numeric.rightlooking import factorize_in_place
-from repro.numeric.vectorized import factorize_in_place_fast
+from repro.graph.levelize import kahn_levels
+from repro.numeric import factorize_in_place, vectorized
 from repro.perf.wallclock import (
     evaluate,
     load_budget_seconds,
@@ -80,36 +83,44 @@ def _schedules_equal(a, b) -> bool:
 @pytest.mark.parametrize("spec", _registry_specs(), ids=lambda s: s.abbr)
 def test_fill2_structure_and_counters_identical(spec):
     a = _generate(spec)
-    slow = fill2_rows(a, slow=True)
-    fast = fill2_rows(a, slow=False)
+    slow = oracles.fill2_rows(a)
+    fast = fill2_rows(a)
     assert [_fill2_tuple(r) for r in slow] == [
         _fill2_tuple(r) for r in fast
     ]
+    assert _fill2_tuple(oracles.fill2_row(a, 7)) == _fill2_tuple(fast[7])
+
+
+@pytest.mark.parametrize("spec", _registry_specs(), ids=lambda s: s.abbr)
+def test_filled_pattern_identical(spec):
+    a = _generate(spec)
+    slow = oracles.symbolic_fill_reference(a)
+    fast = symbolic_fill_reference(a)
+    assert np.array_equal(slow.indptr, fast.indptr)
+    assert np.array_equal(slow.indices, fast.indices)
+    assert np.array_equal(slow.data, fast.data)
 
 
 @pytest.mark.parametrize("spec", _registry_specs(), ids=lambda s: s.abbr)
 def test_levelization_identical(spec):
     graph = build_dependency_graph(symbolic_fill_reference(_generate(spec)))
-    assert _schedules_equal(
-        levelize_cpu(graph, slow=True), levelize_cpu(graph, slow=False)
-    )
-    assert _schedules_equal(
-        kahn_levels(graph, slow=True), kahn_levels(graph, slow=False)
-    )
+    fast = kahn_levels(graph)
+    assert _schedules_equal(oracles.kahn_levels(graph), fast)
+    assert _schedules_equal(oracles.levelize_cpu(graph), fast)
 
 
 @pytest.mark.parametrize("spec", _registry_specs(), ids=lambda s: s.abbr)
 def test_numeric_factors_bitwise_and_stats_identical(spec):
     filled = symbolic_fill_reference(_generate(spec))
-    sched = levelize_cpu(build_dependency_graph(filled))
+    sched = kahn_levels(build_dependency_graph(filled))
     for kwargs in (
         {},
         {"count_search_steps": True},
         {"pivot_tolerance": 1e-30, "count_search_steps": True},
     ):
         ref, fast = filled.to_csc(), filled.to_csc()
-        s_ref = factorize_in_place(ref, filled, sched, **kwargs)
-        s_fast = factorize_in_place_fast(fast, filled, sched, **kwargs)
+        s_ref = oracles.factorize_in_place(ref, filled, sched, **kwargs)
+        s_fast = factorize_in_place(fast, filled, sched, **kwargs)
         assert np.array_equal(ref.data, fast.data)  # bitwise
         assert _stats_tuple(s_ref) == _stats_tuple(s_fast)
 
@@ -129,14 +140,12 @@ def test_windowed_position_map_bitwise_and_bounded(spec, monkeypatch):
 
     monkeypatch.setattr(vectorized, "_PositionMap", _Recorded)
     filled = symbolic_fill_reference(_generate(spec))
-    sched = levelize_cpu(build_dependency_graph(filled))
+    sched = kahn_levels(build_dependency_graph(filled))
     ref, fast = filled.to_csc(), filled.to_csc()
-    s_ref = factorize_in_place(
-        ref, filled, sched, count_search_steps=True, slow=True
+    s_ref = oracles.factorize_in_place(
+        ref, filled, sched, count_search_steps=True
     )
-    s_fast = factorize_in_place_fast(
-        fast, filled, sched, count_search_steps=True
-    )
+    s_fast = factorize_in_place(fast, filled, sched, count_search_steps=True)
     assert np.array_equal(ref.data, fast.data)  # bitwise
     assert _stats_tuple(s_ref) == _stats_tuple(s_fast)
     assert maps and all(
@@ -151,9 +160,9 @@ def test_windowed_position_map_bitwise_and_bounded(spec, monkeypatch):
 def _both_paths(dense, dtype=np.float64, **kwargs):
     a = CSRMatrix.from_dense(np.asarray(dense, dtype=dtype))
     filled = symbolic_fill_reference(a)
-    sched = levelize_cpu(build_dependency_graph(filled))
+    sched = kahn_levels(build_dependency_graph(filled))
     out = []
-    for fn in (factorize_in_place, factorize_in_place_fast):
+    for fn in (oracles.factorize_in_place, factorize_in_place):
         As = filled.to_csc()
         if As.data.dtype != dtype:
             As = As.astype(dtype)
@@ -233,12 +242,16 @@ def _arrow_fill_without(row, col):
 
 
 @pytest.mark.parametrize(
-    "slow, map_cap",
-    [(True, None), (False, None), (False, 5)],
+    "factorize, map_cap",
+    [
+        (oracles.factorize_in_place, None),
+        (factorize_in_place, None),
+        (factorize_in_place, 5),
+    ],
     ids=["oracle", "fast", "fast-one-column-windows"],
 )
 def test_missing_fill_entry_raises_sparse_format_error(
-    slow, map_cap, monkeypatch
+    factorize, map_cap, monkeypatch
 ):
     # column 0 updates every row of column 3, including the dropped fill;
     # with one-column windows, row 4's slot last held (4, 2), so a map
@@ -246,19 +259,23 @@ def test_missing_fill_entry_raises_sparse_format_error(
     if map_cap is not None:
         monkeypatch.setattr(vectorized, "_MAX_MAP_ENTRIES", map_cap)
     _, broken = _arrow_fill_without(4, 3)
-    sched = levelize_cpu(build_dependency_graph(broken))
+    sched = kahn_levels(build_dependency_graph(broken))
     with pytest.raises(SparseFormatError, match="fill positions missing"):
-        factorize_in_place(broken.to_csc(), broken, sched, slow=slow)
+        factorize(broken.to_csc(), broken, sched)
 
 
-@pytest.mark.parametrize("slow", [True, False], ids=["oracle", "fast"])
-def test_missing_u_entry_raises_sparse_format_error(slow):
+@pytest.mark.parametrize(
+    "factorize",
+    [oracles.factorize_in_place, factorize_in_place],
+    ids=["oracle", "fast"],
+)
+def test_missing_u_entry_raises_sparse_format_error(factorize):
     # the row adjacency still lists multiplier (0, 3), which the CSC
     # lacks; (0, 3) is no update's target, so only this check can fire
     filled, broken = _arrow_fill_without(0, 3)
-    sched = levelize_cpu(build_dependency_graph(filled))
+    sched = kahn_levels(build_dependency_graph(filled))
     with pytest.raises(SparseFormatError, match="missing (a )?U entry"):
-        factorize_in_place(broken.to_csc(), filled, sched, slow=slow)
+        factorize(broken.to_csc(), filled, sched)
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +283,14 @@ def test_missing_u_entry_raises_sparse_format_error(slow):
 
 
 @pytest.mark.parametrize("abbr", ["OT2", "HT20"])
-def test_pipeline_slow_host_loops_invariant(abbr):
+def test_pipeline_slow_host_loops_invariant(abbr, monkeypatch):
     from repro.workloads.registry import by_abbr
 
     a = dataclasses.replace(by_abbr(abbr), n_scaled=_N).generate()
-    results = {
-        slow: EndToEndLU(SolverConfig(slow_host_loops=slow)).factorize(a)
-        for slow in (False, True)
-    }
-    fast, slow = results[False], results[True]
+    fast = EndToEndLU().factorize(a)
+    with monkeypatch.context() as m:
+        use_oracles(m)
+        slow = EndToEndLU().factorize(a)
     assert np.array_equal(fast.numeric.As.data, slow.numeric.As.data)
     assert fast.perf_record() == slow.perf_record()
     assert (
@@ -282,11 +298,31 @@ def test_pipeline_slow_host_loops_invariant(abbr):
     )
 
 
-def test_slow_host_loops_env_flips_default(monkeypatch):
-    monkeypatch.setenv("REPRO_SLOW_HOST_LOOPS", "1")
-    assert SolverConfig().slow_host_loops
-    monkeypatch.setenv("REPRO_SLOW_HOST_LOOPS", "0")
-    assert not SolverConfig().slow_host_loops
+def _imported_modules(path: Path, package: str):
+    """Absolute names of every module ``path`` imports."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                parts = parts[: len(parts) - node.level + 1]
+                base = ".".join([*parts, base] if base else parts)
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_no_production_module_imports_the_oracles():
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in root.rglob("*.py"):
+        if path == root / "oracles.py":
+            continue
+        package = ".".join(path.relative_to(root.parent).parent.parts)
+        if "repro.oracles" in set(_imported_modules(path, package)):
+            offenders.append(str(path.relative_to(root)))
+    assert not offenders
 
 
 def test_refactorize_reuses_numeric_plan():
