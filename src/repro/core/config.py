@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import ClassVar, Literal
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..gpusim import CostModel, DEFAULT_COST_MODEL, DeviceSpec, HostSpec, V100, XEON_E5_2680
+from ..gpusim import (
+    CostModel,
+    DEFAULT_COST_MODEL,
+    DeviceSpec,
+    HostSpec,
+    V100,
+    XEON_E5_2680,
+)
 from ..preprocess import PreprocessOptions
 from .resilient import ResilienceConfig
 
@@ -23,12 +30,15 @@ SCRATCH_ARRAYS_PER_ROW = 6
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """All knobs of the end-to-end solver.
+    """The knobs of the end-to-end solver that some caller sets.
 
-    Defaults reproduce the paper's primary configuration: explicit
-    out-of-core symbolic factorization with dynamic parallelism assignment,
-    GPU levelization via device-launched Kahn, and automatic dense/CSC
-    format selection for numeric factorization (§3.4's threshold).
+    A field exists only while a caller outside the tests sets it to a
+    non-default value; a choice that every caller leaves at one value is
+    a constant of the code instead.  Defaults reproduce the paper's
+    primary configuration: explicit out-of-core symbolic factorization
+    with dynamic parallelism assignment, GPU levelization via
+    device-launched Kahn (Alg. 5), and automatic dense/CSC format
+    selection for numeric factorization (§3.4's threshold).
     """
 
     device: DeviceSpec = V100
@@ -54,27 +64,17 @@ class SolverConfig:
     #: the multi-GPU solver uses.  Off by default: the per-column path is
     #: the paper's configuration.
     supernodal: bool = False
-    #: relaxed-amalgamation padding budget: explicit zeros a member
-    #: column may gain when stored at its panel's dense shape (0 = strict
-    #: supernodes only, the classic criterion)
-    supernode_relax: int = 0
-    #: panel width cap (bounds the dense diagonal block a panel stores)
-    supernode_max_panel: int = 32
-    #: device-side levelization (Alg. 5) vs host-launched / CPU fallbacks
-    levelize_on_gpu: bool = True
-    levelize_dynamic_parallelism: bool = True
-    #: GLU 3.0-style relaxed dependency detection: prune edges implied by
-    #: longer paths before the GPU levelization waves (levels provably
-    #: unchanged; see repro.graph.sparsify)
-    prune_dependency_edges: bool = False
 
     #: value dtype for device *sizing* (paper evaluates with float32)
     value_dtype: np.dtype = field(default_factory=lambda: np.dtype(np.float32))
     #: dtype the numeric kernels compute in.  float64 by default so factors
     #: verify to machine precision; set float32 to reproduce the paper's
     #: arithmetic (pair with iterative refinement to recover accuracy).
-    compute_dtype: np.dtype = field(default_factory=lambda: np.dtype(np.float64))
-    index_bytes: int = 4  # device-side index width
+    compute_dtype: np.dtype = field(
+        default_factory=lambda: np.dtype(np.float64)
+    )
+    #: device-side index width (a constant, not a constructor argument)
+    index_bytes: ClassVar[int] = 4
 
     pivot_tolerance: float = 0.0
     preprocess: PreprocessOptions = field(default_factory=PreprocessOptions)
@@ -89,20 +89,10 @@ class SolverConfig:
     #: bitwise-identical to the serial schedule; only simulated seconds
     #: shrink.  ``False`` keeps the historical serial charging.
     overlap: bool = False
-    #: compute streams the chunk pipeline deals kernels over (chunk
-    #: kernels co-run when their combined block demand fits the device)
-    overlap_compute_lanes: int = 2
-    #: pinned-host staging buffers bounding how many chunk uploads may
-    #: be in flight ahead of their kernels
-    overlap_staging_buffers: int = 2
 
     def __post_init__(self) -> None:
         if not (0.0 < self.split_fraction <= 1.0):
             raise ConfigurationError("split_fraction must be in (0, 1]")
-        if self.overlap_compute_lanes < 1:
-            raise ConfigurationError("overlap_compute_lanes must be >= 1")
-        if self.overlap_staging_buffers < 1:
-            raise ConfigurationError("overlap_staging_buffers must be >= 1")
         if self.symbolic_mode not in ("outofcore", "unified", "incore"):
             raise ConfigurationError(
                 f"unknown symbolic_mode {self.symbolic_mode!r}"
@@ -111,10 +101,6 @@ class SolverConfig:
             raise ConfigurationError(
                 f"unknown numeric_format {self.numeric_format!r}"
             )
-        if self.supernode_relax < 0:
-            raise ConfigurationError("supernode_relax must be >= 0")
-        if self.supernode_max_panel < 1:
-            raise ConfigurationError("supernode_max_panel must be >= 1")
 
     @property
     def value_bytes(self) -> int:
@@ -126,13 +112,6 @@ class SolverConfig:
         if n <= 0:
             raise ConfigurationError("n must be positive")
         return max(0, free_bytes // (n * self.value_bytes))
-
-    def should_use_csc(self, n: int, free_bytes: int) -> bool:
-        """§3.4's switch rule: use sorted CSC when
-        ``n > L / (TB_max x sizeof(dtype))`` i.e. ``M < TB_max``."""
-        return self.dense_parallel_columns(n, free_bytes) < (
-            self.device.max_concurrent_blocks
-        )
 
     def scratch_bytes_per_row(self, n: int) -> int:
         """§3.2: ``c x n`` scratch per in-flight source row."""

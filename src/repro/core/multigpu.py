@@ -72,11 +72,7 @@ from ..symbolic import (
     traversal_edges_per_row,
 )
 from .config import SolverConfig
-from .levelize_gpu import (
-    levelize_cpu_serial,
-    levelize_gpu_dynamic,
-    levelize_gpu_hostlaunch,
-)
+from .levelize_gpu import levelize_gpu_dynamic
 from .numeric_gpu import WARP_TEAMS_PER_BLOCK, choose_format
 
 __all__ = [
@@ -597,12 +593,7 @@ def multi_gpu_endtoend(
     n = work.n_rows
     filled = symbolic_fill_reference(work)
     graph = build_dependency_graph(filled)
-    lev_graph = graph
-    if config.prune_dependency_edges:
-        from ..graph import sparsify_for_levels
-
-        lev_graph, _ = sparsify_for_levels(graph)
-    schedule = kahn_levels(lev_graph)
+    schedule = kahn_levels(graph)
     owner = _cyclic_level_owner(schedule, d_count)
 
     As = filled.to_csc()
@@ -626,12 +617,7 @@ def multi_gpu_endtoend(
             edges=edges, frontier=frontier, fill_count=fill_count,
             avg_degree=avg_degree, config=config, ship_to_host=False,
         )
-        if not config.levelize_on_gpu:
-            levelize_cpu_serial(gpu, lev_graph)
-        elif config.levelize_dynamic_parallelism:
-            levelize_gpu_dynamic(gpu, lev_graph)
-        else:
-            levelize_gpu_hostlaunch(gpu, lev_graph)
+        levelize_gpu_dynamic(gpu, graph)
         gpus.append(gpu)
         residents.append({"graph": graph_bufs, "rows": out_buf})
 

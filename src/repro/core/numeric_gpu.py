@@ -333,8 +333,6 @@ def numeric_factorize_gpu(
         plan = supernodal_plan_for(
             filled,
             schedule,
-            relax=config.supernode_relax,
-            max_panel=config.supernode_max_panel,
             tile_elems=config.cost_model.panel_tile_elems,
             gpu=gpu,
         )

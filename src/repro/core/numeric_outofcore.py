@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gpusim import GPU
-from ..graph import LevelSchedule, sub_column_counts
+from ..graph import LevelSchedule
 from ..sparse import CSRMatrix
 from ..sparse.types import INDEX_DTYPE
 from ..streams import StreamedGPU
@@ -183,12 +183,10 @@ def numeric_factorize_outofcore(
             count_search_steps=True,
         )
 
-        sub_cols = sub_column_counts(filled)
-        tags = schedule.classify_levels(sub_cols)
         seg_of = np.arange(n, dtype=INDEX_DTYPE) // segment_columns
 
-        for (flops, cols, updates, search), tag, level in zip(
-            stats.per_level, tags, schedule.levels
+        for (flops, cols, updates, search), level in zip(
+            stats.per_level, schedule.levels
         ):
             if cols == 0:
                 continue

@@ -328,12 +328,7 @@ def outofcore_symbolic(
         # copy engine while the next chunk's kernel runs, so the
         # per-chunk downloads disappear under compute.
         pipe = (
-            DoubleBufferedPipeline(
-                gpu,
-                compute_lanes=config.overlap_compute_lanes,
-                staging_buffers=config.overlap_staging_buffers,
-                name="sym2",
-            )
+            DoubleBufferedPipeline(gpu, name="sym2")
             if config.overlap and isinstance(gpu, StreamedGPU)
             else None
         )

@@ -24,12 +24,7 @@ from ..sparse import CSCMatrix, CSRMatrix
 from ..streams import StreamedGPU
 from .config import SolverConfig
 from .resilient import RecoveryReport, ResilientGPU, recovery_log_of
-from .levelize_gpu import (
-    LevelizeResult,
-    levelize_cpu_serial,
-    levelize_gpu_dynamic,
-    levelize_gpu_hostlaunch,
-)
+from .levelize_gpu import LevelizeResult, levelize_gpu_dynamic
 from .numeric_gpu import NumericResult, numeric_factorize_gpu
 from .outofcore import SymbolicResult, outofcore_symbolic
 
@@ -270,17 +265,7 @@ class EndToEndLU:
 
         # -- levelization -----------------------------------------------------
         graph = build_dependency_graph(sym.filled)
-        lev_graph = graph
-        if cfg.prune_dependency_edges:
-            from ..graph import sparsify_for_levels
-
-            lev_graph, _ = sparsify_for_levels(graph)
-        if not cfg.levelize_on_gpu:
-            lev = levelize_cpu_serial(gpu, lev_graph)
-        elif cfg.levelize_dynamic_parallelism:
-            lev = levelize_gpu_dynamic(gpu, lev_graph)
-        else:
-            lev = levelize_gpu_hostlaunch(gpu, lev_graph)
+        lev = levelize_gpu_dynamic(gpu, graph)
 
         # -- numeric -----------------------------------------------------------
         if (

@@ -218,8 +218,6 @@ def analyze(a: CSRMatrix, config: SolverConfig | None = None,
         supernodal_plan_for(
             sym.filled,
             lev.schedule,
-            relax=cfg.supernode_relax,
-            max_panel=cfg.supernode_max_panel,
             tile_elems=cfg.cost_model.panel_tile_elems,
             gpu=gpu,
         )

@@ -91,7 +91,6 @@ def solve_gpu(
     cfg = config or SolverConfig()
     ledger = gpu.ledger
     t0 = ledger.total_seconds
-    dp = cfg.levelize_dynamic_parallelism
 
     with ledger.phase("solve"):
         if l_schedule is None:
@@ -117,7 +116,7 @@ def solve_gpu(
                 gpu.launch_numeric(
                     max(1, flops),
                     blocks=max(1, len(level)),
-                    from_device=dp,
+                    from_device=True,
                 )
         gpu.d2h(len(x) * val)
 

@@ -1,4 +1,6 @@
-"""SolverConfig: validation and the §3.4 format rule arithmetic."""
+"""SolverConfig: validation, the field census and the §3.4 arithmetic."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -28,6 +30,37 @@ class TestValidation:
             SolverConfig(numeric_format="coo")
 
 
+#: every field some caller outside the tests sets (or, for the last four,
+#: a numerics choice); a new knob must earn its place in this set
+RETAINED_FIELDS = {
+    "device", "host", "cost_model",
+    "symbolic_mode", "dynamic_assignment", "split_fraction", "um_prefetch",
+    "numeric_format", "supernodal", "value_dtype", "overlap",
+    "compute_dtype", "pivot_tolerance", "preprocess", "resilience",
+}
+
+#: knobs that only changed simulated charges and that no caller set
+REMOVED_FIELDS = (
+    "levelize_on_gpu", "levelize_dynamic_parallelism",
+    "prune_dependency_edges", "supernode_relax", "supernode_max_panel",
+    "overlap_compute_lanes", "overlap_staging_buffers", "index_bytes",
+)
+
+
+class TestFieldCensus:
+    def test_exactly_the_retained_fields(self):
+        names = {f.name for f in dataclasses.fields(SolverConfig)}
+        assert names == RETAINED_FIELDS
+
+    @pytest.mark.parametrize("name", REMOVED_FIELDS)
+    def test_removed_field_is_not_a_constructor_argument(self, name):
+        with pytest.raises(TypeError):
+            SolverConfig(**{name: 1})
+
+    def test_index_width_is_a_constant(self):
+        assert SolverConfig().index_bytes == 4
+
+
 class TestFormatRule:
     def test_dense_parallel_columns_formula(self):
         """M = L / (n x sizeof(dtype)) — §3.4."""
@@ -43,15 +76,6 @@ class TestFormatRule:
                      (18_318_143, 109), (19_458_087, 102)):
             free = m * n * 4
             assert cfg.dense_parallel_columns(n, free) == m
-            assert cfg.should_use_csc(n, free)  # all below TB_max = 160
-
-    def test_should_use_csc_threshold(self):
-        cfg = SolverConfig()
-        tb = cfg.device.max_concurrent_blocks
-        n = 1000
-        at_threshold = tb * n * cfg.value_bytes
-        assert not cfg.should_use_csc(n, at_threshold)
-        assert cfg.should_use_csc(n, at_threshold - 1)
 
     def test_invalid_n(self):
         with pytest.raises(ConfigurationError):

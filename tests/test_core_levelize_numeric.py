@@ -85,6 +85,11 @@ class TestChooseFormat:
         roomy = make_gpu(64 << 20)
         fmt, cap = choose_format(roomy, 1000, cfg)
         assert fmt == "dense"
+        # the exact switch point: free bytes = TB_max x n x sizeof(dtype)
+        n = 1000
+        at = roomy.spec.max_concurrent_blocks * n * cfg.value_bytes
+        assert choose_format(make_gpu(at), n, cfg)[0] == "dense"
+        assert choose_format(make_gpu(at - 1), n, cfg)[0] == "csc"
 
     def test_dense_cap_below_tbmax(self):
         gpu = make_gpu(100 * 1000 * 4)  # exactly M=100 for n=1000

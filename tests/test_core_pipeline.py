@@ -92,14 +92,6 @@ class TestModesAgree:
         c = factorize(matrix, small_config(numeric_format="csc"))
         assert d.L.allclose(c.L) and d.U.allclose(c.U)
 
-    def test_levelize_variants_same_factors(self, matrix):
-        a = factorize(matrix, small_config(levelize_on_gpu=False))
-        b = factorize(
-            matrix, small_config(levelize_dynamic_parallelism=False)
-        )
-        c = factorize(matrix, small_config())
-        assert a.L.allclose(b.L) and b.L.allclose(c.L)
-
     def test_naive_vs_dynamic_assignment_same_factors(self, matrix):
         a = factorize(matrix, small_config(dynamic_assignment=False))
         b = factorize(matrix, small_config(dynamic_assignment=True))

@@ -29,15 +29,14 @@ CONFIG_GRID = list(itertools.product(
     ("outofcore", "unified"),          # symbolic_mode
     ("auto", "dense", "csc"),          # numeric_format
     (True, False),                     # dynamic_assignment
-    (True, False),                     # prune_dependency_edges
 ))
 
 
 @pytest.mark.parametrize(
-    "symbolic_mode,numeric_format,dynamic,prune", CONFIG_GRID
+    "symbolic_mode,numeric_format,dynamic", CONFIG_GRID
 )
 def test_config_grid_same_factors(
-    matrix, reference, symbolic_mode, numeric_format, dynamic, prune
+    matrix, reference, symbolic_mode, numeric_format, dynamic
 ):
     cfg = SolverConfig(
         device=scaled_device(MEM),
@@ -45,7 +44,6 @@ def test_config_grid_same_factors(
         symbolic_mode=symbolic_mode,
         numeric_format=numeric_format,
         dynamic_assignment=dynamic,
-        prune_dependency_edges=prune,
     )
     res = factorize(matrix, cfg)
     assert res.L.allclose(reference.L)
@@ -53,18 +51,6 @@ def test_config_grid_same_factors(
     b = np.ones(matrix.n_rows)
     assert residual_norm(matrix, res.solve(b), b) < 1e-10
     assert res.gpu.pool.live_bytes == 0
-
-
-def test_levelize_grid_same_factors(matrix, reference):
-    for on_gpu, dp in ((True, True), (True, False), (False, True)):
-        cfg = SolverConfig(
-            device=scaled_device(MEM),
-            host=scaled_host(8 * MEM),
-            levelize_on_gpu=on_gpu,
-            levelize_dynamic_parallelism=dp,
-        )
-        res = factorize(matrix, cfg)
-        assert res.L.allclose(reference.L)
 
 
 def test_memory_grid_same_factors(matrix, reference):

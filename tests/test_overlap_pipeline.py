@@ -131,14 +131,6 @@ class TestOverlapWithFaults:
 
 
 class TestConfigKnobs:
-    def test_overlap_knob_validation(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            SolverConfig(overlap_compute_lanes=0)
-        with pytest.raises(ConfigurationError):
-            SolverConfig(overlap_staging_buffers=0)
-
     def test_pipeline_wraps_device_only_when_asked(self):
         a, base = _config("OT2", 120)
         off = EndToEndLU(base).factorize(a)

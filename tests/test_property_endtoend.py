@@ -82,7 +82,6 @@ def test_all_modes_agree_on_factors(n, density, seed):
         dict(symbolic_mode="unified"),
         dict(numeric_format="csc"),
         dict(dynamic_assignment=False),
-        dict(levelize_on_gpu=False),
     ):
         other = factorize(a, cfg(**overrides))
         assert base.L.allclose(other.L)

@@ -123,26 +123,3 @@ class TestDtypeAblation:
         res = run_sparsify_ablation(by_abbr("OT2"))
         assert res.edge_reduction > 0.5
         assert res.speedup > 1.0
-
-
-class TestPruningInPipeline:
-    def test_pruned_pipeline_same_factors_faster_levelize(self):
-        from repro import SolverConfig, factorize
-        from repro.gpusim import scaled_device, scaled_host
-
-        a = circuit_like(250, 8.0, seed=133)
-        mem = 8 << 20
-        base_cfg = SolverConfig(device=scaled_device(mem),
-                                host=scaled_host(8 * mem))
-        pruned_cfg = SolverConfig(device=scaled_device(mem),
-                                  host=scaled_host(8 * mem),
-                                  prune_dependency_edges=True)
-        base = factorize(a, base_cfg)
-        pruned = factorize(a, pruned_cfg)
-        assert base.L.allclose(pruned.L)
-        assert base.U.allclose(pruned.U)
-        np.testing.assert_array_equal(
-            base.schedule.level_of, pruned.schedule.level_of
-        )
-        assert (pruned.breakdown().levelize
-                <= base.breakdown().levelize)
