@@ -64,7 +64,7 @@ def gsofa_count_symbolic(
         ]
         gpu.h2d((n + 1) * idx + a.nnz * (idx + val))
 
-        plans, _ = plan_chunks(gpu, a, config, dynamic=False)
+        plans, _ = plan_chunks(gpu, a, config, num_parts=1)
         iterations = 0
         for plan in plans:
             for start in range(plan.row_start, plan.row_end, plan.chunk_size):

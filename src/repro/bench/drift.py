@@ -7,10 +7,10 @@ slowly-evolving FEM structures, values re-stamped every request,
 band-local pattern drift every few visits) through two services that
 differ in exactly one knob:
 
-* **on** — the default :class:`~repro.core.IncrementalPolicy`: every
+* **on** — the default ``ServeConfig(incremental=True)``: every
   family-hinted miss probes the cache's family index and splices the
   donor's delta (``analysis_delta`` charge) instead of analyzing cold;
-* **off** — ``IncrementalPolicy(enabled=False)``: every miss pays the
+* **off** — ``ServeConfig(incremental=False)``: every miss pays the
   full cold ``analyze()`` (``analysis`` charge).
 
 Three gates, asserted by the CLI exit status and the perf baseline:
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.incremental import IncrementalPolicy
 from ..serve.loadgen import (
     TraceRequest,
     run_load,
@@ -151,17 +150,13 @@ def run_drift_bench(*, smoke: bool = False, seed: int = 0) -> DriftReport:
     """Replay the drift trace with splicing on vs off and compare.
 
     Both replays consume the *identical* trace object (same patterns,
-    values and right-hand sides), so the only degree of freedom is the
-    incremental policy — the measured ratio is pure analysis-path
+    values and right-hand sides), so the only degree of freedom is
+    ``ServeConfig.incremental`` — the measured ratio is pure analysis-path
     savings, and the bitwise comparison is exact.
     """
     trace = _drift_trace(smoke=smoke, seed=seed)
     on = run_load(trace, ServeConfig(), baseline=False)
-    off = run_load(
-        trace,
-        ServeConfig(incremental=IncrementalPolicy(enabled=False)),
-        baseline=False,
-    )
+    off = run_load(trace, ServeConfig(incremental=False), baseline=False)
 
     checked, mismatches = solution_mismatches(
         ok_solutions(on.responses), ok_solutions(off.responses)

@@ -30,7 +30,8 @@ from typing import Any, cast
 
 import numpy as np
 
-from ..core import EndToEndLU, ResilienceConfig, SolverConfig
+from ..core import EndToEndLU, SolverConfig
+from ..core.resilient import REFINE_THRESHOLD
 from ..gpusim import GPU, FaultInjector, FaultPlan, scaled_device, scaled_host
 from ..serve import BreakerConfig, ServeConfig, SolverService
 from ..sparse import residual_norm
@@ -112,7 +113,7 @@ def _drill_matrix(n: int, seed: int):
 def _resilient_config(
     *, device_bytes: int | None = None
 ) -> SolverConfig:
-    kw: dict[str, Any] = {"resilience": ResilienceConfig()}
+    kw: dict[str, Any] = {"resilience": True}
     if device_bytes is not None:
         kw["device"] = scaled_device(device_bytes)
         kw["host"] = scaled_host(8 * device_bytes)
@@ -210,7 +211,7 @@ def _scenario_singular(n: int, seed: int) -> ScenarioResult:
     detail = (
         f"{len(rec.perturbed_columns)} pivot(s) perturbed, refinement "
         f"{rec.refine_iterations} sweeps -> residual {residual:.3e} "
-        f"({'<=' if ok else '>'} threshold {rec.refine_threshold:.0e})"
+        f"({'<=' if ok else '>'} threshold {REFINE_THRESHOLD:.0e})"
     )
     return ScenarioResult(
         name="singular-workload",
@@ -233,7 +234,7 @@ def _scenario_dead_device(n: int, seed: int) -> ScenarioResult:
     rng = np.random.default_rng(seed)
     b = rng.random(n)
     cfg = ServeConfig(
-        solver=SolverConfig(resilience=ResilienceConfig()),
+        solver=SolverConfig(resilience=True),
         num_devices=1,
         fault_plans={0: FaultPlan(seed=seed, kernel_fault_rate=1.0)},
         breaker=BreakerConfig(failure_threshold=2, cooldown_s=10.0),

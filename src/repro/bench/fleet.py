@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fleet import (
-    AdmissionConfig,
-    FleetConfig,
-    FleetReport,
-    run_fleet_load,
-)
+from ..fleet import FleetConfig, FleetReport, run_fleet_load
 from ..serve import synthesize_trace
 from .gates import ok_solutions, service_reference, solution_mismatches
 
@@ -201,7 +196,7 @@ def run_fleet_bench(
     overload_cfg = dataclasses.replace(
         base_cfg,
         num_nodes=int(max(node_counts)),
-        admission=AdmissionConfig(max_pending_per_node=3),
+        max_pending_per_node=3,
     )
     overload = run_fleet_load(trace, overload_cfg, flush_every=4 * 8)
     points.append(

@@ -15,7 +15,6 @@ from .resilient import (
     RecoveryEvent,
     RecoveryLog,
     RecoveryReport,
-    ResilienceConfig,
     ResilientGPU,
     RetryPolicy,
     SymbolicCheckpoint,
@@ -43,7 +42,6 @@ from .outofcore import (
     SymbolicResult,
     outofcore_symbolic,
     plan_chunks,
-    plan_chunks_multipart,
 )
 from .refactorize import (
     RefactorizeResult,
@@ -51,7 +49,6 @@ from .refactorize import (
     analyze,
 )
 from .incremental import (
-    IncrementalPolicy,
     IncrementalReport,
     best_donor,
     incremental_analyze,
@@ -61,7 +58,6 @@ from .autotune import AutotuneResult, TuneCandidate, autotune_symbolic
 from .btf_solver import BTFFactorization, factorize_btf
 from .multigpu import (
     MultiGpuEndToEndResult,
-    MultiGpuSolver,
     MultiGpuSymbolicResult,
     multi_gpu_endtoend,
     multi_gpu_symbolic,
@@ -73,7 +69,6 @@ from .solver import factorize, solve
 __all__ = [
     "SolverConfig",
     "SCRATCH_ARRAYS_PER_ROW",
-    "ResilienceConfig",
     "RetryPolicy",
     "RecoveryEvent",
     "RecoveryLog",
@@ -84,12 +79,10 @@ __all__ = [
     "recovery_log_of",
     "outofcore_symbolic",
     "plan_chunks",
-    "plan_chunks_multipart",
     "ChunkPlan",
     "analyze",
     "ReusableAnalysis",
     "RefactorizeResult",
-    "IncrementalPolicy",
     "IncrementalReport",
     "best_donor",
     "incremental_analyze",
@@ -102,7 +95,6 @@ __all__ = [
     "MultiGpuSymbolicResult",
     "multi_gpu_endtoend",
     "MultiGpuEndToEndResult",
-    "MultiGpuSolver",
     "autotune_symbolic",
     "AutotuneResult",
     "TuneCandidate",

@@ -65,11 +65,7 @@ def autotune_symbolic(
     def run(num_parts: int, fraction: float) -> TuneCandidate:
         cfg = replace(config, split_fraction=fraction)
         gpu = GPU(spec=cfg.device, host=cfg.host, cost=cfg.cost_model)
-        sym = outofcore_symbolic(
-            gpu, work, cfg,
-            dynamic=num_parts >= 2,
-            num_parts=num_parts if num_parts != 2 else None,
-        )
+        sym = outofcore_symbolic(gpu, work, cfg, num_parts=num_parts)
         return TuneCandidate(
             num_parts=num_parts,
             split_fraction=fraction,

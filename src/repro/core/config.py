@@ -17,7 +17,6 @@ from ..gpusim import (
     XEON_E5_2680,
 )
 from ..preprocess import PreprocessOptions
-from .resilient import ResilienceConfig
 
 SymbolicMode = Literal["outofcore", "unified", "incore"]
 NumericFormat = Literal["auto", "dense", "csc"]
@@ -79,9 +78,10 @@ class SolverConfig:
     pivot_tolerance: float = 0.0
     preprocess: PreprocessOptions = field(default_factory=PreprocessOptions)
 
-    #: recovery ladder (retries, chunk resume, pivot perturbation); ``None``
-    #: disables resilience entirely (historical behaviour)
-    resilience: ResilienceConfig | None = None
+    #: recovery ladder (op retry, chunk resume, pivot perturbation, with
+    #: the budgets of :mod:`repro.core.resilient`); ``False`` keeps the
+    #: historical fail-fast behaviour
+    resilience: bool = False
 
     #: transfer/compute overlap: run the out-of-core chunk loops through
     #: the :mod:`repro.streams` copy-engine pipeline (dedicated H2D and

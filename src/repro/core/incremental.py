@@ -16,9 +16,9 @@ differing only in charged time.  When the donor's structure survives the
 delta unchanged, the donor's schedule object is reused outright, which
 also carries over its lazily-built numeric plan cache.
 
-:class:`IncrementalPolicy` bounds when splicing is attempted: past
-``max_delta_fraction`` of the donor's nonzeros the fill cascade usually
-swamps the savings and callers should fall back to the cold oracle.
+:data:`MAX_DELTA_FRACTION` bounds when splicing is attempted: past that
+fraction of the donor's nonzeros the fill cascade usually swamps the
+savings and callers should fall back to the cold oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .config import SolverConfig
 from .refactorize import ReusableAnalysis
 
 __all__ = [
-    "IncrementalPolicy",
     "IncrementalReport",
     "best_donor",
     "incremental_analyze",
@@ -51,29 +50,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IncrementalPolicy:
-    """When to splice a delta instead of running a cold analyze.
+#: a delta larger than this fraction of the donor's nonzeros takes the
+#: full-analysis path
+MAX_DELTA_FRACTION = 0.05
+#: family members the serve layer probes per miss (probing is host-side
+#: and free in simulated time, but unbounded probing would scale poorly
+#: with family size)
+MAX_DONORS = 4
 
-    ``max_delta_fraction`` is the fallback threshold: a delta larger
-    than this fraction of the donor's nonzeros takes the full-analysis
-    path.  ``max_donors`` bounds how many family members the serve
-    layer probes per miss (probing is host-side and free in simulated
-    time, but unbounded probing would scale poorly with family size).
-    """
 
-    enabled: bool = True
-    max_delta_fraction: float = 0.05
-    max_donors: int = 4
-
-    def __post_init__(self) -> None:
-        if self.max_delta_fraction < 0.0:
-            raise ValueError("max_delta_fraction must be >= 0")
-        if self.max_donors < 1:
-            raise ValueError("max_donors must be >= 1")
-
-    def within_budget(self, delta_size: int, donor_nnz: int) -> bool:
-        return delta_size <= self.max_delta_fraction * max(donor_nnz, 1)
+def _within_budget(delta_size: int, donor_nnz: int) -> bool:
+    return delta_size <= MAX_DELTA_FRACTION * max(donor_nnz, 1)
 
 
 @dataclass(frozen=True)
@@ -90,21 +77,20 @@ class IncrementalReport:
 def best_donor(
     donors: list[ReusableAnalysis],
     pre_matrix: CSRMatrix,
-    policy: IncrementalPolicy | None = None,
 ) -> tuple[ReusableAnalysis, PatternDelta] | None:
     """Pick the donor with the smallest in-budget delta to ``pre_matrix``.
 
     ``pre_matrix`` must already be pre-processed with the same options as
     the donors (deltas are computed in the analyzed ordering).  Returns
-    ``None`` when no donor's delta fits the policy budget.
+    ``None`` when no donor among the first :data:`MAX_DONORS` has a
+    delta within :data:`MAX_DELTA_FRACTION`.
     """
-    policy = policy or IncrementalPolicy()
     best: tuple[ReusableAnalysis, PatternDelta] | None = None
-    for donor in donors[: policy.max_donors]:
+    for donor in donors[:MAX_DONORS]:
         if donor.pre.matrix.shape != pre_matrix.shape:
             continue
         delta = compute_delta(donor.pre.matrix, pre_matrix)
-        if not policy.within_budget(delta.size, donor.pre.matrix.nnz):
+        if not _within_budget(delta.size, donor.pre.matrix.nnz):
             continue
         if best is None or delta.size < best[1].size:
             best = (donor, delta)
@@ -117,26 +103,22 @@ def incremental_analyze(
     config: SolverConfig | None = None,
     *,
     gpu: GPU | None = None,
-    policy: IncrementalPolicy | None = None,
 ) -> tuple[ReusableAnalysis, IncrementalReport] | None:
     """Re-analyze ``a`` by splicing its delta into ``donor``.
 
     Returns ``None`` — before charging any simulated time — when the
-    shapes mismatch or the delta exceeds the policy threshold; the
+    shapes mismatch or the delta exceeds :data:`MAX_DELTA_FRACTION`; the
     caller then falls back to the cold :func:`~repro.core.analyze`
     oracle.  On success the returned analysis is bitwise identical to
     a cold analyze of ``a`` (pattern, graph, schedule), with only the
     delta cost charged to the ledger.
     """
     cfg = config or donor.config
-    policy = policy or IncrementalPolicy()
-    if not policy.enabled:
-        return None
     if a.shape != donor.pre.matrix.shape:
         return None
     pre = preprocess(a, cfg.preprocess)
     delta = compute_delta(donor.pre.matrix, pre.matrix)
-    if not policy.within_budget(delta.size, donor.pre.matrix.nnz):
+    if not _within_budget(delta.size, donor.pre.matrix.nnz):
         return None
     return incremental_analyze_pre(donor, pre, delta, cfg, gpu=gpu)
 

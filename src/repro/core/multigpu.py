@@ -9,12 +9,12 @@ provides two layers on top of that observation:
 * :func:`multi_gpu_symbolic` — the original symbolic-only sweep: source
   rows are partitioned into cyclic row blocks and every device runs the
   two-stage out-of-core scheme on its shard.
-* :class:`MultiGpuSolver` / :func:`multi_gpu_endtoend` — the full
-  pipeline sharded end-to-end.  The numeric phase (Algorithm 6 level
-  scheduling) is column-sharded with a *cyclic level-aware* assignment:
-  within level ``k``, the i-th column goes to device ``(i + k) % D``, so
-  every device owns a slice of every level (narrow tail levels included)
-  and the per-level load stays balanced without a partitioner.
+* :func:`multi_gpu_endtoend` — the full pipeline sharded end-to-end.
+  The numeric phase (Algorithm 6 level scheduling) is column-sharded
+  with a *cyclic level-aware* assignment: within level ``k``, the i-th
+  column goes to device ``(i + k) % D``, so every device owns a slice of
+  every level (narrow tail levels included) and the per-level load stays
+  balanced without a partitioner.
 
 Two traffic classes ride the modeled interconnect
 (:mod:`repro.gpusim.interconnect`):
@@ -78,7 +78,6 @@ from .numeric_gpu import WARP_TEAMS_PER_BLOCK, choose_format
 __all__ = [
     "MultiGpuSymbolicResult",
     "MultiGpuEndToEndResult",
-    "MultiGpuSolver",
     "multi_gpu_symbolic",
     "multi_gpu_endtoend",
 ]
@@ -811,44 +810,3 @@ def multi_gpu_endtoend(
         halo_bytes=halo_total,
         halo_batches=halo_batches,
     )
-
-
-class MultiGpuSolver:
-    """Factory for end-to-end multi-GPU runs under one configuration.
-
-    The multi-device sibling of :class:`~repro.core.pipeline.EndToEndLU`:
-
-    >>> solver = MultiGpuSolver(num_devices=4, link="nvlink2")
-    >>> res = solver.factorize(a)
-    >>> res.makespan_seconds, res.balance()
-    """
-
-    def __init__(
-        self,
-        config: SolverConfig | None = None,
-        *,
-        num_devices: int = 2,
-        link: LinkSpec | str = "pcie3",
-        overlap: bool | None = None,
-        device: DeviceSpec | None = None,
-        host: HostSpec | None = None,
-    ) -> None:
-        self.config = config or SolverConfig()
-        if num_devices < 1:
-            raise ValueError("num_devices must be >= 1")
-        self.num_devices = int(num_devices)
-        self.link = link_preset(link) if isinstance(link, str) else link
-        self.overlap = overlap
-        self.device = device
-        self.host = host
-
-    def factorize(self, a: CSRMatrix) -> MultiGpuEndToEndResult:
-        return multi_gpu_endtoend(
-            a,
-            self.config,
-            num_devices=self.num_devices,
-            link=self.link,
-            overlap=self.overlap,
-            device=self.device,
-            host=self.host,
-        )

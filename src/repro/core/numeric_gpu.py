@@ -54,7 +54,7 @@ from ..graph import LevelSchedule, sub_column_counts
 from ..numeric import NumericStats, extract_lu, factorize_in_place
 from ..sparse import CSCMatrix, CSRMatrix
 from .config import SolverConfig
-from .resilient import recovery_log_of
+from .resilient import PIVOT_PERTURBATION_REL, recovery_log_of
 
 #: warp teams a type-B block spreads over its column's sub-columns (block
 #: thread budget / warp size / lanes per team).
@@ -98,16 +98,14 @@ def factorize_with_pivot_recovery(
 ) -> NumericStats:
     """Run :func:`factorize_in_place` with recovery rung 3 attached.
 
-    Without a resilience config this is a plain pass-through (zero copies,
-    historical behaviour).  With one, the values are snapshotted first;
+    Without ``config.resilience`` this is a plain pass-through (zero
+    copies, historical behaviour).  With it, the values are snapshotted first;
     on :class:`~repro.errors.SingularMatrixError` they are restored and
     the factorization re-runs with static pivot perturbation sized
     relative to ``max|A|``.  The recovery is recorded in the ledger
     (``pivot_recoveries``) and the run's :class:`RecoveryLog`.
     """
-    res = config.resilience
-    recover = res is not None and res.pivot_recovery
-    backup = As.data.copy() if recover else None
+    backup = As.data.copy() if config.resilience else None
     try:
         return factorize_in_place(
             As,
@@ -121,7 +119,7 @@ def factorize_with_pivot_recovery(
             raise
         As.data[:] = backup  # the failed attempt mutated values in place
         scale = float(np.max(np.abs(backup))) if As.nnz else 0.0
-        perturb = res.pivot_perturbation_rel * (scale or 1.0)
+        perturb = PIVOT_PERTURBATION_REL * (scale or 1.0)
         stats = factorize_in_place(
             As,
             filled,

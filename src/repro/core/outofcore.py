@@ -40,7 +40,7 @@ from ..symbolic import (
     traversal_edges_per_row,
 )
 from .config import SolverConfig
-from .resilient import SymbolicCheckpoint, run_chunk
+from .resilient import CHUNK_RETRY, SymbolicCheckpoint, run_chunk
 
 
 @dataclass(frozen=True)
@@ -88,72 +88,23 @@ def plan_chunks(
     a: CSRMatrix,
     config: SolverConfig,
     *,
-    dynamic: bool,
+    num_parts: int,
     frontier: np.ndarray | None = None,
     free_bytes: int | None = None,
 ) -> tuple[list[ChunkPlan], int | None]:
     """Compute the chunking schedule for the out-of-core loops.
 
-    Naive mode (Algorithm 3): one plan covering all rows with the
-    conservative ``c x n`` scratch per row.  Dynamic mode (Algorithm 4): two
-    plans split at the frontier knee; the first part's scratch per row is
-    sized from its *actual* maximum frontier, allowing a larger chunk.
-    """
-    n = a.n_rows
-    free = gpu.free_bytes if free_bytes is None else int(free_bytes)
-    conservative = config.scratch_bytes_per_row(n)
-
-    def chunk_for(per_row: int) -> int:
-        if per_row <= 0:
-            per_row = config.index_bytes
-        c = free // per_row
-        if c <= 0:
-            raise DeviceMemoryError(per_row, free, "symbolic per-row scratch")
-        return min(c, n)
-
-    if not dynamic:
-        return [ChunkPlan(0, n, chunk_for(conservative), conservative)], None
-
-    if frontier is None:
-        raise ValueError("dynamic chunk planning needs frontier counts")
-    fmax = int(frontier.max(initial=0))
-    cutoff = config.split_fraction * fmax
-    hits = np.flatnonzero(frontier >= cutoff) if fmax else np.empty(0, int)
-    n1 = int(hits[0]) if len(hits) else n
-    if n1 <= 0 or n1 >= n:
-        # no useful split: fall back to the single conservative plan
-        return [ChunkPlan(0, n, chunk_for(conservative), conservative)], None
-
-    idx = config.index_bytes
-    # part 1: stamp array + output staging (2n) + double-buffered frontier
-    # queues sized by the part's real maximum frontier
-    maxf1 = int(frontier[:n1].max(initial=1))
-    per_row_1 = min(conservative, (2 * n + 4 * max(1, maxf1)) * idx)
-    plans = [
-        ChunkPlan(0, n1, chunk_for(per_row_1), per_row_1),
-        ChunkPlan(n1, n, chunk_for(conservative), conservative),
-    ]
-    return plans, n1
-
-
-def plan_chunks_multipart(
-    gpu: GPU,
-    a: CSRMatrix,
-    config: SolverConfig,
-    frontier: np.ndarray,
-    *,
-    num_parts: int,
-    free_bytes: int | None = None,
-) -> list[ChunkPlan]:
-    """Generalized Algorithm 4 with more than two parts.
-
-    The paper notes (§3.2) that "using more than 2 phases can be explored,
-    but it will also imply more kernel launches".  Part boundaries are
-    placed at geometrically-halved frontier thresholds
-    (``fmax * split_fraction^(k-1-i)``), so part 0 covers the cheapest rows
-    with the largest chunks while the last part keeps the conservative
-    ``c x n`` sizing.  ``num_parts=1`` degenerates to Algorithm 3 and
-    ``num_parts=2`` to the paper's Algorithm 4 boundaries.
+    ``num_parts=1`` is Algorithm 3: one plan covering all rows with the
+    conservative ``c x n`` scratch per row.  ``num_parts=2`` is
+    Algorithm 4: the rows split at the first one whose frontier reaches
+    ``split_fraction`` of the maximum, and the first part's scratch per
+    row is sized from its *actual* maximum frontier, allowing a larger
+    chunk.  More parts generalize that (§3.2: "using more than 2 phases
+    can be explored, but it will also imply more kernel launches"): part
+    boundaries sit at geometrically-halved frontier thresholds
+    (``fmax * split_fraction^(k-1-i)``), and only the last part keeps the
+    conservative sizing.  Returns the plans and the start row of the
+    second part (``None`` when the rows did not split).
     """
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
@@ -163,22 +114,26 @@ def plan_chunks_multipart(
     idx = config.index_bytes
 
     def chunk_for(per_row: int) -> int:
-        c = free // max(per_row, 1)
+        if per_row <= 0:
+            per_row = idx
+        c = free // per_row
         if c <= 0:
             raise DeviceMemoryError(per_row, free, "symbolic per-row scratch")
         return min(c, n)
 
+    single = [ChunkPlan(0, n, chunk_for(conservative), conservative)]
+    if num_parts == 1:
+        return single, None
+    if frontier is None:
+        raise ValueError("multi-part chunk planning needs frontier counts")
     fmax = int(frontier.max(initial=0))
-    if num_parts == 1 or fmax == 0:
-        return [ChunkPlan(0, n, chunk_for(conservative), conservative)]
+    if fmax == 0:
+        return single, None
 
-    thresholds = [
-        fmax * config.split_fraction ** (num_parts - 1 - i)
-        for i in range(num_parts - 1)
-    ]
     boundaries = [0]
-    for t in thresholds:
-        hits = np.flatnonzero(frontier >= t)
+    for i in range(num_parts - 1):
+        cutoff = fmax * config.split_fraction ** (num_parts - 1 - i)
+        hits = np.flatnonzero(frontier >= cutoff)
         b = int(hits[0]) if len(hits) else n
         boundaries.append(max(b, boundaries[-1]))
     boundaries.append(n)
@@ -190,10 +145,12 @@ def plan_chunks_multipart(
         if end == n:
             per_row = conservative
         else:
+            # stamp array + output staging (2n) + double-buffered
+            # frontier queues sized by the part's real maximum frontier
             maxf = int(frontier[start:end].max(initial=1))
             per_row = min(conservative, (2 * n + 4 * max(1, maxf)) * idx)
         plans.append(ChunkPlan(start, end, chunk_for(per_row), per_row))
-    return plans
+    return plans, (plans[1].row_start if len(plans) > 1 else None)
 
 
 def outofcore_symbolic(
@@ -211,9 +168,14 @@ def outofcore_symbolic(
     zeros at fill positions) and the execution record.  When
     ``keep_on_device`` the factorized-matrix allocation (Algorithm 3 line 8)
     stays live for the numeric phase; the caller owns freeing it.
+    ``num_parts`` (see :func:`plan_chunks`) overrides ``dynamic``; without
+    it, dynamic assignment (default ``config.dynamic_assignment``) plans
+    two parts and naive assignment one.
     """
-    if dynamic is None:
-        dynamic = config.dynamic_assignment
+    if num_parts is None:
+        if dynamic is None:
+            dynamic = config.dynamic_assignment
+        num_parts = 2 if dynamic else 1
     n = a.n_rows
     idx = config.index_bytes
     val = config.value_bytes
@@ -247,26 +209,17 @@ def outofcore_symbolic(
             filled_bytes > gpu.free_bytes - config.scratch_bytes_per_row(n)
         )
         plan_reserve = 0 if streaming_output else filled_bytes
-        if num_parts is not None and num_parts != 2:
-            plans = plan_chunks_multipart(
-                gpu, a, config, frontier,
-                num_parts=num_parts,
-                free_bytes=gpu.free_bytes - plan_reserve,
-            )
-            split_point = plans[1].row_start if len(plans) > 1 else None
-        else:
-            plans, split_point = plan_chunks(
-                gpu,
-                a,
-                config,
-                dynamic=dynamic,
-                frontier=frontier,
-                free_bytes=gpu.free_bytes - plan_reserve,
-            )
+        plans, split_point = plan_chunks(
+            gpu,
+            a,
+            config,
+            num_parts=num_parts,
+            frontier=frontier,
+            free_bytes=gpu.free_bytes - plan_reserve,
+        )
 
         fill_count = filled.row_nnz().astype(np.int64)
         iterations = 0
-        resilience = config.resilience
         checkpoint = SymbolicCheckpoint()
 
         def for_each_chunk(stage: str, body) -> None:
@@ -293,8 +246,8 @@ def outofcore_symbolic(
                         finally:
                             gpu.free(scratch)
 
-                    if resilience is not None:
-                        run_chunk(gpu, resilience.chunk_retry, checkpoint,
+                    if config.resilience:
+                        run_chunk(gpu, CHUNK_RETRY, checkpoint,
                                   stage, chunk_id, chunk_body)
                     else:
                         chunk_body()

@@ -23,7 +23,13 @@ from ..preprocess import PreprocessResult, preprocess
 from ..sparse import CSCMatrix, CSRMatrix
 from ..streams import StreamedGPU
 from .config import SolverConfig
-from .resilient import RecoveryReport, ResilientGPU, recovery_log_of
+from .resilient import (
+    REFINE_MAX_ITER,
+    REFINE_THRESHOLD,
+    RecoveryReport,
+    ResilientGPU,
+    recovery_log_of,
+)
 from .levelize_gpu import LevelizeResult, levelize_gpu_dynamic
 from .numeric_gpu import NumericResult, numeric_factorize_gpu
 from .outofcore import SymbolicResult, outofcore_symbolic
@@ -94,11 +100,10 @@ class EndToEndResult:
                 row_scale=self.pre.row_scale,
                 col_scale=self.pre.col_scale,
             )
-            threshold = rec.refine_threshold or 1e-8
             refined = iterative_refinement(
                 self.source, b, solve_fn,
-                max_iter=rec.refine_max_iter,
-                tol=threshold,
+                max_iter=REFINE_MAX_ITER,
+                tol=REFINE_THRESHOLD,
             )
             rec.refine_iterations = refined.iterations
             rec.final_residual = refined.final_residual
@@ -238,11 +243,11 @@ class EndToEndLU:
         cfg = self.config
         if gpu is None:
             gpu = GPU(spec=cfg.device, host=cfg.host, cost=cfg.cost_model)
-        if cfg.resilience is not None and recovery_log_of(gpu) is None:
+        if cfg.resilience and recovery_log_of(gpu) is None:
             # rung 1: retry transient faults at the operation level.  The
             # wrapper goes on *outside* any fault injector already wrapped
             # around the device so retries re-execute the injected path.
-            gpu = ResilientGPU(gpu, cfg.resilience.op_retry)
+            gpu = ResilientGPU(gpu)
         if cfg.overlap and not isinstance(gpu, StreamedGPU):
             # outermost wrapper: async enqueues and serial ops (after
             # draining the async region) both pass down the whole stack
@@ -297,8 +302,7 @@ class EndToEndLU:
         L, U = num.factors()
         recovery = None
         source = None
-        if cfg.resilience is not None:
-            res = cfg.resilience
+        if cfg.resilience:
             log = recovery_log_of(gpu)
             ledger = gpu.ledger
             recovery = RecoveryReport(
@@ -306,8 +310,6 @@ class EndToEndLU:
                 op_retries=ledger.get_count("retries"),
                 chunk_retries=ledger.get_count("chunk_retries"),
                 perturbed_columns=tuple(num.stats.perturbed_columns),
-                refine_threshold=res.refine_threshold,
-                refine_max_iter=res.refine_max_iter,
             )
             source = a
         return EndToEndResult(

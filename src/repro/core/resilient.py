@@ -37,7 +37,6 @@ from ..gpusim import GPU, DeviceOp, GPUProxy
 
 __all__ = [
     "RetryPolicy",
-    "ResilienceConfig",
     "RecoveryEvent",
     "RecoveryLog",
     "RecoveryReport",
@@ -75,32 +74,16 @@ class RetryPolicy:
         )
 
 
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Knobs of the in-pipeline recovery ladder (rungs 1-3).
-
-    Attach to :attr:`repro.core.SolverConfig.resilience`; ``None`` (the
-    default) disables every rung and keeps the pipeline byte-identical
-    to its historical behaviour.
-    """
-
-    #: rung 1 — per-operation retry of transient faults
-    op_retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: rung 2 — per-chunk retry for faults that escape rung 1
-    chunk_retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            max_attempts=3, base_delay_s=2e-4, backoff=4.0
-        )
-    )
-    #: rung 3 — perturb zero/tiny pivots instead of aborting
-    pivot_recovery: bool = True
-    #: perturbation magnitude relative to ``max|A|`` (SuperLU_DIST uses
-    #: ``sqrt(eps) * ||A||``; this is the same order)
-    pivot_perturbation_rel: float = 1.5e-8
-    #: refinement target for the post-recovery solve
-    refine_threshold: float = 1e-8
-    #: refinement sweep cap
-    refine_max_iter: int = 20
+#: rung 1 — per-operation retry of transient faults
+OP_RETRY = RetryPolicy()
+#: rung 2 — per-chunk retry for faults that escape rung 1
+CHUNK_RETRY = RetryPolicy(max_attempts=3, base_delay_s=2e-4, backoff=4.0)
+#: rung 3 — pivot perturbation magnitude relative to ``max|A|``
+#: (SuperLU_DIST uses ``sqrt(eps) * ||A||``; this is the same order)
+PIVOT_PERTURBATION_REL = 1.5e-8
+#: refinement target and sweep cap of the post-recovery solve
+REFINE_THRESHOLD = 1e-8
+REFINE_MAX_ITER = 20
 
 
 @dataclass(frozen=True)
@@ -158,8 +141,6 @@ class RecoveryReport:
     perturbed_columns: tuple[int, ...] = ()
     refine_iterations: int | None = None
     final_residual: float | None = None
-    refine_threshold: float | None = None
-    refine_max_iter: int = 20
 
     @property
     def fired(self) -> bool:
@@ -170,11 +151,11 @@ class RecoveryReport:
 
     @property
     def residual_ok(self) -> bool | None:
-        """Refined residual below threshold (``None`` before any solve or
-        when no refinement was needed)."""
-        if self.final_residual is None or self.refine_threshold is None:
+        """Refined residual below :data:`REFINE_THRESHOLD` (``None``
+        before any solve or when no refinement was needed)."""
+        if self.final_residual is None:
             return None
-        return self.final_residual <= self.refine_threshold
+        return self.final_residual <= REFINE_THRESHOLD
 
     def summary(self) -> str:
         parts = [
@@ -199,14 +180,14 @@ class ResilientGPU(GPUProxy):
     busy-only and pushes its issuing stream, so the makespan charged at
     synchronize carries the wall cost once.  A ``retries`` ledger counter
     is kept either way, so the overhead of surviving faults is exactly
-    the ``retry`` bucket.
+    the ``retry`` bucket.  ``policy`` defaults to :data:`OP_RETRY`.
     """
 
     def __init__(
         self, inner: GPU | GPUProxy, policy: RetryPolicy | None = None
     ) -> None:
         super().__init__(inner)
-        self.policy = policy or RetryPolicy()
+        self.policy = policy or OP_RETRY
         self.recovery_log = RecoveryLog()
 
     def execute(self, op: DeviceOp) -> Any:

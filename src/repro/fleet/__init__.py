@@ -39,7 +39,7 @@ Quickstart::
     fleet.shutdown()
 """
 
-from .admission import AdmissionConfig, AdmissionController, ShedError
+from .admission import AdmissionController, ShedError
 from .churn import (
     ChurnEvent,
     ChurnPlan,
@@ -48,7 +48,7 @@ from .churn import (
     probe_keys,
 )
 from .fleet import Fleet, FleetConfig, FleetResponse
-from .l2cache import L2Cache, L2Config, L2Fetch
+from .l2cache import L2Cache, L2Fetch
 from .loadgen import (
     FleetReport,
     churn_plan_for_trace,
@@ -60,7 +60,6 @@ from .loadgen import (
 from .router import HashRing, RingMembershipError
 
 __all__ = [
-    "AdmissionConfig",
     "AdmissionController",
     "ShedError",
     "ChurnEvent",
@@ -72,7 +71,6 @@ __all__ = [
     "FleetConfig",
     "FleetResponse",
     "L2Cache",
-    "L2Config",
     "L2Fetch",
     "FleetReport",
     "churn_plan_for_trace",

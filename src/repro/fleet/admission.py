@@ -36,13 +36,16 @@ drill can assert retirement after the fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..errors import ServeError
 from ..serve.breaker import BreakerConfig, CircuitBreaker
 
-__all__ = ["AdmissionConfig", "AdmissionController", "ShedError"]
+__all__ = ["AdmissionController", "ShedError"]
+
+#: trip/recovery knobs of every node breaker (node-level rung of the
+#: recovery ladder)
+NODE_BREAKER = BreakerConfig()
 
 
 class ShedError(ServeError):
@@ -65,38 +68,24 @@ class ShedError(ServeError):
         )
 
 
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """Fleet-boundary overload and health knobs."""
-
-    #: undispatched requests a node may hold before shedding
-    max_pending_per_node: int = 32
-    #: per-node breaker knobs (node-level rung of the recovery ladder)
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    #: walk ring successors when the home node's breaker is open
-    reroute_unhealthy: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_pending_per_node < 1:
-            raise ValueError("max_pending_per_node must be >= 1")
-
-
 class AdmissionController:
     """Pending-count bookkeeping + node breakers for one fleet.
 
-    Internals are keyed by node id (not list position) so members may
-    join and retire at runtime with non-contiguous ids.
+    Each node holds at most ``max_pending_per_node`` undispatched
+    requests before shedding.  Internals are keyed by node id (not list
+    position) so members may join and retire at runtime with
+    non-contiguous ids.
     """
 
     def __init__(self, nodes: int | Iterable[int],
-                 config: AdmissionConfig | None = None) -> None:
+                 max_pending_per_node: int) -> None:
         node_ids = (
             list(range(nodes)) if isinstance(nodes, int) else
             [int(n) for n in nodes]
         )
         if not node_ids:
             raise ValueError("at least one node is required")
-        self.config = config or AdmissionConfig()
+        self.max_pending_per_node = int(max_pending_per_node)
         self.pending: dict[int, int] = {}
         self.breakers: dict[int, CircuitBreaker] = {}
         self.admitted: dict[int, int] = {}
@@ -115,7 +104,7 @@ class AdmissionController:
         if node_id in self.pending:
             raise ValueError(f"node {node_id} already registered")
         self.pending[node_id] = 0
-        self.breakers[node_id] = CircuitBreaker(config=self.config.breaker)
+        self.breakers[node_id] = CircuitBreaker(config=NODE_BREAKER)
         self.admitted[node_id] = 0
         self.shed_by_node[node_id] = 0
         # a retired id may rejoin; the archived record stays until then
@@ -144,8 +133,8 @@ class AdmissionController:
     # ------------------------------------------------------------------
     def allow(self, node_id: int, now: float) -> bool:
         """Breaker verdict for ``node_id`` at virtual time ``now``
-        (may transition open → half-open; a half-open node admits its
-        probe quota)."""
+        (may transition open → half-open; a half-open node admits one
+        probe)."""
         return self.breakers[node_id].allow(now)
 
     def select(self, preference: list[int], now: float) -> int:
@@ -155,11 +144,7 @@ class AdmissionController:
         candidate's breaker refuses; counts a reroute whenever the pick
         is not the home (first) node.
         """
-        candidates = (
-            preference if self.config.reroute_unhealthy
-            else preference[:1]
-        )
-        for node_id in candidates:
+        for node_id in preference:
             if self.allow(node_id, now):
                 if node_id != preference[0]:
                     self.reroutes += 1
@@ -168,7 +153,7 @@ class AdmissionController:
         self.shed_by_node[preference[0]] += 1
         raise ShedError(
             preference[0], self.pending[preference[0]],
-            self.config.max_pending_per_node, reason="no_healthy_node",
+            self.max_pending_per_node, reason="no_healthy_node",
         )
 
     def count_shed(self, node_id: int) -> None:
@@ -179,12 +164,11 @@ class AdmissionController:
 
     def admit(self, node_id: int) -> None:
         """Claim one admission slot on ``node_id`` or shed."""
-        if self.pending[node_id] >= self.config.max_pending_per_node:
+        if self.pending[node_id] >= self.max_pending_per_node:
             self.sheds += 1
             self.shed_by_node[node_id] += 1
             raise ShedError(
-                node_id, self.pending[node_id],
-                self.config.max_pending_per_node,
+                node_id, self.pending[node_id], self.max_pending_per_node
             )
         self.pending[node_id] += 1
         self.admitted[node_id] += 1

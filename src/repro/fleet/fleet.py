@@ -45,9 +45,9 @@ from ..serve.cache import pattern_key
 from ..serve.scheduler import SolveResponse
 from ..serve.service import ServeConfig, SolverService
 from ..sparse import CSRMatrix
-from .admission import AdmissionConfig, AdmissionController, ShedError
+from .admission import AdmissionController, ShedError
 from .churn import ChurnEvent, ChurnRecord, NodeLostError, probe_keys
-from .l2cache import L2Cache, L2Config
+from .l2cache import L2Cache
 from .router import HashRing, RingMembershipError
 
 __all__ = ["FleetConfig", "FleetResponse", "Fleet"]
@@ -55,24 +55,27 @@ __all__ = ["FleetConfig", "FleetResponse", "Fleet"]
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Knobs of the cluster tier (per-node knobs live in ``serve``)."""
+    """Knobs of the cluster tier (per-node knobs live in ``serve``).
+
+    As for :class:`~repro.core.SolverConfig`, a field exists only while a
+    caller outside the tests sets it: the L2 capacity and link are
+    constants of :mod:`repro.fleet.l2cache`, the node breakers' of
+    :mod:`repro.fleet.admission`, and the ring's points per node of
+    :class:`~repro.fleet.router.HashRing`.
+    """
 
     #: solver nodes in the fleet
     num_nodes: int = 2
     #: per-node service configuration (cloned for every node)
     serve: ServeConfig = field(default_factory=ServeConfig)
-    #: shared analysis tier (capacity + node<->store link model)
-    l2: L2Config = field(default_factory=L2Config)
-    #: admission queues, shedding, node breakers
-    admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    #: virtual ring points per node (routing granularity)
-    vnodes: int = 96
+    #: undispatched requests a node may hold before admission sheds
+    max_pending_per_node: int = 32
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
-        if self.vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
+        if self.max_pending_per_node < 1:
+            raise ValueError("max_pending_per_node must be >= 1")
 
 
 @dataclass
@@ -169,17 +172,13 @@ class Fleet:
             i: SolverService(overrides.get(i, self.config.serve))
             for i in range(self.config.num_nodes)
         }
-        self.ring = HashRing(
-            tuple(range(self.config.num_nodes)),
-            vnodes=self.config.vnodes,
-        )
-        self.l2 = L2Cache(self.config.l2, self.config.num_nodes)
+        self.ring = HashRing(tuple(range(self.config.num_nodes)))
+        self.l2 = L2Cache(self.config.num_nodes)
         self.admission = AdmissionController(
-            range(self.config.num_nodes), self.config.admission
+            range(self.config.num_nodes), self.config.max_pending_per_node
         )
-        if self.config.l2.write_through:
-            for node_id, node in self.nodes.items():
-                node.scheduler.on_install = self._publisher(node_id)
+        for node_id, node in self.nodes.items():
+            node.scheduler.on_install = self._publisher(node_id)
         self._inflight: dict[int, list[_Inflight]] = {
             i: [] for i in range(self.config.num_nodes)
         }
@@ -347,7 +346,7 @@ class Fleet:
             if not fetch.hit:
                 if (
                     job.family is not None
-                    and node.scheduler.incremental.enabled
+                    and node.scheduler.config.incremental
                     and not node.scheduler.cache.family_members(
                         job.family
                     )
@@ -507,8 +506,7 @@ class Fleet:
         node = SolverService(serve or self.config.serve)
         if self.clock > 0:
             node.tick(self.clock)
-        if self.config.l2.write_through:
-            node.scheduler.on_install = self._publisher(node_id)
+        node.scheduler.on_install = self._publisher(node_id)
         self.nodes[node_id] = node
         self._inflight[node_id] = []
         warmed = warmed_bytes = 0

@@ -44,24 +44,12 @@ from ..gpusim.interconnect import PCIE3, LinkSpec
 from ..gpusim.ledger import TimeLedger
 from ..serve.cache import AnalysisCache
 
-__all__ = ["L2Config", "L2Cache", "L2Fetch"]
+__all__ = ["L2Cache", "L2Fetch"]
 
-
-@dataclass(frozen=True)
-class L2Config:
-    """Knobs of the shared analysis tier."""
-
-    #: byte budget of the shared store (LRU past it, like the L1)
-    capacity_bytes: int = 512 << 20
-    #: node <-> store link model (PCIe-3-shaped by default)
-    link: LinkSpec = PCIE3
-    #: publish cold-built analyses to the store (write-through); off,
-    #: the L2 only ever serves what :meth:`L2Cache.put` stored manually
-    write_through: bool = True
-
-    def __post_init__(self) -> None:
-        if self.capacity_bytes < 0:
-            raise ValueError("capacity_bytes must be >= 0")
+#: byte budget of the shared store (LRU past it, like the L1)
+L2_CAPACITY_BYTES = 512 << 20
+#: node <-> store link model
+L2_LINK = PCIE3
 
 
 @dataclass(frozen=True)
@@ -111,15 +99,14 @@ class L2Cache:
     adds the network model and the fleet-facing counters.
     """
 
-    def __init__(self, config: L2Config | None = None,
-                 num_nodes: int = 1) -> None:
+    def __init__(self, num_nodes: int = 1) -> None:
         if num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
-        self.config = config or L2Config()
-        self.store = AnalysisCache(self.config.capacity_bytes)
+        self.link = L2_LINK
+        self.store = AnalysisCache(L2_CAPACITY_BYTES)
         self.ledger = TimeLedger()
         self._links: dict[int, _NodeLink] = {
-            i: _NodeLink(spec=self.config.link) for i in range(num_nodes)
+            i: _NodeLink(spec=self.link) for i in range(num_nodes)
         }
         #: per node: (key, completion time) of write-behind publishes
         #: not yet flushed/aborted, in publication order
@@ -136,7 +123,7 @@ class L2Cache:
         node_id = int(node_id)
         if node_id in self._links:
             raise ValueError(f"node {node_id} already has a link")
-        self._links[node_id] = _NodeLink(spec=self.config.link)
+        self._links[node_id] = _NodeLink(spec=self.link)
         self._pending_writes[node_id] = []
 
     def flush_writes(self, node_id: int, now: float) -> float:
@@ -311,7 +298,7 @@ class L2Cache:
     def stats(self) -> dict:
         """Store counters + link occupancy, JSON-shaped."""
         out = self.store.stats()
-        out["link"] = self.config.link.name
+        out["link"] = self.link.name
         out["writes"] = self.ledger.get_count("l2_writes")
         out["family_hits"] = self.ledger.get_count("l2_family_hits")
         out["family_misses"] = self.ledger.get_count("l2_family_misses")

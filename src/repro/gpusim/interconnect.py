@@ -25,7 +25,7 @@ The model is deliberately simple and fully deterministic:
   link) for Perfetto inspection alongside the device timelines.
 
 Times are absolute simulated seconds on the multi-device virtual
-timeline; the :class:`~repro.core.multigpu.MultiGpuSolver` resolves
+timeline; :func:`~repro.core.multigpu.multi_gpu_endtoend` resolves
 every transfer's start at issue time (the same enqueue-time determinism
 contract as :mod:`repro.streams`).
 """

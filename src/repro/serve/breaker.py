@@ -33,16 +33,12 @@ class BreakerConfig:
     failure_threshold: int = 3
     #: simulated seconds an open breaker rejects traffic before probing
     cooldown_s: float = 0.05
-    #: trial batches admitted while half-open (before a verdict)
-    half_open_trials: int = 1
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if self.cooldown_s < 0:
             raise ValueError("cooldown_s must be >= 0")
-        if self.half_open_trials < 1:
-            raise ValueError("half_open_trials must be >= 1")
 
 
 @dataclass
@@ -54,8 +50,8 @@ class CircuitBreaker:
     consecutive_failures: int = 0
     #: virtual time at which an open breaker may admit a probe
     open_until: float = 0.0
-    #: trial batches in flight while half-open
-    trials: int = 0
+    #: a half-open breaker has admitted its one probe
+    probing: bool = False
     trips: int = 0
     recoveries: int = 0
     #: virtual time of the most recent state change (0.0 if never moved)
@@ -66,20 +62,19 @@ class CircuitBreaker:
 
         An open breaker whose cooldown has elapsed transitions to
         half-open here (time-driven transition); a half-open breaker
-        admits at most ``half_open_trials`` concurrent probes.
+        admits one probe until a verdict.
         """
         if self.state == OPEN:
             if now >= self.open_until:
                 self.state = HALF_OPEN
-                self.trials = 0
+                self.probing = False
                 self.last_transition_s = now
             else:
                 return False
         if self.state == HALF_OPEN:
-            if self.trials >= self.config.half_open_trials:
+            if self.probing:
                 return False
-            self.trials += 1
-            return True
+            self.probing = True
         return True
 
     def record_success(self, now: float) -> None:
@@ -89,7 +84,7 @@ class CircuitBreaker:
             self.last_transition_s = now
         self.state = CLOSED
         self.consecutive_failures = 0
-        self.trials = 0
+        self.probing = False
 
     def record_failure(self, now: float) -> None:
         self.consecutive_failures += 1
@@ -101,7 +96,7 @@ class CircuitBreaker:
                 self.last_transition_s = now
             self.state = OPEN
             self.open_until = now + self.config.cooldown_s
-            self.trials = 0
+            self.probing = False
 
     def snapshot(self) -> dict:
         return {

@@ -22,17 +22,16 @@ work on a pool of simulated GPUs:
   work.
 * **Retry-on-eviction** — if a cached analysis turns out not to match
   the batch's pattern (stale or poisoned entry), the entry is
-  invalidated, the pattern re-analyzed, and the batch retried under a
-  configurable :class:`~repro.core.RetryPolicy` (default: one retry,
-  matching the historical retry-once behaviour); exhausting the policy
-  surfaces per-request ``error`` responses.
+  invalidated, the pattern re-analyzed, and the batch retried once
+  (:data:`REFACTORIZE_RETRY`); exhausting that budget surfaces
+  per-request ``error`` responses.
 * **Circuit breaking + CPU fallback** — a device whose batch fails with
   a :class:`~repro.errors.RecoverableError` (after the per-operation
   retries of its :class:`~repro.core.ResilientGPU` wrapper are spent)
   records a breaker failure; the batch is rerouted to another device
-  within the dispatch retry budget.  When every device is excluded or
-  breaker-open, the batch degrades to the CPU reference path
-  (``preprocess`` → ``symbolic_fill_reference`` →
+  within the dispatch retry budget (:data:`DISPATCH_RETRY`).  When
+  every device is excluded or breaker-open, the batch degrades to the
+  CPU reference path (``preprocess`` → ``symbolic_fill_reference`` →
   ``factorize_leftlooking``), timed by the cost model's CPU constants
   on a separate ``cpu_busy_until`` timeline.
 
@@ -45,16 +44,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..core.config import SolverConfig
-from ..core.incremental import (
-    IncrementalPolicy,
-    best_donor,
-    incremental_analyze_pre,
-)
+from ..core.incremental import best_donor, incremental_analyze_pre
 from ..core.refactorize import ReusableAnalysis, analyze
 from ..core.resilient import ResilientGPU, RetryPolicy
 from ..errors import (
@@ -65,12 +59,12 @@ from ..errors import (
     ServeError,
     SparseFormatError,
 )
-from ..gpusim import GPU, FaultInjector, FaultPlan
+from ..gpusim import GPU, FaultInjector
 from ..numeric import factorize_leftlooking, lu_solve_permuted
 from ..preprocess import preprocess
 from ..sparse import CSRMatrix
 from ..symbolic import symbolic_fill_reference
-from .breaker import BreakerConfig, CircuitBreaker
+from .breaker import CircuitBreaker
 from .cache import (
     AnalysisCache,
     pattern_key,
@@ -79,6 +73,9 @@ from .cache import (
 )
 from .metrics import ServiceMetrics
 
+if TYPE_CHECKING:
+    from .service import ServeConfig
+
 __all__ = [
     "SolveRequest",
     "SolveResponse",
@@ -86,6 +83,12 @@ __all__ = [
     "DevicePool",
     "BatchScheduler",
 ]
+
+#: batch reroute budget across devices when one fails recoverably (rung 4)
+DISPATCH_RETRY = RetryPolicy(max_attempts=3, base_delay_s=1e-4, backoff=2.0)
+#: stale-cache-entry rebuild budget: two attempts with no backoff, i.e.
+#: one retry
+REFACTORIZE_RETRY = RetryPolicy(max_attempts=2, base_delay_s=0.0)
 
 
 @dataclass
@@ -173,38 +176,29 @@ class DevicePool:
     """Fixed pool of simulated devices with least-loaded selection.
 
     Each device GPU is optionally wrapped by a
-    :class:`~repro.gpusim.FaultInjector` (per ``fault_plans``) and — when
-    the solver config carries a resilience policy — a
+    :class:`~repro.gpusim.FaultInjector` (per ``config.fault_plans``)
+    and — when the solver config turns resilience on — a
     :class:`~repro.core.ResilientGPU`, in that order, so operation
     retries re-execute the injected path.
     """
 
-    def __init__(
-        self,
-        config: SolverConfig,
-        num_devices: int,
-        *,
-        breaker: BreakerConfig | None = None,
-        fault_plans: dict[int, FaultPlan] | None = None,
-    ) -> None:
-        if num_devices < 1:
-            raise ValueError("num_devices must be >= 1")
-        breaker = breaker or BreakerConfig()
-        fault_plans = fault_plans or {}
+    def __init__(self, config: ServeConfig) -> None:
+        solver = config.solver
+        fault_plans = config.fault_plans or {}
         self.devices = []
-        for d in range(num_devices):
-            gpu: GPU = GPU(spec=config.device, host=config.host,
-                           cost=config.cost_model)
+        for d in range(config.num_devices):
+            gpu: GPU = GPU(spec=solver.device, host=solver.host,
+                           cost=solver.cost_model)
             plan = fault_plans.get(d)
             if plan is not None:
                 gpu = FaultInjector(gpu, plan)
-            if config.resilience is not None:
-                gpu = ResilientGPU(gpu, config.resilience.op_retry)
+            if solver.resilience:
+                gpu = ResilientGPU(gpu)
             self.devices.append(
                 SimulatedDevice(
                     device_id=d,
                     gpu=gpu,
-                    breaker=CircuitBreaker(config=breaker),
+                    breaker=CircuitBreaker(config=config.breaker),
                 )
             )
 
@@ -236,56 +230,19 @@ class BatchScheduler:
 
     def __init__(
         self,
-        config: SolverConfig,
+        config: ServeConfig,
         cache: AnalysisCache,
         metrics: ServiceMetrics,
-        *,
-        num_devices: int = 1,
-        max_queue_depth: int = 64,
-        breaker: BreakerConfig | None = None,
-        dispatch_retry: RetryPolicy | None = None,
-        refactorize_retry: RetryPolicy | None = None,
-        cpu_fallback: bool = True,
-        fault_plans: dict[int, FaultPlan] | None = None,
-        placement: str = "affinity",
-        incremental: IncrementalPolicy | None = None,
     ) -> None:
-        if max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1")
-        if placement not in ("affinity", "spread"):
-            raise ValueError(
-                f"placement must be 'affinity' or 'spread', "
-                f"got {placement!r}"
-            )
         self.config = config
         self.cache = cache
         self.metrics = metrics
-        self.max_queue_depth = int(max_queue_depth)
-        self.pool = DevicePool(
-            config, num_devices, breaker=breaker, fault_plans=fault_plans
-        )
-        #: batch-level reroute budget across devices (rung 4)
-        self.dispatch_retry = dispatch_retry or RetryPolicy(
-            max_attempts=3, base_delay_s=1e-4, backoff=2.0
-        )
-        #: stale-cache-entry rebuild budget; the default (two attempts,
-        #: zero backoff) reproduces the historical retry-once semantics
-        self.refactorize_retry = refactorize_retry or RetryPolicy(
-            max_attempts=2, base_delay_s=0.0
-        )
-        self.cpu_fallback = bool(cpu_fallback)
-        #: when a family-hinted pattern misses, splice its delta into a
-        #: resident family donor instead of analyzing cold (see
-        #: :class:`~repro.core.IncrementalPolicy`)
-        self.incremental = incremental or IncrementalPolicy()
+        self.pool = DevicePool(config)
         #: virtual timeline of the degraded CPU path
         self.cpu_busy_until = 0.0
         self._queue: list[SolveRequest] = []
         #: pattern key -> device that holds/built its analysis
         self._affinity: dict[str, int] = {}
-        self.placement = placement
-        #: round-robin cursor for cold patterns under spread placement
-        self._spread_next = 0
         #: optional hook fired when this scheduler *builds* an analysis
         #: (not when it adopts one) — the fleet tier uses it for
         #: write-through publication to the shared L2 cache
@@ -331,9 +288,10 @@ class BatchScheduler:
 
     def submit(self, request: SolveRequest) -> None:
         """Enqueue or raise :class:`QueueFullError` (backpressure)."""
-        if len(self._queue) >= self.max_queue_depth:
+        depth = self.config.max_queue_depth
+        if len(self._queue) >= depth:
             self.metrics.count("rejected")
-            raise QueueFullError(len(self._queue), self.max_queue_depth)
+            raise QueueFullError(len(self._queue), depth)
         self._queue.append(request)
         self.metrics.count("submitted")
         self.metrics.observe("queue_depth", float(len(self._queue)))
@@ -402,13 +360,7 @@ class BatchScheduler:
         """Route a batch: affinity device first (when its analysis is
         resident), else least-loaded — skipping excluded devices and any
         whose circuit breaker refuses traffic.  ``None`` when no device
-        will take the batch (degrade to the CPU path).
-
-        Under ``placement="spread"`` a *cold* pattern (no affinity
-        entry yet) is instead placed round-robin across the pool, so a
-        burst of distinct patterns lands on distinct devices and their
-        analyses build in parallel pool-wide; once a pattern is hot its
-        affinity routing is identical to the default policy."""
+        will take the batch (degrade to the CPU path)."""
         order = sorted(
             (d for d in self.pool.devices if d.device_id not in exclude),
             key=lambda d: (d.busy_until, d.device_id),
@@ -416,17 +368,8 @@ class BatchScheduler:
         dev_id = self._affinity.get(batch.key)
         if dev_id is not None and batch.key in self.cache:
             order.sort(key=lambda d: d.device_id != dev_id)  # stable
-        elif self.placement == "spread" and order:
-            pool_size = len(self.pool.devices)
-            cursor = self._spread_next % pool_size
-            # first non-excluded device at or after the cursor
-            order.sort(
-                key=lambda d: (d.device_id - cursor) % pool_size
-            )
         for device in order:
             if device.breaker.allow(now):
-                if dev_id is None and self.placement == "spread":
-                    self._spread_next = device.device_id + 1
                 return device
         return None
 
@@ -435,7 +378,7 @@ class BatchScheduler:
     ) -> tuple[ReusableAnalysis, float]:
         """Build an analysis on ``device``; returns it plus sim seconds."""
         t0 = device.gpu.ledger.total_seconds
-        analysis = analyze(a, self.config, gpu=device.gpu)
+        analysis = analyze(a, self.config.solver, gpu=device.gpu)
         elapsed = device.gpu.ledger.total_seconds - t0
         self.metrics.charge("analysis", elapsed)
         return analysis, elapsed
@@ -447,14 +390,13 @@ class BatchScheduler:
 
         Probes the family index newest-first (host-side, free in
         simulated time) for a donor whose structural delta fits the
-        incremental policy budget; on success the delta splice runs on
-        ``device`` and its cost is charged to the ``analysis_delta``
+        :func:`~repro.core.best_donor` budget; on success the splice runs
+        on ``device`` and its cost is charged to the ``analysis_delta``
         metric.  Returns ``None`` — and counts a fallback when donors
         existed — if no donor qualifies, leaving the cold path to the
         caller.
         """
-        policy = self.incremental
-        if not policy.enabled or batch.family is None:
+        if not self.config.incremental or batch.family is None:
             return None
         donors = [
             d
@@ -464,9 +406,9 @@ class BatchScheduler:
         ]
         if not donors:
             return None
-        a = batch.requests[0].a
-        pre = preprocess(a, self.config.preprocess)
-        pick = best_donor(donors, pre.matrix, policy)
+        solver = self.config.solver
+        pre = preprocess(batch.requests[0].a, solver.preprocess)
+        pick = best_donor(donors, pre.matrix)
         if pick is None:
             # family members resident but every delta over threshold:
             # the cold oracle runs instead
@@ -475,7 +417,7 @@ class BatchScheduler:
         donor, delta = pick
         t0 = device.gpu.ledger.total_seconds
         analysis, report = incremental_analyze_pre(
-            donor, pre, delta, self.config, gpu=device.gpu
+            donor, pre, delta, solver, gpu=device.gpu
         )
         elapsed = device.gpu.ledger.total_seconds - t0
         self.metrics.charge("analysis_delta", elapsed)
@@ -495,7 +437,8 @@ class BatchScheduler:
         exhausted, then degrade to the CPU reference path."""
         tried: set[int] = set()
         last_error: RecoverableError | None = None
-        for attempt in range(1, self.dispatch_retry.max_attempts + 1):
+        policy = DISPATCH_RETRY
+        for attempt in range(1, policy.max_attempts + 1):
             device = self._device_for(batch, now, exclude=tried)
             if device is None:
                 break
@@ -505,9 +448,9 @@ class BatchScheduler:
                 last_error = exc
                 tried.add(device.device_id)
                 self._device_failed(device, exc, now)
-                if attempt < self.dispatch_retry.max_attempts:
+                if attempt < policy.max_attempts:
                     # rerouted batch restarts after a breather
-                    now += self.dispatch_retry.delay(attempt)
+                    now += policy.delay(attempt)
         return self._dispatch_fallback(batch, now, last_error)
 
     def _device_failed(
@@ -633,11 +576,11 @@ class BatchScheduler:
         """Numeric-only pass with the retry-on-bad-entry path.
 
         A stale/poisoned cache entry (``SparseFormatError``) is purged
-        and rebuilt under ``refactorize_retry``; exhausting the policy
+        and rebuilt under :data:`REFACTORIZE_RETRY`; exhausting it
         propagates the error (surfaced as per-request ``error``
         responses, never an infinite rebuild loop).
         """
-        policy = self.refactorize_retry
+        policy = REFACTORIZE_RETRY
         t0 = device.gpu.ledger.total_seconds
         backoff = 0.0
         retried = False
@@ -675,7 +618,7 @@ class BatchScheduler:
         as per-request errors.
         """
         size = len(batch.requests)
-        if not self.cpu_fallback:
+        if not self.config.cpu_fallback:
             msg = (
                 f"{type(last_error).__name__}: {last_error}"
                 if last_error is not None
@@ -690,7 +633,7 @@ class BatchScheduler:
             return responses
 
         self.metrics.count("cpu_fallbacks")
-        cfg = self.config
+        cfg = self.config.solver
         cost, host = cfg.cost_model, cfg.host
         t = max(self.cpu_busy_until, now)
         responses: list[SolveResponse] = []

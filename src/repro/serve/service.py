@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import SolverConfig
-from ..core.incremental import IncrementalPolicy
-from ..core.resilient import RetryPolicy
 from ..errors import ServiceShutdownError
 from ..gpusim import FaultPlan
 from ..sparse import CSRMatrix
@@ -44,7 +42,12 @@ __all__ = ["ServeConfig", "SolverService"]
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Knobs of the serving runtime (solver knobs live in ``solver``)."""
+    """Knobs of the serving runtime (solver knobs live in ``solver``).
+
+    As for :class:`~repro.core.SolverConfig`, a field exists only while a
+    caller outside the tests sets it; the retry budgets are constants of
+    :mod:`repro.serve.scheduler`.
+    """
 
     solver: SolverConfig = field(default_factory=SolverConfig)
     #: simulated GPUs in the dispatch pool
@@ -53,51 +56,27 @@ class ServeConfig:
     cache_capacity_bytes: int = 64 << 20
     #: bounded-queue depth; submits past this raise ``QueueFullError``
     max_queue_depth: int = 64
-    #: relative deadline (simulated seconds) applied when a submit names
-    #: none; ``None`` disables default timeouts
-    default_timeout: float | None = None
     #: per-device circuit-breaker knobs (rung 4 of the recovery ladder)
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    #: batch reroute budget when a device fails recoverably
-    dispatch_retry: RetryPolicy | None = None
-    #: stale-cache-entry rebuild budget (``None`` = historical
-    #: retry-once semantics)
-    refactorize_retry: RetryPolicy | None = None
     #: degrade to the CPU reference path when every device is down
     cpu_fallback: bool = True
     #: device id -> seeded fault plan, wrapped around that device's GPU
     fault_plans: dict[int, FaultPlan] | None = None
-    #: cold-pattern placement: ``affinity`` (least-loaded) or ``spread``
-    #: (round-robin across the pool so distinct patterns build their
-    #: analyses on distinct devices); hot patterns always follow their
-    #: cached affinity either way
-    placement: str = "affinity"
     #: when a family-hinted pattern misses the exact-key cache, splice
     #: its delta into a resident family donor instead of analyzing cold
-    incremental: IncrementalPolicy = field(
-        default_factory=IncrementalPolicy
-    )
+    incremental: bool = True
 
     def __post_init__(self) -> None:
         if self.num_devices < 1:
             raise ValueError("num_devices must be >= 1")
-        if self.placement not in ("affinity", "spread"):
-            raise ValueError(
-                f"placement must be 'affinity' or 'spread', "
-                f"got {self.placement!r}"
-            )
         if self.cache_capacity_bytes < 0:
             raise ValueError("cache_capacity_bytes must be >= 0")
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
-        if self.default_timeout is not None and self.default_timeout <= 0:
-            raise ValueError("default_timeout must be positive")
         if self.fault_plans is not None:
             for dev in self.fault_plans:
                 if not (0 <= dev < self.num_devices):
-                    raise ValueError(
-                        f"fault plan for unknown device {dev}"
-                    )
+                    raise ValueError(f"fault plan for unknown device {dev}")
 
 
 class SolverService:
@@ -107,20 +86,7 @@ class SolverService:
         self.config = config or ServeConfig()
         self.metrics = ServiceMetrics()
         self.cache = AnalysisCache(self.config.cache_capacity_bytes)
-        self.scheduler = BatchScheduler(
-            self.config.solver,
-            self.cache,
-            self.metrics,
-            num_devices=self.config.num_devices,
-            max_queue_depth=self.config.max_queue_depth,
-            breaker=self.config.breaker,
-            dispatch_retry=self.config.dispatch_retry,
-            refactorize_retry=self.config.refactorize_retry,
-            cpu_fallback=self.config.cpu_fallback,
-            fault_plans=self.config.fault_plans,
-            placement=self.config.placement,
-            incremental=self.config.incremental,
-        )
+        self.scheduler = BatchScheduler(self.config, self.cache, self.metrics)
         self._clock = 0.0
         self._next_id = 0
         self._closed = False
@@ -181,9 +147,8 @@ class SolverService:
         """Enqueue ``A x = b``; returns the request id.
 
         ``deadline`` is absolute virtual time; ``timeout`` is relative to
-        now (at most one may be given).  With neither, the service's
-        ``default_timeout`` applies (if configured).  ``family`` is an
-        optional pattern-family digest (see
+        now (at most one may be given; with neither the request has no
+        deadline).  ``family`` is an optional pattern-family digest (see
         :func:`~repro.serve.cache.family_key`) enabling incremental
         re-analysis from a cached near-miss donor.  Raises
         :class:`QueueFullError` when the bounded queue is at capacity and
@@ -194,10 +159,12 @@ class SolverService:
             raise ValueError("give either deadline or timeout, not both")
         if timeout is not None:
             deadline = self._clock + float(timeout)
-        elif deadline is None and self.config.default_timeout is not None:
-            deadline = self._clock + self.config.default_timeout
         request = self.scheduler.make_request(
-            self._next_id, a, b, arrival=self._clock, deadline=deadline,
+            self._next_id,
+            a,
+            b,
+            arrival=self._clock,
+            deadline=deadline,
             family=family,
         )
         self.scheduler.submit(request)  # may raise QueueFullError
@@ -220,8 +187,7 @@ class SolverService:
         if responses:
             # the clock follows the latest completion so subsequent
             # arrivals cannot be scheduled in the past
-            self._clock = max(self._clock,
-                              max(r.finish for r in responses))
+            self._clock = max(self._clock, max(r.finish for r in responses))
         return responses
 
     def result(self, request_id: int) -> SolveResponse | None:

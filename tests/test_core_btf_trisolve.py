@@ -1,4 +1,4 @@
-"""BTF solver, multi-part chunk plans, GPU trisolve, multi-RHS solves."""
+"""BTF solver, GPU trisolve, multi-RHS solves."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ from repro.core import (
     SolverConfig,
     factorize,
     factorize_btf,
-    plan_chunks_multipart,
     solve_gpu,
 )
 from repro.gpusim import GPU, scaled_device, scaled_host
 from repro.numeric import lu_solve_multi
 from repro.sparse import CSRMatrix, residual_norm
-from repro.symbolic import frontier_counts, symbolic_fill_reference
 from repro.workloads import circuit_like
 
 from helpers import random_dense
@@ -82,56 +80,6 @@ class TestBTF:
         assert a.has_full_diagonal()  # structurally fine
         with pytest.raises(SingularMatrixError):
             factorize_btf(a, cfg())
-
-
-class TestMultipartPlans:
-    @pytest.fixture
-    def setup(self):
-        a = circuit_like(300, 7.0, seed=72)
-        filled = symbolic_fill_reference(a)
-        frontier = frontier_counts(filled)
-        gpu = GPU(spec=scaled_device(4 << 20), host=scaled_host(64 << 20))
-        return a, frontier, gpu
-
-    def test_one_part_is_naive(self, setup):
-        a, frontier, gpu = setup
-        plans = plan_chunks_multipart(
-            gpu, a, cfg(), frontier, num_parts=1
-        )
-        assert len(plans) == 1
-        assert plans[0].scratch_bytes_per_row == cfg().scratch_bytes_per_row(
-            a.n_rows
-        )
-
-    @pytest.mark.parametrize("k", [2, 3, 4, 6])
-    def test_parts_cover_rows_and_order_scratch(self, setup, k):
-        a, frontier, gpu = setup
-        plans = plan_chunks_multipart(gpu, a, cfg(), frontier, num_parts=k)
-        assert plans[0].row_start == 0
-        assert plans[-1].row_end == a.n_rows
-        for p, q in zip(plans, plans[1:]):
-            assert p.row_end == q.row_start
-            # later parts have costlier rows
-            assert p.scratch_bytes_per_row <= q.scratch_bytes_per_row
-        assert len(plans) <= k
-
-    def test_invalid_num_parts(self, setup):
-        a, frontier, gpu = setup
-        with pytest.raises(ValueError):
-            plan_chunks_multipart(gpu, a, cfg(), frontier, num_parts=0)
-
-    def test_symbolic_with_num_parts_same_structure(self, setup):
-        from repro.core import outofcore_symbolic
-
-        a, _, _ = setup
-        ref = symbolic_fill_reference(a)
-        for k in (1, 3, 5):
-            gpu = GPU(spec=scaled_device(4 << 20),
-                      host=scaled_host(64 << 20))
-            res = outofcore_symbolic(
-                gpu, a, cfg(4 << 20), num_parts=k
-            )
-            assert res.filled.same_pattern(ref)
 
 
 class TestGpuTrisolve:

@@ -28,7 +28,7 @@ class TestChunkPlanning:
     def test_naive_single_plan(self, matrix):
         gpu = make_gpu(4 << 20)
         cfg = config_for(gpu)
-        plans, split = plan_chunks(gpu, matrix, cfg, dynamic=False)
+        plans, split = plan_chunks(gpu, matrix, cfg, num_parts=1)
         assert split is None
         assert len(plans) == 1
         p = plans[0]
@@ -42,7 +42,7 @@ class TestChunkPlanning:
         cfg = config_for(gpu)
         frontier = frontier_counts(symbolic_fill_reference(matrix))
         plans, split = plan_chunks(
-            gpu, matrix, cfg, dynamic=True, frontier=frontier
+            gpu, matrix, cfg, num_parts=2, frontier=frontier
         )
         assert split is not None and 0 < split < matrix.n_rows
         assert len(plans) == 2
@@ -57,7 +57,7 @@ class TestChunkPlanning:
         cfg = config_for(gpu)
         frontier = frontier_counts(symbolic_fill_reference(matrix))
         plans, _ = plan_chunks(
-            gpu, matrix, cfg, dynamic=True, frontier=frontier
+            gpu, matrix, cfg, num_parts=2, frontier=frontier
         )
         covered = []
         for p in plans:
@@ -68,12 +68,12 @@ class TestChunkPlanning:
         gpu = make_gpu(1024)  # cannot host even one row's scratch
         cfg = config_for(gpu)
         with pytest.raises(DeviceMemoryError):
-            plan_chunks(gpu, matrix, cfg, dynamic=False)
+            plan_chunks(gpu, matrix, cfg, num_parts=1)
 
     def test_dynamic_requires_frontier(self, matrix):
         gpu = make_gpu(4 << 20)
         with pytest.raises(ValueError):
-            plan_chunks(gpu, matrix, config_for(gpu), dynamic=True)
+            plan_chunks(gpu, matrix, config_for(gpu), num_parts=2)
 
 
 class TestExecution:
@@ -159,3 +159,54 @@ class TestExecution:
             nv = outofcore_symbolic(ga, matrix, config_for(ga), dynamic=False)
             dy = outofcore_symbolic(gb, matrix, config_for(gb), dynamic=True)
             assert dy.sim_seconds <= nv.sim_seconds * 1.25
+
+
+class TestMultipartPlans:
+    @pytest.fixture
+    def setup(self):
+        a = circuit_like(300, 7.0, seed=72)
+        filled = symbolic_fill_reference(a)
+        frontier = frontier_counts(filled)
+        gpu = make_gpu(4 << 20)
+        return a, frontier, gpu
+
+    def test_one_part_is_naive(self, setup):
+        a, frontier, gpu = setup
+        cfg = config_for(gpu)
+        plans, split = plan_chunks(
+            gpu, a, cfg, num_parts=1, frontier=frontier
+        )
+        assert len(plans) == 1 and split is None
+        assert plans[0].scratch_bytes_per_row == cfg.scratch_bytes_per_row(
+            a.n_rows
+        )
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_parts_cover_rows_and_order_scratch(self, setup, k):
+        a, frontier, gpu = setup
+        plans, split = plan_chunks(
+            gpu, a, config_for(gpu), num_parts=k, frontier=frontier
+        )
+        assert plans[0].row_start == 0
+        assert plans[-1].row_end == a.n_rows
+        for p, q in zip(plans, plans[1:]):
+            assert p.row_end == q.row_start
+            # later parts have costlier rows
+            assert p.scratch_bytes_per_row <= q.scratch_bytes_per_row
+        assert len(plans) <= k
+        assert split == (plans[1].row_start if len(plans) > 1 else None)
+
+    def test_invalid_num_parts(self, setup):
+        a, frontier, gpu = setup
+        with pytest.raises(ValueError):
+            plan_chunks(
+                gpu, a, config_for(gpu), num_parts=0, frontier=frontier
+            )
+
+    def test_symbolic_with_num_parts_same_structure(self, setup):
+        a, _, _ = setup
+        ref = symbolic_fill_reference(a)
+        for k in (1, 3, 5):
+            gpu = make_gpu(4 << 20)
+            res = outofcore_symbolic(gpu, a, config_for(gpu), num_parts=k)
+            assert res.filled.same_pattern(ref)

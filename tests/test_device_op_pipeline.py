@@ -12,7 +12,7 @@ import pytest
 
 from repro.bench.gates import factor_mismatches
 from repro.core import EndToEndLU, SolverConfig
-from repro.core.resilient import ResilienceConfig, ResilientGPU, RetryPolicy
+from repro.core.resilient import ResilientGPU, RetryPolicy
 from repro.errors import RecoverableError
 from repro.gpusim import (
     GPU,
@@ -254,13 +254,12 @@ def test_traced_run_books_the_untraced_ledger():
 @pytest.mark.faults
 @pytest.mark.supernodal
 @pytest.mark.parametrize("abbr", ["G7", "OT2"])
-def test_supernodal_recovers_under_kernel_faults(abbr):
-    a, base = _registry_config(abbr, 200)
-    cfg = dataclasses.replace(
-        base,
-        supernodal=True,
-        resilience=ResilienceConfig(op_retry=RetryPolicy(max_attempts=8)),
+def test_supernodal_recovers_under_kernel_faults(abbr, monkeypatch):
+    monkeypatch.setattr(
+        "repro.core.resilient.OP_RETRY", RetryPolicy(max_attempts=8)
     )
+    a, base = _registry_config(abbr, 200)
+    cfg = dataclasses.replace(base, supernodal=True, resilience=True)
     ref = EndToEndLU(cfg).factorize(a)
     injector = FaultInjector(
         GPU(spec=cfg.device, host=cfg.host, cost=cfg.cost_model),

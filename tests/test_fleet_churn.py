@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.fleet import (
-    AdmissionConfig,
     AdmissionController,
     ChurnEvent,
     ChurnPlan,
@@ -25,7 +24,6 @@ from repro.fleet import (
     FleetConfig,
     HashRing,
     L2Cache,
-    L2Config,
     NodeLostError,
     RingMembershipError,
     churn_plan_for_trace,
@@ -124,7 +122,7 @@ def test_breaker_records_last_transition_clock():
 # admission: runtime register / retire
 # ---------------------------------------------------------------------------
 def test_admission_register_and_retire_nodes():
-    adm = AdmissionController(2, AdmissionConfig())
+    adm = AdmissionController(2, max_pending_per_node=32)
     adm.register_node(5)
     with pytest.raises(ValueError):
         adm.register_node(5)
@@ -276,10 +274,11 @@ def test_fleet_join_warms_l1_from_l2():
 
 
 def test_fleet_graceful_leave_drains_and_publishes():
-    # write_through off: the L2 only learns what the leaver publishes
-    fleet = Fleet(FleetConfig(
-        num_nodes=2, l2=L2Config(write_through=False),
-    ))
+    fleet = Fleet(FleetConfig(num_nodes=2))
+    # detach the write-through hooks: the L2 only learns what the leaver
+    # publishes
+    for node in fleet.nodes.values():
+        node.scheduler.on_install = None
     events = _events(6, patterns=2)
     home = fleet.route_of(events[0][0])
     for a, b in events:
@@ -374,12 +373,13 @@ def test_shutdown_drain_lands_every_queued_publish():
     assert fleet.l2.ledger.get_count("l2_write_aborts") == 0
 
 
-def test_shutdown_discard_rolls_publishes_back():
+def test_shutdown_discard_rolls_publishes_back(monkeypatch):
     # a glacial link keeps the publishes in flight past the replay
     from repro.gpusim.interconnect import LinkSpec
 
     slow = LinkSpec(name="dialup", bandwidth=1e3, latency=0.0)
-    fleet = Fleet(FleetConfig(num_nodes=2, l2=L2Config(link=slow)))
+    monkeypatch.setattr("repro.fleet.l2cache.L2_LINK", slow)
+    fleet = Fleet(FleetConfig(num_nodes=2))
     for a, b in _events(4, patterns=2):
         fleet.solve(a, b)
     assert len(fleet.l2) == 2

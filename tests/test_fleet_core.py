@@ -16,12 +16,10 @@ import pytest
 from repro.core.config import SolverConfig
 from repro.core.refactorize import analyze
 from repro.fleet import (
-    AdmissionConfig,
     AdmissionController,
     Fleet,
     FleetConfig,
     L2Cache,
-    L2Config,
     ShedError,
 )
 from repro.fleet.fleet import fleet_config_with_node_devices
@@ -38,11 +36,19 @@ def _analysis(n=48, seed=0):
     return analyze(circuit_like(n, 6.0, seed=seed), SolverConfig())
 
 
+def _node_breaker(monkeypatch, **kw):
+    """Give every node breaker built from now on these knobs."""
+    monkeypatch.setattr(
+        "repro.fleet.admission.NODE_BREAKER", BreakerConfig(**kw)
+    )
+
+
 # ---------------------------------------------------------------------------
 # L2 cache: storage + link model
 # ---------------------------------------------------------------------------
-def test_l2_fetch_charges_link_time():
-    l2 = L2Cache(L2Config(link=NVLINK2), num_nodes=2)
+def test_l2_fetch_charges_link_time(monkeypatch):
+    monkeypatch.setattr("repro.fleet.l2cache.L2_LINK", NVLINK2)
+    l2 = L2Cache(num_nodes=2)
     an = _analysis()
     done = l2.put(0, "k", an, ready_s=0.0)
     expect = NVLINK2.transfer_seconds(an.nbytes)
@@ -86,8 +92,6 @@ def test_l2_miss_is_free_and_counted():
 def test_l2_validation():
     with pytest.raises(ValueError):
         L2Cache(num_nodes=0)
-    with pytest.raises(ValueError):
-        L2Config(capacity_bytes=-1)
     l2 = L2Cache(num_nodes=1)
     with pytest.raises(ValueError):
         l2.fetch(5, "k", 0.0)
@@ -97,7 +101,7 @@ def test_l2_validation():
 # admission controller
 # ---------------------------------------------------------------------------
 def test_admission_bounded_queue_sheds():
-    adm = AdmissionController(2, AdmissionConfig(max_pending_per_node=2))
+    adm = AdmissionController(2, max_pending_per_node=2)
     adm.admit(0)
     adm.admit(0)
     with pytest.raises(ShedError) as exc:
@@ -110,11 +114,9 @@ def test_admission_bounded_queue_sheds():
     assert adm.pending == {0: 1, 1: 0}
 
 
-def test_admission_select_walks_preference_on_open_breaker():
-    cfg = AdmissionConfig(
-        breaker=BreakerConfig(failure_threshold=1, cooldown_s=10.0)
-    )
-    adm = AdmissionController(3, cfg)
+def test_admission_select_walks_preference_on_open_breaker(monkeypatch):
+    _node_breaker(monkeypatch, failure_threshold=1, cooldown_s=10.0)
+    adm = AdmissionController(3, max_pending_per_node=32)
     assert adm.select([1, 2, 0], now=0.0) == 1
     adm.record_result(1, ok=False, now=0.0)  # trips node 1 open
     assert adm.select([1, 2, 0], now=0.0) == 2
@@ -126,23 +128,11 @@ def test_admission_select_walks_preference_on_open_breaker():
     assert exc.value.reason == "no_healthy_node"
 
 
-def test_admission_reroute_can_be_disabled():
-    cfg = AdmissionConfig(
-        breaker=BreakerConfig(failure_threshold=1, cooldown_s=10.0),
-        reroute_unhealthy=False,
-    )
-    adm = AdmissionController(2, cfg)
-    adm.record_result(0, ok=False, now=0.0)
-    with pytest.raises(ShedError):
-        adm.select([0, 1], now=0.0)  # healthy successor ignored
-    assert adm.reroutes == 0
-
-
 def test_admission_validation():
     with pytest.raises(ValueError):
-        AdmissionController(0)
+        AdmissionController(0, max_pending_per_node=32)
     with pytest.raises(ValueError):
-        AdmissionConfig(max_pending_per_node=0)
+        FleetConfig(max_pending_per_node=0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +148,7 @@ def _one_pattern_trace(count, n=48, seed=0):
 
 
 def test_fleet_sheds_record_responses_and_raise():
-    cfg = FleetConfig(
-        num_nodes=1,
-        admission=AdmissionConfig(max_pending_per_node=1),
-    )
+    cfg = FleetConfig(num_nodes=1, max_pending_per_node=1)
     with Fleet(cfg) as fleet:
         events = _one_pattern_trace(3)
         fleet.submit(events[0][0], events[0][1])
@@ -178,15 +165,11 @@ def test_fleet_sheds_record_responses_and_raise():
         assert [r.status for r in report] == ["ok", "shed", "ok"]
 
 
-def test_fleet_reroutes_around_error_node():
+def test_fleet_reroutes_around_error_node(monkeypatch):
     """A node returning only errors trips its breaker; traffic homed on
     it walks to the ring successor and completes there."""
-    cfg = FleetConfig(
-        num_nodes=2,
-        admission=AdmissionConfig(
-            breaker=BreakerConfig(failure_threshold=2, cooldown_s=1e9)
-        ),
-    )
+    _node_breaker(monkeypatch, failure_threshold=2, cooldown_s=1e9)
+    cfg = FleetConfig(num_nodes=2)
     events = _one_pattern_trace(8)
     home = Fleet(cfg).route_of(events[0][0])
     overrides = fleet_config_with_node_devices(
@@ -211,13 +194,9 @@ def test_fleet_reroutes_around_error_node():
     fleet.shutdown()
 
 
-def test_fleet_all_nodes_down_sheds_no_healthy_node():
-    cfg = FleetConfig(
-        num_nodes=2,
-        admission=AdmissionConfig(
-            breaker=BreakerConfig(failure_threshold=1, cooldown_s=1e9)
-        ),
-    )
+def test_fleet_all_nodes_down_sheds_no_healthy_node(monkeypatch):
+    _node_breaker(monkeypatch, failure_threshold=1, cooldown_s=1e9)
+    cfg = FleetConfig(num_nodes=2)
     plans = {
         i: {0: FaultPlan(kernel_fault_rate=1.0)} for i in range(2)
     }
@@ -244,8 +223,6 @@ def test_fleet_all_nodes_down_sheds_no_healthy_node():
 def test_fleet_lifecycle_and_validation():
     with pytest.raises(ValueError):
         FleetConfig(num_nodes=0)
-    with pytest.raises(ValueError):
-        FleetConfig(vnodes=0)
     with pytest.raises(ValueError):
         Fleet(FleetConfig(num_nodes=1),
               node_overrides={3: ServeConfig()})

@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.fleet import FleetConfig, L2Config
+from repro.fleet import FleetConfig
 from repro.fleet.loadgen import run_fleet_load
 from repro.serve import (
     ServeConfig,
@@ -116,19 +116,3 @@ def test_fleet_rerun_is_byte_identical():
         return blob, record, homes
 
     assert run() == run()
-
-
-def test_fleet_l2_disabled_still_identical():
-    """write_through=False turns the L2 into a dead tier: repeats past
-    the L1 re-analyze cold, slower but bitwise-equal."""
-    trace = _registry_trace(stamps=3)
-    serve = ServeConfig(cache_capacity_bytes=100 << 10)
-    cfg = FleetConfig(
-        num_nodes=4, serve=serve, l2=L2Config(write_through=False)
-    )
-    reference = _reference(trace, serve)
-    report = run_fleet_load(trace, cfg, flush_every=6)
-    assert report.served_l2 == 0
-    assert report.stats["l2"]["writes"] == 0
-    for resp in report.responses:
-        assert np.array_equal(resp.x, reference[resp.index])

@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import IncrementalPolicy
 from repro.fleet import FleetConfig
 from repro.fleet.loadgen import run_fleet_load
 from repro.serve import (
@@ -97,9 +96,7 @@ class TestFleetDeltaDisabled:
         trace = _drift_trace()
         cfg = FleetConfig(
             num_nodes=3,
-            serve=ServeConfig(
-                incremental=IncrementalPolicy(enabled=False)
-            ),
+            serve=ServeConfig(incremental=False),
         )
         report = run_fleet_load(trace, cfg, flush_every=6)
         assert report.served_delta == 0

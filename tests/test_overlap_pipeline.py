@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import EndToEndLU, ResilienceConfig, SolverConfig
+from repro.core import EndToEndLU, SolverConfig
 from repro.gpusim import GPU, FaultInjector, FaultPlan, scaled_device
 from repro.streams import StreamedGPU
 from repro.symbolic import symbolic_fill_reference
@@ -110,7 +110,7 @@ class TestOverlapWithFaults:
         rung-1 retries absorb them and results stay identical."""
         a, base = _config("CR2", 120, mem_divisor=2)
         cfg = dataclasses.replace(
-            base, overlap=True, resilience=ResilienceConfig()
+            base, overlap=True, resilience=True
         )
         clean = EndToEndLU(cfg).factorize(a)
 

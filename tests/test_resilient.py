@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import (
     EndToEndLU,
-    ResilienceConfig,
     ResilientGPU,
     RetryPolicy,
     SolverConfig,
@@ -210,7 +209,7 @@ class TestPivotRecovery:
         n = 60
         a = _singular_matrix(n)
         b = np.random.default_rng(0).random(n)
-        cfg = SolverConfig(resilience=ResilienceConfig())
+        cfg = SolverConfig(resilience=True)
         res = EndToEndLU(cfg).factorize(a)
         rec = res.recovery
         assert rec is not None and rec.perturbed_columns
@@ -222,7 +221,7 @@ class TestPivotRecovery:
 
     def test_clean_matrix_reports_quiet_ladder(self):
         a = circuit_like(60, 5.0, seed=5)
-        cfg = SolverConfig(resilience=ResilienceConfig())
+        cfg = SolverConfig(resilience=True)
         res = EndToEndLU(cfg).factorize(a)
         assert res.recovery is not None
         assert not res.recovery.fired
@@ -251,7 +250,7 @@ class TestFaultedRunEquivalence:
         cfg = SolverConfig(
             device=scaled_device(mem),
             host=scaled_host(8 * mem),
-            resilience=ResilienceConfig(),
+            resilience=True,
         )
         clean = EndToEndLU(cfg).factorize(a)
         gpu = GPU(spec=cfg.device, host=cfg.host, cost=cfg.cost_model)

@@ -1,12 +1,11 @@
 """Rung 4: per-device circuit breakers, rerouting, CPU fallback, and the
-configurable stale-cache rebuild budget (repro.serve.breaker + scheduler)."""
+stale-cache rebuild budget (repro.serve.breaker + scheduler)."""
 
 import numpy as np
 import pytest
 
-from repro.core import ResilienceConfig, SolverConfig
+from repro.core import SolverConfig
 from repro.core.refactorize import ReusableAnalysis
-from repro.core.resilient import RetryPolicy
 from repro.errors import ServeError, SparseFormatError
 from repro.gpusim import FaultPlan, scaled_device, scaled_host
 from repro.serve import (
@@ -24,7 +23,7 @@ from repro.workloads import circuit_like
 def solver_cfg(mem=8 << 20, *, resilient=True):
     kw = {"device": scaled_device(mem), "host": scaled_host(8 * mem)}
     if resilient:
-        kw["resilience"] = ResilienceConfig()
+        kw["resilience"] = True
     return SolverConfig(**kw)
 
 
@@ -77,7 +76,7 @@ class TestBreakerStateMachine:
         assert br.state == "closed"  # streak broken: 1/3, not 3/3
 
     def test_half_open_admits_limited_probes(self):
-        br = self._breaker(failure_threshold=1, half_open_trials=1)
+        br = self._breaker(failure_threshold=1)
         br.record_failure(0.0)
         assert br.allow(1.0)  # cooldown elapsed: half-open probe admitted
         assert br.state == "half-open"
@@ -105,7 +104,6 @@ class TestBreakerStateMachine:
     @pytest.mark.parametrize("kw", [
         {"failure_threshold": 0},
         {"cooldown_s": -1.0},
-        {"half_open_trials": 0},
     ])
     def test_invalid_config_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -197,18 +195,3 @@ class TestRefactorizeRetryBudget:
         # the poisoned entry does not linger for the next caller
         assert svc.cache.stats()["invalidations"] == 2
         assert svc.cache.get(pattern_key(a)) is None
-
-    def test_budget_is_configurable(self, monkeypatch, pattern, rhs):
-        svc = service(refactorize_retry=RetryPolicy(
-            max_attempts=4, base_delay_s=0.0))
-        calls = []
-
-        def always_bad(self, values):
-            calls.append(1)
-            raise SparseFormatError("bad entry")
-
-        monkeypatch.setattr(ReusableAnalysis, "refactorize", always_bad)
-        resp = svc.solve(restamp(pattern, 1), rhs)
-        assert resp.status == "error"
-        assert len(calls) == 4
-        assert svc.metrics.get_count("retries") == 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench.drift import run_drift_bench
-from repro.core import IncrementalPolicy, SolverConfig, analyze
+from repro.core import SolverConfig, analyze
 from repro.gpusim import scaled_device, scaled_host
 from repro.serve import (
     AnalysisCache,
@@ -204,7 +204,7 @@ class TestServiceIncremental:
         on = {r.request_id: r for r in replay(svc_on, trace)}
         assert any(r.incremental for r in on.values())
         svc_on.shutdown()
-        svc_off = service(incremental=IncrementalPolicy(enabled=False))
+        svc_off = service(incremental=False)
         off = {r.request_id: r for r in replay(svc_off, trace)}
         assert not any(r.incremental for r in off.values())
         svc_off.shutdown()
@@ -213,12 +213,13 @@ class TestServiceIncremental:
             assert resp.status == "ok"
             np.testing.assert_array_equal(resp.x, off[rid].x)
 
-    def test_over_threshold_rebase_counts_fallback(self):
-        """A re-based family member (delta beyond the policy budget)
+    def test_over_threshold_rebase_counts_fallback(self, monkeypatch):
+        """A re-based family member (delta beyond the splice budget)
         falls back to the cold oracle and counts a fallback."""
-        svc = service(
-            incremental=IncrementalPolicy(max_delta_fraction=0.001)
+        monkeypatch.setattr(
+            "repro.core.incremental.MAX_DELTA_FRACTION", 0.001
         )
+        svc = service()
         a = fem_like(150, 6.0, seed=4)
         fam = family_key(a, "sim0")
         rng = np.random.default_rng(0)

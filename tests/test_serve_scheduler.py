@@ -83,27 +83,6 @@ class TestPatternBatching:
         assert svc.solve(restamp(a, 2), rhs).device_id == first["a"]
         assert svc.solve(restamp(b, 2), rhs).device_id == first["b"]
 
-    def test_spread_placement_fans_cold_patterns_out(self, rhs):
-        svc = service(num_devices=3, placement="spread")
-        patterns = [circuit_like(120, 6.0, seed=40 + i) for i in range(3)]
-        first = [
-            svc.solve(restamp(p, 1), rhs).device_id for p in patterns
-        ]
-        # three cold patterns land on three distinct devices round-robin
-        assert first == [0, 1, 2]
-        # hot patterns keep their affinity routing
-        again = [
-            svc.solve(restamp(p, 2), rhs).device_id for p in patterns
-        ]
-        assert again == first
-        # a fourth cold pattern wraps around the pool
-        extra = circuit_like(120, 6.0, seed=49)
-        assert svc.solve(restamp(extra, 1), rhs).device_id == 0
-
-    def test_spread_placement_validated(self):
-        with pytest.raises(ValueError, match="placement"):
-            service(placement="sideways")
-
 
 class TestBackpressure:
     def test_queue_full_rejects_submit(self, pattern, rhs):
@@ -164,11 +143,6 @@ class TestDeadlines:
         svc = service()
         with pytest.raises(ValueError):
             svc.submit(pattern, rhs, deadline=1.0, timeout=1.0)
-
-    def test_default_timeout_applies(self, pattern, rhs):
-        svc = service(default_timeout=1e-12)
-        resp = svc.solve(restamp(pattern, 1), rhs)
-        assert resp.status == "timeout"
 
     def test_raise_for_status(self, pattern, rhs):
         from repro.errors import DeadlineExceededError

@@ -20,7 +20,6 @@ from helpers import use_oracles
 
 from repro.core import EndToEndLU, SolverConfig, analyze
 from repro.core.numeric_gpu import numeric_factorize_gpu
-from repro.core.resilient import ResilienceConfig
 from repro.errors import SingularMatrixError
 from repro.numeric import build_supernodal_plan
 from repro.workloads import circuit_like
@@ -218,12 +217,11 @@ def test_singular_matrix_identical_across_paths():
             EndToEndLU(
                 SolverConfig(supernodal=supernodal)
             ).factorize(a)
-    cfg = ResilienceConfig()
     ref = EndToEndLU(
-        SolverConfig(supernodal=False, resilience=cfg)
+        SolverConfig(supernodal=False, resilience=True)
     ).factorize(a)
     res = EndToEndLU(
-        SolverConfig(supernodal=True, resilience=cfg)
+        SolverConfig(supernodal=True, resilience=True)
     ).factorize(a)
     _assert_same_factors(res, ref, "pivot recovery")
     assert res.numeric.perturbed_columns == ref.numeric.perturbed_columns

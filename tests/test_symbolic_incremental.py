@@ -1,5 +1,5 @@
 """Incremental symbolic re-analysis: delta algebra, splice correctness,
-policy thresholds and registry-wide bitwise differentials."""
+the splice threshold and registry-wide bitwise differentials."""
 
 import dataclasses
 
@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    IncrementalPolicy,
     SolverConfig,
     analyze,
     best_donor,
     incremental_analyze,
 )
+from repro.core import incremental
 from repro.gpusim import GPU
 from repro.preprocess import preprocess
 from repro.sparse import CSRMatrix, residual_norm
@@ -232,11 +232,12 @@ def test_property_splice_there_and_back_restores_analysis(pair):
     a, b = pair
     cfg = SolverConfig()
     donor = analyze(a, cfg)
-    policy = IncrementalPolicy(max_delta_fraction=1.0)
-    there = incremental_analyze(donor, b, cfg, policy=policy)
-    assert there is not None
-    mid, _ = there
-    back = incremental_analyze(mid, a, cfg, policy=policy)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(incremental, "MAX_DELTA_FRACTION", 1.0)
+        there = incremental_analyze(donor, b, cfg)
+        assert there is not None
+        mid, _ = there
+        back = incremental_analyze(mid, a, cfg)
     assert back is not None
     restored, _ = back
     assert_same_analysis(restored, donor)
@@ -244,23 +245,10 @@ def test_property_splice_there_and_back_restores_analysis(pair):
 
 # ---------------------------------------------------------------------------
 class TestPolicyAndThreshold:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="max_delta_fraction"):
-            IncrementalPolicy(max_delta_fraction=-0.1)
-        with pytest.raises(ValueError, match="max_donors"):
-            IncrementalPolicy(max_donors=0)
-
     def test_within_budget_boundary_inclusive(self):
-        policy = IncrementalPolicy(max_delta_fraction=0.05)
-        assert policy.within_budget(5, 100)
-        assert not policy.within_budget(6, 100)
-
-    def test_disabled_policy_returns_none(self):
-        a = circuit_like(80, 5.0, seed=1)
-        donor = analyze(a, SolverConfig())
-        b = perturb_pattern(a, add=1, seed=2)
-        policy = IncrementalPolicy(enabled=False)
-        assert incremental_analyze(donor, b, policy=policy) is None
+        assert incremental.MAX_DELTA_FRACTION == 0.05
+        assert incremental._within_budget(5, 100)
+        assert not incremental._within_budget(6, 100)
 
     def test_shape_mismatch_returns_none(self):
         a = circuit_like(80, 5.0, seed=1)
@@ -268,7 +256,9 @@ class TestPolicyAndThreshold:
         b = circuit_like(90, 5.0, seed=1)
         assert incremental_analyze(donor, b) is None
 
-    def test_straddle_small_delta_splices_large_falls_back(self):
+    def test_straddle_small_delta_splices_large_falls_back(
+        self, monkeypatch
+    ):
         """Deltas on either side of ``max_delta_fraction`` take the
         incremental vs full path; both produce factors bitwise equal to
         the cold oracle, and the ledger charges land in the delta vs
@@ -276,7 +266,7 @@ class TestPolicyAndThreshold:
         cfg = SolverConfig()
         a = fem_like(200, 6.0, seed=8)
         threshold = 8 / analyze(a, cfg).pre.matrix.nnz
-        policy = IncrementalPolicy(max_delta_fraction=threshold)
+        monkeypatch.setattr(incremental, "MAX_DELTA_FRACTION", threshold)
 
         small = perturb_pattern(a, add=4, seed=21)  # under threshold
         large = perturb_pattern(a, add=40, seed=22)  # over threshold
@@ -288,7 +278,7 @@ class TestPolicyAndThreshold:
             donor = analyze(a, cfg, gpu=gpu)
             base_delta = gpu.ledger.seconds("symbolic-delta")
             base_cold = gpu.ledger.seconds("symbolic")
-            got = incremental_analyze(donor, mat, cfg, policy=policy)
+            got = incremental_analyze(donor, mat, cfg)
             if expect_splice:
                 assert got is not None
                 spliced, report = got
@@ -334,20 +324,20 @@ class TestPolicyAndThreshold:
         target = perturb_pattern(near, add=1, seed=4)
         donors = [analyze(far, cfg), analyze(near, cfg)]
         pre = preprocess(target, cfg.preprocess)
-        pick = best_donor(donors, pre.matrix, IncrementalPolicy())
+        pick = best_donor(donors, pre.matrix)
         assert pick is not None
         donor, delta = pick
         assert donor is donors[1]
         assert delta.size <= 5
 
-    def test_best_donor_none_when_all_over_budget(self):
+    def test_best_donor_none_when_all_over_budget(self, monkeypatch):
         cfg = SolverConfig()
         a = circuit_like(100, 5.0, seed=1)
         b = perturb_pattern(a, add=30, bandwidth=16, seed=2)
         donors = [analyze(a, cfg)]
         pre = preprocess(b, cfg.preprocess)
-        policy = IncrementalPolicy(max_delta_fraction=0.001)
-        assert best_donor(donors, pre.matrix, policy) is None
+        monkeypatch.setattr(incremental, "MAX_DELTA_FRACTION", 0.001)
+        assert best_donor(donors, pre.matrix) is None
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +347,7 @@ ALL_SPECS = (*TABLE2, *TABLE4, FIG3_SPECS[1])
 @pytest.mark.parametrize(
     "spec", ALL_SPECS, ids=[s.abbr for s in ALL_SPECS]
 )
-def test_registry_differential_incremental_vs_cold(spec):
+def test_registry_differential_incremental_vs_cold(spec, monkeypatch):
     """Across every registry workload, a <=1% structural delta spliced
     into the donor analysis is bitwise identical to a cold analyze of
     the perturbed matrix (filled pattern, graph, schedule) and charges
@@ -370,9 +360,8 @@ def test_registry_differential_incremental_vs_cold(spec):
     nnz = donor.pre.matrix.nnz
     add = max(1, min(nnz // 200, 6))  # <= 0.5% additions, 1% total edits
     b = perturb_pattern(a, add=add, remove=0, bandwidth=8, seed=spec.seed)
-    got = incremental_analyze(
-        donor, b, cfg, policy=IncrementalPolicy(max_delta_fraction=0.01)
-    )
+    monkeypatch.setattr(incremental, "MAX_DELTA_FRACTION", 0.01)
+    got = incremental_analyze(donor, b, cfg)
     assert got is not None, f"{spec.abbr}: delta unexpectedly over budget"
     spliced, report = got
     assert 0 < report.delta_size <= max(1, nnz // 100)

@@ -101,3 +101,48 @@ class TestExtendedAblations:
             factors=(0.5, 2.0),
         )
         assert res.all_hold()
+
+
+class TestFormatCrossoverRule:
+    """The §3.4 check of the format-crossover ablation, on synthetic
+    points (the real sweep runs in benchmarks/test_ablations.py)."""
+
+    @staticmethod
+    def point(m, auto, streamed=(False, False, False)):
+        from repro.bench.ablations import FormatCrossoverPoint
+
+        return FormatCrossoverPoint(
+            device_mb=1.0, m_dense=m, tb_max=160, auto_format=auto,
+            dense_seconds=1.0, csc_seconds=1.0,
+            streamed_runs=dict(zip(("dense", "csc", "auto"), streamed)),
+        )
+
+    def rule(self, *points):
+        from repro.bench.ablations import FormatCrossoverResult
+
+        return FormatCrossoverResult("X", list(points)).rule_respected()
+
+    def test_in_core_points_on_both_sides_pass(self):
+        all_streamed = (True, True, True)
+        assert self.rule(self.point(82, "csc"), self.point(160, "dense"))
+        assert self.rule(
+            self.point(160, "csc-streamed", all_streamed),
+            self.point(82, "csc"),
+            self.point(160, "dense"),
+        )
+
+    def test_wrong_in_core_pick_fails(self):
+        assert not self.rule(self.point(82, "dense"),
+                             self.point(160, "dense"))
+        assert not self.rule(self.point(82, "csc"), self.point(160, "csc"))
+
+    def test_one_side_of_tb_max_only_fails(self):
+        assert not self.rule(self.point(82, "csc"))
+        assert not self.rule(self.point(160, "dense"))
+
+    def test_partly_streamed_point_fails(self):
+        assert not self.rule(
+            self.point(160, "csc-streamed", (False, True, True)),
+            self.point(82, "csc"),
+            self.point(160, "dense"),
+        )
