@@ -337,21 +337,14 @@ class MultiGpuEndToEndResult:
             col_perm=self.pre.col_perm,
             row_scale=self.pre.row_scale,
             col_scale=self.pre.col_scale,
+            schedule=self.schedule,
         )
 
     @property
     def pivot_sequence(self) -> np.ndarray:
         """The diagonal of ``U`` in elimination order — the quantity the
         differential harness compares bitwise across device counts."""
-        n = self.U.n_cols
-        diag = np.zeros(n, dtype=self.U.data.dtype)
-        for j in range(n):
-            s, e = int(self.U.indptr[j]), int(self.U.indptr[j + 1])
-            rows = self.U.indices[s:e]
-            pos = int(np.searchsorted(rows, j))
-            if pos < len(rows) and rows[pos] == j:
-                diag[j] = self.U.data[s + pos]
-        return diag
+        return self.U.diagonal()
 
     # -- reporting ------------------------------------------------------
     @property

@@ -79,11 +79,13 @@ class EndToEndResult:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` for the original (pre-permutation) matrix.
 
+        ``b`` is one right-hand side ``(n,)`` or a block ``(n, k)``.
         When pivot recovery perturbed some diagonal entries, the factors
         only approximate ``A``; in that case the solve drives iterative
         refinement against the retained source matrix until the residual
         passes the configured threshold, and records the refinement
-        outcome on :attr:`recovery`.
+        outcome on :attr:`recovery`.  Refinement takes one right-hand
+        side and raises :class:`ValueError` for a block.
         """
         rec = self.recovery
         if (
@@ -99,6 +101,7 @@ class EndToEndResult:
                 col_perm=self.pre.col_perm,
                 row_scale=self.pre.row_scale,
                 col_scale=self.pre.col_scale,
+                schedule=self.schedule,
             )
             refined = iterative_refinement(
                 self.source, b, solve_fn,
@@ -116,6 +119,7 @@ class EndToEndResult:
             col_perm=self.pre.col_perm,
             row_scale=self.pre.row_scale,
             col_scale=self.pre.col_scale,
+            schedule=self.schedule,
         )
 
     # -- reporting ---------------------------------------------------------

@@ -47,6 +47,7 @@ class RefactorizeResult:
             self.L, self.U, b,
             row_perm=pre.row_perm, col_perm=pre.col_perm,
             row_scale=pre.row_scale, col_scale=pre.col_scale,
+            schedule=self.analysis.schedule,
         )
 
     @property

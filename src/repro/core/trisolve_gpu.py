@@ -12,8 +12,8 @@ one kernel (or child kernel) per level.
 This module reuses the repository's Kahn infrastructure on the factor
 patterns and charges the simulated launch/compute/transfer costs, giving
 ``solve_gpu`` — the fully on-device companion of the factorization
-pipeline.  Numeric results come from the verified host substitutions, so
-all values are real.
+pipeline.  The values come from the host solver of
+:mod:`repro.numeric.trisolve`, so all of them are real.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from ..gpusim import GPU
 from ..graph import DependencyGraph, LevelSchedule, kahn_levels
-from ..numeric import backward_substitute, forward_substitute
+from ..numeric import lu_solve
 from ..sparse import CSCMatrix
 from ..sparse.types import INDEX_DTYPE
 from .config import SolverConfig
@@ -42,14 +42,9 @@ def _triangular_levels(t: CSCMatrix, *, lower: bool) -> LevelSchedule:
     n = t.n_cols
     cols = t.col_ids_of_entries()
     rows = t.indices
-    if lower:
-        mask = rows > cols
-        src, dst = cols[mask], rows[mask]
-    else:
-        mask = rows < cols
-        src, dst = cols[mask], rows[mask]
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    # CSC order is already sorted by (source column, target row)
+    mask = rows > cols if lower else rows < cols
+    src, dst = cols[mask], rows[mask]
     indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     graph = DependencyGraph(
@@ -104,9 +99,7 @@ def solve_gpu(
                     + 2 * (L.n_cols + 1) * idx)
         gpu.h2d(len(b) * val)  # the right-hand side
 
-        # real numerics on the host reference kernels
-        y = forward_substitute(L, b)
-        x = backward_substitute(U, y)
+        x = lu_solve(L, U, b)  # the real values, from the host solver
 
         # charge the level-parallel substitution kernels
         for factor, schedule in ((L, l_schedule), (U, u_schedule)):

@@ -21,13 +21,12 @@ from .supernodal import (
     supernodal_plan_for,
 )
 from .trisolve import (
+    SolvePlan,
     backward_substitute,
-    backward_substitute_multi,
     forward_substitute,
-    forward_substitute_multi,
     lu_solve,
-    lu_solve_multi,
     lu_solve_permuted,
+    solve_plan,
 )
 from .vectorized import factorize_in_place
 
@@ -42,12 +41,11 @@ __all__ = [
     "factorize_leftlooking",
     "dense_lu_nopivot",
     "forward_substitute",
-    "forward_substitute_multi",
     "backward_substitute",
-    "backward_substitute_multi",
     "lu_solve",
-    "lu_solve_multi",
     "lu_solve_permuted",
+    "SolvePlan",
+    "solve_plan",
     "iterative_refinement",
     "make_lu_solver",
     "RefinementResult",

@@ -80,11 +80,12 @@ def ilu0(a: CSRMatrix, *, pivot_tolerance: float = 0.0):
 
 def ilu0_preconditioner(a: CSRMatrix, **kw):
     """Bind ILU(0) factors into an ``apply(r) -> z ~ A^-1 r`` callable."""
-    from .trisolve import lu_solve
+    from .trisolve import solve_plan
 
     L, U = ilu0(a, **kw)
+    plan = solve_plan(L, U)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        return lu_solve(L, U, r)
+        return plan.solve(L, U, r)
 
     return apply

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sparse import CSRMatrix
-from .trisolve import lu_solve_permuted
+from .trisolve import lu_solve_permuted, solve_plan
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,9 @@ def iterative_refinement(
     iterates ``x += solve_fn(b - A x)`` until the relative residual falls
     below ``tol`` or ``max_iter`` sweeps have run.
     """
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 1:
+        raise ValueError(f"refinement takes a 1-D rhs, not {b.shape}")
     bnorm = float(np.linalg.norm(b)) or 1.0
     x = solve_fn(b)
     norms = []
@@ -56,14 +58,19 @@ def iterative_refinement(
 
 
 def make_lu_solver(L, U, row_perm=None, col_perm=None, row_scale=None,
-                   col_scale=None):
-    """Bind factors + permutations into a ``solve_fn`` for refinement."""
+                   col_scale=None, *, schedule=None):
+    """Bind factors + permutations into a ``solve_fn`` for refinement.
+
+    The solve plan is built once (on ``schedule``'s levels when given)
+    and shared by every call.
+    """
+    plan = solve_plan(L, U, schedule)
 
     def solve_fn(rhs: np.ndarray) -> np.ndarray:
         return lu_solve_permuted(
             L, U, rhs,
             row_perm=row_perm, col_perm=col_perm,
-            row_scale=row_scale, col_scale=col_scale,
+            row_scale=row_scale, col_scale=col_scale, plan=plan,
         )
 
     return solve_fn

@@ -1,12 +1,40 @@
 """Sparse triangular solves: the post-factorization half of ``Ax = b``.
 
-Column-oriented substitution on CSC factors (the format the numeric phase
-produces): forward substitution with the unit-lower ``L``, backward with the
-upper ``U``.  Both mutate a scratch copy of the right-hand side, scattering
-each resolved unknown into the remaining equations — O(nnz) total.
+Both sweeps are level-scheduled *pull* substitutions on the CSC factors
+the numeric phase produces, for one right-hand side ``(n,)`` or a block
+``(n, k)``.  A level partition of the columns is valid for a sweep when
+every off-diagonal entry's source column sits in an earlier level than
+its target.  The numeric :class:`~repro.graph.LevelSchedule` carries
+GLU 3.0's full L and U dependency set, so it is valid for the forward
+sweep and, run in reverse, for the backward sweep (the level-set solve
+of the paper's citation [28] and of GLU 3.0).  Callers without one use
+the partition with one column per level, which is valid for both.
+
+A structure-only :class:`SolvePlan` stable-sorts each factor's
+off-diagonal entries by the level of their target, starting from an
+order in which sources ascend for ``L`` and descend for ``U``.  Each
+level then costs one gather of its sources, one multiply and one
+``np.subtract.at`` into its targets (plus, for ``U``, one division of
+the gathered sources by their diagonals).  Why the result is bitwise
+equal to the column-at-a-time loop of :mod:`repro.oracles`:
+
+* ``ufunc.at`` applies repeated targets in array order, so every
+  unknown receives its updates in the loop's source order;
+* every source sits in an earlier level, so it has all its updates when
+  it is read, and reading it as ``x / d`` gives exactly the bits the
+  loop stored for it; the unknowns themselves are divided once, at the
+  end;
+* IEEE products and quotients do not depend on how they are batched.
+
+Errors are those of the loop too: the column it would reject first
+decides between a triangularity error and a zero pivot.  The plan
+depends only on the factor patterns, so :func:`solve_plan` caches it on
+the schedule and numeric-only passes over one analysis skip the build.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,120 +43,179 @@ from ..errors import (
     NotUpperTriangularError,
     SingularMatrixError,
 )
+from ..graph import LevelSchedule
 from ..sparse import CSCMatrix
 
 
-def forward_substitute(L: CSCMatrix, b: np.ndarray, *, unit_diagonal: bool = True
-                       ) -> np.ndarray:
-    """Solve ``L x = b`` for lower-triangular ``L`` (CSC, sorted rows)."""
-    n = L.n_cols
-    x = np.array(b, dtype=np.float64, copy=True).reshape(-1)
-    if len(x) != n:
-        raise ValueError("rhs length mismatch")
-    indptr, indices, data = L.indptr, L.indices, L.data
-    for j in range(n):
-        s, e = int(indptr[j]), int(indptr[j + 1])
-        rows = indices[s:e]
-        if len(rows) and rows[0] < j:
-            raise NotLowerTriangularError(f"column {j} has entry above diagonal")
-        has_diag = len(rows) > 0 and rows[0] == j
-        if unit_diagonal:
-            xj = x[j] if not has_diag else x[j] / data[s]
-            # unit diagonal: a stored diagonal must be 1; tolerate either
-        else:
-            if not has_diag or data[s] == 0.0:
+@dataclass(frozen=True)
+class _PullStream:
+    """One factor's sweep: its off-diagonal entries in pull order."""
+
+    lower: bool
+    #: data position of each column's diagonal entry, -1 where absent
+    diag: np.ndarray
+    #: data position and source column of each entry, in pull order
+    entry: np.ndarray
+    src: np.ndarray
+    #: per level with updates: (targets, sources, first entry, end entry)
+    steps: list[tuple[np.ndarray, np.ndarray, int, int]]
+    #: the first column, in loop order, with an entry on the wrong side
+    #: of the diagonal; -1 when the factor is triangular
+    bad: int
+
+    @classmethod
+    def build(
+        cls, t: CSCMatrix, level_of: np.ndarray | None, *, lower: bool
+    ) -> _PullStream:
+        n = t.n_cols
+        rows, cols = t.indices, t.col_ids_of_entries()
+        wrong = cols[rows < cols] if lower else cols[rows > cols]
+        bad = int(wrong.min() if lower else wrong.max()) if len(wrong) else -1
+        # CSC order has sources ascending; U walks it from the back
+        pos = np.flatnonzero(rows > cols if lower else rows < cols)
+        pos = pos if lower else pos[::-1]
+        tgt, src = rows[pos], cols[pos]
+        # the sweep level of each column, reversed for U; a partition
+        # that does not order this factor's entries is not used.  16-bit
+        # keys (|key| < n) take NumPy's radix sort when they fit.
+        small = np.int16 if n <= np.iinfo(np.int16).max else np.int64
+        valid = level_of is not None and len(level_of) == n
+        key = (level_of if valid else np.arange(n)).astype(small)
+        key = key if lower else -key
+        if not np.all(key[src] < key[tgt]):
+            key = np.arange(n, dtype=small) * (1 if lower else -1)
+        level = key[tgt]
+        by_level = np.argsort(level, kind="stable")
+        tgt, src = tgt[by_level], src[by_level]
+        per_level = np.bincount(level - key.min()) if len(level) else []
+        bounds = [0, *np.cumsum(per_level).tolist()]
+        steps = [
+            (tgt[e0:e1], src[e0:e1], e0, e1)
+            for e0, e1 in zip(bounds, bounds[1:])
+            if e1 > e0
+        ]
+        diag = t.diagonal_positions()
+        return cls(lower, diag, pos[by_level], src, steps, bad)
+
+    def sweep(
+        self, t: CSCMatrix, b: np.ndarray, *, unit_diagonal: bool = False
+    ) -> np.ndarray:
+        """Solve for ``b`` (left unmodified), raising what the column
+        loop raises for the first column it rejects."""
+        has = self.diag >= 0
+        d = np.ones(len(self.diag))
+        d[has] = t.data[self.diag[has]]
+        fails = np.flatnonzero(~has | (d == 0.0))
+        if len(fails) and not unit_diagonal:
+            j = int(fails[0] if self.lower else fails[-1])
+            if self.bad < 0 or (j < self.bad if self.lower else j > self.bad):
                 raise SingularMatrixError(j)
-            xj = x[j] / data[s]
-        x[j] = xj
-        off = 1 if has_diag else 0
-        if e - s > off:
-            x[rows[off:]] -= data[s + off : e] * xj
+        if self.bad >= 0:
+            side = "above" if self.lower else "below"
+            error = (
+                NotLowerTriangularError
+                if self.lower
+                else NotUpperTriangularError
+            )
+            raise error(f"column {self.bad} has entry {side} diagonal")
+        x = b.copy()
+        vals = t.data[self.entry]
+        if x.ndim == 2:
+            vals, d = vals[:, None], d[:, None]
+        # a source is read as x / d, the bits the loop stored for it; the
+        # unknowns themselves are divided once, at the end
+        unit = unit_diagonal and bool(np.all(d == 1.0))
+        d_src = None if unit else d[self.src]
+        for tgt, src, e0, e1 in self.steps:
+            xs = x[src]
+            if d_src is not None:
+                xs /= d_src[e0:e1]
+            np.subtract.at(x, tgt, vals[e0:e1] * xs)
+        if not unit:
+            x /= d
+        return x
+
+
+def _rhs(b: np.ndarray, n: int) -> np.ndarray:
+    x = np.asarray(b, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"rhs must be ({n},) or ({n}, k), not {x.shape}")
     return x
+
+
+@dataclass(frozen=True)
+class SolvePlan:
+    """Structure-only pull streams of both sweeps of one factor pair."""
+
+    #: column pointers of ``L`` and ``U``, the pattern check of a reuse
+    indptr: tuple[np.ndarray, np.ndarray]
+    lower: _PullStream
+    upper: _PullStream
+
+    @classmethod
+    def build(
+        cls, L: CSCMatrix, U: CSCMatrix, level_of: np.ndarray | None = None
+    ) -> SolvePlan:
+        return cls(
+            (L.indptr, U.indptr),
+            _PullStream.build(L, level_of, lower=True),
+            _PullStream.build(U, level_of, lower=False),
+        )
+
+    def matches(self, L: CSCMatrix, U: CSCMatrix) -> bool:
+        """Same column counts.  Factors of one schedule share the filled
+        pattern the schedule was levelized from (a pattern change makes
+        a new schedule), so the counts tell a stale plan apart."""
+        return all(
+            a is b or np.array_equal(a, b)
+            for a, b in zip(self.indptr, (L.indptr, U.indptr))
+        )
+
+    def solve(self, L: CSCMatrix, U: CSCMatrix, b: np.ndarray) -> np.ndarray:
+        """Solve ``(L U) x = b`` for unit-lower ``L``; ``b`` is ``(n,)``
+        or ``(n, k)``."""
+        y = self.lower.sweep(L, _rhs(b, L.n_cols), unit_diagonal=True)
+        return self.upper.sweep(U, y)
+
+
+def solve_plan(
+    L: CSCMatrix, U: CSCMatrix, schedule: LevelSchedule | None = None
+) -> SolvePlan:
+    """The solve plan of ``(L, U)`` on ``schedule``'s levels.
+
+    The plan is cached on ``schedule`` beside the numeric plan, so every
+    factor pair of one analysis shares a single build.  Without a
+    schedule the plan uses one column per level and is not cached.
+    """
+    if schedule is None:
+        return SolvePlan.build(L, U)
+    plan = getattr(schedule, "_solve_plan", None)
+    if plan is None or not plan.matches(L, U):
+        plan = SolvePlan.build(L, U, schedule.level_of)
+        schedule._solve_plan = plan  # type: ignore[attr-defined]
+    return plan
+
+
+def forward_substitute(
+    L: CSCMatrix, b: np.ndarray, *, unit_diagonal: bool = True
+) -> np.ndarray:
+    """Solve ``L x = b`` for lower-triangular ``L`` (CSC, sorted rows);
+    ``b`` is ``(n,)`` or ``(n, k)``."""
+    stream = _PullStream.build(L, None, lower=True)
+    return stream.sweep(L, _rhs(b, L.n_cols), unit_diagonal=unit_diagonal)
 
 
 def backward_substitute(U: CSCMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve ``U x = b`` for upper-triangular ``U`` (CSC, sorted rows)."""
-    n = U.n_cols
-    x = np.array(b, dtype=np.float64, copy=True).reshape(-1)
-    if len(x) != n:
-        raise ValueError("rhs length mismatch")
-    indptr, indices, data = U.indptr, U.indices, U.data
-    for j in range(n - 1, -1, -1):
-        s, e = int(indptr[j]), int(indptr[j + 1])
-        rows = indices[s:e]
-        if len(rows) and rows[-1] > j:
-            raise NotUpperTriangularError(f"column {j} has entry below diagonal")
-        has_diag = len(rows) > 0 and rows[-1] == j
-        if not has_diag or data[e - 1] == 0.0:
-            raise SingularMatrixError(j)
-        xj = x[j] / data[e - 1]
-        x[j] = xj
-        if e - s > 1:
-            x[rows[: -1]] -= data[s : e - 1] * xj
-    return x
+    """Solve ``U x = b`` for upper-triangular ``U`` (CSC, sorted rows);
+    ``b`` is ``(n,)`` or ``(n, k)``."""
+    stream = _PullStream.build(U, None, lower=False)
+    return stream.sweep(U, _rhs(b, U.n_cols))
 
 
 def lu_solve(L: CSCMatrix, U: CSCMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve ``(L U) x = b`` via forward then backward substitution."""
-    return backward_substitute(U, forward_substitute(L, b))
-
-
-def forward_substitute_multi(L: CSCMatrix, B: np.ndarray,
-                             *, unit_diagonal: bool = True) -> np.ndarray:
-    """Solve ``L X = B`` for an ``(n, k)`` block of right-hand sides.
-
-    Circuit/transient workloads solve against many right-hand sides per
-    factorization; the column scatter vectorizes over all of them at once.
-    """
-    n = L.n_cols
-    X = np.array(B, dtype=np.float64, copy=True)
-    if X.ndim != 2 or X.shape[0] != n:
-        raise ValueError(f"B must be (n, k) with n={n}")
-    indptr, indices, data = L.indptr, L.indices, L.data
-    for j in range(n):
-        s, e = int(indptr[j]), int(indptr[j + 1])
-        rows = indices[s:e]
-        if len(rows) and rows[0] < j:
-            raise NotLowerTriangularError(f"column {j} has entry above diagonal")
-        has_diag = len(rows) > 0 and rows[0] == j
-        if unit_diagonal:
-            xj = X[j] / data[s] if has_diag else X[j]
-        else:
-            if not has_diag or data[s] == 0.0:
-                raise SingularMatrixError(j)
-            xj = X[j] / data[s]
-        X[j] = xj
-        off = 1 if has_diag else 0
-        if e - s > off:
-            X[rows[off:]] -= np.outer(data[s + off : e], xj)
-    return X
-
-
-def backward_substitute_multi(U: CSCMatrix, B: np.ndarray) -> np.ndarray:
-    """Solve ``U X = B`` for an ``(n, k)`` block of right-hand sides."""
-    n = U.n_cols
-    X = np.array(B, dtype=np.float64, copy=True)
-    if X.ndim != 2 or X.shape[0] != n:
-        raise ValueError(f"B must be (n, k) with n={n}")
-    indptr, indices, data = U.indptr, U.indices, U.data
-    for j in range(n - 1, -1, -1):
-        s, e = int(indptr[j]), int(indptr[j + 1])
-        rows = indices[s:e]
-        if len(rows) and rows[-1] > j:
-            raise NotUpperTriangularError(f"column {j} has entry below diagonal")
-        has_diag = len(rows) > 0 and rows[-1] == j
-        if not has_diag or data[e - 1] == 0.0:
-            raise SingularMatrixError(j)
-        xj = X[j] / data[e - 1]
-        X[j] = xj
-        if e - s > 1:
-            X[rows[: -1]] -= np.outer(data[s : e - 1], xj)
-    return X
-
-
-def lu_solve_multi(L: CSCMatrix, U: CSCMatrix, B: np.ndarray) -> np.ndarray:
-    """Solve ``(L U) X = B`` for a block of right-hand sides."""
-    return backward_substitute_multi(U, forward_substitute_multi(L, B))
+    """Solve ``(L U) x = b`` via forward then backward substitution,
+    with one column per level (:func:`solve_plan` reuses a plan)."""
+    return SolvePlan.build(L, U).solve(L, U, b)
 
 
 def lu_solve_permuted(
@@ -139,6 +226,9 @@ def lu_solve_permuted(
     col_perm: np.ndarray | None = None,
     row_scale: np.ndarray | None = None,
     col_scale: np.ndarray | None = None,
+    *,
+    schedule: LevelSchedule | None = None,
+    plan: SolvePlan | None = None,
 ) -> np.ndarray:
     """Solve the original system when ``P (Dr A Dc) Q = L U`` was factorized.
 
@@ -148,17 +238,22 @@ def lu_solve_permuted(
     before factorization, so
 
         A x = b  <=>  x = Dc Q (U^-1 L^-1) P Dr b.
+
+    ``b`` is one right-hand side ``(n,)`` or a block ``(n, k)``.  Pass
+    the numeric ``schedule`` to solve on its cached plan, or a prebuilt
+    ``plan`` to reuse one across solves.
     """
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    rhs = b * row_scale if row_scale is not None else b.copy()
+    b = _rhs(b, L.n_cols)
+    if row_scale is not None:
+        b = b * (row_scale if b.ndim == 1 else row_scale[:, None])
     if row_perm is not None:
-        rhs = rhs[np.asarray(row_perm)]
-    y = lu_solve(L, U, rhs)
+        b = b[np.asarray(row_perm)]
+    y = (plan or solve_plan(L, U, schedule)).solve(L, U, b)
     if col_perm is not None:
         x = np.empty_like(y)
         x[np.asarray(col_perm)] = y
     else:
         x = y
     if col_scale is not None:
-        x = x * col_scale
+        x = x * (col_scale if x.ndim == 1 else col_scale[:, None])
     return x

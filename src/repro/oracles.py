@@ -16,7 +16,13 @@ site with a single ``monkeypatch.setattr``:
 * :func:`levelize_cpu` — the GLU 3.0-style sequential longest-path pass,
   an algorithm independent of Kahn's waves;
 * :func:`factorize_in_place` — the per-column / per-update loop of
-  Algorithm 2 (:mod:`repro.numeric.vectorized`).
+  Algorithm 2 (:mod:`repro.numeric.vectorized`);
+* :func:`forward_substitute` / :func:`backward_substitute` and their
+  block twins :func:`forward_substitute_multi` /
+  :func:`backward_substitute_multi` — column-at-a-time substitution
+  with one factor column per step, for one right-hand side and for an
+  ``(n, k)`` block (:mod:`repro.numeric.trisolve`, whose level-scheduled
+  solve takes both shapes).
 
 Each returns exactly what its counterpart returns: structure, traversal
 counters, schedules, factors (bitwise), :class:`NumericStats` and error
@@ -29,7 +35,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CycleError, SingularMatrixError, SparseFormatError
+from .errors import (
+    CycleError,
+    NotLowerTriangularError,
+    NotUpperTriangularError,
+    SingularMatrixError,
+    SparseFormatError,
+)
 from .graph import DependencyGraph, LevelSchedule
 from .numeric.rightlooking import NumericStats
 from .sparse import CSCMatrix, CSRMatrix
@@ -285,3 +297,116 @@ def factorize_in_place(
             (level_flops, len(level_cols), level_updates, level_search)
         )
     return stats
+
+
+# ---------------------------------------------------------------------------
+# triangular solves
+
+
+def forward_substitute(
+    L: CSCMatrix, b: np.ndarray, *, unit_diagonal: bool = True
+) -> np.ndarray:
+    """Solve ``L x = b`` for lower-triangular ``L`` (CSC, sorted rows)."""
+    n = L.n_cols
+    x = np.array(b, dtype=np.float64, copy=True).reshape(-1)
+    if len(x) != n:
+        raise ValueError("rhs length mismatch")
+    indptr, indices, data = L.indptr, L.indices, L.data
+    for j in range(n):
+        s, e = int(indptr[j]), int(indptr[j + 1])
+        rows = indices[s:e]
+        if len(rows) and rows[0] < j:
+            raise NotLowerTriangularError(
+                f"column {j} has entry above diagonal"
+            )
+        has_diag = len(rows) > 0 and rows[0] == j
+        if unit_diagonal:
+            xj = x[j] if not has_diag else x[j] / data[s]
+            # unit diagonal: a stored diagonal must be 1; tolerate either
+        else:
+            if not has_diag or data[s] == 0.0:
+                raise SingularMatrixError(j)
+            xj = x[j] / data[s]
+        x[j] = xj
+        off = 1 if has_diag else 0
+        if e - s > off:
+            x[rows[off:]] -= data[s + off : e] * xj
+    return x
+
+
+def backward_substitute(U: CSCMatrix, b: np.ndarray) -> np.ndarray:
+    """Solve ``U x = b`` for upper-triangular ``U`` (CSC, sorted rows)."""
+    n = U.n_cols
+    x = np.array(b, dtype=np.float64, copy=True).reshape(-1)
+    if len(x) != n:
+        raise ValueError("rhs length mismatch")
+    indptr, indices, data = U.indptr, U.indices, U.data
+    for j in range(n - 1, -1, -1):
+        s, e = int(indptr[j]), int(indptr[j + 1])
+        rows = indices[s:e]
+        if len(rows) and rows[-1] > j:
+            raise NotUpperTriangularError(
+                f"column {j} has entry below diagonal"
+            )
+        has_diag = len(rows) > 0 and rows[-1] == j
+        if not has_diag or data[e - 1] == 0.0:
+            raise SingularMatrixError(j)
+        xj = x[j] / data[e - 1]
+        x[j] = xj
+        if e - s > 1:
+            x[rows[:-1]] -= data[s : e - 1] * xj
+    return x
+
+
+def forward_substitute_multi(
+    L: CSCMatrix, B: np.ndarray, *, unit_diagonal: bool = True
+) -> np.ndarray:
+    """Solve ``L X = B`` for an ``(n, k)`` block of right-hand sides."""
+    n = L.n_cols
+    X = np.array(B, dtype=np.float64, copy=True)
+    if X.ndim != 2 or X.shape[0] != n:
+        raise ValueError(f"B must be (n, k) with n={n}")
+    indptr, indices, data = L.indptr, L.indices, L.data
+    for j in range(n):
+        s, e = int(indptr[j]), int(indptr[j + 1])
+        rows = indices[s:e]
+        if len(rows) and rows[0] < j:
+            raise NotLowerTriangularError(
+                f"column {j} has entry above diagonal"
+            )
+        has_diag = len(rows) > 0 and rows[0] == j
+        if unit_diagonal:
+            xj = X[j] / data[s] if has_diag else X[j]
+        else:
+            if not has_diag or data[s] == 0.0:
+                raise SingularMatrixError(j)
+            xj = X[j] / data[s]
+        X[j] = xj
+        off = 1 if has_diag else 0
+        if e - s > off:
+            X[rows[off:]] -= np.outer(data[s + off : e], xj)
+    return X
+
+
+def backward_substitute_multi(U: CSCMatrix, B: np.ndarray) -> np.ndarray:
+    """Solve ``U X = B`` for an ``(n, k)`` block of right-hand sides."""
+    n = U.n_cols
+    X = np.array(B, dtype=np.float64, copy=True)
+    if X.ndim != 2 or X.shape[0] != n:
+        raise ValueError(f"B must be (n, k) with n={n}")
+    indptr, indices, data = U.indptr, U.indices, U.data
+    for j in range(n - 1, -1, -1):
+        s, e = int(indptr[j]), int(indptr[j + 1])
+        rows = indices[s:e]
+        if len(rows) and rows[-1] > j:
+            raise NotUpperTriangularError(
+                f"column {j} has entry below diagonal"
+            )
+        has_diag = len(rows) > 0 and rows[-1] == j
+        if not has_diag or data[e - 1] == 0.0:
+            raise SingularMatrixError(j)
+        xj = X[j] / data[e - 1]
+        X[j] = xj
+        if e - s > 1:
+            X[rows[:-1]] -= np.outer(data[s : e - 1], xj)
+    return X

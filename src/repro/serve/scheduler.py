@@ -60,7 +60,7 @@ from ..errors import (
     SparseFormatError,
 )
 from ..gpusim import GPU, FaultInjector
-from ..numeric import factorize_leftlooking, lu_solve_permuted
+from ..numeric import factorize_leftlooking, lu_solve_permuted, solve_plan
 from ..preprocess import preprocess
 from ..sparse import CSRMatrix
 from ..symbolic import symbolic_fill_reference
@@ -674,11 +674,13 @@ class BatchScheduler:
                         fallback=True,
                         error=f"{type(exc).__name__}: {exc}"))
                 continue
+            plan = solve_plan(L, U)
             for i, r in enumerate(reqs):
                 x = lu_solve_permuted(
                     L, U, r.b,
                     row_perm=pre.row_perm, col_perm=pre.col_perm,
                     row_scale=pre.row_scale, col_scale=pre.col_scale,
+                    plan=plan,
                 )
                 # the two triangular sweeps touch each factor entry once
                 t += cost.cpu_numeric_seconds(L.nnz + U.nnz, host)

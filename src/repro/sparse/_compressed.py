@@ -154,6 +154,24 @@ class CompressedMatrix:
             np.arange(self.n_major, dtype=INDEX_DTYPE), np.diff(self.indptr)
         )
 
+    def diagonal_positions(self) -> np.ndarray:
+        """Position in ``data`` of each diagonal entry, -1 where absent."""
+        pos = np.full(min(self.n_rows, self.n_cols), -1, dtype=INDEX_DTYPE)
+        on = np.flatnonzero(self.indices == self.major_ids_of_entries())
+        pos[self.indices[on]] = on
+        return pos
+
+    def diagonal(self) -> np.ndarray:
+        """Stored diagonal values (0 where the diagonal is not stored)."""
+        pos = self.diagonal_positions()
+        out = np.zeros(len(pos), dtype=self.data.dtype)
+        out[pos >= 0] = self.data[pos[pos >= 0]]
+        return out
+
+    def has_full_diagonal(self) -> bool:
+        """True when every diagonal position is structurally present."""
+        return bool(np.all(self.diagonal_positions() >= 0))
+
     def copy(self):
         return type(self)(
             self.n_rows,

@@ -84,25 +84,6 @@ class CSCMatrix(CompressedMatrix):
         np.add.at(out, self.indices, self.data * scale)
         return out
 
-    def diagonal(self) -> np.ndarray:
-        n = min(self.n_rows, self.n_cols)
-        out = np.zeros(n, dtype=self.data.dtype)
-        for j in range(n):
-            rows, vals = self.col(j)
-            pos = int(np.searchsorted(rows, j))
-            if pos < len(rows) and rows[pos] == j:
-                out[j] = vals[pos]
-        return out
-
-    def has_full_diagonal(self) -> bool:
-        n = min(self.n_rows, self.n_cols)
-        for j in range(n):
-            rows, _ = self.col(j)
-            pos = int(np.searchsorted(rows, j))
-            if pos >= len(rows) or rows[pos] != j:
-                return False
-        return True
-
     def entry_position(self, i: int, j: int) -> int:
         """Binary-search position of entry ``(i, j)`` in ``indices``/``data``.
 

@@ -83,24 +83,3 @@ class CSRMatrix(CompressedMatrix):
         out = np.zeros(self.n_rows, dtype=np.result_type(self.data, x))
         np.add.at(out, self.row_ids_of_entries(), products)
         return out
-
-    def diagonal(self) -> np.ndarray:
-        """Stored diagonal values (0 where the diagonal is not stored)."""
-        n = min(self.n_rows, self.n_cols)
-        out = np.zeros(n, dtype=self.data.dtype)
-        for i in range(n):
-            cols, vals = self.row(i)
-            pos = int(np.searchsorted(cols, i))
-            if pos < len(cols) and cols[pos] == i:
-                out[i] = vals[pos]
-        return out
-
-    def has_full_diagonal(self) -> bool:
-        """True when every diagonal position is structurally present."""
-        n = min(self.n_rows, self.n_cols)
-        for i in range(n):
-            cols, _ = self.row(i)
-            pos = int(np.searchsorted(cols, i))
-            if pos >= len(cols) or cols[pos] != i:
-                return False
-        return True

@@ -10,7 +10,7 @@ from repro.core import (
     solve_gpu,
 )
 from repro.gpusim import GPU, scaled_device, scaled_host
-from repro.numeric import lu_solve_multi
+from repro.numeric import lu_solve
 from repro.sparse import CSRMatrix, residual_norm
 from repro.workloads import circuit_like
 
@@ -90,8 +90,6 @@ class TestGpuTrisolve:
         gpu = GPU(spec=scaled_device(8 << 20), host=scaled_host(64 << 20))
         out = solve_gpu(gpu, res.L, res.U, b, cfg())
         # compare against the host composed solve on the same factors
-        from repro.numeric import lu_solve
-
         np.testing.assert_allclose(out.x, lu_solve(res.L, res.U, b),
                                    atol=1e-12)
         assert out.sim_seconds > 0
@@ -130,19 +128,17 @@ class TestMultiRhs:
         a = circuit_like(100, 6.0, seed=75)
         res = factorize(a, cfg())
         B = rng.normal(size=(a.n_rows, 5))
-        X = lu_solve_multi(res.L, res.U, B)
+        X = lu_solve(res.L, res.U, B)
         for k in range(5):
-            from repro.numeric import lu_solve
-
             np.testing.assert_allclose(
                 X[:, k], lu_solve(res.L, res.U, B[:, k]), atol=1e-10
             )
 
     def test_shape_validation(self):
-        from repro.numeric import forward_substitute_multi
+        from repro.numeric import forward_substitute
         from repro.sparse import CSCMatrix
 
         with pytest.raises(ValueError):
-            forward_substitute_multi(CSCMatrix.identity(3), np.ones(3))
+            forward_substitute(CSCMatrix.identity(3), np.ones((3, 2, 1)))
         with pytest.raises(ValueError):
-            forward_substitute_multi(CSCMatrix.identity(3), np.ones((4, 2)))
+            forward_substitute(CSCMatrix.identity(3), np.ones((4, 2)))

@@ -9,7 +9,7 @@ from repro.core.trisolve_gpu import _triangular_levels
 from repro.gpusim import GPU, scaled_device, scaled_host
 from repro.numeric import (
     iterative_refinement,
-    lu_solve_multi,
+    lu_solve,
     make_lu_solver,
 )
 from repro.sparse import CSCMatrix, residual_norm
@@ -71,10 +71,8 @@ class TestComposition:
         # solve 4 rhs through the permutation-aware single-rhs path and the
         # raw multi-rhs kernel; both must agree on the factorized system
         B = rng.normal(size=(80, 4))
-        X = lu_solve_multi(res.L, res.U, B)
+        X = lu_solve(res.L, res.U, B)
         for k in range(4):
-            from repro.numeric import lu_solve
-
             np.testing.assert_allclose(X[:, k],
                                        lu_solve(res.L, res.U, B[:, k]),
                                        atol=1e-10)
