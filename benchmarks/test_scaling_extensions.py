@@ -93,7 +93,7 @@ def test_streamed_numeric_overhead(once):
                 incore_gpu = GPU(spec=scaled_device(64 << 20),
                                  host=cfg.host, cost=cfg.cost_model)
                 base = numeric_factorize_gpu(
-                    incore_gpu, filled, sched,
+                    incore_gpu, filled.to_csc(), filled, sched,
                     SolverConfig(device=incore_gpu.spec, host=cfg.host,
                                  numeric_format="csc"),
                 )

@@ -84,7 +84,12 @@ def glu3_factorize(
     graph = build_dependency_graph(sym.filled)
     lev = levelize_cpu_serial(gpu, graph)
     num = numeric_factorize_gpu(
-        gpu, sym.filled, lev.schedule, cfg, as_resident=True
+        gpu,
+        sym.filled.to_csc(),
+        sym.filled,
+        lev.schedule,
+        cfg,
+        as_resident=True,
     )
     if sym.device_filled is not None:
         gpu.free(sym.device_filled)

@@ -380,7 +380,9 @@ def run_scheduling_comparison(spec: MatrixSpec) -> SchedulingComparison:
     times = {}
     for name, sched in (("levelize", lev), ("etree", et)):
         gpu = art.gpu()
-        res = numeric_factorize_gpu(gpu, filled, sched, art.config())
+        res = numeric_factorize_gpu(
+            gpu, filled.to_csc(), filled, sched, art.config()
+        )
         times[name] = res.sim_seconds
     return SchedulingComparison(
         abbr=art.abbr,
@@ -662,8 +664,12 @@ def run_scheduling_value(spec: MatrixSpec) -> SchedulingValueAblation:
     )
 
     g1, g2 = art.gpu(), art.gpu()
-    r_lev = numeric_factorize_gpu(g1, filled, lev, art.config())
-    r_ser = numeric_factorize_gpu(g2, filled, serial, art.config())
+    r_lev = numeric_factorize_gpu(
+        g1, filled.to_csc(), filled, lev, art.config()
+    )
+    r_ser = numeric_factorize_gpu(
+        g2, filled.to_csc(), filled, serial, art.config()
+    )
     assert r_lev.As.allclose(r_ser.As)  # schedules are a time knob only
     return SchedulingValueAblation(
         abbr=art.abbr,
@@ -715,7 +721,12 @@ def run_kernel_mode_ablation(spec: MatrixSpec) -> KernelModeAblation:
     def run(mode):
         gpu = art.gpu()
         res = numeric_factorize_gpu(
-            gpu, filled, lev, art.config(), kernel_mode_override=mode
+            gpu,
+            filled.to_csc(),
+            filled,
+            lev,
+            art.config(),
+            kernel_mode_override=mode,
         )
         return res.sim_seconds
 

@@ -48,10 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SingularMatrixError
+from ..errors import FlopConservationError, SingularMatrixError
 from ..gpusim import GPU
 from ..graph import LevelSchedule, sub_column_counts
 from ..numeric import NumericStats, extract_lu, factorize_in_place
+from ..numeric.supernodal import SupernodalPlan, supernodal_plan_for
 from ..sparse import CSCMatrix, CSRMatrix
 from .config import SolverConfig
 from .resilient import PIVOT_PERTURBATION_REL, recovery_log_of
@@ -144,6 +145,65 @@ def factorize_with_pivot_recovery(
         return stats
 
 
+class _LaunchInputs:
+    """Structure-only inputs of the per-level launches of one pattern.
+
+    The sub-column count of every column, the A/B/C tag of every level
+    (per ``kernel_mode_override``) and the ``(blocks, flop share)`` of
+    every column of a type-C level depend only on the filled pattern.
+    They are cached on the schedule beside the numeric plan, so a
+    refactorize pass reads them instead of re-deriving them.
+    """
+
+    def __init__(self, filled: CSRMatrix) -> None:
+        self.n = filled.n_rows
+        self.nnz = filled.nnz
+        self.sub_cols = sub_column_counts(filled)
+        self._tags: dict[str | None, list[str]] = {}
+        self._type_c: dict[int, list[tuple[int, float]]] = {}
+
+    def matches(self, filled: CSRMatrix) -> bool:
+        return self.n == filled.n_rows and self.nnz == filled.nnz
+
+    def tags(self, schedule: LevelSchedule, override: str | None) -> list[str]:
+        tags = self._tags.get(override)
+        if tags is None:
+            if override is None:
+                tags = schedule.classify_levels(self.sub_cols)
+            else:
+                tags = [override] * schedule.num_levels
+            self._tags[override] = tags
+        return tags
+
+    def type_c(self, index: int, level: np.ndarray) -> list[tuple[int, float]]:
+        """``(blocks, flop share)`` of each column of level ``index``.
+
+        Blocks are the column's sub-columns; flops are apportioned by
+        each column's share of the level's sub-column updates (uniform
+        splitting would charge light columns heavy work at tiny
+        occupancy).
+        """
+        launches = self._type_c.get(index)
+        if launches is None:
+            sub = self.sub_cols[level]
+            weights = sub.astype(float) + 1.0
+            weights /= weights.sum()
+            blocks = np.maximum(sub, 1)
+            launches = list(zip(blocks.tolist(), weights.tolist()))
+            self._type_c[index] = launches
+        return launches
+
+
+def _launch_inputs(
+    filled: CSRMatrix, schedule: LevelSchedule
+) -> _LaunchInputs:
+    inputs = getattr(schedule, "_launch_inputs", None)
+    if inputs is None or not inputs.matches(filled):
+        inputs = _LaunchInputs(filled)
+        schedule._launch_inputs = inputs  # type: ignore[attr-defined]
+    return inputs
+
+
 def _charge_per_column(
     gpu: GPU,
     filled: CSRMatrix,
@@ -157,27 +217,18 @@ def _charge_per_column(
 ) -> None:
     """Book the scattered per-level schedule (GLU 3.0 level taxonomy)."""
     ledger = gpu.ledger
-    sub_cols = sub_column_counts(filled)
-    if kernel_mode_override is not None:
-        if kernel_mode_override not in ("A", "B", "C"):
-            raise ValueError("kernel_mode_override must be A, B or C")
-        tags = [kernel_mode_override] * schedule.num_levels
-    else:
-        tags = schedule.classify_levels(sub_cols)
-    for (flops, cols, updates, search), tag, level in zip(
-        stats.per_level, tags, schedule.levels
+    if kernel_mode_override not in (None, "A", "B", "C"):
+        raise ValueError("kernel_mode_override must be A, B or C")
+    inputs = _launch_inputs(filled, schedule)
+    tags = inputs.tags(schedule, kernel_mode_override)
+    for index, ((flops, cols, updates, search), tag, level) in enumerate(
+        zip(stats.per_level, tags, schedule.levels)
     ):
         if cols == 0:
             continue
         if tag == "C":
-            # one kernel per column, blocks = that column's sub-columns;
-            # flops apportioned by each column's share of the level's
-            # sub-column updates (uniform splitting would charge light
-            # columns heavy work at tiny occupancy)
-            weights = sub_cols[level].astype(float) + 1.0
-            weights /= weights.sum()
-            for j, w in zip(level, weights):
-                blocks = max(1, int(sub_cols[int(j)]))
+            # one kernel per column, blocks = that column's sub-columns
+            for blocks, w in inputs.type_c(index, level):
                 ledger.count("numeric_kernel_launches")
                 gpu.launch_numeric(
                     max(1, int(flops * w)),
@@ -200,9 +251,7 @@ def _charge_per_column(
             # warp teams over sub-columns — concurrency counts
             # sub-column work groups but is capped by the block's
             # thread budget
-            blocks = max(
-                cols, min(updates, cols * WARP_TEAMS_PER_BLOCK)
-            )
+            blocks = max(cols, min(updates, cols * WARP_TEAMS_PER_BLOCK))
             ledger.count("numeric_kernel_launches")
             gpu.launch_numeric(
                 max(1, flops),
@@ -218,7 +267,7 @@ def _charge_per_column(
 
 def _charge_supernodal(
     gpu: GPU,
-    plan,
+    plan: SupernodalPlan,
     fmt: str,
     cap: int,
     n: int,
@@ -242,9 +291,7 @@ def _charge_supernodal(
                     max(1, w.singleton_flops),
                     w.singleton_blocks,
                     concurrency_cap=cap,
-                    search_steps=(
-                        w.singleton_search if fmt == "csc" else 0
-                    ),
+                    search_steps=(w.singleton_search if fmt == "csc" else 0),
                 )
         if w.multi_panels:
             with ledger.phase("numeric-panels"):
@@ -265,9 +312,7 @@ def _charge_supernodal(
             gpu.hbm_traffic(2 * w.cols * n * value_bytes)
 
 
-def choose_format(
-    gpu: GPU, n: int, config: SolverConfig
-) -> tuple[str, int]:
+def choose_format(gpu: GPU, n: int, config: SolverConfig) -> tuple[str, int]:
     """Apply the §3.4 rule; returns (format, concurrency cap).
 
     The dense cap ``M`` is computed from the *currently free* device memory
@@ -288,6 +333,7 @@ def choose_format(
 
 def numeric_factorize_gpu(
     gpu: GPU,
+    As: CSCMatrix,
     filled: CSRMatrix,
     schedule: LevelSchedule,
     config: SolverConfig,
@@ -299,9 +345,14 @@ def numeric_factorize_gpu(
 
     Parameters
     ----------
+    As:
+        The filled matrix in sorted CSC — original values with explicit
+        zeros at fill positions.  Factorized in place unless its dtype
+        differs from ``config.compute_dtype`` (then a converted copy is).
+        A caller holding only the CSR passes ``filled.to_csc()``.
     filled:
-        Symbolic result (CSR) — original values with explicit zeros at fill
-        positions.
+        The same filled pattern in CSR (symbolic result); only its
+        structure is read.
     schedule:
         Level schedule (columns per level) from the levelization phase.
     as_resident:
@@ -318,12 +369,10 @@ def numeric_factorize_gpu(
     ledger = gpu.ledger
     t0 = ledger.total_seconds
 
-    plan = None
+    plan: SupernodalPlan | None = None
     # the kernel-mode ablation explicitly studies the per-column
     # taxonomy, so an override always runs the scattered schedule
     if config.supernodal and kernel_mode_override is None:
-        from ..numeric.supernodal import supernodal_plan_for
-
         # panel formation is pattern-only analysis: it charges its own
         # ``panelize`` phase (cache misses only — refactorization passes
         # and analyze()-pre-warmed runs hit the schedule's plan cache),
@@ -336,7 +385,6 @@ def numeric_factorize_gpu(
         )
 
     with ledger.phase("numeric"):
-        As = filled.to_csc()
         if As.data.dtype != config.compute_dtype:
             As = As.astype(config.compute_dtype)
         as_bytes = (n + 1) * idx + As.nnz * (idx + val)
@@ -353,19 +401,31 @@ def numeric_factorize_gpu(
             )
 
         stats = factorize_with_pivot_recovery(
-            gpu, As, filled, schedule, config,
+            gpu,
+            As,
+            filled,
+            schedule,
+            config,
             count_search_steps=(fmt == "csc"),
         )
 
         if plan is not None:
             # the panel schedule conserves the oracle's measured work
-            assert plan.total_flops == (
-                stats.div_flops + stats.update_flops
-            ), "supernodal plan lost flops vs the per-column oracle"
+            if plan.total_flops != stats.total_flops:
+                raise FlopConservationError(
+                    plan.total_flops, stats.total_flops
+                )
             _charge_supernodal(gpu, plan, fmt, cap, n, val)
         else:
             _charge_per_column(
-                gpu, filled, schedule, stats, fmt, cap, n, val,
+                gpu,
+                filled,
+                schedule,
+                stats,
+                fmt,
+                cap,
+                n,
+                val,
                 kernel_mode_override,
             )
 
@@ -379,9 +439,7 @@ def numeric_factorize_gpu(
     with ledger.phase("download"):
         gpu.d2h(as_bytes)
 
-    m_report = (
-        cap if fmt == "dense" else gpu.spec.max_concurrent_blocks
-    )
+    m_report = cap if fmt == "dense" else gpu.spec.max_concurrent_blocks
     return NumericResult(
         As=As,
         stats=stats,
@@ -391,12 +449,8 @@ def numeric_factorize_gpu(
         numeric_path="supernodal" if plan is not None else "per-column",
         panels=plan.num_panels if plan is not None else 0,
         panel_waves=plan.num_waves if plan is not None else 0,
-        singleton_panels=(
-            plan.singleton_panels if plan is not None else 0
-        ),
-        panel_coverage=(
-            float(plan.coverage()) if plan is not None else 0.0
-        ),
+        singleton_panels=plan.singleton_panels if plan is not None else 0,
+        panel_coverage=float(plan.coverage()) if plan is not None else 0.0,
     )
 
 

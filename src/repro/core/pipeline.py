@@ -291,6 +291,7 @@ class EndToEndLU:
         else:
             num = numeric_factorize_gpu(
                 gpu,
+                sym.filled.to_csc(),
                 sym.filled,
                 lev.schedule,
                 cfg,

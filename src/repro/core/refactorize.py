@@ -10,6 +10,24 @@ re-runs only numeric factorization per step.
 pattern, dependency graph, level schedule, value scatter map) and
 :meth:`ReusableAnalysis.refactorize` executes a numeric-only pipeline pass
 for new values, returning a solvable result that shares the analysis.
+
+A pass re-derives no structure.  Like GLU3.0's refactorization (Peng and
+Tan, https://arxiv.org/abs/1908.00204), which keeps every index map
+across Newton steps and re-runs only the value arithmetic, it reuses:
+
+* the filled pattern's sorted-CSC ``indptr``/``indices``, built once per
+  pattern and cached read-only on the schedule;
+* the scatter map, which sends every original entry straight to its
+  position in that CSC, so the values are placed by one scatter into a
+  zeroed array with no CSR-to-CSC sort;
+* the kernel's numeric plan, the per-level launch inputs of the charge
+  (both cached on the schedule) and, for the solve, the solve plan.
+
+The L/U split after the kernel is sort-free on every path.  A pass
+therefore costs one scatter, the kernel's value passes, the split and the
+same simulated charges as a cold factorization's numeric phase.  Only a
+pattern whose pre-processing permuted it still sorts once per pass:
+:func:`~repro.sparse.permute` re-applies the permutation to the values.
 """
 
 from __future__ import annotations
@@ -25,7 +43,6 @@ from ..numeric import lu_solve_permuted
 from ..preprocess import PreprocessResult, preprocess
 from ..sparse import CSCMatrix, CSRMatrix
 from ..sparse.types import INDEX_DTYPE
-from ..symbolic.incremental import _flat_keys
 from .config import SolverConfig
 from .levelize_gpu import levelize_gpu_dynamic
 from .numeric_gpu import NumericResult, numeric_factorize_gpu
@@ -44,15 +61,42 @@ class RefactorizeResult:
     def solve(self, b: np.ndarray) -> np.ndarray:
         pre = self.analysis.pre
         return lu_solve_permuted(
-            self.L, self.U, b,
-            row_perm=pre.row_perm, col_perm=pre.col_perm,
-            row_scale=pre.row_scale, col_scale=pre.col_scale,
+            self.L,
+            self.U,
+            b,
+            row_perm=pre.row_perm,
+            col_perm=pre.col_perm,
+            row_scale=pre.row_scale,
+            col_scale=pre.col_scale,
             schedule=self.analysis.schedule,
         )
 
     @property
     def sim_seconds(self) -> float:
         return self.numeric.sim_seconds
+
+
+def filled_csc_layout(
+    filled: CSRMatrix, schedule: LevelSchedule
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted-CSC ``(indptr, indices)`` of the filled pattern.
+
+    Built once per pattern and cached on the schedule beside the numeric
+    plan (a schedule is born from exactly one filled pattern).  Both
+    arrays are read-only: every pass wraps them in a fresh
+    :class:`CSCMatrix` around its own values.
+    """
+    layout = getattr(schedule, "_csc_layout", None)
+    if layout is None or not (
+        len(layout[0]) == filled.n_cols + 1
+        and int(layout[0][-1]) == filled.nnz
+    ):
+        csc = filled.to_csc()
+        csc.indptr.setflags(write=False)
+        csc.indices.setflags(write=False)
+        layout = (csc.indptr, csc.indices)
+        schedule._csc_layout = layout  # type: ignore[attr-defined]
+    return layout
 
 
 class ReusableAnalysis:
@@ -85,14 +129,21 @@ class ReusableAnalysis:
         self._pattern_indptr = pre.matrix.indptr.copy()
         self._pattern_indices = pre.matrix.indices.copy()
         # scatter map: position of every original entry inside the filled
-        # pattern (fill positions stay zero until overwritten by updates)
+        # pattern's sorted CSC (fill positions stay zero until overwritten
+        # by updates)
         self._scatter = self._build_scatter_map()
 
     def _build_scatter_map(self) -> np.ndarray:
-        # the filled pattern's flat keys are sorted, so one batched
+        # column-major keys of the filled CSC are sorted, so one batched
         # search places every original entry
-        dst_keys = _flat_keys(self.filled)
-        src_keys = _flat_keys(self.pre.matrix)
+        indptr, indices = filled_csc_layout(self.filled, self.schedule)
+        n_rows = self.filled.n_rows
+        cols = np.repeat(
+            np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr)
+        )
+        dst_keys = cols * n_rows + indices
+        a = self.pre.matrix
+        src_keys = a.indices.astype(np.int64) * n_rows + a.row_ids_of_entries()
         pos = np.searchsorted(dst_keys, src_keys)
         found = pos < len(dst_keys)
         found[found] = dst_keys[pos[found]] == src_keys[found]
@@ -164,38 +215,52 @@ class ReusableAnalysis:
         if self.pre.row_scale is not None:
             from ..sparse import scale
 
-            work = scale(work, row_scale=self.pre.row_scale,
-                         col_scale=self.pre.col_scale)
+            work = scale(
+                work,
+                row_scale=self.pre.row_scale,
+                col_scale=self.pre.col_scale,
+            )
         ident = np.arange(a.n_rows, dtype=INDEX_DTYPE)
-        if not (np.array_equal(self.pre.row_perm, ident)
-                and np.array_equal(self.pre.col_perm, ident)):
+        if not (
+            np.array_equal(self.pre.row_perm, ident)
+            and np.array_equal(self.pre.col_perm, ident)
+        ):
             from ..sparse import permute
 
-            work = permute(work, row_perm=self.pre.row_perm,
-                           col_perm=self.pre.col_perm)
+            work = permute(
+                work, row_perm=self.pre.row_perm, col_perm=self.pre.col_perm
+            )
         if not self.same_pattern(work):
             raise SparseFormatError(
                 "refactorize requires the exact analyzed pattern; run "
                 "analyze() again for a structurally different matrix"
             )
-        filled = CSRMatrix(
+        indptr, indices = filled_csc_layout(self.filled, self.schedule)
+        data = np.zeros(self.filled.nnz, dtype=self.config.compute_dtype)
+        data[self._scatter] = work.data
+        As = CSCMatrix(
             self.filled.n_rows,
             self.filled.n_cols,
-            self.filled.indptr,
-            self.filled.indices,
-            np.zeros(self.filled.nnz, dtype=np.float64),
+            indptr,
+            indices,
+            data,
             check=False,
         )
-        filled.data[self._scatter] = work.data
         num = numeric_factorize_gpu(
-            self.gpu, filled, self.schedule, self.config, as_resident=False
+            self.gpu,
+            As,
+            self.filled,
+            self.schedule,
+            self.config,
+            as_resident=False,
         )
         L, U = num.factors()
         return RefactorizeResult(L=L, U=U, numeric=num, analysis=self)
 
 
-def analyze(a: CSRMatrix, config: SolverConfig | None = None,
-            *, gpu: GPU | None = None) -> ReusableAnalysis:
+def analyze(
+    a: CSRMatrix, config: SolverConfig | None = None, *, gpu: GPU | None = None
+) -> ReusableAnalysis:
     """Run the pattern-dependent phases once (Figure 2 minus numeric).
 
     Returns a :class:`ReusableAnalysis` whose :meth:`refactorize` performs

@@ -121,6 +121,22 @@ class CycleError(ReproError):
         )
 
 
+class FlopConservationError(ReproError):
+    """A supernodal panel schedule charges other flops than the kernel did.
+
+    The panel schedule only re-times the work the per-column kernel
+    measured, so the two flop counts must be equal.
+    """
+
+    def __init__(self, plan_flops: int, kernel_flops: int) -> None:
+        self.plan_flops = int(plan_flops)
+        self.kernel_flops = int(kernel_flops)
+        super().__init__(
+            f"supernodal plan charges {plan_flops} flops, the per-column "
+            f"kernel measured {kernel_flops}"
+        )
+
+
 class ConfigurationError(ReproError):
     """An invalid solver / simulator configuration was supplied."""
 

@@ -18,16 +18,15 @@ The kernel, :func:`repro.numeric.factorize_in_place`, lives in
 :class:`NumericStats` defined here; the GPU executor
 (:mod:`repro.core.numeric_gpu`) replays these counts through the cost
 model.  :func:`extract_lu` splits the factorized matrix into ``L`` and
-``U``.
+``U`` without sorting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..sparse import CSCMatrix
+from ..sparse.pattern import split_lu_csc
 
 
 @dataclass
@@ -53,18 +52,10 @@ class NumericStats:
 
 
 def extract_lu(As: CSCMatrix) -> tuple[CSCMatrix, CSCMatrix]:
-    """Split a factorized ``As`` into unit-lower ``L`` and upper ``U`` (CSC)."""
-    from ..sparse import COOMatrix
-    from ..sparse.types import INDEX_DTYPE
+    """Split a factorized ``As`` into unit-lower ``L`` and upper ``U`` (CSC).
 
-    n = As.n_cols
-    rows = As.indices
-    cols = As.col_ids_of_entries()
-    lower = rows > cols
-    upper = ~lower
-    l_rows = np.concatenate([rows[lower], np.arange(n, dtype=INDEX_DTYPE)])
-    l_cols = np.concatenate([cols[lower], np.arange(n, dtype=INDEX_DTYPE)])
-    l_data = np.concatenate([As.data[lower], np.ones(n, dtype=As.data.dtype)])
-    L = COOMatrix(n, n, l_rows, l_cols, l_data).to_csc()
-    U = COOMatrix(n, n, rows[upper], cols[upper], As.data[upper]).to_csc()
-    return L, U
+    ``As`` is sorted CSC, so the split needs no sort
+    (:func:`repro.sparse.pattern.split_lu_csc`); the coordinate-list
+    split it replaced is kept as :func:`repro.oracles.extract_lu`.
+    """
+    return split_lu_csc(As)

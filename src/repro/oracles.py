@@ -17,6 +17,10 @@ site with a single ``monkeypatch.setattr``:
   an algorithm independent of Kahn's waves;
 * :func:`factorize_in_place` — the per-column / per-update loop of
   Algorithm 2 (:mod:`repro.numeric.vectorized`);
+* :func:`extract_lu` — the L/U split through a coordinate list, two
+  sorting conversions and a duplicate-summing ``np.add.at``
+  (:mod:`repro.numeric.rightlooking`, which splits sorted columns
+  without sorting);
 * :func:`forward_substitute` / :func:`backward_substitute` and their
   block twins :func:`forward_substitute_multi` /
   :func:`backward_substitute_multi` — column-at-a-time substitution
@@ -44,7 +48,7 @@ from .errors import (
 )
 from .graph import DependencyGraph, LevelSchedule
 from .numeric.rightlooking import NumericStats
-from .sparse import CSCMatrix, CSRMatrix
+from .sparse import COOMatrix, CSCMatrix, CSRMatrix
 from .sparse.types import INDEX_DTYPE
 from .symbolic.fill2 import Fill2RowResult
 from .symbolic.reference import symbolic_fill_bitsets
@@ -297,6 +301,21 @@ def factorize_in_place(
             (level_flops, len(level_cols), level_updates, level_search)
         )
     return stats
+
+
+def extract_lu(As: CSCMatrix) -> tuple[CSCMatrix, CSCMatrix]:
+    """Split a factorized ``As`` into unit-lower ``L`` and upper ``U`` (CSC)."""
+    n = As.n_cols
+    rows = As.indices
+    cols = As.col_ids_of_entries()
+    lower = rows > cols
+    upper = ~lower
+    l_rows = np.concatenate([rows[lower], np.arange(n, dtype=INDEX_DTYPE)])
+    l_cols = np.concatenate([cols[lower], np.arange(n, dtype=INDEX_DTYPE)])
+    l_data = np.concatenate([As.data[lower], np.ones(n, dtype=As.data.dtype)])
+    L = COOMatrix(n, n, l_rows, l_cols, l_data).to_csc()
+    U = COOMatrix(n, n, rows[upper], cols[upper], As.data[upper]).to_csc()
+    return L, U
 
 
 # ---------------------------------------------------------------------------

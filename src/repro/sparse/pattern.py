@@ -59,30 +59,50 @@ def pattern_stats(a: CSRMatrix) -> PatternStats:
     )
 
 
-def split_lu_pattern(filled: CSRMatrix) -> tuple[CSCMatrix, CSCMatrix]:
-    """Split a filled pattern ``As`` into unit-lower ``L`` and upper ``U`` CSC.
+def split_lu_csc(a: CSCMatrix) -> tuple[CSCMatrix, CSCMatrix]:
+    """Split a sorted-CSC ``a`` into unit-lower ``L`` and upper ``U`` CSC.
 
-    ``L`` receives the strictly-lower entries plus an implicit unit diagonal
-    (stored explicitly, value 1); ``U`` receives the diagonal and strictly
-    upper entries.  Values are carried over unchanged — for a pattern-only
-    input they are placeholder values that numeric factorization overwrites.
+    ``U`` receives the diagonal and strictly-upper entries, ``L`` the
+    strictly-lower entries behind an explicit unit diagonal (value 1).
+    Rows are sorted within each column, so column ``j``'s ``U`` part is
+    the prefix with ``row <= j`` and its ``L`` part the suffix: two
+    boolean selections and one placement of the diagonal replace the
+    sort of a coordinate-list split.  Values are carried over with
+    ``+ 0``, which stores ``-0.0`` as ``+0.0`` exactly as the summing
+    conversion of that split did, so the output is bitwise the same.
     """
-    n = filled.n_rows
-    rows = filled.row_ids_of_entries()
-    cols = filled.indices
-    lower = rows > cols
-    upper = ~lower  # includes diagonal
+    n = a.n_cols
+    rows = a.indices
+    cols = a.col_ids_of_entries()
+    upper = rows <= cols
+    lower = ~upper
 
-    from .coo import COOMatrix
+    u_indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(cols[upper], minlength=n), out=u_indptr[1:])
+    U = CSCMatrix(n, n, u_indptr, rows[upper], a.data[upper] + 0, check=False)
 
-    l_rows = np.concatenate([rows[lower], np.arange(n, dtype=INDEX_DTYPE)])
-    l_cols = np.concatenate([cols[lower], np.arange(n, dtype=INDEX_DTYPE)])
-    l_data = np.concatenate(
-        [filled.data[lower], np.ones(n, dtype=filled.data.dtype)]
-    )
-    l = COOMatrix(n, n, l_rows, l_cols, l_data).to_csc()
-    u = COOMatrix(n, n, rows[upper], cols[upper], filled.data[upper]).to_csc()
-    return l, u
+    # column j of L: its unit diagonal, then the strictly-lower suffix
+    l_indptr = a.indptr - u_indptr + np.arange(n + 1, dtype=INDEX_DTYPE)
+    l_nnz = int(l_indptr[-1])
+    off_diag = np.ones(l_nnz, dtype=bool)
+    off_diag[l_indptr[:-1]] = False
+    l_indices = np.empty(l_nnz, dtype=INDEX_DTYPE)
+    l_indices[~off_diag] = np.arange(n, dtype=INDEX_DTYPE)
+    l_indices[off_diag] = rows[lower]
+    l_data = np.ones(l_nnz, dtype=a.data.dtype)
+    l_data[off_diag] = a.data[lower] + 0
+    L = CSCMatrix(n, n, l_indptr, l_indices, l_data, check=False)
+    return L, U
+
+
+def split_lu_pattern(filled: CSRMatrix) -> tuple[CSCMatrix, CSCMatrix]:
+    """Split a filled pattern into unit-lower ``L`` and upper ``U`` CSC.
+
+    The CSR is converted to CSC once and split by :func:`split_lu_csc`.
+    Values are carried over unchanged; for a pattern-only input they are
+    placeholder values that numeric factorization overwrites.
+    """
+    return split_lu_csc(filled.to_csc())
 
 
 def lower_pattern_csr(a: CSRMatrix, *, strict: bool = True) -> CSRMatrix:
@@ -132,7 +152,7 @@ def ensure_diagonal(a: CSRMatrix, value: float = 0.0) -> CSRMatrix:
     this (with value 1000) to make the Table 4 mesh matrices factorizable.
     """
     n = min(a.n_rows, a.n_cols)
-    missing = []
+    missing: list[int] = []
     for i in range(n):
         cols, _ = a.row(i)
         pos = int(np.searchsorted(cols, i))

@@ -108,8 +108,8 @@ class TestNumericGpu:
         sched = kahn_levels(graph)
         cfg_d = SolverConfig(numeric_format="dense")
         cfg_c = SolverConfig(numeric_format="csc")
-        rd = numeric_factorize_gpu(make_gpu(), filled, sched, cfg_d)
-        rc = numeric_factorize_gpu(make_gpu(), filled, sched, cfg_c)
+        rd = numeric_factorize_gpu(make_gpu(), filled.to_csc(), filled, sched, cfg_d)
+        rc = numeric_factorize_gpu(make_gpu(), filled.to_csc(), filled, sched, cfg_c)
         assert rd.data_format == "dense"
         assert rc.data_format == "csc"
         assert rd.As.allclose(rc.As)
@@ -118,10 +118,12 @@ class TestNumericGpu:
         a, filled, graph = setup
         sched = kahn_levels(graph)
         rd = numeric_factorize_gpu(
-            make_gpu(), filled, sched, SolverConfig(numeric_format="dense")
+            make_gpu(), filled.to_csc(), filled, sched,
+            SolverConfig(numeric_format="dense"),
         )
         rc = numeric_factorize_gpu(
-            make_gpu(), filled, sched, SolverConfig(numeric_format="csc")
+            make_gpu(), filled.to_csc(), filled, sched,
+            SolverConfig(numeric_format="csc"),
         )
         assert rd.stats.search_steps == 0
         assert rc.stats.search_steps > 0
@@ -131,14 +133,17 @@ class TestNumericGpu:
         sched = kahn_levels(graph)
         gpu = make_gpu()
         numeric_factorize_gpu(
-            gpu, filled, sched, SolverConfig(numeric_format="dense")
+            gpu, filled.to_csc(), filled, sched,
+            SolverConfig(numeric_format="dense"),
         )
         assert gpu.ledger.get_count("bytes_hbm") > 0
 
     def test_factors_reconstruct_matrix(self, setup):
         a, filled, graph = setup
         sched = kahn_levels(graph)
-        res = numeric_factorize_gpu(make_gpu(), filled, sched, SolverConfig())
+        res = numeric_factorize_gpu(
+            make_gpu(), filled.to_csc(), filled, sched, SolverConfig()
+        )
         L, U = res.factors()
         np.testing.assert_allclose(
             L.to_dense() @ U.to_dense(), a.to_dense(), atol=1e-7
@@ -148,7 +153,9 @@ class TestNumericGpu:
         a, filled, graph = setup
         sched = kahn_levels(graph)
         gpu = make_gpu()
-        numeric_factorize_gpu(gpu, filled, sched, SolverConfig())
+        numeric_factorize_gpu(
+            gpu, filled.to_csc(), filled, sched, SolverConfig()
+        )
         assert gpu.pool.live_bytes == 0
 
     def test_capped_concurrency_slower(self):
@@ -164,7 +171,11 @@ class TestNumericGpu:
             + a.nnz * 8))
         roomy = make_gpu()
         cfg = SolverConfig(numeric_format="dense")
-        t_tight = numeric_factorize_gpu(tight, filled, sched, cfg)
-        t_roomy = numeric_factorize_gpu(roomy, filled, sched, cfg)
+        t_tight = numeric_factorize_gpu(
+            tight, filled.to_csc(), filled, sched, cfg
+        )
+        t_roomy = numeric_factorize_gpu(
+            roomy, filled.to_csc(), filled, sched, cfg
+        )
         assert t_tight.max_parallel_columns < t_roomy.max_parallel_columns
         assert t_tight.sim_seconds > t_roomy.sim_seconds

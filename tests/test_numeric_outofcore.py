@@ -33,7 +33,7 @@ class TestStreamedNumeric:
     def test_factors_identical_to_incore(self, setup):
         a, filled, sched = setup
         incore = numeric_factorize_gpu(
-            gpu_of(64 << 20), filled, sched, cfg(64 << 20)
+            gpu_of(64 << 20), filled.to_csc(), filled, sched, cfg(64 << 20)
         )
         streamed, _ = numeric_factorize_outofcore(
             gpu_of(1 << 20), filled, sched, cfg(1 << 20)

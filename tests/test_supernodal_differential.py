@@ -183,12 +183,13 @@ def test_kernel_mode_override_forces_per_column():
     res = pipe.factorize(a)
     assert res.numeric.numeric_path == "supernodal"
     forced = numeric_factorize_gpu(
-        res.gpu, res.filled, res.schedule, cfg, kernel_mode_override="C"
+        res.gpu, res.filled.to_csc(), res.filled, res.schedule, cfg,
+        kernel_mode_override="C",
     )
     assert forced.numeric_path == "per-column"
     assert forced.panels == 0
     ref = numeric_factorize_gpu(
-        res.gpu, res.filled, res.schedule,
+        res.gpu, res.filled.to_csc(), res.filled, res.schedule,
         SolverConfig(supernodal=False), kernel_mode_override="C",
     )
     fL, fU = forced.factors()
