@@ -35,6 +35,7 @@ from .errors import (
     DeadlineExceededError,
     DeviceMemoryError,
     HostMemoryError,
+    NonFiniteValueError,
     QueueFullError,
     ReproError,
     ServeError,
@@ -64,6 +65,7 @@ __all__ = [
     "SparseFormatError",
     "DeviceMemoryError",
     "HostMemoryError",
+    "NonFiniteValueError",
     "SingularMatrixError",
     "StructurallySingularError",
     "CycleError",

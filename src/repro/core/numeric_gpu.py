@@ -31,6 +31,19 @@ Kernel-launch structure follows GLU 3.0's level taxonomy (§2.2):
 The ablation (`run_kernel_mode_ablation`) verifies the adaptive choice is
 never worse than forcing any single mode.
 
+A pass books the same launches in the same order every time its pattern
+is refactorized, so on a bare :class:`~repro.gpusim.GPU` (its exact
+type, no proxy) the first pass records its ledger calls on the
+pattern's cached launch inputs and later passes replay them with one
+:meth:`~repro.gpusim.ledger.TimeLedger.replay`.  A recording is keyed
+by format, concurrency cap, ``n``, value bytes and kernel-mode
+override, and is reused only while the device's cost model and spec
+and the pass's ``per_level`` stats equal the recorded ones.  The replay
+adds each bucket's charges left to right, so every total, phase and
+counter is bitwise what one-at-a-time booking gives.  A proxy stack
+(tracing, fault injection, retry, streams) always issues every launch,
+so each of its layers still sees every ``DeviceOp``.
+
 With ``SolverConfig.supernodal`` the per-level scattered charging above is
 replaced by the blocked panel-wave schedule of
 :mod:`repro.numeric.supernodal`: singleton panels keep the scattered
@@ -44,12 +57,14 @@ only re-models the timeline (factors, fill and pivots bitwise-identical).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import FlopConservationError, SingularMatrixError
-from ..gpusim import GPU
+from ..gpusim import GPU, CostModel, DeviceSpec
+from ..gpusim.ledger import ChargeTape
 from ..graph import LevelSchedule, sub_column_counts
 from ..numeric import NumericStats, extract_lu, factorize_in_place
 from ..numeric.supernodal import SupernodalPlan, supernodal_plan_for
@@ -161,6 +176,12 @@ class _LaunchInputs:
         self.sub_cols = sub_column_counts(filled)
         self._tags: dict[str | None, list[str]] = {}
         self._type_c: dict[int, list[tuple[int, float]]] = {}
+        #: recorded charges of a bare GPU, per (format, cap, n, value
+        #: bytes, override): the cost model, device and ``per_level``
+        #: they were recorded for, and the tape
+        self.tapes: dict[
+            tuple, tuple[CostModel, DeviceSpec, list, ChargeTape]
+        ] = {}
 
     def matches(self, filled: CSRMatrix) -> bool:
         return self.n == filled.n_rows and self.nnz == filled.nnz
@@ -215,54 +236,71 @@ def _charge_per_column(
     value_bytes: int,
     kernel_mode_override: str | None,
 ) -> None:
-    """Book the scattered per-level schedule (GLU 3.0 level taxonomy)."""
-    ledger = gpu.ledger
+    """Book the scattered per-level schedule (GLU 3.0 level taxonomy).
+
+    On a bare :class:`GPU` the first pass records its ledger calls and a
+    later pass with the same launches replays them in one
+    :meth:`~repro.gpusim.ledger.TimeLedger.replay`; a proxy stack always
+    issues every launch.
+    """
     if kernel_mode_override not in (None, "A", "B", "C"):
         raise ValueError("kernel_mode_override must be A, B or C")
     inputs = _launch_inputs(filled, schedule)
+    # a proxy stack must see every launch, so only a bare GPU replays
+    bare = type(gpu) is GPU
+    key = (fmt, cap, n, value_bytes, kernel_mode_override)
+    current = (gpu.cost, gpu.spec, stats.per_level)
+    recorded = inputs.tapes.get(key) if bare else None
+    if recorded is not None and recorded[:3] == current:
+        gpu.ledger.replay(recorded[3])
+        return
+    ledger = gpu.ledger
     tags = inputs.tags(schedule, kernel_mode_override)
-    for index, ((flops, cols, updates, search), tag, level) in enumerate(
-        zip(stats.per_level, tags, schedule.levels)
-    ):
-        if cols == 0:
-            continue
-        if tag == "C":
-            # one kernel per column, blocks = that column's sub-columns
-            for blocks, w in inputs.type_c(index, level):
+    with ledger.recording() if bare else nullcontext() as tape:
+        for index, ((flops, cols, updates, search), tag, level) in enumerate(
+            zip(stats.per_level, tags, schedule.levels)
+        ):
+            if cols == 0:
+                continue
+            if tag == "C":
+                # one kernel per column, blocks = that column's sub-columns
+                for blocks, w in inputs.type_c(index, level):
+                    ledger.count("numeric_kernel_launches")
+                    gpu.launch_numeric(
+                        max(1, int(flops * w)),
+                        blocks,
+                        concurrency_cap=cap,
+                        search_steps=int(search * w),
+                    )
+            elif tag == "A":
+                # type A: one kernel per level, one block per column (no
+                # sub-column teams — ample column parallelism assumed)
                 ledger.count("numeric_kernel_launches")
                 gpu.launch_numeric(
-                    max(1, int(flops * w)),
+                    max(1, flops),
+                    cols,
+                    concurrency_cap=cap,
+                    search_steps=search,
+                )
+            else:
+                # type B: one kernel per level; a block per column, with
+                # warp teams over sub-columns — concurrency counts
+                # sub-column work groups but is capped by the block's
+                # thread budget
+                blocks = max(cols, min(updates, cols * WARP_TEAMS_PER_BLOCK))
+                ledger.count("numeric_kernel_launches")
+                gpu.launch_numeric(
+                    max(1, flops),
                     blocks,
                     concurrency_cap=cap,
-                    search_steps=int(search * w),
+                    search_steps=search,
                 )
-        elif tag == "A":
-            # type A: one kernel per level, one block per column (no
-            # sub-column teams — ample column parallelism assumed)
-            ledger.count("numeric_kernel_launches")
-            gpu.launch_numeric(
-                max(1, flops),
-                cols,
-                concurrency_cap=cap,
-                search_steps=search,
-            )
-        else:
-            # type B: one kernel per level; a block per column, with
-            # warp teams over sub-columns — concurrency counts
-            # sub-column work groups but is capped by the block's
-            # thread budget
-            blocks = max(cols, min(updates, cols * WARP_TEAMS_PER_BLOCK))
-            ledger.count("numeric_kernel_launches")
-            gpu.launch_numeric(
-                max(1, flops),
-                blocks,
-                concurrency_cap=cap,
-                search_steps=search,
-            )
-        if fmt == "dense":
-            # scatter each column into its dense buffer and gather the
-            # results back: 2 x n x sizeof(dtype) HBM traffic per column
-            gpu.hbm_traffic(2 * cols * n * value_bytes)
+            if fmt == "dense":
+                # scatter each column into its dense buffer and gather the
+                # results back: 2 x n x sizeof(dtype) HBM traffic per column
+                gpu.hbm_traffic(2 * cols * n * value_bytes)
+    if tape is not None:
+        inputs.tapes[key] = (gpu.cost, gpu.spec, list(stats.per_level), tape)
 
 
 def _charge_supernodal(

@@ -40,7 +40,7 @@ from ..errors import SparseFormatError
 from ..gpusim import GPU
 from ..graph import DependencyGraph, LevelSchedule, build_dependency_graph
 from ..numeric import lu_solve_permuted
-from ..preprocess import PreprocessResult, preprocess
+from ..preprocess import PreprocessResult, preprocess, require_finite
 from ..sparse import CSCMatrix, CSRMatrix
 from ..sparse.types import INDEX_DTYPE
 from .config import SolverConfig
@@ -208,7 +208,9 @@ class ReusableAnalysis:
         pre-processing transforms would yield the analyzed pattern; in
         practice: the same generator/stamper output with new values.  The
         pre-processing permutations/scalings recorded at analysis time are
-        re-applied to the values here.
+        re-applied to the values here.  Non-finite values raise
+        :class:`~repro.errors.NonFiniteValueError` before any device
+        work.
         """
         # re-apply the recorded transforms to the new values
         work = a
@@ -235,6 +237,7 @@ class ReusableAnalysis:
                 "refactorize requires the exact analyzed pattern; run "
                 "analyze() again for a structurally different matrix"
             )
+        require_finite(work.data)
         indptr, indices = filled_csc_layout(self.filled, self.schedule)
         data = np.zeros(self.filled.nnz, dtype=self.config.compute_dtype)
         data[self._scatter] = work.data

@@ -99,6 +99,22 @@ class SingularMatrixError(ReproError):
         super().__init__(f"zero/tiny pivot at column {column}: {value!r}")
 
 
+class NonFiniteValueError(ReproError):
+    """A matrix handed to the solver holds NaN or infinite values.
+
+    Raised before any device work: a non-finite entry would otherwise
+    flow through the factorization into a NaN solution.
+    """
+
+    def __init__(self, count: int, first: int) -> None:
+        self.count = int(count)
+        self.first = int(first)
+        super().__init__(
+            f"matrix has {count} non-finite value(s); the first is "
+            f"stored entry {first}"
+        )
+
+
 class StructurallySingularError(ReproError):
     """The matrix has no zero-free diagonal (no perfect bipartite matching)."""
 

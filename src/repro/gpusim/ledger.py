@@ -10,8 +10,56 @@ phase breakdowns to draw the paper's stacked "symbolic / numeric" bars
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+import numpy as np
+
+
+class ChargeTape:
+    """The :meth:`TimeLedger.charge` and :meth:`TimeLedger.count` calls
+    of one recorded region, for :meth:`TimeLedger.replay`.
+
+    ``seconds`` and ``categories`` keep the charges in call order;
+    ``counts`` sums each counter's increments (integer counters do not
+    depend on order).
+    """
+
+    __slots__ = ("seconds", "categories", "counts", "_arrays")
+
+    def __init__(self) -> None:
+        self.seconds: list[float] = []
+        self.categories: list[str | None] = []
+        self.counts: dict[str, int] = {}
+        self._arrays: tuple[np.ndarray, dict[str, np.ndarray]] | None = None
+
+    def arrays(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The seconds as float64, and for each category a 0/1 mask of
+        the charges booked to it."""
+        if self._arrays is None:
+            cats = np.array(self.categories, dtype=object)
+            self._arrays = (
+                np.array(self.seconds, dtype=np.float64),
+                {
+                    c: (cats == c).astype(np.int64)
+                    for c in dict.fromkeys(self.categories)
+                    if c is not None
+                },
+            )
+        return self._arrays
+
+
+def _accumulate(start: float, seconds: np.ndarray) -> float:
+    """``start`` plus each of ``seconds`` in order, one rounding per add.
+
+    ``np.add.accumulate`` adds strictly left to right (no pairwise
+    summation), so this equals a Python loop of ``+=`` bit for bit.
+    """
+    buf = np.empty(len(seconds) + 1, dtype=np.float64)
+    buf[0] = start
+    buf[1:] = seconds
+    return float(np.add.accumulate(buf)[-1])
 
 
 @dataclass
@@ -24,6 +72,7 @@ class TimeLedger:
     counters: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     _stack: list[str] = field(default_factory=list)
     total_seconds: float = 0.0
+    _tape: ChargeTape | None = field(default=None, compare=False, repr=False)
 
     # -- time -----------------------------------------------------------
     def charge(self, seconds: float, category: str | None = None) -> None:
@@ -31,11 +80,57 @@ class TimeLedger:
         given, the extra ``category`` bucket (e.g. ``"fault_service"``)."""
         if seconds < 0:
             raise ValueError("cannot charge negative time")
+        if self._tape is not None:
+            self._tape.seconds.append(seconds)
+            self._tape.categories.append(category)
         self.total_seconds += seconds
         for ph in self._stack:
             self.phase_seconds[ph] += seconds
         if category is not None:
             self.phase_seconds[category] += seconds
+
+    @contextmanager
+    def recording(self) -> Iterator[ChargeTape]:
+        """Context manager that books as usual and also records every
+        :meth:`charge` and :meth:`count` call of the block on the yielded
+        :class:`ChargeTape`."""
+        if self._tape is not None:
+            raise RuntimeError("ledger is already recording")
+        self._tape = tape = ChargeTape()
+        try:
+            yield tape
+        finally:
+            self._tape = None
+
+    def replay(self, tape: ChargeTape) -> None:
+        """Book a recorded tape again, bitwise equal to re-issuing its
+        calls one at a time under the current phase stack.
+
+        Every bucket (the total, each open phase, each category) adds its
+        own subsequence of the tape's charges with one
+        :func:`_accumulate`; a bucket that is both an open phase and a
+        category, or open twice, receives each charge as many times as
+        :meth:`charge` would add it.  Each counter is bumped once by its
+        recorded sum.  An empty tape books nothing and creates no key.
+        """
+        for name, inc in tape.counts.items():
+            self.counters[name] += inc
+        seconds, masks = tape.arrays()
+        if not len(seconds):
+            return
+        self.total_seconds = _accumulate(self.total_seconds, seconds)
+        for name in dict.fromkeys([*self._stack, *masks]):
+            times = self._stack.count(name)
+            mask = masks.get(name)
+            if mask is None and times == 1:
+                seq = seconds
+            else:
+                seq = np.repeat(
+                    seconds, times if mask is None else mask + times
+                )
+            self.phase_seconds[name] = _accumulate(
+                self.phase_seconds[name], seq
+            )
 
     def charge_aside(self, seconds: float, category: str) -> None:
         """Add ``seconds`` to the total and to ``category`` only, bypassing
@@ -80,7 +175,11 @@ class TimeLedger:
 
     # -- counters ---------------------------------------------------------
     def count(self, name: str, increment: int = 1) -> None:
-        self.counters[name] += int(increment)
+        increment = int(increment)
+        if self._tape is not None:
+            counts = self._tape.counts
+            counts[name] = counts.get(name, 0) + increment
+        self.counters[name] += increment
 
     def get_count(self, name: str) -> int:
         return int(self.counters.get(name, 0))
@@ -112,9 +211,7 @@ class TimeLedger:
             "phases": {
                 k: self.phase_seconds[k] for k in sorted(self.phase_seconds)
             },
-            "counters": {
-                k: self.counters[k] for k in sorted(self.counters)
-            },
+            "counters": {k: self.counters[k] for k in sorted(self.counters)},
         }
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

@@ -30,18 +30,39 @@ depth to simulated time, unchanged.
 That structure-only *plan* is cached on the schedule object: repeated
 refactorizations of the same pattern (the serving tier's bread and
 butter, and how real solvers amortize analysis across solves) skip the
-precompute entirely and run only the value passes:
+precompute entirely and run only the value passes.
 
-* **pivot stage** — gather the level's diagonals in one shot,
-  check/perturb in level order, and raise on the first failing column
-  *after* replaying the scalar path's partial mutations for the columns
-  that precede it;
-* **scale stage** — one gather of the precomputed sub-diagonal stream,
-  one elementwise division;
-* **update stage** — gather multipliers and ``U`` entries through the
-  precomputed position stream and apply with ``np.subtract.at`` — which
-  accumulates repeated targets in array order, i.e. exactly the scalar
-  loop's update order, so floating-point results match bitwise.
+Each batch also carries a *level table*: for every level, the slice
+bounds of its columns, scale entries, sub-column pairs and updates as
+Python ints; its ``per_level`` stats tuple and the batch's totals
+(structure-only on any pass that succeeds, so a finished batch books
+them with one ``per_level.extend``); whether every diagonal of the
+level is structurally present; and, for a one-column level, the flat
+position of its diagonal.  The value loop reads the table and does only
+value work:
+
+* **one-column level** (most levels of a circuit pattern) — the pivot
+  check is one Python scalar compare; the scale divides the slice after
+  the pivot by it; the update is ``np.multiply.outer(u, l).ravel()``
+  subtracted through plain fancy indexing.  That is exact: one column's
+  ``(row, sub-column)`` targets are pairwise distinct, so each target
+  is read and written once, which is all ``np.subtract.at`` would do;
+* **multi-column level** — one vectorized ``|pivot| > tol`` check, then
+  the **scale stage** (one gather, divide and scatter through the
+  sub-diagonal stream and its divisor stream ``s_div``, the diagonal
+  position of each entry's column) and the **update stage** (gather
+  multipliers and ``U`` entries through the precomputed position
+  stream and apply with ``np.subtract.at``, which accumulates repeated
+  targets in array order, i.e. exactly the scalar loop's update order,
+  so floating-point results match bitwise);
+* **any level whose quick check fails**, a level with a structurally
+  missing diagonal, and every level of a pass with
+  ``pivot_perturbation > 0`` go through the **pivot stage** instead: it
+  gathers the level's diagonals, checks/perturbs them in level order
+  and raises on the first failing column *after* replaying the scalar
+  path's partial mutations for the columns that precede it, so the
+  failing column, its message and ``perturbed_columns`` stay the
+  oracle's.
 
 Bitwise equivalence relies on the schedule carrying GLU 3.0's *full*
 dependency set (``include_l_dependencies=True``, the library default):
@@ -82,27 +103,48 @@ def _diag_positions(indices: np.ndarray, col_ids: np.ndarray,
     return diag_pos
 
 
+#: one row of a batch's level table: the level's slice bounds into the
+#: batch's column, scale, pair and update streams
+#: ``(c0, c1, s0, s1, p0, p1, e0, e1)``, then ``one``, the diagonal
+#: position of a one-column level whose diagonal is present (-1 for any
+#: other level), and ``diag_ok``, whether every diagonal of the level is
+#: structurally present.
+_Level = tuple[int, int, int, int, int, int, int, int, int, bool]
+
+
 class _BatchPlan:
-    """Precomputed position streams for one greedy level-batch."""
+    """Precomputed position streams and level table of one greedy
+    level-batch."""
 
     __slots__ = (
-        "cols_cat", "col_off", "pair_off", "exp_off", "scale_off",
-        "s_flat", "l_flat", "pos_ujk", "pos_tgt", "pair_rows", "sc_cnt",
-        "pair_search",
+        "cols_cat", "pair_off", "exp_off", "scale_off", "s_flat",
+        "s_div", "l_flat", "pos_ujk", "pos_tgt", "pair_rows", "diag_cat",
+        "levels", "per_level", "div_flops", "update_flops", "columns",
+        "sub_column_updates", "search_steps",
     )
 
     cols_cat: np.ndarray
-    col_off: np.ndarray
     pair_off: np.ndarray
     exp_off: np.ndarray
     scale_off: np.ndarray
     s_flat: np.ndarray
+    #: diagonal position of each sub-diagonal entry's column
+    s_div: np.ndarray
     l_flat: np.ndarray
     pos_ujk: np.ndarray
     pos_tgt: np.ndarray
     pair_rows: np.ndarray
-    sc_cnt: np.ndarray
-    pair_search: np.ndarray | None
+    diag_cat: np.ndarray
+    #: the level table: one :data:`_Level` per level of the batch
+    levels: list[_Level]
+    #: the batch's ``NumericStats.per_level`` entries and totals, as a
+    #: successful pass books them (structure-only)
+    per_level: list[tuple[int, int, int, int]]
+    div_flops: int
+    update_flops: int
+    columns: int
+    sub_column_updates: int
+    search_steps: int
 
 
 class _NumericPlan:
@@ -279,10 +321,19 @@ def _build_plan(
             1, np.ceil(np.log2(np.maximum(2, col_nnz))).astype(np.int64)
         )
 
-    levels = [np.asarray(lv, dtype=np.int64) for lv in schedule.levels]
+    # every level's columns in schedule order, and each level's offset
+    level_off = np.zeros(schedule.num_levels + 1, dtype=np.int64)
+    np.cumsum([len(lv) for lv in schedule.levels], out=level_off[1:])
+    all_cols = (
+        np.concatenate(schedule.levels).astype(np.int64, copy=False)
+        if schedule.num_levels
+        else np.empty(0, dtype=np.int64)
+    )
     # flattened update count contributed by column j: one row update per
     # (sub-column pair, sub-diagonal row) combination
-    exp_per_level = [int((sc_len[lv] * sub_len[lv]).sum()) for lv in levels]
+    exp_cum = np.zeros(len(all_cols) + 1, dtype=np.int64)
+    np.cumsum(sc_len[all_cols] * sub_len[all_cols], out=exp_cum[1:])
+    exp_per_level = np.diff(exp_cum[level_off]).tolist()
 
     plan = _NumericPlan()
     plan.as_nnz = As.nnz
@@ -294,26 +345,21 @@ def _build_plan(
     pos_map = _PositionMap(indptr, indices, col_ids, n)
 
     start = 0
-    while start < len(levels):
+    while start < schedule.num_levels:
         # greedy level batch under the position-stream cap (always at
         # least one level, so a single huge level still goes through)
         stop = start + 1
         batch_exp = exp_per_level[start]
         while (
-            stop < len(levels)
+            stop < schedule.num_levels
             and batch_exp + exp_per_level[stop] <= _MAX_BATCH_UPDATES
         ):
             batch_exp += exp_per_level[stop]
             stop += 1
 
         b = _BatchPlan()
-        b.cols_cat = cols_cat = np.concatenate(levels[start:stop])
-        b.col_off = np.concatenate(
-            [
-                np.zeros(1, dtype=np.int64),
-                np.cumsum([len(lv) for lv in levels[start:stop]]),
-            ]
-        ).astype(np.int64)
+        b.cols_cat = cols_cat = all_cols[level_off[start] : level_off[stop]]
+        col_off = level_off[start : stop + 1] - level_off[start]
         pair_cnt = sc_len[cols_cat]
         b.pair_off = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(pair_cnt)]
@@ -328,20 +374,46 @@ def _build_plan(
         )
         b.l_flat = concat_ranges(sub_start[pair_j], pair_rows)
         pos_map.resolve(b, pair_j, pair_k)
-        b.sc_cnt = sc_cnt = sub_len[cols_cat]
+        sc_cnt = sub_len[cols_cat]
         b.scale_off = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(sc_cnt)]
         )
         b.s_flat = concat_ranges(sub_start[cols_cat], sc_cnt)
+        b.diag_cat = diag_cat = diag_pos[cols_cat]
+        b.s_div = np.repeat(diag_cat, sc_cnt)
         if count_search_steps:
-            b.pair_search = np.concatenate(
+            pair_search = np.concatenate(
                 [
                     np.zeros(1, dtype=np.int64),
                     np.cumsum(pair_rows * probe_depth[pair_k]),
                 ]
             )
         else:
-            b.pair_search = None
+            pair_search = np.zeros(len(pair_k) + 1, dtype=np.int64)
+
+        # the level table: every bound the value loop slices with, and
+        # every per-level stat a successful pass books
+        lc0, lc1 = col_off[:-1], col_off[1:]
+        ls0, ls1 = b.scale_off[lc0], b.scale_off[lc1]
+        lp0, lp1 = b.pair_off[lc0], b.pair_off[lc1]
+        le0, le1 = b.exp_off[lp0], b.exp_off[lp1]
+        missing = np.concatenate(
+            [np.zeros(1, dtype=np.int64), np.cumsum(diag_cat < 0)]
+        )
+        diag_ok = missing[lc1] == missing[lc0]
+        one = np.full(len(lc0), -1, dtype=np.int64)
+        single = np.flatnonzero((lc1 - lc0 == 1) & diag_ok)
+        one[single] = diag_cat[lc0[single]]
+        search = pair_search[lp1] - pair_search[lp0]
+        table = (lc0, lc1, ls0, ls1, lp0, lp1, le0, le1, one, diag_ok)
+        b.levels = list(zip(*(col.tolist() for col in table)))
+        stat = (ls1 - ls0 + 2 * (le1 - le0), lc1 - lc0, lp1 - lp0, search)
+        b.per_level = list(zip(*(col.tolist() for col in stat)))
+        b.div_flops = int(b.scale_off[-1])
+        b.update_flops = 2 * int(b.exp_off[-1])
+        b.columns = len(cols_cat)
+        b.sub_column_updates = int(b.pair_off[-1])
+        b.search_steps = int(pair_search[-1])
         plan.batches.append(b)
         start = stop
     return plan
@@ -452,39 +524,49 @@ def factorize_in_place(
         fail_piv = 0.0 if missing[first] else float(piv64[first])
         return first, fail_col, fail_piv
 
+    # without perturbation a level whose pivots all pass needs no
+    # ``_pivot_stage``: one compare decides it (a float64 compare, as
+    # in ``_pivot_stage``, whatever the dtype)
+    quick = pivot_perturbation <= 0.0
+    tol64 = np.float64(pivot_tolerance)
     for b in plan.batches:
-        cols_cat = b.cols_cat
-        col_off = b.col_off
-        scale_off = b.scale_off
-        pair_off = b.pair_off
-        exp_off = b.exp_off
-
-        # -- value passes, one level at a time, in schedule order --
-        for i in range(len(col_off) - 1):
-            c0, c1 = int(col_off[i]), int(col_off[i + 1])
-            cols = cols_cat[c0:c1]
-            prefix_len, fail_col, fail_piv = _pivot_stage(cols)
-            ce = c0 + prefix_len
-            s0, s1 = int(scale_off[c0]), int(scale_off[ce])
-            p0, p1 = int(pair_off[c0]), int(pair_off[ce])
-            e0, e1 = int(exp_off[p0]), int(exp_off[p1])
-            if s1 > s0:
-                data[b.s_flat[s0:s1]] /= np.repeat(
-                    data[diag_pos[cols[:prefix_len]]], b.sc_cnt[c0:ce]
+        pos_tgt, pos_ujk = b.pos_tgt, b.pos_ujk
+        for c0, c1, s0, s1, p0, p1, e0, e1, one, diag_ok in b.levels:
+            if quick and one >= 0:
+                piv = data[one]
+                if abs(float(piv)) > pivot_tolerance:
+                    # one column: its sub-diagonal is the slice after
+                    # the pivot, and its (row, sub-column) targets are
+                    # distinct, so plain fancy-index subtraction
+                    # applies every update exactly once
+                    if s1 > s0:
+                        lo, hi = one + 1, one + 1 + s1 - s0
+                        data[lo:hi] /= piv
+                        if e1 > e0:
+                            data[pos_tgt[e0:e1]] -= np.multiply.outer(
+                                data[pos_ujk[p0:p1]], data[lo:hi]
+                            ).ravel()
+                    continue
+            fail_col = -1
+            if not (
+                quick
+                and diag_ok
+                and (np.abs(data[b.diag_cat[c0:c1]]) > tol64).all()
+            ):
+                prefix_len, fail_col, fail_piv = _pivot_stage(
+                    b.cols_cat[c0:c1]
                 )
+                if fail_col >= 0:
+                    ce = c0 + prefix_len
+                    s1, p1 = int(b.scale_off[ce]), int(b.pair_off[ce])
+                    e1 = int(b.exp_off[p1])
+            if s1 > s0:
+                data[b.s_flat[s0:s1]] /= data[b.s_div[s0:s1]]
             if e1 > e0:
                 contrib = data[b.l_flat[e0:e1]] * np.repeat(
-                    data[b.pos_ujk[p0:p1]], b.pair_rows[p0:p1]
+                    data[pos_ujk[p0:p1]], b.pair_rows[p0:p1]
                 )
-                np.subtract.at(data, b.pos_tgt[e0:e1], contrib)
-            stats.div_flops += s1 - s0
-            stats.update_flops += 2 * (e1 - e0)
-            stats.columns += prefix_len
-            stats.sub_column_updates += p1 - p0
-            search = 0
-            if count_search_steps:
-                search = int(b.pair_search[p1] - b.pair_search[p0])
-                stats.search_steps += search
+                np.subtract.at(data, pos_tgt[e0:e1], contrib)
             if fail_col >= 0:
                 # the scalar loop raises mid-level: the preceding
                 # columns are fully processed, the partial level never
@@ -492,7 +574,12 @@ def factorize_in_place(
                 if diag_pos[fail_col] < 0:
                     raise SingularMatrixError(fail_col)
                 raise SingularMatrixError(fail_col, fail_piv)
-            stats.per_level.append(
-                (s1 - s0 + 2 * (e1 - e0), len(cols), p1 - p0, search)
-            )
+        # every level of the batch completed, so it books exactly the
+        # structure-only stats the plan precomputed
+        stats.div_flops += b.div_flops
+        stats.update_flops += b.update_flops
+        stats.columns += b.columns
+        stats.sub_column_updates += b.sub_column_updates
+        stats.search_steps += b.search_steps
+        stats.per_level.extend(b.per_level)
     return stats

@@ -17,6 +17,7 @@ from .pipeline import (
     PreprocessOptions,
     PreprocessResult,
     preprocess,
+    require_finite,
 )
 from .rcm import bandwidth_of, rcm_ordering
 from .scaling import Equilibration, boost_small_pivots, equilibrate
@@ -35,6 +36,7 @@ __all__ = [
     "boost_small_pivots",
     "Equilibration",
     "preprocess",
+    "require_finite",
     "PreprocessOptions",
     "PreprocessResult",
 ]

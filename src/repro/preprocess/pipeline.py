@@ -14,6 +14,7 @@ from typing import Literal
 
 import numpy as np
 
+from ..errors import NonFiniteValueError
 from ..sparse import CSRMatrix, ensure_diagonal, permute
 from ..sparse.types import INDEX_DTYPE
 from .matching import zero_free_diagonal_permutation
@@ -50,11 +51,24 @@ class PreprocessOptions:
     insert_missing_diagonal: bool = True
 
 
+def require_finite(values: np.ndarray) -> None:
+    """Raise :class:`~repro.errors.NonFiniteValueError` unless every
+    stored value is finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise NonFiniteValueError(len(bad), int(bad[0]))
+
+
 def preprocess(a: CSRMatrix, options: PreprocessOptions | None = None
                ) -> PreprocessResult:
-    """Run the configured pre-processing steps on square matrix ``a``."""
+    """Run the configured pre-processing steps on square matrix ``a``.
+
+    Non-finite values raise :class:`~repro.errors.NonFiniteValueError`.
+    """
     if a.n_rows != a.n_cols:
         raise ValueError("preprocess requires a square matrix")
+    require_finite(a.data)
     opts = options or PreprocessOptions()
     n = a.n_rows
     work = a

@@ -25,6 +25,9 @@ work on a pool of simulated GPUs:
   invalidated, the pattern re-analyzed, and the batch retried once
   (:data:`REFACTORIZE_RETRY`); exhausting that budget surfaces
   per-request ``error`` responses.
+* **Value screening** — a request whose matrix holds a NaN or infinite
+  value is answered ``error`` at drain time and never reaches a device
+  or a batch.
 * **Circuit breaking + CPU fallback** — a device whose batch fails with
   a :class:`~repro.errors.RecoverableError` (after the per-operation
   retries of its :class:`~repro.core.ResilientGPU` wrapper are spent)
@@ -53,6 +56,7 @@ from ..core.refactorize import ReusableAnalysis, analyze
 from ..core.resilient import ResilientGPU, RetryPolicy
 from ..errors import (
     DeadlineExceededError,
+    NonFiniteValueError,
     QueueFullError,
     RecoverableError,
     ReproError,
@@ -61,7 +65,7 @@ from ..errors import (
 )
 from ..gpusim import GPU, FaultInjector
 from ..numeric import factorize_leftlooking, lu_solve_permuted, solve_plan
-from ..preprocess import preprocess
+from ..preprocess import preprocess, require_finite
 from ..sparse import CSRMatrix
 from ..symbolic import symbolic_fill_reference
 from .breaker import CircuitBreaker
@@ -302,13 +306,24 @@ class BatchScheduler:
         request id.  ``now`` is the current virtual time — no batch starts
         before it."""
         batches: dict[str, _Batch] = {}
+        responses: list[SolveResponse] = []
         for req in self._queue:
+            try:
+                require_finite(req.a.data)
+            except NonFiniteValueError as exc:
+                # answered without device work: such values cannot be
+                # factorized, and a cold pattern analyzed from them
+                # would fail the good requests of its batch too
+                self.metrics.count("errors")
+                responses.append(self._finish(
+                    req, "error", None, now, False, None, 1, False,
+                    error=f"{type(exc).__name__}: {exc}"))
+                continue
             batch = batches.setdefault(req.key, _Batch(key=req.key))
             batch.requests.append(req)
             if batch.family is None:
                 batch.family = req.family
         self._queue.clear()
-        responses: list[SolveResponse] = []
         # earliest-arrival-first over pattern groups keeps FIFO fairness
         # at batch granularity
         for batch in sorted(batches.values(),

@@ -37,6 +37,7 @@ from repro.perf.wallclock import (
 from repro.sparse import CSRMatrix
 from repro.symbolic.fill2 import fill2_rows
 from repro.symbolic.reference import symbolic_fill_reference
+from repro.workloads import circuit_like
 from repro.workloads.registry import FIG3_SPECS, TABLE2, TABLE4
 
 #: shrunk instance size — structure class and density are what matter,
@@ -276,6 +277,141 @@ def test_missing_u_entry_raises_sparse_format_error(factorize):
     sched = kahn_levels(build_dependency_graph(filled))
     with pytest.raises(SparseFormatError, match="missing (a )?U entry"):
         factorize(broken.to_csc(), filled, sched)
+
+
+# ---------------------------------------------------------------------------
+# the level table: one-column steps beside multi-column levels
+
+
+def _mixed_levels():
+    """A circuit pattern whose schedule mixes one-column levels (most of
+    them) with multi-column ones."""
+    filled = symbolic_fill_reference(circuit_like(60, 5.0, seed=2))
+    sched = kahn_levels(build_dependency_graph(filled))
+    widths = [len(lv) for lv in sched.levels]
+    assert widths.count(1) > len(widths) // 2 and max(widths) > 2
+    return filled, sched
+
+
+def _column_in(sched, *, multi: bool, skip: int = 3) -> int:
+    """A column of a one-column (or multi-column) level at least
+    ``skip`` levels in, so fast levels run before it; in a
+    multi-column level, its last column, so same-level columns
+    complete before it."""
+    for index, lv in enumerate(sched.levels):
+        if index >= skip and (len(lv) > 1) == multi:
+            return int(lv[-1])
+    raise AssertionError("pattern lacks the requested level shape")
+
+
+def _with_pivot(filled, cols, pivot):
+    """Filled CSC whose row ``j`` is zero left of the diagonal for each
+    ``j`` in ``cols``, so no update reaches ``(j, j)`` and the pivot of
+    ``j`` is exactly ``pivot`` when its level runs."""
+    As = filled.to_csc()
+    col_ids = As.col_ids_of_entries()
+    for j in cols:
+        row_j = As.indices == j
+        As.data[row_j & (col_ids < j)] = 0.0
+        As.data[row_j & (col_ids == j)] = pivot
+    return As
+
+
+def _kernel_outcomes(As, filled, sched, dtype=np.float64, **kwargs):
+    """Oracle and fast outcome on copies of ``As``: stats or the error,
+    plus the values left behind."""
+    out = []
+    for fn in (oracles.factorize_in_place, factorize_in_place):
+        work = As.astype(dtype)
+        try:
+            stats = fn(work, filled, sched, **kwargs)
+            out.append(("ok", _stats_tuple(stats), work.data.copy()))
+        except SingularMatrixError as err:
+            out.append(("err", (err.column, err.value), work.data.copy()))
+    return out
+
+
+def _assert_kernels_agree(As, filled, sched, dtype=np.float64, **kwargs):
+    ref, fast = _kernel_outcomes(As, filled, sched, dtype, **kwargs)
+    assert ref[:2] == fast[:2]
+    assert ref[2].dtype == fast[2].dtype == dtype
+    assert np.array_equal(ref[2], fast[2])  # bitwise, partial state too
+    return ref
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"count_search_steps": True}, {"pivot_tolerance": 1e-30}],
+    ids=["plain", "search", "tolerance"],
+)
+def test_mixed_levels_bitwise_and_stats_identical(dtype, kwargs):
+    filled, sched = _mixed_levels()
+    ref = _assert_kernels_agree(filled.to_csc(), filled, sched, dtype,
+                                **kwargs)
+    assert ref[0] == "ok"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("multi", [False, True], ids=["one", "multi"])
+@pytest.mark.parametrize(
+    "pivot, kwargs",
+    [(0.0, {}), (1e-12, {"pivot_tolerance": 1e-8})],
+    ids=["zero", "tolerance"],
+)
+def test_failing_pivot_after_fast_levels_identical(
+    dtype, multi, pivot, kwargs
+):
+    filled, sched = _mixed_levels()
+    col = _column_in(sched, multi=multi)
+    As = _with_pivot(filled, [col], pivot)
+    ref = _assert_kernels_agree(As, filled, sched, dtype, **kwargs)
+    assert ref[0] == "err" and ref[1][0] == col
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_one_column_perturbation_identical(dtype):
+    filled, sched = _mixed_levels()
+    ones = [int(lv[0]) for lv in sched.levels if len(lv) == 1]
+    As = _with_pivot(filled, ones[3:6], 0.0)
+    col_ids = As.col_ids_of_entries()
+    # one tiny negative pivot: the perturbation keeps its sign
+    As.data[(As.indices == ones[5]) & (col_ids == ones[5])] = -1e-12
+    ref = _assert_kernels_agree(
+        As, filled, sched, dtype, pivot_tolerance=1e-8,
+        pivot_perturbation=1e-3,
+    )
+    assert ref[0] == "ok"
+    assert ref[1][-1] == tuple(ones[3:6])
+
+
+@pytest.mark.parametrize("multi", [False, True], ids=["one", "multi"])
+@pytest.mark.parametrize("perturb", [0.0, 1e-3])
+def test_structurally_missing_diagonal_mixed_levels(multi, perturb):
+    filled, sched = _mixed_levels()
+    rows = filled.row_ids_of_entries()
+    has_l = set(rows[filled.indices < rows].tolist())
+    # a column no earlier column updates at (j, j), so dropping the
+    # diagonal leaves every other update target in the pattern
+    col = next(
+        int(lv[-1])
+        for index, lv in enumerate(sched.levels)
+        if index >= 3
+        and (len(lv) > 1) == multi
+        and int(lv[-1]) not in has_l
+    )
+    keep = (rows != col) | (filled.indices != col)
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(rows[keep], minlength=filled.n_rows))]
+    )
+    broken = CSRMatrix(
+        filled.n_rows, filled.n_cols, indptr, filled.indices[keep],
+        filled.data[keep],
+    )
+    ref = _assert_kernels_agree(
+        broken.to_csc(), broken, sched, pivot_perturbation=perturb
+    )
+    assert ref[0] == "err" and ref[1] == (col, 0.0)
 
 
 # ---------------------------------------------------------------------------
