@@ -14,7 +14,7 @@ The result is *bitwise identical* to a cold analyze of the perturbed
 matrix — same filled pattern, dependency graph, and level schedule —
 differing only in charged time.  When the donor's structure survives the
 delta unchanged, the donor's schedule object is reused outright, which
-also carries over its lazily-built numeric plan cache.
+also carries over its lazily built plans (``LevelSchedule.plans``).
 
 :data:`MAX_DELTA_FRACTION` bounds when splicing is attempted: past that
 fraction of the donor's nonzeros the fill cascade usually swamps the
@@ -209,7 +209,7 @@ def incremental_analyze_pre(
     else:
         # identical structure: the donor's graph and schedule objects are
         # reused as-is, which also carries over the schedule's lazily
-        # built numeric plan cache — no levelization work to charge
+        # built plans — no levelization work to charge
         graph = donor.graph
         schedule = donor.schedule
 

@@ -14,7 +14,10 @@ provides two layers on top of that observation:
   with a *cyclic level-aware* assignment: within level ``k``, the i-th
   column goes to device ``(i + k) % D``, so every device owns a slice of
   every level (narrow tail levels included) and the per-level load stays
-  balanced without a partitioner.
+  balanced without a partitioner.  Each device books the in-core
+  executor's A/B/C launch rule
+  (:func:`~repro.core.numeric_gpu.level_launches`) on the columns it
+  owns.
 
 Two traffic classes ride the modeled interconnect
 (:mod:`repro.gpusim.interconnect`):
@@ -55,14 +58,8 @@ from ..graph import (
     LevelSchedule,
     build_dependency_graph,
     kahn_levels,
-    sub_column_counts,
 )
-from ..numeric import (
-    NumericStats,
-    extract_lu,
-    factorize_in_place,
-    lu_solve_permuted,
-)
+from ..numeric import NumericStats, extract_lu
 from ..preprocess import PreprocessResult, preprocess
 from ..sparse import CSCMatrix, CSRMatrix
 from ..symbolic import (
@@ -73,7 +70,14 @@ from ..symbolic import (
 )
 from .config import SolverConfig
 from .levelize_gpu import levelize_gpu_dynamic
-from .numeric_gpu import WARP_TEAMS_PER_BLOCK, choose_format
+from .numeric_gpu import (
+    choose_format,
+    factorize_with_pivot_recovery,
+    launch_inputs,
+    level_launches,
+)
+from .pipeline import FactorSolve
+from .resilient import RecoveryReport
 
 __all__ = [
     "MultiGpuSymbolicResult",
@@ -301,8 +305,11 @@ class _P2POutEngine:
 
 
 @dataclass
-class MultiGpuEndToEndResult:
-    """Factors + permutations + the sharded execution record."""
+class MultiGpuEndToEndResult(FactorSolve):
+    """Factors + permutations + the sharded execution record.
+
+    :meth:`solve` is the single-device result's, refinement after a
+    pivot recovery included."""
 
     L: CSCMatrix
     U: CSCMatrix
@@ -325,20 +332,10 @@ class MultiGpuEndToEndResult:
     halo_bytes: int
     #: number of batched halo transfers booked
     halo_batches: int
-
-    # -- solving --------------------------------------------------------
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` for the original (pre-permutation) matrix."""
-        return lu_solve_permuted(
-            self.L,
-            self.U,
-            b,
-            row_perm=self.pre.row_perm,
-            col_perm=self.pre.col_perm,
-            row_scale=self.pre.row_scale,
-            col_scale=self.pre.col_scale,
-            schedule=self.schedule,
-        )
+    #: pivot recovery record (``None`` unless ``config.resilience``)
+    recovery: RecoveryReport | None = None
+    #: the original matrix a recovered solve refines against
+    source: CSRMatrix | None = None
 
     @property
     def pivot_sequence(self) -> np.ndarray:
@@ -564,10 +561,11 @@ def multi_gpu_endtoend(
 
     The numeric result is computed once through the single-device code
     path (preprocess → reference fill → dependency graph → Kahn levels →
-    in-place right-looking factorization), then the per-device timeline
-    is simulated: row-sharded symbolic, replicated levelization, the
-    reshard all-to-all, level-by-level numeric with halo exchange, and
-    the final factor download.  See the module docstring for the model.
+    in-place right-looking factorization, with pivot recovery under
+    ``config.resilience``), then the per-device timeline is simulated:
+    row-sharded symbolic, replicated levelization, the reshard
+    all-to-all, level-by-level numeric with halo exchange, and the final
+    factor download.  See the module docstring for the model.
     """
     config = config or SolverConfig()
     if num_devices < 1:
@@ -692,78 +690,58 @@ def multi_gpu_endtoend(
         else:
             residents[d]["dense"] = None
 
-    # factor values, computed once — the single-device code path
-    stats = factorize_in_place(
-        As, filled, schedule,
-        pivot_tolerance=config.pivot_tolerance,
+    # factor values, computed once — the single-device code path,
+    # pivot recovery included (device 0 books a recovery)
+    stats = factorize_with_pivot_recovery(
+        gpus[0], As, filled, schedule, config,
         count_search_steps=(fmt == "csc"),
     )
     L, U = extract_lu(As)
 
     # per-column structural weight for apportioning level work: division
     # flops + pushed updates (lower nnz x sub-columns), floored at 1
-    sub_cols = sub_column_counts(filled)
+    inputs = launch_inputs(filled, schedule)
     lower_nnz = np.maximum(col_nnz - 1, 0)
-    colwork = (1 + lower_nnz + lower_nnz * sub_cols).astype(np.float64)
-    tags = schedule.classify_levels(sub_cols)
+    colwork = (1 + lower_nnz + lower_nnz * inputs.sub_cols).astype(np.float64)
+    tags = inputs.tags(schedule, None)
+    dense_col_bytes = n * val if fmt == "dense" else 0
     halo = _halo_batches(As, owner, schedule, col_bytes, d_count)
     halo_total = 0
     halo_batches = 0
 
     # ---- level loop: wait → compute shard → send halo -----------------
+    # each device books the in-core launch rule on the columns it owns
     for k, level in enumerate(schedule.levels):
-        flops, cols, updates, search = stats.per_level[k]
+        stat = stats.per_level[k]
         level_idx = np.asarray(level, dtype=np.int64)
         level_owner = owner[level_idx]
         level_weight = float(colwork[level_idx].sum())
+        type_c = inputs.type_c(k, level) if tags[k] == "C" else []
         for d in range(d_count):
             wait_for(d, k)
             mask = level_owner == d
             ncols_d = int(mask.sum())
-            if ncols_d == 0 or cols == 0:
+            if ncols_d == 0 or stat[1] == 0:
                 continue
-            owned = level_idx[mask]
-            share = float(colwork[owned].sum()) / max(level_weight, 1.0)
-            flops_d = max(1, int(round(flops * share)))
-            search_d = int(round(search * share))
+            share = float(colwork[level_idx[mask]].sum()) / max(
+                level_weight, 1.0
+            )
+            launches, hbm = level_launches(
+                tags[k],
+                stat,
+                [lc for lc, mine in zip(type_c, mask) if mine],
+                cols=ncols_d,
+                share=share,
+                dense_col_bytes=dense_col_bytes,
+            )
             gpu = gpus[d]
             with gpu.ledger.phase("numeric"):
-                if tags[k] == "C":
-                    # per-column launches; flops apportioned by each
-                    # column's share of the level's sub-column updates,
-                    # exactly as the single-device executor does
-                    weights = sub_cols[level_idx].astype(float) + 1.0
-                    weights /= weights.sum()
-                    wmap = dict(zip(level_idx.tolist(), weights))
-                    for j in owned.tolist():
-                        blocks = max(1, int(sub_cols[j]))
-                        gpu.launch_numeric(
-                            max(1, int(flops * wmap[j])),
-                            blocks,
-                            concurrency_cap=cap,
-                            search_steps=int(search * wmap[j]),
-                        )
-                elif tags[k] == "A":
+                for flops, blocks, search in launches:
                     gpu.launch_numeric(
-                        flops_d,
-                        ncols_d,
-                        concurrency_cap=cap,
-                        search_steps=search_d,
+                        flops, blocks, concurrency_cap=cap, search_steps=search
                     )
-                else:  # B
-                    updates_d = int(round(updates * share))
-                    blocks = max(
-                        ncols_d,
-                        min(updates_d, ncols_d * WARP_TEAMS_PER_BLOCK),
-                    )
-                    gpu.launch_numeric(
-                        flops_d,
-                        blocks,
-                        concurrency_cap=cap,
-                        search_steps=search_d,
-                    )
-                if fmt == "dense":
-                    gpu.hbm_traffic(2 * ncols_d * n * val)
+                if hbm:
+                    gpu.hbm_traffic(hbm)
             clock[d] = gpu.ledger.total_seconds
         for s, d2, nbytes, ncols, need_min in halo.get(k, ()):
             book_send(s, d2, nbytes, f"halo L{k}", gate_level=need_min)
@@ -802,4 +780,10 @@ def multi_gpu_endtoend(
         reshard_bytes=reshard_total,
         halo_bytes=halo_total,
         halo_batches=halo_batches,
+        recovery=(
+            RecoveryReport(perturbed_columns=tuple(stats.perturbed_columns))
+            if config.resilience
+            else None
+        ),
+        source=a if config.resilience else None,
     )

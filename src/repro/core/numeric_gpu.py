@@ -28,6 +28,9 @@ Kernel-launch structure follows GLU 3.0's level taxonomy (§2.2):
   with a block per sub-column — maximal sub-column concurrency at the
   price of per-column launch overhead.
 
+:func:`level_launches` is the one home of this rule; the multi-GPU
+executor books it per device on the columns each one owns.
+
 The ablation (`run_kernel_mode_ablation`) verifies the adaptive choice is
 never worse than forcing any single mode.
 
@@ -166,13 +169,12 @@ class _LaunchInputs:
     The sub-column count of every column, the A/B/C tag of every level
     (per ``kernel_mode_override``) and the ``(blocks, flop share)`` of
     every column of a type-C level depend only on the filled pattern.
-    They are cached on the schedule beside the numeric plan, so a
-    refactorize pass reads them instead of re-deriving them.
+    They live in the schedule's plan store
+    (:class:`~repro.graph.PatternPlans`), so a refactorize pass and the
+    multi-GPU executor read them instead of re-deriving them.
     """
 
     def __init__(self, filled: CSRMatrix) -> None:
-        self.n = filled.n_rows
-        self.nnz = filled.nnz
         self.sub_cols = sub_column_counts(filled)
         self._tags: dict[str | None, list[str]] = {}
         self._type_c: dict[int, list[tuple[int, float]]] = {}
@@ -182,9 +184,6 @@ class _LaunchInputs:
         self.tapes: dict[
             tuple, tuple[CostModel, DeviceSpec, list, ChargeTape]
         ] = {}
-
-    def matches(self, filled: CSRMatrix) -> bool:
-        return self.n == filled.n_rows and self.nnz == filled.nnz
 
     def tags(self, schedule: LevelSchedule, override: str | None) -> list[str]:
         tags = self._tags.get(override)
@@ -215,14 +214,61 @@ class _LaunchInputs:
         return launches
 
 
-def _launch_inputs(
-    filled: CSRMatrix, schedule: LevelSchedule
-) -> _LaunchInputs:
-    inputs = getattr(schedule, "_launch_inputs", None)
-    if inputs is None or not inputs.matches(filled):
-        inputs = _LaunchInputs(filled)
-        schedule._launch_inputs = inputs  # type: ignore[attr-defined]
-    return inputs
+def launch_inputs(filled: CSRMatrix, schedule: LevelSchedule) -> _LaunchInputs:
+    """The launch inputs of ``filled``, built on first use."""
+    plans = schedule.plans_for(filled.n_rows, filled.nnz)
+    if plans.launch is None:
+        plans.launch = _LaunchInputs(filled)
+    return plans.launch
+
+
+def level_launches(
+    tag: str,
+    stat: tuple[int, int, int, int],
+    type_c: list[tuple[int, float]],
+    *,
+    cols: int,
+    share: float = 1.0,
+    dense_col_bytes: int = 0,
+) -> tuple[list[tuple[int, int, int]], int]:
+    """The kernels of one level: GLU 3.0's A/B/C launch rule (§2.2).
+
+    ``stat`` is the level's ``(flops, columns, sub-column updates,
+    search steps)`` entry of ``NumericStats.per_level``.  A device that
+    runs ``cols`` of the level's columns, carrying ``share`` of its
+    structural work, books:
+
+    * **type A** — one kernel, one block per column;
+    * **type B** — one kernel, a block per column with warp teams over
+      its sub-columns: the blocks count sub-column work groups, capped
+      by the block's thread budget;
+    * **type C** — one kernel per column of ``type_c`` (that device's
+      ``(blocks, flop weight)`` pairs from :meth:`_LaunchInputs.type_c`),
+      each taking its weight of the level's flops and search steps.
+
+    A and B scale the level's totals by ``share``.  Returns the
+    ``(flops, blocks, search_steps)`` launches and the dense-format HBM
+    traffic: each column is scattered into its dense buffer and
+    gathered back, ``2 x dense_col_bytes`` per column (0 in CSC).
+    """
+    hbm = 2 * cols * dense_col_bytes
+    if tag == "C":
+        flops, search = stat[0], stat[3]
+        launches = [
+            (max(1, int(flops * w)), blocks, int(search * w))
+            for blocks, w in type_c
+        ]
+        return launches, hbm
+    flops, updates, search = (
+        round(stat[0] * share),
+        round(stat[2] * share),
+        round(stat[3] * share),
+    )
+    if tag == "A":
+        blocks = cols
+    else:
+        blocks = max(cols, min(updates, cols * WARP_TEAMS_PER_BLOCK))
+    return [(max(1, flops), blocks, search)], hbm
 
 
 def _charge_per_column(
@@ -236,7 +282,7 @@ def _charge_per_column(
     value_bytes: int,
     kernel_mode_override: str | None,
 ) -> None:
-    """Book the scattered per-level schedule (GLU 3.0 level taxonomy).
+    """Book the scattered per-level schedule (:func:`level_launches`).
 
     On a bare :class:`GPU` the first pass records its ledger calls and a
     later pass with the same launches replays them in one
@@ -245,7 +291,7 @@ def _charge_per_column(
     """
     if kernel_mode_override not in (None, "A", "B", "C"):
         raise ValueError("kernel_mode_override must be A, B or C")
-    inputs = _launch_inputs(filled, schedule)
+    inputs = launch_inputs(filled, schedule)
     # a proxy stack must see every launch, so only a bare GPU replays
     bare = type(gpu) is GPU
     key = (fmt, cap, n, value_bytes, kernel_mode_override)
@@ -256,49 +302,27 @@ def _charge_per_column(
         return
     ledger = gpu.ledger
     tags = inputs.tags(schedule, kernel_mode_override)
+    dense_col_bytes = n * value_bytes if fmt == "dense" else 0
     with ledger.recording() if bare else nullcontext() as tape:
-        for index, ((flops, cols, updates, search), tag, level) in enumerate(
+        for index, (stat, tag, level) in enumerate(
             zip(stats.per_level, tags, schedule.levels)
         ):
-            if cols == 0:
+            if stat[1] == 0:
                 continue
-            if tag == "C":
-                # one kernel per column, blocks = that column's sub-columns
-                for blocks, w in inputs.type_c(index, level):
-                    ledger.count("numeric_kernel_launches")
-                    gpu.launch_numeric(
-                        max(1, int(flops * w)),
-                        blocks,
-                        concurrency_cap=cap,
-                        search_steps=int(search * w),
-                    )
-            elif tag == "A":
-                # type A: one kernel per level, one block per column (no
-                # sub-column teams — ample column parallelism assumed)
+            launches, hbm = level_launches(
+                tag,
+                stat,
+                inputs.type_c(index, level) if tag == "C" else [],
+                cols=stat[1],
+                dense_col_bytes=dense_col_bytes,
+            )
+            for flops, blocks, search in launches:
                 ledger.count("numeric_kernel_launches")
                 gpu.launch_numeric(
-                    max(1, flops),
-                    cols,
-                    concurrency_cap=cap,
-                    search_steps=search,
+                    flops, blocks, concurrency_cap=cap, search_steps=search
                 )
-            else:
-                # type B: one kernel per level; a block per column, with
-                # warp teams over sub-columns — concurrency counts
-                # sub-column work groups but is capped by the block's
-                # thread budget
-                blocks = max(cols, min(updates, cols * WARP_TEAMS_PER_BLOCK))
-                ledger.count("numeric_kernel_launches")
-                gpu.launch_numeric(
-                    max(1, flops),
-                    blocks,
-                    concurrency_cap=cap,
-                    search_steps=search,
-                )
-            if fmt == "dense":
-                # scatter each column into its dense buffer and gather the
-                # results back: 2 x n x sizeof(dtype) HBM traffic per column
-                gpu.hbm_traffic(2 * cols * n * value_bytes)
+            if hbm:
+                gpu.hbm_traffic(hbm)
     if tape is not None:
         inputs.tapes[key] = (gpu.cost, gpu.spec, list(stats.per_level), tape)
 

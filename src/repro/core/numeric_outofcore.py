@@ -13,8 +13,11 @@ too; this module completes the story with a streamed numeric executor:
   least-recently-used segments — dirty ones are written back, since the
   right-looking kernel mutates its sub-columns.
 
-Numerics are identical to the in-core executor (tests assert it); only the
-simulated transfer traffic differs.
+Numerics are identical to the in-core executor (tests assert it); the
+simulated timeline is not.  Besides the transfer traffic, the kernel
+shape differs: each level is charged as one kernel of
+``max(cols, updates)`` blocks, not as the in-core executor's GLU 3.0
+A/B/C launches (:func:`repro.core.numeric_gpu.level_launches`).
 """
 
 from __future__ import annotations

@@ -54,28 +54,17 @@ class PhaseBreakdown:
         )
 
 
-@dataclass
-class EndToEndResult:
-    """Factors + permutations + execution record of one pipeline run."""
+class FactorSolve:
+    """``solve`` of a factorization result, shared by the single- and
+    multi-device pipelines so device count cannot change a solution."""
 
     L: CSCMatrix
     U: CSCMatrix
     pre: PreprocessResult
-    filled: CSRMatrix
-    graph: DependencyGraph
     schedule: LevelSchedule
-    symbolic: SymbolicResult
-    levelize: LevelizeResult
-    numeric: NumericResult
-    gpu: GPU
-    label: str = "outofcore-gpu"
-    #: what the recovery ladder did (``None`` when resilience is disabled)
-    recovery: RecoveryReport | None = None
-    #: the original matrix, retained when resilience is on so a recovered
-    #: solve can refine against the *true* ``A`` (not the perturbed factors)
-    source: CSRMatrix | None = None
+    recovery: RecoveryReport | None
+    source: CSRMatrix | None
 
-    # -- solving ---------------------------------------------------------
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` for the original (pre-permutation) matrix.
 
@@ -121,6 +110,28 @@ class EndToEndResult:
             col_scale=self.pre.col_scale,
             schedule=self.schedule,
         )
+
+
+@dataclass
+class EndToEndResult(FactorSolve):
+    """Factors + permutations + execution record of one pipeline run."""
+
+    L: CSCMatrix
+    U: CSCMatrix
+    pre: PreprocessResult
+    filled: CSRMatrix
+    graph: DependencyGraph
+    schedule: LevelSchedule
+    symbolic: SymbolicResult
+    levelize: LevelizeResult
+    numeric: NumericResult
+    gpu: GPU
+    label: str = "outofcore-gpu"
+    #: what the recovery ladder did (``None`` when resilience is disabled)
+    recovery: RecoveryReport | None = None
+    #: the original matrix, retained when resilience is on so a recovered
+    #: solve can refine against the *true* ``A`` (not the perturbed factors)
+    source: CSRMatrix | None = None
 
     # -- reporting ---------------------------------------------------------
     @property

@@ -16,18 +16,20 @@ Tan, https://arxiv.org/abs/1908.00204), which keeps every index map
 across Newton steps and re-runs only the value arithmetic, it reuses:
 
 * the filled pattern's sorted-CSC ``indptr``/``indices``, built once per
-  pattern and cached read-only on the schedule;
+  pattern and kept read-only in the schedule's plan store
+  (:class:`~repro.graph.PatternPlans`);
 * the scatter map, which sends every original entry straight to its
   position in that CSC, so the values are placed by one scatter into a
   zeroed array with no CSR-to-CSC sort;
 * the kernel's numeric plan, the per-level launch inputs of the charge
-  (both cached on the schedule) and, for the solve, the solve plan.
+  and, for the solve, the solve plan (all in the same plan store).
 
 The L/U split after the kernel is sort-free on every path.  A pass
 therefore costs one scatter, the kernel's value passes, the split and the
 same simulated charges as a cold factorization's numeric phase.  Only a
 pattern whose pre-processing permuted it still sorts once per pass:
 :func:`~repro.sparse.permute` re-applies the permutation to the values.
+Whether it did is a structure-only fact, decided once per analysis.
 """
 
 from __future__ import annotations
@@ -81,22 +83,18 @@ def filled_csc_layout(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted-CSC ``(indptr, indices)`` of the filled pattern.
 
-    Built once per pattern and cached on the schedule beside the numeric
-    plan (a schedule is born from exactly one filled pattern).  Both
-    arrays are read-only: every pass wraps them in a fresh
-    :class:`CSCMatrix` around its own values.
+    Built once per pattern and kept in the schedule's plan store
+    (:class:`~repro.graph.PatternPlans`; a schedule is born from exactly
+    one filled pattern).  Both arrays are read-only: every pass wraps
+    them in a fresh :class:`CSCMatrix` around its own values.
     """
-    layout = getattr(schedule, "_csc_layout", None)
-    if layout is None or not (
-        len(layout[0]) == filled.n_cols + 1
-        and int(layout[0][-1]) == filled.nnz
-    ):
+    plans = schedule.plans_for(filled.n_rows, filled.nnz)
+    if plans.csc_layout is None:
         csc = filled.to_csc()
         csc.indptr.setflags(write=False)
         csc.indices.setflags(write=False)
-        layout = (csc.indptr, csc.indices)
-        schedule._csc_layout = layout  # type: ignore[attr-defined]
-    return layout
+        plans.csc_layout = (csc.indptr, csc.indices)
+    return plans.csc_layout
 
 
 class ReusableAnalysis:
@@ -128,6 +126,11 @@ class ReusableAnalysis:
         self.family: str | None = None
         self._pattern_indptr = pre.matrix.indptr.copy()
         self._pattern_indices = pre.matrix.indices.copy()
+        ident = np.arange(pre.matrix.n_rows, dtype=INDEX_DTYPE)
+        self._permuted = not (
+            np.array_equal(pre.row_perm, ident)
+            and np.array_equal(pre.col_perm, ident)
+        )
         # scatter map: position of every original entry inside the filled
         # pattern's sorted CSC (fill positions stay zero until overwritten
         # by updates)
@@ -222,11 +225,7 @@ class ReusableAnalysis:
                 row_scale=self.pre.row_scale,
                 col_scale=self.pre.col_scale,
             )
-        ident = np.arange(a.n_rows, dtype=INDEX_DTYPE)
-        if not (
-            np.array_equal(self.pre.row_perm, ident)
-            and np.array_equal(self.pre.col_perm, ident)
-        ):
+        if self._permuted:
             from ..sparse import permute
 
             work = permute(

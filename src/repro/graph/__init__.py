@@ -21,6 +21,7 @@ from .supernodes import (
 )
 from .levelize import (
     LevelSchedule,
+    PatternPlans,
     TYPE_A_MAX_SUBCOLS,
     TYPE_C_WARP_TEAMS,
     kahn_levels,
@@ -40,6 +41,7 @@ __all__ = [
     "sparsify_for_levels",
     "SparsifyStats",
     "LevelSchedule",
+    "PatternPlans",
     "kahn_levels",
     "TYPE_A_MAX_SUBCOLS",
     "TYPE_C_WARP_TEAMS",

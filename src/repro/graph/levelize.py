@@ -17,6 +17,7 @@ networkx's longest-path computation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +25,12 @@ from ..errors import CycleError
 from ..sparse.ranges import concat_ranges
 from ..sparse.types import INDEX_DTYPE
 from .depgraph import DependencyGraph
+
+if TYPE_CHECKING:
+    from ..core.numeric_gpu import _LaunchInputs
+    from ..numeric.supernodal import SupernodalPlan
+    from ..numeric.trisolve import SolvePlan
+    from ..numeric.vectorized import _NumericPlan
 
 #: GLU 3.0 level taxonomy (§2.2): type A levels have many columns with few
 #: sub-columns, type C few columns with many sub-columns, type B the
@@ -41,12 +48,46 @@ TYPE_C_WARP_TEAMS = 8
 _SCALAR_WAVE_EDGES = 64
 
 
-@dataclass
+@dataclass(slots=True)
+class PatternPlans:
+    """Everything derived from the filled pattern a schedule came from.
+
+    Each plan is built lazily by the module that reads it; this store
+    only owns the results.  ``pattern`` is the ``(n, nnz)`` of the filled
+    pattern they belong to (:meth:`LevelSchedule.plans_for`).
+    """
+
+    pattern: tuple[int, int] = (-1, -1)
+    #: kernel plans (:mod:`repro.numeric.vectorized`), by
+    #: ``count_search_steps``
+    numeric: dict[bool, _NumericPlan] = field(default_factory=dict)
+    #: panel schedules (:mod:`repro.numeric.supernodal`), by
+    #: ``(relax, max_panel, tile_elems)``
+    supernodal: dict[tuple[int, int, int], SupernodalPlan] = field(
+        default_factory=dict
+    )
+    #: pull streams of both sweeps (:mod:`repro.numeric.trisolve`)
+    solve: SolvePlan | None = None
+    #: read-only sorted-CSC ``(indptr, indices)``
+    #: (:mod:`repro.core.refactorize`)
+    csc_layout: tuple[np.ndarray, np.ndarray] | None = None
+    #: launch inputs and charge tapes (:mod:`repro.core.numeric_gpu`)
+    launch: _LaunchInputs | None = None
+
+
+@dataclass(slots=True)
 class LevelSchedule:
-    """The output of levelization: a parallel execution plan for columns."""
+    """The output of levelization: a parallel execution plan for columns.
+
+    A schedule is born from exactly one filled pattern, so it also holds
+    that pattern's derived plans (:class:`PatternPlans`).
+    """
 
     level_of: np.ndarray  # level id per column
     levels: list[np.ndarray] = field(default_factory=list)  # columns per level
+    plans: PatternPlans = field(
+        default_factory=PatternPlans, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.levels and len(self.level_of):
@@ -65,6 +106,14 @@ class LevelSchedule:
     @property
     def n(self) -> int:
         return len(self.level_of)
+
+    def plans_for(self, n: int, nnz: int) -> PatternPlans:
+        """The plans of the filled pattern with ``n`` columns and ``nnz``
+        entries.  This is the one validity check of every cached plan:
+        asked for another pattern, the schedule drops all of them."""
+        if self.plans.pattern != (n, nnz):
+            self.plans = PatternPlans((n, nnz))
+        return self.plans
 
     def columns_per_level(self) -> np.ndarray:
         return np.array([len(lv) for lv in self.levels], dtype=np.int64)

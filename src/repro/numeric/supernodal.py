@@ -32,9 +32,9 @@ books instead of the per-level scattered kernels:
   two levers that make the blocked path faster where supernodes form.
 
 Everything here depends only on the filled pattern and the partition
-knobs, so the plan is cached on the schedule object (the idiom
-:mod:`repro.numeric.vectorized` established) and refactorization passes
-reuse it for free.  Work totals are conserved exactly: the plan's flop
+knobs, so the plan is kept in the schedule's plan store
+(:class:`~repro.graph.PatternPlans`) and refactorization passes reuse it
+for free.  Work totals are conserved exactly: the plan's flop
 sum equals the oracle's ``div_flops + update_flops``, asserted by the
 executor on every run.
 """
@@ -90,10 +90,8 @@ class PanelWave:
 class SupernodalPlan:
     """Everything about the blocked charging schedule values can't change.
 
-    Cached on the schedule object keyed by the partition knobs; like
-    :class:`repro.numeric.vectorized._NumericPlan`, ``matches`` only
-    cross-checks cheap structural invariants to catch contract
-    violations.
+    Kept in the schedule's plan store keyed by the partition knobs
+    (:func:`supernodal_plan_for`).
     """
 
     __slots__ = (
@@ -134,9 +132,6 @@ class SupernodalPlan:
 
     def coverage(self) -> float:
         return self.partition.coverage()
-
-    def matches(self, filled: CSRMatrix) -> bool:
-        return self.n == filled.n_rows and self.nnz == filled.nnz
 
 
 def _quotient_levels(
@@ -352,8 +347,9 @@ def supernodal_plan_for(
 ) -> SupernodalPlan:
     """Cached plan lookup (build + charge on first use).
 
-    The plan is cached on ``schedule`` — a schedule is born from exactly
-    one filled pattern, so the cache key is just the partition knobs.
+    The plan is kept in the schedule's plan store
+    (:class:`~repro.graph.PatternPlans`) — a schedule is born from
+    exactly one filled pattern, so the key is just the partition knobs.
     When ``gpu`` is given, a cache miss charges the panel-schedule
     construction (one serial pass over the pattern plus the quotient
     levelization) to the ledger's ``panelize`` phase; cache hits — every
@@ -361,21 +357,15 @@ def supernodal_plan_for(
     :func:`repro.core.refactorize.analyze` pre-warmed the plan — charge
     nothing, mirroring how real solvers amortize analysis.
     """
-    cache = getattr(schedule, "_supernodal_plans", None)
-    if cache is None:
-        cache = {}
-        try:
-            schedule._supernodal_plans = cache  # type: ignore[attr-defined]
-        except AttributeError:
-            pass  # schedule forbids attributes: build every time
+    plans = schedule.plans_for(filled.n_rows, filled.nnz)
     key = (int(relax), int(max_panel), int(tile_elems))
-    plan = cache.get(key)
-    if plan is not None and plan.matches(filled):
+    plan = plans.supernodal.get(key)
+    if plan is not None:
         return plan
     plan = build_supernodal_plan(
         filled, relax=relax, max_panel=max_panel, tile_elems=tile_elems
     )
-    cache[key] = plan
+    plans.supernodal[key] = plan
     if gpu is not None:
         with gpu.ledger.phase("panelize"):
             gpu.ledger.charge(

@@ -28,8 +28,9 @@ equal to the column-at-a-time loop of :mod:`repro.oracles`:
 
 Errors are those of the loop too: the column it would reject first
 decides between a triangularity error and a zero pivot.  The plan
-depends only on the factor patterns, so :func:`solve_plan` caches it on
-the schedule and numeric-only passes over one analysis skip the build.
+depends only on the factor patterns, so :func:`solve_plan` keeps it in
+the schedule's plan store and numeric-only passes over one analysis
+skip the build.
 """
 
 from __future__ import annotations
@@ -147,8 +148,6 @@ def _rhs(b: np.ndarray, n: int) -> np.ndarray:
 class SolvePlan:
     """Structure-only pull streams of both sweeps of one factor pair."""
 
-    #: column pointers of ``L`` and ``U``, the pattern check of a reuse
-    indptr: tuple[np.ndarray, np.ndarray]
     lower: _PullStream
     upper: _PullStream
 
@@ -157,18 +156,8 @@ class SolvePlan:
         cls, L: CSCMatrix, U: CSCMatrix, level_of: np.ndarray | None = None
     ) -> SolvePlan:
         return cls(
-            (L.indptr, U.indptr),
             _PullStream.build(L, level_of, lower=True),
             _PullStream.build(U, level_of, lower=False),
-        )
-
-    def matches(self, L: CSCMatrix, U: CSCMatrix) -> bool:
-        """Same column counts.  Factors of one schedule share the filled
-        pattern the schedule was levelized from (a pattern change makes
-        a new schedule), so the counts tell a stale plan apart."""
-        return all(
-            a is b or np.array_equal(a, b)
-            for a, b in zip(self.indptr, (L.indptr, U.indptr))
         )
 
     def solve(self, L: CSCMatrix, U: CSCMatrix, b: np.ndarray) -> np.ndarray:
@@ -183,17 +172,19 @@ def solve_plan(
 ) -> SolvePlan:
     """The solve plan of ``(L, U)`` on ``schedule``'s levels.
 
-    The plan is cached on ``schedule`` beside the numeric plan, so every
-    factor pair of one analysis shares a single build.  Without a
-    schedule the plan uses one column per level and is not cached.
+    The plan is kept in the schedule's plan store
+    (:class:`~repro.graph.PatternPlans`), so every factor pair of one
+    analysis shares a single build.  ``L`` stores its unit diagonal, so
+    the pair holds the filled pattern's entries plus ``n``.  Without a
+    schedule the plan uses one column per level and is not kept.
     """
     if schedule is None:
         return SolvePlan.build(L, U)
-    plan = getattr(schedule, "_solve_plan", None)
-    if plan is None or not plan.matches(L, U):
-        plan = SolvePlan.build(L, U, schedule.level_of)
-        schedule._solve_plan = plan  # type: ignore[attr-defined]
-    return plan
+    n = U.n_cols
+    plans = schedule.plans_for(n, L.nnz + U.nnz - n)
+    if plans.solve is None:
+        plans.solve = SolvePlan.build(L, U, schedule.level_of)
+    return plans.solve
 
 
 def forward_substitute(

@@ -27,10 +27,11 @@ Algorithm 6's device kernel still finds each target by binary search in
 the sorted column, and ``count_search_steps`` still charges its probe
 depth to simulated time, unchanged.
 
-That structure-only *plan* is cached on the schedule object: repeated
-refactorizations of the same pattern (the serving tier's bread and
-butter, and how real solvers amortize analysis across solves) skip the
-precompute entirely and run only the value passes.
+That structure-only *plan* is kept in the schedule's plan store
+(:class:`~repro.graph.PatternPlans`): repeated refactorizations of the
+same pattern (the serving tier's bread and butter, and how real solvers
+amortize analysis across solves) skip the precompute entirely and run
+only the value passes.
 
 Each batch also carries a *level table*: for every level, the slice
 bounds of its columns, scale entries, sub-column pairs and updates as
@@ -150,37 +151,19 @@ class _BatchPlan:
 class _NumericPlan:
     """Everything about a factorization that values cannot change.
 
-    Built once per (pattern, schedule, ``count_search_steps``) and
-    cached on the schedule object, so refactorizing the same structure
-    with new values pays only the value passes.  The kernel's contract
-    is that ``As`` is the sorted CSC of the filled pattern the schedule
-    was levelized from and ``row_adjacency`` its CSR — a schedule is
-    born from exactly one pattern, so caching on it is sound, and
-    ``matches`` only cross-checks the cheap structural invariants
-    (dimension and entry counts) to catch contract violations.  Array
-    *identity* is deliberately not used: the refactorization path
-    re-wraps the shared pattern arrays in fresh view objects each pass.
+    Built once per (pattern, schedule, ``count_search_steps``) and kept
+    in the schedule's :class:`~repro.graph.PatternPlans`, so
+    refactorizing the same structure with new values pays only the
+    value passes.  The kernel's contract is that ``As`` is the sorted
+    CSC of the filled pattern the schedule was levelized from and
+    ``row_adjacency`` its CSR — a schedule is born from exactly one
+    pattern, so keeping the plan there is sound.
     """
 
-    __slots__ = (
-        "as_nnz", "ra_nnz",
-        "count_search_steps", "n", "diag_pos", "batches",
-    )
+    __slots__ = ("diag_pos", "batches")
 
-    as_nnz: int
-    ra_nnz: int
-    count_search_steps: bool
-    n: int
     diag_pos: np.ndarray
     batches: list[_BatchPlan]
-
-    def matches(self, As: CSCMatrix, row_adjacency: CSRMatrix) -> bool:
-        return (
-            self.n == As.n_cols
-            and self.n == row_adjacency.n_rows
-            and self.as_nnz == As.nnz
-            and self.ra_nnz == row_adjacency.nnz
-        )
 
 
 class _PositionMap:
@@ -336,10 +319,6 @@ def _build_plan(
     exp_per_level = np.diff(exp_cum[level_off]).tolist()
 
     plan = _NumericPlan()
-    plan.as_nnz = As.nnz
-    plan.ra_nnz = row_adjacency.nnz
-    plan.count_search_steps = count_search_steps
-    plan.n = n
     plan.diag_pos = diag_pos
     plan.batches = []
     pos_map = _PositionMap(indptr, indices, col_ids, n)
@@ -425,18 +404,11 @@ def _plan_for(
     schedule: LevelSchedule,
     count_search_steps: bool,
 ) -> _NumericPlan:
-    cache = getattr(schedule, "_numeric_plans", None)
-    if cache is None:
-        cache = {}
-        try:
-            schedule._numeric_plans = cache  # type: ignore[attr-defined]
-        except AttributeError:
-            pass  # schedule forbids attributes: build every time
-    plan = cache.get(count_search_steps)
-    if plan is not None and plan.matches(As, row_adjacency):
-        return plan
-    plan = _build_plan(As, row_adjacency, schedule, count_search_steps)
-    cache[count_search_steps] = plan
+    plans = schedule.plans_for(row_adjacency.n_rows, row_adjacency.nnz)
+    plan = plans.numeric.get(count_search_steps)
+    if plan is None:
+        plan = _build_plan(As, row_adjacency, schedule, count_search_steps)
+        plans.numeric[count_search_steps] = plan
     return plan
 
 

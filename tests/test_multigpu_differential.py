@@ -5,7 +5,8 @@ link preset and overlap mode may only change the simulated timeline,
 never the numeric result.  For every workload in the registry and every
 swept device count this harness asserts the fill pattern, both factors
 and the pivot sequence are bitwise-identical to the single-device
-:class:`~repro.core.pipeline.EndToEndLU` run.
+:class:`~repro.core.pipeline.EndToEndLU` run, with pivot recovery on
+too, and that one device books the in-core executor's kernels.
 """
 
 import dataclasses
@@ -14,6 +15,10 @@ import numpy as np
 import pytest
 
 from repro.core import EndToEndLU, SolverConfig, multi_gpu_endtoend
+from repro.core.numeric_gpu import launch_inputs
+from repro.errors import SingularMatrixError
+from repro.gpusim import GPU
+from repro.workloads.generators import circuit_like
 from repro.workloads.registry import FIG3_SPECS, TABLE2, TABLE4
 
 pytestmark = pytest.mark.multigpu
@@ -115,3 +120,72 @@ def test_solution_matches_single_device():
     multi = multi_gpu_endtoend(a, cfg, num_devices=3)
     b = np.random.default_rng(7).normal(size=a.n_rows)
     assert np.array_equal(single.solve(b), multi.solve(b))
+
+
+def _singular_at_origin():
+    """A circuit matrix whose ``(0, 0)`` entry is an explicit zero."""
+    a = circuit_like(60, 5.0, seed=3)
+    row0 = slice(int(a.indptr[0]), int(a.indptr[1]))
+    a.data[row0][a.indices[row0] == 0] = 0.0
+    return a
+
+
+def test_resilience_recovers_at_every_device_count():
+    """Pivot recovery is value work, so device count cannot change it:
+    factors, perturbed columns and the refined solution match the
+    single-device run bitwise."""
+    a = _singular_at_origin()
+    cfg = SolverConfig(resilience=True)
+    single = EndToEndLU(cfg).factorize(a)
+    assert single.recovery.perturbed_columns
+    b = np.random.default_rng(5).normal(size=a.n_rows)
+    x_ref = single.solve(b)
+    assert single.recovery.refine_iterations is not None
+    for d in (1, 2, 3):
+        res = multi_gpu_endtoend(a, cfg, num_devices=d)
+        for name in ("L", "U"):
+            mine, ref = getattr(res, name), getattr(single, name)
+            assert np.array_equal(mine.indptr, ref.indptr), d
+            assert np.array_equal(mine.indices, ref.indices), d
+            assert np.array_equal(mine.data, ref.data), d
+        assert (
+            res.recovery.perturbed_columns
+            == single.recovery.perturbed_columns
+        )
+        assert np.array_equal(res.solve(b), x_ref), d
+        assert res.recovery.final_residual == single.recovery.final_residual
+    with pytest.raises(SingularMatrixError):
+        multi_gpu_endtoend(a, SolverConfig(), num_devices=2)
+
+
+@pytest.mark.parametrize("fmt", ["dense", "csc"])
+def test_one_device_issues_the_single_device_launches(fmt, monkeypatch):
+    """On one device the sharded level loop books exactly the kernels of
+    the in-core executor: same ``(flops, blocks, search_steps, cap)``
+    sequence, over type A, B and C levels."""
+    calls: list[tuple[int, int, int, int | None]] = []
+    real = GPU.launch_numeric
+
+    def record(self, flops, blocks, *, concurrency_cap=None,
+               search_steps=0, **kw):
+        calls.append((flops, blocks, search_steps, concurrency_cap))
+        return real(self, flops, blocks, concurrency_cap=concurrency_cap,
+                    search_steps=search_steps, **kw)
+
+    monkeypatch.setattr(GPU, "launch_numeric", record)
+    cfg = SolverConfig(numeric_format=fmt)
+    seen_tags: set[str] = set()
+    for spec in _registry_specs():
+        a = dataclasses.replace(spec, n_scaled=_N).generate()
+        calls.clear()
+        single = EndToEndLU(cfg).factorize(a)
+        want = list(calls)
+        calls.clear()
+        multi_gpu_endtoend(a, cfg, num_devices=1)
+        assert calls == want, spec.abbr
+        seen_tags.update(
+            launch_inputs(single.filled, single.schedule).tags(
+                single.schedule, None
+            )
+        )
+    assert seen_tags == {"A", "B", "C"}

@@ -107,9 +107,10 @@ def test_refactorize_solves_on_one_cached_plan():
     b = np.random.default_rng(9).normal(size=a.n_rows)
     first = analysis.refactorize(a)
     x1 = first.solve(b)
-    plan = analysis.schedule._solve_plan
+    plan = analysis.schedule.plans.solve
+    assert plan is not None, "the solve must cache its plan"
     x2 = analysis.refactorize(a).solve(b)
-    assert analysis.schedule._solve_plan is plan, "plan must be reused"
+    assert analysis.schedule.plans.solve is plan, "plan must be reused"
     _assert_bitwise(x1, x2)
     # solve-plan bytes are not part of the analysis footprint (yet)
     assert analysis.nbytes == before

@@ -332,7 +332,7 @@ def test_cached_launch_inputs_charge_identically(pattern, fmt):
     for override in (None, "A", "B", "C", None, "C"):
         fresh = kahn_levels(build_dependency_graph(filled))
         assert run(shared, override) == run(fresh, override)
-    assert hasattr(shared, "_launch_inputs")
+    assert shared.plans.launch is not None
 
 
 # ---------------------------------------------------------------------------

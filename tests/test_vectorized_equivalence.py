@@ -468,7 +468,7 @@ def test_refactorize_reuses_numeric_plan():
     a = spec.generate()
     analysis = analyze(a)
     first = analysis.refactorize(a)
-    plans = getattr(analysis.schedule, "_numeric_plans", None)
+    plans = analysis.schedule.plans.numeric
     assert plans, "fast path should cache its structure plan"
     cached = dict(plans)
     # same values again: identical factors out of the cached plan
