@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..gpusim import GPU, DeviceSpec, HostSpec
 from ..gpusim.interconnect import Interconnect, LinkSpec, link_preset
 from ..graph import (
@@ -565,11 +566,19 @@ def multi_gpu_endtoend(
     ``config.resilience``), then the per-device timeline is simulated:
     row-sharded symbolic, replicated levelization, the reshard
     all-to-all, level-by-level numeric with halo exchange, and the final
-    factor download.  See the module docstring for the model.
+    factor download.  See the module docstring for the model.  The level
+    loop books per-column launches only, so ``config.supernodal`` raises
+    :class:`~repro.errors.ConfigurationError` rather than being charged
+    as per-column work.
     """
     config = config or SolverConfig()
     if num_devices < 1:
         raise ValueError("num_devices must be >= 1")
+    if config.supernodal:
+        raise ConfigurationError(
+            "multi_gpu_endtoend does not model the supernodal numeric "
+            "path; set SolverConfig.supernodal=False"
+        )
     overlap = config.overlap if overlap is None else bool(overlap)
     spec = link_preset(link) if isinstance(link, str) else link
     dev = device or config.device

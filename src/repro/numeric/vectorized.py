@@ -14,33 +14,38 @@ The key observation is that every *position* the scalar loop computes —
 diagonal offsets, sub-diagonal slices, the ``(j, k)`` sub-column pairs
 and the flat target of every single update — depends only on the filled
 pattern, never on the values.  So the kernel resolves them up front, in
-level-batches bounded by :data:`_MAX_BATCH_UPDATES`: one ragged gather
-(:func:`concat_ranges`) lists each batch's updates, and one gather
-through a dense position map (:class:`_PositionMap`, slot
-``(col - c0) * n + row`` -> flat CSC position, ``-1`` where the pattern
-has no entry) finds every multiplier and every target at once.  The map
-covers a window of target columns sized so that it never holds more
-than :data:`_MAX_MAP_ENTRIES` slots (32 MB); a pattern with
-``n * n`` within that cap is a single window, larger ones loop over
-windows.  This replaces a per-update binary search on the host only:
-Algorithm 6's device kernel still finds each target by binary search in
-the sorted column, and ``count_search_steps`` still charges its probe
-depth to simulated time, unchanged.
+level-batches bounded by :data:`_MAX_BATCH_UPDATES`, into a structure-only
+*plan*.  Every target is found through a dense position map
+(:class:`_PositionMap`, slot ``(col - c0) * n + row`` -> flat CSC
+position, ``-1`` where the pattern has no entry): one gather per map
+window resolves all of a batch's multipliers and targets at once.  The
+map covers a window of target columns sized so that it never holds more
+than :data:`_MAX_MAP_ENTRIES` slots (32 MB); a pattern with ``n * n``
+within that cap is a single window, larger ones loop over windows.  This
+replaces a per-update binary search on the host only: Algorithm 6's
+device kernel still finds each target by binary search in the sorted
+column, and ``count_search_steps`` still charges its probe depth to
+simulated time, unchanged.
 
-That structure-only *plan* is kept in the schedule's plan store
+The plan is kept in the schedule's plan store
 (:class:`~repro.graph.PatternPlans`): repeated refactorizations of the
 same pattern (the serving tier's bread and butter, and how real solvers
 amortize analysis across solves) skip the precompute entirely and run
 only the value passes.
 
-Each batch also carries a *level table*: for every level, the slice
-bounds of its columns, scale entries, sub-column pairs and updates as
-Python ints; its ``per_level`` stats tuple and the batch's totals
-(structure-only on any pass that succeeds, so a finished batch books
-them with one ``per_level.extend``); whether every diagonal of the
-level is structurally present; and, for a one-column level, the flat
-position of its diagonal.  The value loop reads the table and does only
-value work:
+Column ``j`` of Algorithm 2 updates each of its ``P`` sub-columns ``k``
+as ``A[:, k] -= A[j, k] * L[:, j]``: one ``P x S`` outer product of its
+``U`` entries and its ``S`` sub-diagonal quotients.  A plan stores, per
+update, only the flat position of its target (``pos_tgt``, pair-major
+within each column, which is the scalar loop's update order); per pair
+the position of its ``U`` entry; per ``L`` entry its position and its
+column's diagonal (the scale stage).  Each batch's *level table* gives,
+for every level, the slice bounds of its columns, scale entries,
+sub-column pairs and updates as Python ints; its ``per_level`` stats
+tuple and the batch's totals (structure-only on any pass that succeeds,
+so a finished batch books them with one ``per_level.extend``); whether
+every diagonal of the level is structurally present; and the level's
+*kind*, decided once from structure alone:
 
 * **one-column level** (most levels of a circuit pattern) — the pivot
   check is one Python scalar compare; the scale divides the slice after
@@ -48,22 +53,30 @@ value work:
   subtracted through plain fancy indexing.  That is exact: one column's
   ``(row, sub-column)`` targets are pairwise distinct, so each target
   is read and written once, which is all ``np.subtract.at`` would do;
-* **multi-column level** — one vectorized ``|pivot| > tol`` check, then
-  the **scale stage** (one gather, divide and scatter through the
-  sub-diagonal stream and its divisor stream ``s_div``, the diagonal
-  position of each entry's column) and the **update stage** (gather
-  multipliers and ``U`` entries through the precomputed position
-  stream and apply with ``np.subtract.at``, which accumulates repeated
-  targets in array order, i.e. exactly the scalar loop's update order,
-  so floating-point results match bitwise);
+* **column-outer level** — a multi-column level whose columns average
+  at least :data:`_MIN_OUTER_UPDATES` updates.  After one vectorized
+  ``|pivot| > tol`` check and the **scale stage** (one gather, divide
+  and scatter through the ``L`` entries and their divisor stream
+  ``s_div``), the **update stage** writes one ``np.multiply.outer`` per
+  column into a level buffer and applies it with one
+  ``np.subtract.at``, which accumulates repeated targets in array
+  order, i.e. exactly the scalar loop's update order, so floating-point
+  results match bitwise (``u * l == l * u`` in IEEE arithmetic);
+* **gathered level** — every other multi-column level (many columns,
+  few updates each, where a call per column would cost more than it
+  saves).  Its update stage gathers every multiplier through its own
+  stored ``L``-index stream ``l_flat`` and every ``U`` entry with one
+  ``np.repeat``, then applies them with the same ``np.subtract.at``.
+  Only these levels store an ``L`` index per update;
 * **any level whose quick check fails**, a level with a structurally
   missing diagonal, and every level of a pass with
-  ``pivot_perturbation > 0`` go through the **pivot stage** instead: it
+  ``pivot_perturbation > 0`` go through the **pivot stage** first: it
   gathers the level's diagonals, checks/perturbs them in level order
   and raises on the first failing column *after* replaying the scalar
   path's partial mutations for the columns that precede it, so the
   failing column, its message and ``perturbed_columns`` stay the
-  oracle's.
+  oracle's.  A one-column level taking this route forms its update as
+  a column-outer level of one column.
 
 Bitwise equivalence relies on the schedule carrying GLU 3.0's *full*
 dependency set (``include_l_dependencies=True``, the library default):
@@ -90,13 +103,25 @@ __all__ = ["factorize_in_place"]
 #: batches, so batching never reorders the floating-point update stream.
 _MAX_BATCH_UPDATES = 1 << 22
 
+#: a multi-column level whose columns average at least this many updates
+#: is *column-outer*: it stores no ``L`` index per update and forms each
+#: column's updates with one outer product, in the plan build (target
+#: slots) and in every value pass.  Measured break-even (2-vCPU x86-64
+#: VM, numpy 2.4): one ufunc call costs about 2.5 us per column, and
+#: dropping the ``L``-index gather and the ``np.repeat`` of the ``U``
+#: entries saves 2-4 ns per update on large patterns but only about 1 ns
+#: where the values stay in cache (n=500 circuit patterns, whose kernel
+#: ran 10-14 % slower at 1024), so a value pass breaks even near 2k.
+_MIN_OUTER_UPDATES = 1 << 11
+
 #: cap on the slots of the dense position map (int64, so 32 MB) that
 #: resolves update targets; columns are mapped in windows that fit it.
 _MAX_MAP_ENTRIES = 1 << 22
 
 
-def _diag_positions(indices: np.ndarray, col_ids: np.ndarray,
-                    n: int) -> np.ndarray:
+def _diag_positions(
+    indices: np.ndarray, col_ids: np.ndarray, n: int
+) -> np.ndarray:
     """Flat position of each column's diagonal entry (-1 when absent)."""
     hits = np.flatnonzero(indices == col_ids)
     diag_pos = np.full(n, -1, dtype=np.int64)
@@ -104,13 +129,22 @@ def _diag_positions(indices: np.ndarray, col_ids: np.ndarray,
     return diag_pos
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums of ``counts``, with the total appended."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
 #: one row of a batch's level table: the level's slice bounds into the
 #: batch's column, scale, pair and update streams
 #: ``(c0, c1, s0, s1, p0, p1, e0, e1)``, then ``one``, the diagonal
 #: position of a one-column level whose diagonal is present (-1 for any
-#: other level), and ``diag_ok``, whether every diagonal of the level is
-#: structurally present.
-_Level = tuple[int, int, int, int, int, int, int, int, int, bool]
+#: other level), ``diag_ok``, whether every diagonal of the level is
+#: structurally present, and ``lg``, the start of a gathered level's
+#: updates in the batch's ``l_flat`` (-1 for a one-column or
+#: column-outer level, which forms its updates as outer products).
+_Level = tuple[int, int, int, int, int, int, int, int, int, bool, int]
 
 
 class _BatchPlan:
@@ -118,10 +152,24 @@ class _BatchPlan:
     level-batch."""
 
     __slots__ = (
-        "cols_cat", "pair_off", "exp_off", "scale_off", "s_flat",
-        "s_div", "l_flat", "pos_ujk", "pos_tgt", "pair_rows", "diag_cat",
-        "levels", "per_level", "div_flops", "update_flops", "columns",
-        "sub_column_updates", "search_steps",
+        "cols_cat",
+        "pair_off",
+        "exp_off",
+        "scale_off",
+        "s_flat",
+        "s_div",
+        "l_flat",
+        "pos_ujk",
+        "pos_tgt",
+        "pair_rows",
+        "diag_cat",
+        "levels",
+        "per_level",
+        "div_flops",
+        "update_flops",
+        "columns",
+        "sub_column_updates",
+        "search_steps",
     )
 
     cols_cat: np.ndarray
@@ -131,6 +179,8 @@ class _BatchPlan:
     s_flat: np.ndarray
     #: diagonal position of each sub-diagonal entry's column
     s_div: np.ndarray
+    #: flat ``L`` position of each update of the gathered levels only,
+    #: level after level (a level's slice starts at its ``lg``)
     l_flat: np.ndarray
     pos_ujk: np.ndarray
     pos_tgt: np.ndarray
@@ -164,6 +214,19 @@ class _NumericPlan:
 
     diag_pos: np.ndarray
     batches: list[_BatchPlan]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the plan's arrays.  Reporting only: the serve
+        and fleet byte budgets (``ReusableAnalysis.nbytes``) do not
+        count it."""
+        total = self.diag_pos.nbytes
+        for b in self.batches:
+            for name in _BatchPlan.__slots__:
+                value = getattr(b, name)
+                if isinstance(value, np.ndarray):
+                    total += value.nbytes
+        return int(total)
 
 
 class _PositionMap:
@@ -214,22 +277,20 @@ class _PositionMap:
         wi: int,
         pair_j: np.ndarray,
         pair_k: np.ndarray,
-        pair_rows: np.ndarray,
-        l_flat: np.ndarray,
+        keys: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of ``(j, k)`` and of the targets ``(indices[l], k)``
-        for pairs whose column ``k`` lies in window ``wi``."""
+        """Positions of ``(j, k)`` and of the targets ``keys`` (each
+        ``col * n + row``) for pairs whose column ``k`` lies in window
+        ``wi``."""
         self._load(wi)
-        base = (pair_k - wi * self.width) * self.n
-        pos_ujk = self.slots[base + pair_j]
+        first = wi * self.width * self.n
+        pos_ujk = self.slots[pair_k * self.n - first + pair_j]
         if (pos_ujk < 0).any():
             raise SparseFormatError(
                 "symbolic pattern is missing a U entry — filled pattern "
                 "is inconsistent"
             )
-        slot = np.repeat(base, pair_rows)
-        slot += self.indices[l_flat]
-        pos_tgt = self.slots[slot]
+        pos_tgt = self.slots[keys - first if first else keys]
         if (pos_tgt < 0).any():
             raise SparseFormatError(
                 "fill positions missing — filled pattern is inconsistent"
@@ -237,9 +298,14 @@ class _PositionMap:
         return pos_ujk, pos_tgt
 
     def resolve(
-        self, b: _BatchPlan, pair_j: np.ndarray, pair_k: np.ndarray
+        self,
+        b: _BatchPlan,
+        pair_j: np.ndarray,
+        pair_k: np.ndarray,
+        keys: np.ndarray,
     ) -> None:
-        """Set ``b.pos_ujk`` and ``b.pos_tgt`` for the batch's pairs.
+        """Set ``b.pos_ujk`` and ``b.pos_tgt`` for the batch's pairs and
+        their update targets ``keys``.
 
         Pairs are grouped by window with a stable sort and the results
         written back in pair order, so the streams (and with them the
@@ -250,23 +316,111 @@ class _PositionMap:
         if np.count_nonzero(counts) == 1:
             # the whole batch in one window: gather in place, no grouping
             b.pos_ujk, b.pos_tgt = self._lookup(
-                int(win[0]), pair_j, pair_k, b.pair_rows, b.l_flat
+                int(win[0]), pair_j, pair_k, keys
             )
             return
         order = np.argsort(win, kind="stable")
         ends = np.cumsum(counts)
         b.pos_ujk = np.empty(len(pair_k), dtype=np.int64)
-        b.pos_tgt = np.empty(len(b.l_flat), dtype=np.int64)
+        b.pos_tgt = np.empty(len(keys), dtype=np.int64)
         for wi in np.flatnonzero(counts):
             sel = order[ends[wi] - counts[wi] : ends[wi]]
             t_sel = concat_ranges(b.exp_off[sel], b.pair_rows[sel])
             b.pos_ujk[sel], b.pos_tgt[t_sel] = self._lookup(
-                int(wi),
-                pair_j[sel],
-                pair_k[sel],
-                b.pair_rows[sel],
-                b.l_flat[t_sel],
+                int(wi), pair_j[sel], pair_k[sel], keys[t_sel]
             )
+
+
+def _target_keys(
+    b: _BatchPlan,
+    pair_j: np.ndarray,
+    pair_k: np.ndarray,
+    sub_start: np.ndarray,
+    indices: np.ndarray,
+    n: int,
+    col_off: np.ndarray,
+    outer: np.ndarray,
+    gathered: np.ndarray,
+) -> np.ndarray:
+    """Key ``k * n + row`` of every update target of the batch, in
+    update order; also sets ``b.l_flat`` for its gathered levels.
+
+    ``col_off`` bounds the batch's levels in ``b.cols_cat`` and
+    ``outer`` / ``gathered`` are their kinds.  One ragged gather lists
+    the ``L`` rows of the one-column and gathered levels' updates; a
+    column-outer level costs one ``np.add.outer`` per column and no
+    ``L`` index at all.
+    """
+    lp = b.pair_off[col_off]
+    le = b.exp_off[lp]
+    kn = pair_k * n
+    rest = ~outer
+    has_outer = bool(outer.any())
+    if has_outer:
+        p_sel = concat_ranges(lp[:-1][rest], np.diff(lp)[rest])
+        rows = b.pair_rows[p_sel]
+        l_rest = concat_ranges(sub_start[pair_j[p_sel]], rows)
+        keys = np.empty(int(le[-1]), dtype=np.int64)
+        t_sel = concat_ranges(le[:-1][rest], np.diff(le)[rest])
+        keys[t_sel] = np.repeat(kn[p_sel], rows) + indices[l_rest]
+    else:
+        l_rest = concat_ranges(sub_start[pair_j], b.pair_rows)
+        keys = np.repeat(kn, b.pair_rows)
+        keys += indices[l_rest]
+    # only a gathered level reads an L index in a value pass (a level
+    # without updates has none to drop)
+    upd = np.diff(le)[rest]
+    keep = gathered[rest] | (upd == 0)
+    b.l_flat = l_rest if keep.all() else l_rest[np.repeat(keep, upd)]
+    if not has_outer:
+        return keys
+    # column-outer levels: the (pair, row) outer sum of each column
+    oc = concat_ranges(col_off[:-1][outer], np.diff(col_off)[outer])
+    pa = b.pair_off[oc]
+    for p0, p1, e0, lo, s in zip(
+        pa.tolist(),
+        b.pair_off[oc + 1].tolist(),
+        b.exp_off[pa].tolist(),
+        sub_start[b.cols_cat[oc]].tolist(),
+        (b.scale_off[oc + 1] - b.scale_off[oc]).tolist(),
+    ):
+        if p1 > p0 and s:
+            np.add.outer(
+                kn[p0:p1],
+                indices[lo : lo + s],
+                out=keys[e0 : e0 + (p1 - p0) * s].reshape(p1 - p0, s),
+            )
+    return keys
+
+
+def _outer_updates(
+    b: _BatchPlan,
+    u: np.ndarray,
+    q: np.ndarray,
+    c0: int,
+    c1: int,
+    p0: int,
+    s0: int,
+    e0: int,
+    e1: int,
+) -> np.ndarray:
+    """Updates of columns ``c0:c1`` of a column-outer level, in update
+    order: per column, the ``(pair, row)`` outer product of its ``U``
+    entries (in ``u``, from pair ``p0``) and its quotients (in ``q``,
+    from scale entry ``s0``)."""
+    out = np.empty(e1 - e0, dtype=q.dtype)
+    po = b.pair_off[c0 : c1 + 1]
+    pairs = (po - p0).tolist()
+    rows = (b.scale_off[c0 : c1 + 1] - s0).tolist()
+    ends = (b.exp_off[po] - e0).tolist()
+    for pa, pb, ra, rb, ea, eb in zip(
+        pairs, pairs[1:], rows, rows[1:], ends, ends[1:]
+    ):
+        if eb > ea:
+            np.multiply.outer(
+                u[pa:pb], q[ra:rb], out=out[ea:eb].reshape(pb - pa, rb - ra)
+            )
+    return out
 
 
 def _build_plan(
@@ -305,8 +459,9 @@ def _build_plan(
         )
 
     # every level's columns in schedule order, and each level's offset
-    level_off = np.zeros(schedule.num_levels + 1, dtype=np.int64)
-    np.cumsum([len(lv) for lv in schedule.levels], out=level_off[1:])
+    level_off = _offsets(
+        np.array([len(lv) for lv in schedule.levels], dtype=np.int64)
+    )
     all_cols = (
         np.concatenate(schedule.levels).astype(np.int64, copy=False)
         if schedule.num_levels
@@ -314,8 +469,7 @@ def _build_plan(
     )
     # flattened update count contributed by column j: one row update per
     # (sub-column pair, sub-diagonal row) combination
-    exp_cum = np.zeros(len(all_cols) + 1, dtype=np.int64)
-    np.cumsum(sc_len[all_cols] * sub_len[all_cols], out=exp_cum[1:])
+    exp_cum = _offsets(sc_len[all_cols] * sub_len[all_cols])
     exp_per_level = np.diff(exp_cum[level_off]).tolist()
 
     plan = _NumericPlan()
@@ -340,51 +494,46 @@ def _build_plan(
         b.cols_cat = cols_cat = all_cols[level_off[start] : level_off[stop]]
         col_off = level_off[start : stop + 1] - level_off[start]
         pair_cnt = sc_len[cols_cat]
-        b.pair_off = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(pair_cnt)]
-        )
+        b.pair_off = _offsets(pair_cnt)
         pair_j = np.repeat(cols_cat, pair_cnt)
         pair_k = r_indices[
             concat_ranges(sc_start[cols_cat], pair_cnt)
         ].astype(np.int64, copy=False)
         b.pair_rows = pair_rows = sub_len[pair_j]
-        b.exp_off = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(pair_rows)]
-        )
-        b.l_flat = concat_ranges(sub_start[pair_j], pair_rows)
-        pos_map.resolve(b, pair_j, pair_k)
+        b.exp_off = _offsets(pair_rows)
         sc_cnt = sub_len[cols_cat]
-        b.scale_off = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(sc_cnt)]
-        )
+        b.scale_off = _offsets(sc_cnt)
         b.s_flat = concat_ranges(sub_start[cols_cat], sc_cnt)
         b.diag_cat = diag_cat = diag_pos[cols_cat]
         b.s_div = np.repeat(diag_cat, sc_cnt)
         if count_search_steps:
-            pair_search = np.concatenate(
-                [
-                    np.zeros(1, dtype=np.int64),
-                    np.cumsum(pair_rows * probe_depth[pair_k]),
-                ]
-            )
+            pair_search = _offsets(pair_rows * probe_depth[pair_k])
         else:
             pair_search = np.zeros(len(pair_k) + 1, dtype=np.int64)
 
-        # the level table: every bound the value loop slices with, and
-        # every per-level stat a successful pass books
+        # the level table: every bound the value loop slices with, each
+        # level's kind, and every per-level stat a successful pass books
         lc0, lc1 = col_off[:-1], col_off[1:]
         ls0, ls1 = b.scale_off[lc0], b.scale_off[lc1]
         lp0, lp1 = b.pair_off[lc0], b.pair_off[lc1]
         le0, le1 = b.exp_off[lp0], b.exp_off[lp1]
-        missing = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(diag_cat < 0)]
-        )
+        missing = _offsets(diag_cat < 0)
         diag_ok = missing[lc1] == missing[lc0]
         one = np.full(len(lc0), -1, dtype=np.int64)
         single = np.flatnonzero((lc1 - lc0 == 1) & diag_ok)
         one[single] = diag_cat[lc0[single]]
+        multi = lc1 - lc0 > 1
+        outer = multi & (le1 - le0 >= _MIN_OUTER_UPDATES * (lc1 - lc0))
+        gathered = multi & ~outer
+        g_upd = np.where(gathered, le1 - le0, 0)
+        lg = np.where(gathered, _offsets(g_upd)[:-1], -1)
+        keys = _target_keys(
+            b, pair_j, pair_k, sub_start, indices, n, col_off, outer, gathered
+        )
+        pos_map.resolve(b, pair_j, pair_k, keys)
+        del keys  # freed before the next batch builds its own
         search = pair_search[lp1] - pair_search[lp0]
-        table = (lc0, lc1, ls0, ls1, lp0, lp1, le0, le1, one, diag_ok)
+        table = (lc0, lc1, ls0, ls1, lp0, lp1, le0, le1, one, diag_ok, lg)
         b.levels = list(zip(*(col.tolist() for col in table)))
         stat = (ls1 - ls0 + 2 * (le1 - le0), lc1 - lc0, lp1 - lp0, search)
         b.per_level = list(zip(*(col.tolist() for col in stat)))
@@ -487,9 +636,7 @@ def factorize_in_place(
                     pivot_perturbation,
                 )
                 data[pos[to_fix]] = fixed.astype(data.dtype)
-                stats.perturbed_columns.extend(
-                    int(c) for c in cols[to_fix]
-                )
+                stats.perturbed_columns.extend(int(c) for c in cols[to_fix])
         if first == len(cols):
             return len(cols), -1, 0.0
         fail_col = int(cols[first])
@@ -503,7 +650,7 @@ def factorize_in_place(
     tol64 = np.float64(pivot_tolerance)
     for b in plan.batches:
         pos_tgt, pos_ujk = b.pos_tgt, b.pos_ujk
-        for c0, c1, s0, s1, p0, p1, e0, e1, one, diag_ok in b.levels:
+        for c0, c1, s0, s1, p0, p1, e0, e1, one, diag_ok, lg in b.levels:
             if quick and one >= 0:
                 piv = data[one]
                 if abs(float(piv)) > pivot_tolerance:
@@ -529,15 +676,21 @@ def factorize_in_place(
                     b.cols_cat[c0:c1]
                 )
                 if fail_col >= 0:
-                    ce = c0 + prefix_len
-                    s1, p1 = int(b.scale_off[ce]), int(b.pair_off[ce])
+                    c1 = c0 + prefix_len
+                    s1, p1 = int(b.scale_off[c1]), int(b.pair_off[c1])
                     e1 = int(b.exp_off[p1])
             if s1 > s0:
-                data[b.s_flat[s0:s1]] /= data[b.s_div[s0:s1]]
+                s_flat = b.s_flat[s0:s1]
+                q = data[s_flat] / data[b.s_div[s0:s1]]
+                data[s_flat] = q
             if e1 > e0:
-                contrib = data[b.l_flat[e0:e1]] * np.repeat(
-                    data[pos_ujk[p0:p1]], b.pair_rows[p0:p1]
-                )
+                u = data[pos_ujk[p0:p1]]
+                if lg >= 0:
+                    contrib = data[b.l_flat[lg : lg + e1 - e0]] * np.repeat(
+                        u, b.pair_rows[p0:p1]
+                    )
+                else:
+                    contrib = _outer_updates(b, u, q, c0, c1, p0, s0, e0, e1)
                 np.subtract.at(data, pos_tgt[e0:e1], contrib)
             if fail_col >= 0:
                 # the scalar loop raises mid-level: the preceding

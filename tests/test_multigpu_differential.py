@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import EndToEndLU, SolverConfig, multi_gpu_endtoend
 from repro.core.numeric_gpu import launch_inputs
-from repro.errors import SingularMatrixError
+from repro.errors import ConfigurationError, SingularMatrixError
 from repro.gpusim import GPU
 from repro.workloads.generators import circuit_like
 from repro.workloads.registry import FIG3_SPECS, TABLE2, TABLE4
@@ -156,6 +156,16 @@ def test_resilience_recovers_at_every_device_count():
         assert res.recovery.final_residual == single.recovery.final_residual
     with pytest.raises(SingularMatrixError):
         multi_gpu_endtoend(a, SolverConfig(), num_devices=2)
+
+
+def test_supernodal_config_is_rejected_up_front():
+    """The sharded level loop books per-column launches only, so a
+    supernodal config would change the charging model with the device
+    count; it is refused instead."""
+    a = circuit_like(60, 5.0, seed=3)
+    for d in (1, 2):
+        with pytest.raises(ConfigurationError, match="supernodal"):
+            multi_gpu_endtoend(a, SolverConfig(supernodal=True), num_devices=d)
 
 
 @pytest.mark.parametrize("fmt", ["dense", "csc"])

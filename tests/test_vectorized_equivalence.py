@@ -14,6 +14,7 @@ tested at the bottom.
 
 import ast
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -77,6 +78,41 @@ def _schedules_equal(a, b) -> bool:
     )
 
 
+#: ``_MIN_OUTER_UPDATES`` under which every multi-column level of a plan
+#: is column-outer (0) or gathered (more than any level's updates)
+_KINDS = {"column-outer": 0, "gathered": 1 << 40}
+
+
+@pytest.fixture(params=list(_KINDS))
+def level_kind(request, monkeypatch):
+    """Plans built in the test make every multi-column level one kind."""
+    monkeypatch.setattr(
+        vectorized, "_MIN_OUTER_UPDATES", _KINDS[request.param]
+    )
+    return request.param
+
+
+def _assert_kind(sched, kind):
+    """Every cached plan of ``sched`` built its multi-column levels as
+    ``kind``; returns those levels' table rows that carry updates."""
+    plans = list(sched.plans.numeric.values())
+    assert plans
+    batches = [b for plan in plans for b in plan.batches]
+    multi = [
+        lv
+        for b in batches
+        for lv in b.levels
+        if lv[1] - lv[0] > 1 and lv[7] > lv[6]
+    ]
+    if kind == "column-outer":
+        # no level stores an L index: one-column levels never do
+        assert all(lv[10] == -1 for lv in multi)
+        assert all(len(b.l_flat) == 0 for b in batches)
+    else:
+        assert all(lv[10] >= 0 for lv in multi)
+    return multi
+
+
 # ---------------------------------------------------------------------------
 # registry-wide kernel equivalence
 
@@ -111,19 +147,35 @@ def test_levelization_identical(spec):
 
 
 @pytest.mark.parametrize("spec", _registry_specs(), ids=lambda s: s.abbr)
-def test_numeric_factors_bitwise_and_stats_identical(spec):
+def test_numeric_factors_bitwise_and_stats_identical(spec, monkeypatch):
+    # each option set against one oracle run: both level kinds, in one
+    # map window and in many; a perturbed pass sends every level,
+    # one-column ones included, through the pivot stage and then each
+    # kind's update stage
     filled = symbolic_fill_reference(_generate(spec))
-    sched = kahn_levels(build_dependency_graph(filled))
     for kwargs in (
         {},
         {"count_search_steps": True},
         {"pivot_tolerance": 1e-30, "count_search_steps": True},
+        {"pivot_perturbation": 1e-3},
     ):
-        ref, fast = filled.to_csc(), filled.to_csc()
-        s_ref = oracles.factorize_in_place(ref, filled, sched, **kwargs)
-        s_fast = factorize_in_place(fast, filled, sched, **kwargs)
-        assert np.array_equal(ref.data, fast.data)  # bitwise
-        assert _stats_tuple(s_ref) == _stats_tuple(s_fast)
+        ref = filled.to_csc()
+        s_ref = oracles.factorize_in_place(
+            ref, filled, kahn_levels(build_dependency_graph(filled)),
+            **kwargs,
+        )
+        for kind, map_cap in itertools.product(_KINDS, (None, 4 * _N)):
+            with monkeypatch.context() as m:
+                m.setattr(vectorized, "_MIN_OUTER_UPDATES", _KINDS[kind])
+                if map_cap is not None:
+                    m.setattr(vectorized, "_MAX_MAP_ENTRIES", map_cap)
+                sched = kahn_levels(build_dependency_graph(filled))
+                fast = filled.to_csc()
+                s_fast = factorize_in_place(fast, filled, sched, **kwargs)
+            label = (kind, map_cap)
+            assert np.array_equal(ref.data, fast.data), label  # bitwise
+            assert _stats_tuple(s_ref) == _stats_tuple(s_fast), label
+            _assert_kind(sched, kind)
 
 
 @pytest.mark.parametrize("spec", _registry_specs(), ids=lambda s: s.abbr)
@@ -225,19 +277,22 @@ def test_mid_level_failure_partial_state_identical():
     )
 
 
-def _arrow_fill_without(row, col):
-    """Full filled pattern of a 5x5 arrow matrix, minus entry (row, col)."""
-    d = 4.0 * np.eye(5)
-    d[0, :] = d[:, 0] = 1.0
-    d[0, 0] = 4.0
+def _arrow_fill_without(row, col, blocks=1):
+    """Full filled pattern of ``blocks`` independent 5x5 arrow matrices
+    (so every level holds ``blocks`` columns), minus entry (row, col)."""
+    n = 5 * blocks
+    d = 4.0 * np.eye(n)
+    for k in range(0, n, 5):
+        d[k, k : k + 5] = d[k : k + 5, k] = 1.0
+        d[k, k] = 4.0
     filled = symbolic_fill_reference(CSRMatrix.from_dense(d))
     rows = filled.row_ids_of_entries()
     keep = (rows != row) | (filled.indices != col)
     indptr = np.concatenate(
-        [[0], np.cumsum(np.bincount(rows[keep], minlength=5))]
+        [[0], np.cumsum(np.bincount(rows[keep], minlength=n))]
     )
     broken = CSRMatrix(
-        5, 5, indptr, filled.indices[keep], filled.data[keep]
+        n, n, indptr, filled.indices[keep], filled.data[keep]
     )
     return filled, broken
 
@@ -274,6 +329,34 @@ def test_missing_u_entry_raises_sparse_format_error(factorize):
     # the row adjacency still lists multiplier (0, 3), which the CSC
     # lacks; (0, 3) is no update's target, so only this check can fire
     filled, broken = _arrow_fill_without(0, 3)
+    sched = kahn_levels(build_dependency_graph(filled))
+    with pytest.raises(SparseFormatError, match="missing (a )?U entry"):
+        factorize(broken.to_csc(), filled, sched)
+
+
+@pytest.mark.parametrize(
+    "factorize, map_cap",
+    [
+        (oracles.factorize_in_place, None),
+        (factorize_in_place, None),
+        (factorize_in_place, 10),
+    ],
+    ids=["oracle", "fast", "fast-one-column-windows"],
+)
+def test_level_kinds_sparse_format_errors(
+    factorize, map_cap, level_kind, monkeypatch
+):
+    # two arrow blocks: every level holds two columns
+    if map_cap is not None:
+        monkeypatch.setattr(vectorized, "_MAX_MAP_ENTRIES", map_cap)
+    # column 5 updates every row of column 8, including the dropped fill
+    _, broken = _arrow_fill_without(9, 8, blocks=2)
+    sched = kahn_levels(build_dependency_graph(broken))
+    assert len(sched.levels[0]) == 2
+    with pytest.raises(SparseFormatError, match="fill positions missing"):
+        factorize(broken.to_csc(), broken, sched)
+    # multiplier (5, 8) is listed by the row adjacency only
+    filled, broken = _arrow_fill_without(5, 8, blocks=2)
     sched = kahn_levels(build_dependency_graph(filled))
     with pytest.raises(SparseFormatError, match="missing (a )?U entry"):
         factorize(broken.to_csc(), filled, sched)
@@ -370,6 +453,51 @@ def test_failing_pivot_after_fast_levels_identical(
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_level_kinds_mixed_levels_identical(dtype, level_kind):
+    filled, sched = _mixed_levels()
+    ref = _assert_kernels_agree(
+        filled.to_csc(), filled, sched, dtype, count_search_steps=True
+    )
+    assert ref[0] == "ok"
+    assert _assert_kind(sched, level_kind)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "pivot, kwargs",
+    [(0.0, {}), (1e-12, {"pivot_tolerance": 1e-8})],
+    ids=["zero", "tolerance"],
+)
+def test_level_kinds_mid_level_failure_identical(
+    dtype, pivot, kwargs, level_kind
+):
+    # the last column of a multi-column level fails: the columns before
+    # it complete their scale and update stages, and that partial level
+    # must leave the oracle's values behind under either kind
+    filled, sched = _mixed_levels()
+    col = _column_in(sched, multi=True)
+    As = _with_pivot(filled, [col], pivot)
+    ref = _assert_kernels_agree(As, filled, sched, dtype, **kwargs)
+    assert ref[0] == "err" and ref[1][0] == col
+    assert _assert_kind(sched, level_kind)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_level_kinds_perturbation_identical(dtype, level_kind):
+    filled, sched = _mixed_levels()
+    col = _column_in(sched, multi=True)
+    cols = [int(c) for c in next(lv for lv in sched.levels if col in lv)]
+    As = _with_pivot(filled, cols, 0.0)
+    ref = _assert_kernels_agree(
+        As, filled, sched, dtype, pivot_tolerance=1e-8,
+        pivot_perturbation=1e-3,
+    )
+    assert ref[0] == "ok"
+    assert set(cols) <= set(ref[1][-1])
+    assert _assert_kind(sched, level_kind)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_one_column_perturbation_identical(dtype):
     filled, sched = _mixed_levels()
     ones = [int(lv[0]) for lv in sched.levels if len(lv) == 1]
@@ -412,6 +540,33 @@ def test_structurally_missing_diagonal_mixed_levels(multi, perturb):
         broken.to_csc(), broken, sched, pivot_perturbation=perturb
     )
     assert ref[0] == "err" and ref[1] == (col, 0.0)
+
+
+def test_column_outer_plan_holds_no_l_index(monkeypatch):
+    """A plan whose multi-column levels are all column-outer stores one
+    int64 per update (its target) plus per-pair, per-column, per-``L``
+    entry and per-batch streams; gathered levels add their ``L`` index.
+    """
+    filled, _ = _mixed_levels()
+    nbytes = {}
+    for kind in _KINDS:
+        monkeypatch.setattr(vectorized, "_MIN_OUTER_UPDATES", _KINDS[kind])
+        sched = kahn_levels(build_dependency_graph(filled))
+        stats = factorize_in_place(filled.to_csc(), filled, sched)
+        plan = sched.plans.numeric[False]
+        nbytes[kind] = plan.nbytes
+        multi_updates = sum(lv[7] - lv[6] for lv in _assert_kind(sched, kind))
+    bound = (
+        8 * stats.update_flops // 2  # per update: its target
+        + 16 * stats.div_flops  # per L entry: position and divisor
+        + 32 * stats.sub_column_updates  # per pair: offsets, U, rows
+        + 24 * stats.columns  # per column: id, scale offset, diagonal
+        + 8 * filled.n_rows  # diagonal positions
+        + 24 * len(plan.batches)  # closing offsets
+    )
+    assert nbytes["column-outer"] <= bound
+    assert multi_updates > 0
+    assert nbytes["gathered"] - nbytes["column-outer"] == 8 * multi_updates
 
 
 # ---------------------------------------------------------------------------
