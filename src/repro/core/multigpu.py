@@ -16,8 +16,8 @@ provides two layers on top of that observation:
   every level (narrow tail levels included) and the per-level load stays
   balanced without a partitioner.  Each device books the in-core
   executor's A/B/C launch rule
-  (:func:`~repro.core.numeric_gpu.level_launches`) on the columns it
-  owns.
+  (:meth:`~repro.core.numeric_gpu._LaunchInputs.table`) on the columns
+  it owns.
 
 Two traffic classes ride the modeled interconnect
 (:mod:`repro.gpusim.interconnect`):
@@ -75,7 +75,6 @@ from .numeric_gpu import (
     choose_format,
     factorize_with_pivot_recovery,
     launch_inputs,
-    level_launches,
 )
 from .pipeline import FactorSolve
 from .resilient import RecoveryReport
@@ -712,37 +711,32 @@ def multi_gpu_endtoend(
     inputs = launch_inputs(filled, schedule)
     lower_nnz = np.maximum(col_nnz - 1, 0)
     colwork = (1 + lower_nnz + lower_nnz * inputs.sub_cols).astype(np.float64)
-    tags = inputs.tags(schedule, None)
-    dense_col_bytes = n * val if fmt == "dense" else 0
+    level_work = colwork[inputs.order]
+    level_weight = np.bincount(inputs.col_level, weights=level_work)
+    # each device books the in-core launch rule on the columns it owns
+    tables = []
+    for d in range(d_count):
+        own = owner[inputs.order] == d
+        mine = np.bincount(inputs.col_level, weights=level_work * own)
+        table = inputs.table(
+            stats.per_level,
+            inputs.tags(schedule, None),
+            dense_col_bytes=n * val if fmt == "dense" else 0,
+            own=own,
+            share=mine / np.maximum(level_weight, 1.0),
+        )
+        tables.append((table.launches(), table.hbm.tolist()))
     halo = _halo_batches(As, owner, schedule, col_bytes, d_count)
     halo_total = 0
     halo_batches = 0
 
     # ---- level loop: wait → compute shard → send halo -----------------
-    # each device books the in-core launch rule on the columns it owns
-    for k, level in enumerate(schedule.levels):
-        stat = stats.per_level[k]
-        level_idx = np.asarray(level, dtype=np.int64)
-        level_owner = owner[level_idx]
-        level_weight = float(colwork[level_idx].sum())
-        type_c = inputs.type_c(k, level) if tags[k] == "C" else []
+    for k in range(schedule.num_levels):
         for d in range(d_count):
             wait_for(d, k)
-            mask = level_owner == d
-            ncols_d = int(mask.sum())
-            if ncols_d == 0 or stat[1] == 0:
+            launches, hbm = tables[d][0][k], tables[d][1][k]
+            if not launches:
                 continue
-            share = float(colwork[level_idx[mask]].sum()) / max(
-                level_weight, 1.0
-            )
-            launches, hbm = level_launches(
-                tags[k],
-                stat,
-                [lc for lc, mine in zip(type_c, mask) if mine],
-                cols=ncols_d,
-                share=share,
-                dense_col_bytes=dense_col_bytes,
-            )
             gpu = gpus[d]
             with gpu.ledger.phase("numeric"):
                 for flops, blocks, search in launches:

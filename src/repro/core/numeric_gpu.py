@@ -28,24 +28,28 @@ Kernel-launch structure follows GLU 3.0's level taxonomy (§2.2):
   with a block per sub-column — maximal sub-column concurrency at the
   price of per-column launch overhead.
 
-:func:`level_launches` is the one home of this rule; the multi-GPU
-executor books it per device on the columns each one owns.
+:meth:`_LaunchInputs.table` is the one home of this rule: it builds a
+pass's launches as arrays (a :class:`LaunchTable`) from the pattern's
+cached launch inputs and the pass's ``per_level`` stats, and every
+executor reads its launches from it — the multi-GPU executor per device,
+on the columns each one owns.
 
 The ablation (`run_kernel_mode_ablation`) verifies the adaptive choice is
 never worse than forcing any single mode.
 
-A pass books the same launches in the same order every time its pattern
-is refactorized, so on a bare :class:`~repro.gpusim.GPU` (its exact
-type, no proxy) the first pass records its ledger calls on the
-pattern's cached launch inputs and later passes replay them with one
-:meth:`~repro.gpusim.ledger.TimeLedger.replay`.  A recording is keyed
-by format, concurrency cap, ``n``, value bytes and kernel-mode
-override, and is reused only while the device's cost model and spec
-and the pass's ``per_level`` stats equal the recorded ones.  The replay
-adds each bucket's charges left to right, so every total, phase and
-counter is bitwise what one-at-a-time booking gives.  A proxy stack
-(tracing, fault injection, retry, streams) always issues every launch,
-so each of its layers still sees every ``DeviceOp``.
+On a bare :class:`~repro.gpusim.GPU` (its exact type, no proxy) a pass
+makes no launch call: the cost model prices the whole table at once and
+:meth:`LaunchTable.tape` lays the ledger calls out as one
+:class:`~repro.gpusim.ledger.ChargeTape`, booked with one
+:meth:`~repro.gpusim.ledger.TimeLedger.replay`.  The replay adds each
+bucket's charges left to right, so every total, phase and counter is
+bitwise what one-at-a-time booking gives.  The pattern's launch inputs
+keep one tape per format and kernel-mode override, reused while the
+concurrency cap, ``n``, value bytes, cost model, device and
+``per_level`` stats equal the ones it was built for and replaced
+otherwise.  A proxy stack (tracing, fault injection, retry, streams)
+issues every launch of the table in the same order, so each of its
+layers still sees every ``DeviceOp``.
 
 With ``SolverConfig.supernodal`` the per-level scattered charging above is
 replaced by the blocked panel-wave schedule of
@@ -60,7 +64,6 @@ only re-models the timeline (factors, fill and pivots bitwise-identical).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,112 +166,161 @@ def factorize_with_pivot_recovery(
         return stats
 
 
+@dataclass(frozen=True, slots=True)
+class LaunchTable:
+    """The numeric launches of one device, as arrays (GLU 3.0's A/B/C
+    rule, §2.2).
+
+    ``tags`` has the A/B/C tag of every level and ``hbm`` its dense-format
+    HBM bytes (0 where it books none).  ``level`` and ``launch`` have one
+    row per launch, in booking order (levels ascending, a type-C level's
+    columns in the level's order): its level and its ``(flops, blocks,
+    search_steps)``.
+    """
+
+    tags: np.ndarray
+    level: np.ndarray
+    launch: np.ndarray
+    hbm: np.ndarray
+
+    def launches(self) -> list[list[list[int]]]:
+        """The ``[flops, blocks, search_steps]`` launches of each level."""
+        levels = np.arange(len(self.tags) + 1)
+        bounds = np.searchsorted(self.level, levels).tolist()
+        rows = self.launch.tolist()
+        return [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def tape(self, cost: CostModel, spec: DeviceSpec, cap: int) -> ChargeTape:
+        """The ledger calls of booking every launch on a bare :class:`GPU`:
+        per launch its overhead (no category), then its compute charge
+        (``gpu_compute``); each level's HBM charge after its launches."""
+        flops, blocks, search = self.launch.T
+        pairs = np.empty((len(flops), 2))
+        pairs[:, 0] = cost.launch_seconds(from_device=False)
+        pairs[:, 1] = cost.gpu_numeric_seconds(
+            flops, blocks, cap, spec, search_steps=search
+        )
+        dense = np.flatnonzero(self.hbm)
+        at = 2 * np.searchsorted(self.level, dense, side="right")
+        hbm = cost.hbm_seconds(self.hbm[dense])
+        seconds = np.insert(pairs.ravel(), at, hbm)
+        mask = np.insert(np.tile([0, 1], len(flops)), at, 1)
+        counters = ["numeric_kernel_launches", "kernel_launches"]
+        counts = dict.fromkeys(counters if len(flops) else [], len(flops))
+        if len(dense):
+            counts["bytes_hbm"] = int(self.hbm.sum())
+        return ChargeTape(seconds, {"gpu_compute": mask}, counts)
+
+
 class _LaunchInputs:
     """Structure-only inputs of the per-level launches of one pattern.
 
-    The sub-column count of every column, the A/B/C tag of every level
-    (per ``kernel_mode_override``) and the ``(blocks, flop share)`` of
-    every column of a type-C level depend only on the filled pattern.
-    They live in the schedule's plan store
-    (:class:`~repro.graph.PatternPlans`), so a refactorize pass and the
-    multi-GPU executor read them instead of re-deriving them.
+    The sub-column count of every column, every column in level order
+    with its level, the ``(blocks, flop share)`` of every column as a
+    type-C launch and the A/B/C tags (per ``kernel_mode_override``)
+    depend only on the filled pattern.  They live in the schedule's plan
+    store (:class:`~repro.graph.PatternPlans`), so a refactorize pass and
+    the multi-GPU executor read them instead of re-deriving them.
     """
 
-    def __init__(self, filled: CSRMatrix) -> None:
+    def __init__(self, filled: CSRMatrix, schedule: LevelSchedule) -> None:
         self.sub_cols = sub_column_counts(filled)
-        self._tags: dict[str | None, list[str]] = {}
-        self._type_c: dict[int, list[tuple[int, float]]] = {}
-        #: recorded charges of a bare GPU, per (format, cap, n, value
-        #: bytes, override): the cost model, device and ``per_level``
-        #: they were recorded for, and the tape
-        self.tapes: dict[
-            tuple, tuple[CostModel, DeviceSpec, list, ChargeTape]
-        ] = {}
+        ncols = schedule.columns_per_level()
+        self.order = np.concatenate([np.zeros(0, np.int64), *schedule.levels])
+        self.col_level = np.repeat(np.arange(len(ncols)), ncols)
+        # a type-C launch takes each column's share of the level's
+        # sub-column updates (uniform splitting would charge light
+        # columns heavy work at tiny occupancy)
+        sub = self.sub_cols[self.order]
+        weight = (sub + 1).astype(np.float64)
+        total = np.bincount(self.col_level, weights=weight)
+        self.c_blocks = np.maximum(sub, 1)
+        self.c_share = weight / total[self.col_level]
+        self._tags: dict[str | None, np.ndarray] = {}
+        #: the charge tape of a bare GPU per (format, override), with the
+        #: (cap, n, value bytes, cost model, device, ``per_level``) it
+        #: was built for
+        self.tapes: dict[tuple, tuple[tuple, ChargeTape]] = {}
 
-    def tags(self, schedule: LevelSchedule, override: str | None) -> list[str]:
-        tags = self._tags.get(override)
+    def tags(self, schedule: LevelSchedule, mode: str | None) -> np.ndarray:
+        """The A/B/C tag of every level, or ``mode`` on every level."""
+        tags = self._tags.get(mode)
         if tags is None:
-            if override is None:
-                tags = schedule.classify_levels(self.sub_cols)
+            if mode is None:
+                tags = np.array(schedule.classify_levels(self.sub_cols))
             else:
-                tags = [override] * schedule.num_levels
-            self._tags[override] = tags
+                tags = np.full(schedule.num_levels, mode)
+            self._tags[mode] = tags
         return tags
 
-    def type_c(self, index: int, level: np.ndarray) -> list[tuple[int, float]]:
-        """``(blocks, flop share)`` of each column of level ``index``.
+    def table(
+        self,
+        per_level: list[tuple[int, int, int, int]],
+        tags: np.ndarray,
+        *,
+        dense_col_bytes: int = 0,
+        own: np.ndarray | None = None,
+        share: np.ndarray | None = None,
+    ) -> LaunchTable:
+        """The launches of a pass whose stats are ``per_level``.
 
-        Blocks are the column's sub-columns; flops are apportioned by
-        each column's share of the level's sub-column updates (uniform
-        splitting would charge light columns heavy work at tiny
-        occupancy).
+        Each entry of ``per_level`` is a level's ``(flops, columns,
+        sub-column updates, search steps)``.  A device that runs the
+        columns ``own`` (a mask over :attr:`order`; all by default),
+        carrying ``share`` of each level's structural work, books:
+
+        * **type A** — one kernel, one block per column;
+        * **type B** — one kernel, a block per column with warp teams over
+          its sub-columns: the blocks count sub-column work groups,
+          capped by the block's thread budget;
+        * **type C** — one kernel per column, each with a block per
+          sub-column and its :attr:`c_share` of the level's flops and
+          search steps.
+
+        A and B scale the level's totals by ``share``.  In dense format
+        each column is scattered into its dense buffer and gathered
+        back: ``2 x dense_col_bytes`` of HBM traffic per column.  A level
+        with no columns (or none of the device's) books nothing.
         """
-        launches = self._type_c.get(index)
-        if launches is None:
-            sub = self.sub_cols[level]
-            weights = sub.astype(float) + 1.0
-            weights /= weights.sum()
-            blocks = np.maximum(sub, 1)
-            launches = list(zip(blocks.tolist(), weights.tolist()))
-            self._type_c[index] = launches
-        return launches
+        stat = np.zeros((len(tags), 4), dtype=np.int64)
+        if per_level:
+            stat[: len(per_level)] = per_level[: len(tags)]
+        pick = np.ones(len(self.order), dtype=bool) if own is None else own
+        cols = np.bincount(self.col_level[pick], minlength=len(tags))
+        active = (stat[:, 1] != 0) & (cols != 0)
+        is_c = tags == "C"
+        ab = np.flatnonzero(active & ~is_c)
+        f, _, u, s = stat[ab].T
+        if share is not None:
+            f, u, s = (
+                np.rint(x * share[ab]).astype(np.int64) for x in (f, u, s)
+            )
+        k = cols[ab]
+        b = np.maximum(k, np.minimum(u, k * WARP_TEAMS_PER_BLOCK))
+        ab_launch = np.column_stack([f, np.where(tags[ab] == "A", k, b), s])
+        pick = pick & (active & is_c)[self.col_level]
+        c_lv = self.col_level[pick]
+        c_work = stat[c_lv][:, [0, 3]] * self.c_share[pick, None]
+        c_flops, c_search = c_work.astype(np.int64).T
+        c_launch = np.column_stack([c_flops, self.c_blocks[pick], c_search])
+        launch = np.concatenate([ab_launch, c_launch])
+        np.maximum(launch[:, 0], 1, out=launch[:, 0])
+        level = np.concatenate([ab, c_lv])
+        seq = np.argsort(level, kind="stable")
+        return LaunchTable(
+            tags,
+            level[seq],
+            launch[seq],
+            np.where(active, 2 * cols * dense_col_bytes, 0),
+        )
 
 
 def launch_inputs(filled: CSRMatrix, schedule: LevelSchedule) -> _LaunchInputs:
     """The launch inputs of ``filled``, built on first use."""
     plans = schedule.plans_for(filled.n_rows, filled.nnz)
     if plans.launch is None:
-        plans.launch = _LaunchInputs(filled)
+        plans.launch = _LaunchInputs(filled, schedule)
     return plans.launch
-
-
-def level_launches(
-    tag: str,
-    stat: tuple[int, int, int, int],
-    type_c: list[tuple[int, float]],
-    *,
-    cols: int,
-    share: float = 1.0,
-    dense_col_bytes: int = 0,
-) -> tuple[list[tuple[int, int, int]], int]:
-    """The kernels of one level: GLU 3.0's A/B/C launch rule (§2.2).
-
-    ``stat`` is the level's ``(flops, columns, sub-column updates,
-    search steps)`` entry of ``NumericStats.per_level``.  A device that
-    runs ``cols`` of the level's columns, carrying ``share`` of its
-    structural work, books:
-
-    * **type A** — one kernel, one block per column;
-    * **type B** — one kernel, a block per column with warp teams over
-      its sub-columns: the blocks count sub-column work groups, capped
-      by the block's thread budget;
-    * **type C** — one kernel per column of ``type_c`` (that device's
-      ``(blocks, flop weight)`` pairs from :meth:`_LaunchInputs.type_c`),
-      each taking its weight of the level's flops and search steps.
-
-    A and B scale the level's totals by ``share``.  Returns the
-    ``(flops, blocks, search_steps)`` launches and the dense-format HBM
-    traffic: each column is scattered into its dense buffer and
-    gathered back, ``2 x dense_col_bytes`` per column (0 in CSC).
-    """
-    hbm = 2 * cols * dense_col_bytes
-    if tag == "C":
-        flops, search = stat[0], stat[3]
-        launches = [
-            (max(1, int(flops * w)), blocks, int(search * w))
-            for blocks, w in type_c
-        ]
-        return launches, hbm
-    flops, updates, search = (
-        round(stat[0] * share),
-        round(stat[2] * share),
-        round(stat[3] * share),
-    )
-    if tag == "A":
-        blocks = cols
-    else:
-        blocks = max(cols, min(updates, cols * WARP_TEAMS_PER_BLOCK))
-    return [(max(1, flops), blocks, search)], hbm
 
 
 def _charge_per_column(
@@ -282,49 +334,42 @@ def _charge_per_column(
     value_bytes: int,
     kernel_mode_override: str | None,
 ) -> None:
-    """Book the scattered per-level schedule (:func:`level_launches`).
+    """Book the scattered per-level schedule (:meth:`_LaunchInputs.table`).
 
-    On a bare :class:`GPU` the first pass records its ledger calls and a
-    later pass with the same launches replays them in one
-    :meth:`~repro.gpusim.ledger.TimeLedger.replay`; a proxy stack always
-    issues every launch.
+    A bare :class:`GPU` books the table's :meth:`LaunchTable.tape` with
+    one :meth:`~repro.gpusim.ledger.TimeLedger.replay` and keeps it for
+    the next pass; a proxy stack issues every launch.
     """
     if kernel_mode_override not in (None, "A", "B", "C"):
         raise ValueError("kernel_mode_override must be A, B or C")
     inputs = launch_inputs(filled, schedule)
     # a proxy stack must see every launch, so only a bare GPU replays
     bare = type(gpu) is GPU
-    key = (fmt, cap, n, value_bytes, kernel_mode_override)
-    current = (gpu.cost, gpu.spec, stats.per_level)
-    recorded = inputs.tapes.get(key) if bare else None
-    if recorded is not None and recorded[:3] == current:
-        gpu.ledger.replay(recorded[3])
+    key = (fmt, kernel_mode_override)
+    current = (cap, n, value_bytes, gpu.cost, gpu.spec, list(stats.per_level))
+    cached = inputs.tapes.get(key) if bare else None
+    if cached is not None and cached[0] == current:
+        gpu.ledger.replay(cached[1])
+        return
+    table = inputs.table(
+        stats.per_level,
+        inputs.tags(schedule, kernel_mode_override),
+        dense_col_bytes=n * value_bytes if fmt == "dense" else 0,
+    )
+    if bare:
+        tape = table.tape(gpu.cost, gpu.spec, cap)
+        inputs.tapes[key] = (current, tape)
+        gpu.ledger.replay(tape)
         return
     ledger = gpu.ledger
-    tags = inputs.tags(schedule, kernel_mode_override)
-    dense_col_bytes = n * value_bytes if fmt == "dense" else 0
-    with ledger.recording() if bare else nullcontext() as tape:
-        for index, (stat, tag, level) in enumerate(
-            zip(stats.per_level, tags, schedule.levels)
-        ):
-            if stat[1] == 0:
-                continue
-            launches, hbm = level_launches(
-                tag,
-                stat,
-                inputs.type_c(index, level) if tag == "C" else [],
-                cols=stat[1],
-                dense_col_bytes=dense_col_bytes,
+    for launches, hbm in zip(table.launches(), table.hbm.tolist()):
+        for flops, blocks, search in launches:
+            ledger.count("numeric_kernel_launches")
+            gpu.launch_numeric(
+                flops, blocks, concurrency_cap=cap, search_steps=search
             )
-            for flops, blocks, search in launches:
-                ledger.count("numeric_kernel_launches")
-                gpu.launch_numeric(
-                    flops, blocks, concurrency_cap=cap, search_steps=search
-                )
-            if hbm:
-                gpu.hbm_traffic(hbm)
-    if tape is not None:
-        inputs.tapes[key] = (gpu.cost, gpu.spec, list(stats.per_level), tape)
+        if hbm:
+            gpu.hbm_traffic(hbm)
 
 
 def _charge_supernodal(

@@ -17,7 +17,7 @@ Numerics are identical to the in-core executor (tests assert it); the
 simulated timeline is not.  Besides the transfer traffic, the kernel
 shape differs: each level is charged as one kernel of
 ``max(cols, updates)`` blocks, not as the in-core executor's GLU 3.0
-A/B/C launches (:func:`repro.core.numeric_gpu.level_launches`).
+A/B/C launches (:meth:`repro.core.numeric_gpu._LaunchInputs.table`).
 """
 
 from __future__ import annotations

@@ -42,8 +42,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TypeVar
+
+import numpy as np
 
 from .device import DeviceSpec, HostSpec, V100, XEON_E5_2680
+
+#: one work count, or an array of them for formulas priced elementwise
+_Counts = TypeVar("_Counts", float, np.ndarray)
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,9 @@ class CostModel:
         )
         return max(self.warp_utilization_floor, u)
 
-    def block_occupancy(self, blocks_in_flight: int, device: DeviceSpec) -> float:
+    def block_occupancy(
+        self, blocks_in_flight: int, device: DeviceSpec
+    ) -> float:
         """Fraction of the device's concurrent-block slots that are busy."""
         if blocks_in_flight <= 0:
             return 0.0
@@ -184,20 +192,26 @@ class CostModel:
 
     def gpu_numeric_seconds(
         self,
-        flops: int,
-        blocks_in_flight: int,
+        flops: _Counts,
+        blocks_in_flight: _Counts,
         concurrency_cap: int,
         device: DeviceSpec,
-        search_steps: int = 0,
-    ) -> float:
+        search_steps: _Counts | int = 0,
+    ) -> _Counts:
         """Compute time for a numeric kernel performing ``flops`` updates.
 
         ``concurrency_cap`` is ``min(TB_max, M)`` — the §3.4 parallelism
         bound (``M`` applies only to the dense-format kernel).
         ``search_steps`` charges Algorithm 6's binary-search probes.
+        Given arrays of launches it returns their seconds elementwise,
+        each bitwise what the scalar call gives (a NumPy float, which a
+        caller converts with ``float`` before booking it).
         """
-        conc = min(blocks_in_flight, concurrency_cap, device.max_concurrent_blocks)
-        occ = max(conc / device.max_concurrent_blocks, 1e-6)
+        tb_max = device.max_concurrent_blocks
+        conc = np.minimum(
+            np.minimum(blocks_in_flight, concurrency_cap), tb_max
+        )
+        occ = np.maximum(conc / tb_max, 1e-6)
         work = flops + self.binary_search_step_cost * search_steps
         return work / (self.gpu_numeric_flops * occ)
 
@@ -214,17 +228,16 @@ class CostModel:
         not latency-bound).  No binary-search term: panel members share
         one structure resolved once per panel, not once per access.
         """
-        occ = max(
-            min(1.0, tiles / self.panel_saturation_tiles), 1e-6
-        )
+        occ = max(min(1.0, tiles / self.panel_saturation_tiles), 1e-6)
         return flops / (self.gpu_panel_flops * occ)
 
     def transfer_seconds(self, nbytes: int) -> float:
         """One explicit host<->device DMA of ``nbytes``."""
         return self.dma_latency + nbytes / self.pcie_bandwidth
 
-    def hbm_seconds(self, nbytes: int) -> float:
-        """On-device memory traffic (dense column pack/unpack, Fig. 8)."""
+    def hbm_seconds(self, nbytes: _Counts) -> _Counts:
+        """On-device memory traffic (dense column pack/unpack, Fig. 8);
+        elementwise over an array of byte counts."""
         return nbytes / self.hbm_bandwidth
 
     def cpu_parallel_seconds(

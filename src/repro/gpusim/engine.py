@@ -147,12 +147,14 @@ class GPU:
             else int(concurrency_cap)
         )
         self._launch_overhead(from_device)
-        secs = self.cost.gpu_numeric_seconds(
-            int(flops),
-            int(blocks),
-            cap,
-            self.spec,
-            search_steps=int(search_steps),
+        secs = float(
+            self.cost.gpu_numeric_seconds(
+                int(flops),
+                int(blocks),
+                cap,
+                self.spec,
+                search_steps=int(search_steps),
+            )
         )
         self.ledger.charge(secs, "gpu_compute")
         return secs

@@ -10,44 +10,26 @@ phase breakdowns to draw the paper's stacked "symbolic / numeric" bars
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
+@dataclass(slots=True, eq=False)
 class ChargeTape:
-    """The :meth:`TimeLedger.charge` and :meth:`TimeLedger.count` calls
-    of one recorded region, for :meth:`TimeLedger.replay`.
+    """:meth:`TimeLedger.charge` calls and counter increments that
+    :meth:`TimeLedger.replay` books together.
 
-    ``seconds`` and ``categories`` keep the charges in call order;
-    ``counts`` sums each counter's increments (integer counters do not
-    depend on order).
+    ``seconds`` holds the charges in call order (float64); ``masks``
+    maps each category to a 0/1 int64 mask of the charges booked to it
+    (a charge with no category is in no mask); ``counts`` sums each
+    counter's increments (integer counters do not depend on order).
     """
 
-    __slots__ = ("seconds", "categories", "counts", "_arrays")
-
-    def __init__(self) -> None:
-        self.seconds: list[float] = []
-        self.categories: list[str | None] = []
-        self.counts: dict[str, int] = {}
-        self._arrays: tuple[np.ndarray, dict[str, np.ndarray]] | None = None
-
-    def arrays(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """The seconds as float64, and for each category a 0/1 mask of
-        the charges booked to it."""
-        if self._arrays is None:
-            cats = np.array(self.categories, dtype=object)
-            self._arrays = (
-                np.array(self.seconds, dtype=np.float64),
-                {
-                    c: (cats == c).astype(np.int64)
-                    for c in dict.fromkeys(self.categories)
-                    if c is not None
-                },
-            )
-        return self._arrays
+    seconds: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    masks: dict[str, np.ndarray] = field(default_factory=dict)
+    counts: dict[str, int] = field(default_factory=dict)
 
 
 def _accumulate(start: float, seconds: np.ndarray) -> float:
@@ -72,7 +54,6 @@ class TimeLedger:
     counters: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     _stack: list[str] = field(default_factory=list)
     total_seconds: float = 0.0
-    _tape: ChargeTape | None = field(default=None, compare=False, repr=False)
 
     # -- time -----------------------------------------------------------
     def charge(self, seconds: float, category: str | None = None) -> None:
@@ -80,42 +61,27 @@ class TimeLedger:
         given, the extra ``category`` bucket (e.g. ``"fault_service"``)."""
         if seconds < 0:
             raise ValueError("cannot charge negative time")
-        if self._tape is not None:
-            self._tape.seconds.append(seconds)
-            self._tape.categories.append(category)
         self.total_seconds += seconds
         for ph in self._stack:
             self.phase_seconds[ph] += seconds
         if category is not None:
             self.phase_seconds[category] += seconds
 
-    @contextmanager
-    def recording(self) -> Iterator[ChargeTape]:
-        """Context manager that books as usual and also records every
-        :meth:`charge` and :meth:`count` call of the block on the yielded
-        :class:`ChargeTape`."""
-        if self._tape is not None:
-            raise RuntimeError("ledger is already recording")
-        self._tape = tape = ChargeTape()
-        try:
-            yield tape
-        finally:
-            self._tape = None
-
     def replay(self, tape: ChargeTape) -> None:
-        """Book a recorded tape again, bitwise equal to re-issuing its
-        calls one at a time under the current phase stack.
+        """Book ``tape``, bitwise equal to issuing its calls one at a
+        time under the current phase stack.
 
         Every bucket (the total, each open phase, each category) adds its
         own subsequence of the tape's charges with one
         :func:`_accumulate`; a bucket that is both an open phase and a
         category, or open twice, receives each charge as many times as
         :meth:`charge` would add it.  Each counter is bumped once by its
-        recorded sum.  An empty tape books nothing and creates no key.
+        summed increment.  An empty tape books nothing and creates no
+        key.
         """
         for name, inc in tape.counts.items():
-            self.counters[name] += inc
-        seconds, masks = tape.arrays()
+            self.counters[name] += int(inc)
+        seconds, masks = tape.seconds, tape.masks
         if not len(seconds):
             return
         self.total_seconds = _accumulate(self.total_seconds, seconds)
@@ -176,9 +142,6 @@ class TimeLedger:
     # -- counters ---------------------------------------------------------
     def count(self, name: str, increment: int = 1) -> None:
         increment = int(increment)
-        if self._tape is not None:
-            counts = self._tape.counts
-            counts[name] = counts.get(name, 0) + increment
         self.counters[name] += increment
 
     def get_count(self, name: str) -> int:

@@ -119,29 +119,28 @@ class LevelSchedule:
         return np.array([len(lv) for lv in self.levels], dtype=np.int64)
 
     def validate_against(self, graph: DependencyGraph) -> None:
-        """Assert the schedule respects every dependency edge."""
-        for i in range(graph.n):
-            li = self.level_of[i]
-            for j in graph.successors(i):
-                if self.level_of[j] <= li:
-                    raise AssertionError(
-                        f"edge {i}->{int(j)} violates levels "
-                        f"{li} -> {int(self.level_of[j])}"
-                    )
+        """Assert the schedule respects every dependency edge; the first
+        violating edge in CSR order is named."""
+        src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+        lvl = self.level_of
+        bad = np.flatnonzero(lvl[graph.targets] <= lvl[src])
+        if len(bad):
+            i, j = int(src[bad[0]]), int(graph.targets[bad[0]])
+            raise AssertionError(
+                f"edge {i}->{j} violates levels "
+                f"{int(lvl[i])} -> {int(lvl[j])}"
+            )
 
     def classify_levels(self, sub_cols: np.ndarray) -> list[str]:
-        """GLU 3.0 type A/B/C tag per level (drives kernel-mode choice)."""
-        tags = []
-        for lv in self.levels:
-            ncols = len(lv)
-            mean_sub = float(sub_cols[lv].mean()) if ncols else 0.0
-            if mean_sub <= TYPE_A_MAX_SUBCOLS:
-                tags.append("A")
-            elif mean_sub > TYPE_C_WARP_TEAMS * ncols:
-                tags.append("C")
-            else:
-                tags.append("B")
-        return tags
+        """GLU 3.0 type A/B/C tag per level (drives kernel-mode choice),
+        from each level's mean sub-column count."""
+        num = self.num_levels
+        ncols = np.bincount(self.level_of, minlength=num)
+        sums = np.bincount(self.level_of, weights=sub_cols, minlength=num)
+        mean_sub = np.divide(sums, ncols, out=np.zeros(num), where=ncols > 0)
+        tags = np.where(mean_sub > TYPE_C_WARP_TEAMS * ncols, "C", "B")
+        tags[mean_sub <= TYPE_A_MAX_SUBCOLS] = "A"
+        return tags.tolist()
 
 
 def _wave_sweep(
@@ -189,7 +188,9 @@ def _wave_sweep(
         else:
             dec = np.bincount(cat, minlength=graph.n)
             indeg -= dec
-            queue = np.flatnonzero((indeg == 0) & (dec > 0)).astype(INDEX_DTYPE)
+            queue = np.flatnonzero((indeg == 0) & (dec > 0)).astype(
+                INDEX_DTYPE
+            )
         level_num += 1
     return level, levels, processed
 

@@ -15,6 +15,10 @@ site with a single ``monkeypatch.setattr``:
   (:mod:`repro.graph.levelize`);
 * :func:`levelize_cpu` — the GLU 3.0-style sequential longest-path pass,
   an algorithm independent of Kahn's waves;
+* :func:`classify_levels` and :func:`level_launches` (with
+  :func:`type_c_launches`) — GLU 3.0's A/B/C level tags and per-level
+  kernels, one level at a time (:mod:`repro.core.numeric_gpu`, whose
+  launch table builds every level's launches with array operations);
 * :func:`factorize_in_place` — the per-column / per-update loop of
   Algorithm 2 (:mod:`repro.numeric.vectorized`);
 * :func:`extract_lu` — the L/U split through a coordinate list, two
@@ -46,7 +50,9 @@ from .errors import (
     SingularMatrixError,
     SparseFormatError,
 )
+from .core.numeric_gpu import WARP_TEAMS_PER_BLOCK
 from .graph import DependencyGraph, LevelSchedule
+from .graph.levelize import TYPE_A_MAX_SUBCOLS, TYPE_C_WARP_TEAMS
 from .numeric.rightlooking import NumericStats
 from .sparse import COOMatrix, CSCMatrix, CSRMatrix
 from .sparse.types import INDEX_DTYPE
@@ -210,6 +216,74 @@ def levelize_cpu(graph: DependencyGraph) -> LevelSchedule:
         if len(succ):
             level[succ] = np.maximum(level[succ], level[i] + 1)
     return LevelSchedule(level_of=level)
+
+
+def classify_levels(
+    schedule: LevelSchedule, sub_cols: np.ndarray
+) -> list[str]:
+    """GLU 3.0 type A/B/C tag per level, one ``np.mean`` per level."""
+    tags = []
+    for lv in schedule.levels:
+        ncols = len(lv)
+        mean_sub = float(sub_cols[lv].mean()) if ncols else 0.0
+        if mean_sub <= TYPE_A_MAX_SUBCOLS:
+            tags.append("A")
+        elif mean_sub > TYPE_C_WARP_TEAMS * ncols:
+            tags.append("C")
+        else:
+            tags.append("B")
+    return tags
+
+
+# ---------------------------------------------------------------------------
+# numeric launches (GLU 3.0's A/B/C rule, §2.2)
+
+
+def type_c_launches(sub: np.ndarray) -> list[tuple[int, float]]:
+    """``(blocks, flop share)`` of each column of a type-C level whose
+    columns have ``sub`` sub-columns: blocks are the sub-columns, flops
+    follow each column's share of the level's sub-column updates."""
+    weights = sub.astype(float) + 1.0
+    weights /= weights.sum()
+    blocks = np.maximum(sub, 1)
+    return list(zip(blocks.tolist(), weights.tolist()))
+
+
+def level_launches(
+    tag: str,
+    stat: tuple[int, int, int, int],
+    type_c: list[tuple[int, float]],
+    *,
+    cols: int,
+    share: float = 1.0,
+    dense_col_bytes: int = 0,
+) -> tuple[list[tuple[int, int, int]], int]:
+    """The ``(flops, blocks, search_steps)`` kernels of one level and its
+    dense-format HBM bytes, one level at a time.
+
+    ``stat`` is the level's ``NumericStats.per_level`` entry; a device
+    runs ``cols`` of its columns with ``share`` of its structural work,
+    and ``type_c`` holds that device's columns of
+    :func:`type_c_launches`.
+    """
+    hbm = 2 * cols * dense_col_bytes
+    if tag == "C":
+        flops, search = stat[0], stat[3]
+        launches = [
+            (max(1, int(flops * w)), blocks, int(search * w))
+            for blocks, w in type_c
+        ]
+        return launches, hbm
+    flops, updates, search = (
+        round(stat[0] * share),
+        round(stat[2] * share),
+        round(stat[3] * share),
+    )
+    if tag == "A":
+        blocks = cols
+    else:
+        blocks = max(cols, min(updates, cols * WARP_TEAMS_PER_BLOCK))
+    return [(max(1, flops), blocks, search)], hbm
 
 
 # ---------------------------------------------------------------------------

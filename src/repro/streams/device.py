@@ -245,10 +245,10 @@ class StreamedGPU(GPUProxy):
             if concurrency_cap is None
             else int(concurrency_cap)
         )
-        secs = self.cost.gpu_numeric_seconds(
+        secs = float(self.cost.gpu_numeric_seconds(
             int(flops), int(blocks), cap, self.spec,
             search_steps=int(search_steps),
-        )
+        ))
         place = partial(self._place_kernel, secs, int(blocks), False)
         return self._enqueue("numeric", flops, stream, place)
 

@@ -1,12 +1,16 @@
-"""Charge replay: a bare GPU books a pattern's per-level launches once.
+"""Charge replay: a bare GPU books a pattern's per-level launches as
+one tape.
 
-On a bare :class:`~repro.gpusim.GPU`, ``_charge_per_column`` records the
-ledger calls of its first pass and replays them in one
-:meth:`~repro.gpusim.ledger.TimeLedger.replay` on later passes with the
-same launches.  These tests pin the replay to the per-launch booking
-every proxy stack still does: equal ledger snapshots pass after pass,
-every launch visible to a proxy, no stale tape after a cost-model or
-device change, and an empty tape that books nothing.
+On a bare :class:`~repro.gpusim.GPU`, ``_charge_per_column`` builds the
+ledger calls of a pass from the pattern's launch table as one
+:class:`~repro.gpusim.ledger.ChargeTape`, books it with one
+:meth:`~repro.gpusim.ledger.TimeLedger.replay` and keeps it for the
+next pass with the same launches.  These tests pin the tape to the
+per-launch booking every proxy stack still does: equal ledger
+snapshots pass after pass, no launch call on a bare device, every
+launch visible to a proxy, no stale tape after a cost-model or device
+change, one cached tape per format and override, and an empty tape that
+books nothing.
 """
 
 import dataclasses
@@ -33,7 +37,7 @@ from repro.serve.loadgen import restamp
 from repro.symbolic.reference import symbolic_fill_reference
 from repro.workloads import circuit_like
 
-#: passes per pattern: the first records, the rest replay
+#: passes per pattern: the first builds the tape, the rest reuse it
 _PASSES = 3
 
 
@@ -90,6 +94,31 @@ def _count_replays(monkeypatch):
     return calls
 
 
+def _count_tape_builds(monkeypatch):
+    builds = []
+    original = numeric_gpu.LaunchTable.tape
+
+    def counted(self, *args):
+        tape = original(self, *args)
+        builds.append(tape)
+        return tape
+
+    monkeypatch.setattr(numeric_gpu.LaunchTable, "tape", counted)
+    return builds
+
+
+def _count_launch_calls(monkeypatch):
+    calls = []
+    original = GPU.launch_numeric
+
+    def counted(self, *args, **kw):
+        calls.append(args)
+        return original(self, *args, **kw)
+
+    monkeypatch.setattr(GPU, "launch_numeric", counted)
+    return calls
+
+
 @pytest.mark.parametrize("fmt", ["dense", "csc"])
 @pytest.mark.parametrize("override", [None, "A", "B", "C"])
 def test_replayed_passes_match_traced_snapshots(
@@ -97,10 +126,16 @@ def test_replayed_passes_match_traced_snapshots(
 ):
     cfg = _cfg(numeric_format=fmt)
     replays = _count_replays(monkeypatch)
+    builds = _count_tape_builds(monkeypatch)
+    launches = _count_launch_calls(monkeypatch)
     bare, _ = _passes(_bare, cfg, pattern, override)
-    assert len(replays) == _PASSES - 1 and all(replays)
+    # every bare pass books one tape, built once, and calls no launch
+    assert len(replays) == _PASSES and all(replays)
+    assert len(builds) == 1 and not launches
     traced, gpu = _passes(_traced, cfg, pattern, override)
-    assert len(replays) == _PASSES - 1  # a proxy never replays
+    assert len(replays) == _PASSES  # a proxy never replays
+    assert len(builds) == 1
+    assert len(launches) == traced[-1]["counters"]["numeric_kernel_launches"]
     assert bare == traced
     assert gpu.events  # the traced run really saw its ops
     if fmt == "dense":
@@ -172,38 +207,56 @@ def test_changed_cost_model_or_device_records_again(
             max_concurrent_blocks=2 * cfg.device.max_concurrent_blocks,
         )
         kw = {"spec": spec, "cost": DEFAULT_COST_MODEL}
-    replays = _count_replays(monkeypatch)
+    builds = _count_tape_builds(monkeypatch)
     changed_snap = _charge(GPU(host=cfg.host, **kw), filled, sched, stats)
-    assert not replays  # the recorded tape was for another model
+    assert len(builds) == 1  # the cached tape was for another model
     fresh_sched = kahn_levels(build_dependency_graph(filled))
     fresh = _charge(GPU(host=cfg.host, **kw), filled, fresh_sched, stats)
     assert changed_snap == fresh
     assert changed_snap != first.snapshot()
-    # the entry now holds the new tape, and the next pass replays it
+    # the entry now holds the new tape, and the next pass reuses it
+    assert sched.plans.launch.tapes[("csc", None)][1] is builds[0]
     again = GPU(host=cfg.host, **kw)
     assert _charge(again, filled, sched, stats) == fresh
-    assert len(replays) == 1
+    assert len(builds) == 2  # only the fresh schedule built another
 
 
 def test_other_per_level_stats_record_again(pattern, monkeypatch):
     filled, sched, stats = _one_pattern(pattern)
     cfg = _cfg()
     _charge(_bare(cfg), filled, sched, stats)
-    replays = _count_replays(monkeypatch)
+    builds = _count_tape_builds(monkeypatch)
     heavier = dataclasses.replace(
         stats,
         per_level=[(f + 1, c, u, s) for f, c, u, s in stats.per_level],
     )
     snap = _charge(_bare(cfg), filled, sched, heavier)
-    assert not replays
+    assert len(builds) == 1
     fresh_sched = kahn_levels(build_dependency_graph(filled))
     assert snap == _charge(_bare(cfg), filled, fresh_sched, heavier)
+
+
+def test_one_tape_per_format_and_override(pattern, monkeypatch):
+    """A cap that moves with free device memory replaces the cached
+    tape instead of adding one per cap."""
+    filled, sched, stats = _one_pattern(pattern)
+    cfg = _cfg()
+    builds = _count_tape_builds(monkeypatch)
+    for cap in (160, 40, 12, 40):
+        gpu = _bare(cfg)
+        snap = _charge(gpu, filled, sched, stats, cap=cap)
+        fresh_sched = kahn_levels(build_dependency_graph(filled))
+        assert snap == _charge(_bare(cfg), filled, fresh_sched, stats, cap)
+        assert list(sched.plans.launch.tapes) == [("csc", None)]
+    assert len(builds) == 8  # every change of cap rebuilt the tape
+    _charge(_bare(cfg), filled, sched, stats, cap=40)
+    assert len(builds) == 8  # an unchanged cap reuses it
 
 
 def test_empty_launch_list_creates_no_ledger_keys(pattern):
     filled, sched, _ = _one_pattern(pattern)
     cfg = _cfg()
-    for _ in range(2):  # record, then replay
+    for _ in range(2):  # build the tape, then reuse it
         gpu = _bare(cfg)
         with gpu.ledger.phase("numeric"):
             _charge(gpu, filled, sched, NumericStats())
@@ -219,6 +272,22 @@ def _book(ledger, calls):
         ledger.charge(seconds, category)
         if counter is not None:
             ledger.count(*counter)
+
+
+def _tape_of(calls):
+    """The :class:`ChargeTape` of ``calls``, built from arrays."""
+    seconds = np.array([c[0] for c in calls])
+    cats = [c[1] for c in calls]
+    masks = {
+        c: np.array([x == c for x in cats], dtype=np.int64)
+        for c in dict.fromkeys(cats)
+        if c is not None
+    }
+    counts = {}
+    for _, _, counter in calls:
+        if counter is not None:
+            counts[counter[0]] = counts.get(counter[0], 0) + counter[1]
+    return ChargeTape(seconds, masks, counts)
 
 
 @pytest.mark.parametrize(
@@ -237,9 +306,7 @@ def test_replay_is_bitwise_one_at_a_time(stack):
         )
         for i in range(300)
     ]
-    recorded = TimeLedger()
-    with recorded.recording() as tape:
-        _book(recorded, calls)
+    tape = _tape_of(calls)
     assert len(tape.seconds) == len(calls)
 
     def primed():
@@ -265,14 +332,3 @@ def test_replay_of_empty_tape_books_nothing():
         ledger.replay(ChargeTape())
     assert ledger.snapshot() == TimeLedger().snapshot()
     assert not ledger.phase_seconds and not ledger.counters
-
-
-def test_recording_does_not_nest():
-    ledger = TimeLedger()
-    with ledger.recording():
-        with pytest.raises(RuntimeError):
-            with ledger.recording():
-                pass
-    with ledger.recording() as tape:  # the outer block released it
-        ledger.count("x")
-    assert tape.counts == {"x": 1}

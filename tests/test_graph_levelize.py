@@ -8,6 +8,7 @@ from repro import oracles
 from repro.errors import CycleError
 from repro.graph import (
     DependencyGraph,
+    LevelSchedule,
     build_dependency_graph,
     kahn_levels,
     sub_column_counts,
@@ -105,6 +106,38 @@ class TestLevelizers:
         filled = symbolic_fill_reference(small_csr)
         g = build_dependency_graph(filled)
         kahn_levels(g).validate_against(g)
+
+    def test_first_violated_edge_in_csr_order_is_named(self):
+        g = graph_from_edges(5, [(0, 2), (1, 3), (1, 4), (2, 4), (3, 4)])
+        ok = LevelSchedule(level_of=np.array([0, 0, 1, 1, 2]))
+        ok.validate_against(g)
+        # (1, 3) and (2, 4) both violate; the edge of the lower source
+        # comes first in CSR order
+        bad = LevelSchedule(level_of=np.array([0, 1, 1, 1, 1]))
+        with pytest.raises(AssertionError) as err:
+            bad.validate_against(g)
+        assert str(err.value) == "edge 1->3 violates levels 1 -> 1"
+        # the graph-wide compare names what an edge-by-edge walk names
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            level_of = rng.integers(0, 4, size=g.n)
+            first = next(
+                (
+                    f"edge {i}->{int(j)} violates levels "
+                    f"{level_of[i]} -> {level_of[j]}"
+                    for i in range(g.n)
+                    for j in g.successors(i)
+                    if level_of[j] <= level_of[i]
+                ),
+                None,
+            )
+            sched = LevelSchedule(level_of=level_of)
+            if first is None:
+                sched.validate_against(g)
+                continue
+            with pytest.raises(AssertionError) as err:
+                sched.validate_against(g)
+            assert str(err.value) == first
 
     def test_levels_partition_columns(self, small_csr):
         filled = symbolic_fill_reference(small_csr)

@@ -17,7 +17,7 @@ import pytest
 from repro.core import EndToEndLU, SolverConfig, multi_gpu_endtoend
 from repro.core.numeric_gpu import launch_inputs
 from repro.errors import ConfigurationError, SingularMatrixError
-from repro.gpusim import GPU
+from repro.gpusim import GPU, GPUProxy
 from repro.workloads.generators import circuit_like
 from repro.workloads.registry import FIG3_SPECS, TABLE2, TABLE4
 
@@ -172,7 +172,9 @@ def test_supernodal_config_is_rejected_up_front():
 def test_one_device_issues_the_single_device_launches(fmt, monkeypatch):
     """On one device the sharded level loop books exactly the kernels of
     the in-core executor: same ``(flops, blocks, search_steps, cap)``
-    sequence, over type A, B and C levels."""
+    sequence, over type A, B and C levels.  The in-core run goes through
+    a proxy, which issues every launch (a bare device books them as one
+    tape)."""
     calls: list[tuple[int, int, int, int | None]] = []
     real = GPU.launch_numeric
 
@@ -188,7 +190,10 @@ def test_one_device_issues_the_single_device_launches(fmt, monkeypatch):
     for spec in _registry_specs():
         a = dataclasses.replace(spec, n_scaled=_N).generate()
         calls.clear()
-        single = EndToEndLU(cfg).factorize(a)
+        gpu = GPUProxy(
+            GPU(spec=cfg.device, host=cfg.host, cost=cfg.cost_model)
+        )
+        single = EndToEndLU(cfg).factorize(a, gpu=gpu)
         want = list(calls)
         calls.clear()
         multi_gpu_endtoend(a, cfg, num_devices=1)

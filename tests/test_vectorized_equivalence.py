@@ -53,8 +53,17 @@ def _registry_specs():
     return list(seen.values())
 
 
-def _generate(spec):
-    return dataclasses.replace(spec, n_scaled=_N).generate()
+#: registry specs whose ``_N`` instance has no multi-column level that
+#: carries an update; the kernel check runs them at ``_WIDE_N``, where
+#: each has one, so every spec exercises the multi-column stages
+_NARROW_AT_N = frozenset(
+    "RM PR IN CR2 BMC CR1 BM7 S34 S33 BB MI GO WI AK".split()
+)
+_WIDE_N = 384
+
+
+def _generate(spec, n=_N):
+    return dataclasses.replace(spec, n_scaled=n).generate()
 
 
 def _stats_tuple(s):
@@ -175,7 +184,37 @@ def test_numeric_factors_bitwise_and_stats_identical(spec, monkeypatch):
             label = (kind, map_cap)
             assert np.array_equal(ref.data, fast.data), label  # bitwise
             assert _stats_tuple(s_ref) == _stats_tuple(s_fast), label
-            _assert_kind(sched, kind)
+            multi = _assert_kind(sched, kind)
+            assert multi or spec.abbr in _NARROW_AT_N, label
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in _registry_specs() if s.abbr in _NARROW_AT_N],
+    ids=lambda s: s.abbr,
+)
+def test_multi_column_stages_identical_at_wide_n(spec, monkeypatch):
+    # the specs whose _N instance has no multi-column level with updates,
+    # at a size where each has one: one oracle run against both kinds
+    filled = symbolic_fill_reference(_generate(spec, _WIDE_N))
+    ref = filled.to_csc()
+    s_ref = oracles.factorize_in_place(
+        ref,
+        filled,
+        kahn_levels(build_dependency_graph(filled)),
+        count_search_steps=True,
+    )
+    for kind in _KINDS:
+        with monkeypatch.context() as m:
+            m.setattr(vectorized, "_MIN_OUTER_UPDATES", _KINDS[kind])
+            sched = kahn_levels(build_dependency_graph(filled))
+            fast = filled.to_csc()
+            s_fast = factorize_in_place(
+                fast, filled, sched, count_search_steps=True
+            )
+        assert np.array_equal(ref.data, fast.data), kind  # bitwise
+        assert _stats_tuple(s_ref) == _stats_tuple(s_fast), kind
+        assert _assert_kind(sched, kind), kind  # coverage pinned
 
 
 @pytest.mark.parametrize("spec", _registry_specs(), ids=lambda s: s.abbr)
