@@ -1,34 +1,34 @@
 """fleet-bench — the cluster tier's scaling and overload acceptance bar.
 
 Not a paper figure: quantifies what the :mod:`repro.fleet` layer adds on
-top of the serving subsystem.  Warm-pattern aggregate throughput must
-grow with node count on the zipf trace, every sweep point must stay
-bitwise-identical to the single-service replay, and the deliberately
-overloaded point must shed (typed, nonzero) without a single exception
-escaping the replay loop.
+top of the serving subsystem.  The test runs the registry's
+``fleet-bench`` entry; its declared gates are the acceptance bar.
+Warm-pattern aggregate throughput must grow with node count on the zipf
+trace, every sweep point must stay bitwise-identical to the
+single-service replay, and the deliberately overloaded point must shed
+(typed, nonzero) without a single exception escaping the replay loop.
 """
 
 import pytest
 
-from repro.bench.fleet import run_fleet_bench
+from repro.bench.gates import EXPERIMENTS
+
+FLEET = next(e for e in EXPERIMENTS if e.command == "fleet-bench")
 
 
 @pytest.mark.fleet
 def test_fleet_bench_smoke_meets_acceptance_bar(once):
-    res = once(run_fleet_bench)
-    assert res.all_identical
-
-    one = res.point_at(1)
-    eight = res.point_at(8)
-    assert eight.throughput > one.throughput  # aggregate scaling
-    assert eight.speedup > 1.5
-    assert one.shed == 0 and eight.shed == 0
-    assert eight.warm_rate > 0.8  # zipf repeats stay warm
-
-    over = res.overload_point
-    assert over is not None
-    assert over.shed > 0  # graceful degradation, typed sheds
-    assert over.completed + over.shed == over.requests
-    assert over.results_identical  # admitted work still bitwise-right
+    res = once(FLEET.run, smoke=True)
+    assert set(res.verdicts()) == {
+        "identical_ok",  # every sweep point bitwise-right
+        "throughput_ok",  # aggregate scaling, 1 -> 8 nodes
+        "speedup_ok",  # 8-node makespan speedup > 1.5x
+        "no_shed_ok",  # no sheds at 1 or 8 nodes
+        "warm_rate_ok",  # zipf repeats stay warm (> 0.8)
+        "overload_shed_ok",  # graceful degradation, typed sheds
+        "overload_accounted_ok",  # completed + shed == requests
+        "overload_identical_ok",  # admitted work still bitwise-right
+    }
+    assert res.passed, res.verdicts()
     print()
-    print(res.format())
+    print(FLEET.format(res))

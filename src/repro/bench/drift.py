@@ -204,6 +204,6 @@ def format_drift_report(report: DriftReport) -> str:
         f"  {report.mark('bitwise_ok')} bitwise: "
         f"{report.bitwise_checked} solutions compared, "
         f"{report.bitwise_mismatches} mismatches",
-        f"  verdict: {'PASS' if report.passed else 'FAIL'}",
+        report.verdict_line(),
     ]
     return "\n".join(lines)

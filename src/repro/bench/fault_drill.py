@@ -302,10 +302,13 @@ def format_drill(report: DrillReport) -> str:
             f"  [{r.outcome:>26s}] {r.name:<17s} "
             f"overhead {r.overhead_pct:+6.1f}%  {r.detail}"
         )
-    lines.append(
-        "  determinism: "
+    lines += [
+        f"  {report.mark('deterministic')} determinism: "
         + ("identical event logs and ledger totals across re-runs"
            if report.deterministic
-           else "MISMATCH between re-runs (seeded reproducibility broken)")
-    )
+           else "MISMATCH between re-runs (seeded reproducibility broken)"),
+        f"  {report.mark('all_handled')} every scenario recovered or "
+        "degraded",
+        report.verdict_line(),
+    ]
     return "\n".join(lines)

@@ -1,18 +1,31 @@
-"""Fleet scaling benchmark: node-count sweep over a zipf-skewed trace.
+"""Fleet scaling sweep: node counts over a zipf-skewed trace.
 
-Not a paper figure — this measures the cluster tier built on top of the
-serving subsystem (:mod:`repro.fleet`): the same zipf-popularity trace
-replayed through fleets of 1/2/4/8 solver nodes, plus one deliberately
-overloaded point that must degrade gracefully (typed sheds, no
-exceptions escaping the replay).  Per sweep point it reports aggregate
-warm-pattern throughput, the speedup of the fleet makespan over the
-single-node point, per-node balance, tier split (L1/L2/cold), and the
-bitwise results-identical flag: every admitted ``ok`` response must
-match a plain single-:class:`~repro.serve.SolverService` replay of the
-identical trace exactly — node count, routing, the L2 tier and
-shedding may only move *time*, never numerics.
+The measurement harness behind ``repro fleet-bench`` and the
+``fleet/serve`` perf scenario.  Not a paper figure: it measures the
+cluster tier built on top of the serving subsystem (:mod:`repro.fleet`).
+The same zipf-popularity trace is replayed through fleets of
+:data:`NODE_COUNTS` solver nodes, plus one deliberately overloaded
+point that must degrade gracefully (typed sheds, no exceptions escaping
+the replay).  Per sweep point it reports aggregate warm-pattern
+throughput, the speedup of the fleet makespan over the single-node
+point, per-node balance, tier split (L1/L2/cold), and the bitwise
+results-identical flag: every admitted ``ok`` response must match a
+plain single-:class:`~repro.serve.SolverService` replay of the
+identical trace exactly — node count, routing, the L2 tier and shedding
+may only move *time*, never numerics.
 
-``repro fleet-bench`` prints the table.
+A named extra point, the perf record, replays a shorter trace over
+:data:`TIGHT_NODES` nodes whose L1 budget is held just above one
+analysis (~190 KB at n=120; budget :data:`TIGHT_L1_BYTES`), so nodes
+owning several patterns lean on the shared L2.
+
+The gates, asserted by the CLI exit status and the perf baseline:
+every sweep point bitwise-identical; throughput growing from the
+smallest to the largest fleet, with a makespan speedup above
+:data:`GATE_SPEEDUP`; no sheds at either end of the sweep; a warm rate
+above :data:`GATE_WARM_RATE` on the largest fleet (zipf repeats stay
+warm); and an overload point that sheds, accounts for every request
+and keeps its admitted responses bitwise-identical.
 """
 
 from __future__ import annotations
@@ -23,189 +36,240 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..fleet import FleetConfig, FleetReport, run_fleet_load
-from ..serve import synthesize_trace
-from .gates import ok_solutions, service_reference, solution_mismatches
+from ..serve import ServeConfig, synthesize_trace
+from ..serve.loadgen import TraceRequest
+from .gates import (
+    Gate,
+    GatedReport,
+    ok_solutions,
+    service_reference,
+    solution_mismatches,
+)
 
 __all__ = [
-    "FleetScalingPoint",
+    "GATE_SPEEDUP",
+    "GATE_WARM_RATE",
+    "FleetPoint",
     "FleetBenchReport",
     "run_fleet_bench",
+    "format_fleet_bench",
 ]
 
+#: the largest fleet's makespan speedup over one node must exceed this
+GATE_SPEEDUP = 1.5
+
+#: the largest fleet's warm rate must exceed this
+GATE_WARM_RATE = 0.8
+
+#: ``(patterns, requests, n)`` of the sweep trace per mode
+SMOKE_TRACE = (6, 96, 120)
+FULL_TRACE = (8, 192, 160)
+
+NODE_COUNTS = (1, 2, 4, 8)
+ZIPF_S = 1.1
+
+#: dispatch the fleet every this many submits
+FLUSH_EVERY = 6
+
+#: the overload point: per-node admission queues an order of magnitude
+#: tighter than its flush interval, on the largest fleet
+OVERLOAD_PENDING = 3
+OVERLOAD_FLUSH_EVERY = 32
+
+#: ``(patterns, requests, n)`` of the tight-L1 point's trace per mode
+SMOKE_TIGHT_TRACE = (6, 48, 120)
+FULL_TIGHT_TRACE = (8, 144, 160)
+TIGHT_NODES = 4
+TIGHT_L1_BYTES = 256 << 10
+
 
 @dataclass(frozen=True)
-class FleetScalingPoint:
-    """One node-count configuration of the sweep."""
+class FleetPoint:
+    """One fleet replay of the sweep trace."""
 
-    num_nodes: int
-    requests: int
-    completed: int
-    shed: int
-    served_l1: int
-    served_l2: int
-    served_cold: int
-    warm_rate: float
-    balance: float
-    makespan_seconds: float
-    throughput: float
-    #: fleet makespan of the 1-node point over this point's makespan
-    speedup: float
+    report: FleetReport
     #: admitted ``ok`` responses bitwise-equal to the single-service run
-    results_identical: bool
-    overloaded: bool = False
+    identical: bool
+
+
+def _top(r: FleetBenchReport) -> FleetReport:
+    return r.points[-1].report
+
+
+def _one(r: FleetBenchReport) -> FleetReport:
+    return r.points[0].report
+
+
+def _over(r: FleetBenchReport) -> FleetReport:
+    return r.overload.report
 
 
 @dataclass(frozen=True)
-class FleetBenchReport:
-    """The full node sweep (plus the overload point) on one trace."""
+class FleetBenchReport(GatedReport):
+    """The node sweep, the overload point and the tight-L1 point."""
 
-    num_patterns: int
-    num_requests: int
-    n: int
-    zipf_s: float
-    points: tuple[FleetScalingPoint, ...]
+    trace: tuple[int, int, int]
+    points: tuple[FleetPoint, ...]
+    overload: FleetPoint
+    tight_trace: tuple[int, int, int]
+    tight: FleetReport
 
-    def point_at(self, num_nodes: int) -> FleetScalingPoint:
-        for pt in self.points:
-            if pt.num_nodes == num_nodes and not pt.overloaded:
-                return pt
-        raise KeyError(f"no sweep point for {num_nodes} nodes")
+    gates = (
+        Gate(
+            "identical_ok",
+            lambda r: all(p.identical for p in r.points),
+            "identical: every sweep point bitwise-equal to one service",
+        ),
+        Gate(
+            "throughput_ok",
+            lambda r: _top(r).throughput > _one(r).throughput,
+            "throughput grows from the smallest to the largest fleet",
+        ),
+        Gate(
+            "speedup_ok",
+            lambda r: r.speedup(r.points[-1]) > GATE_SPEEDUP,
+            f"largest fleet's makespan speedup > {GATE_SPEEDUP}x",
+        ),
+        Gate(
+            "no_shed_ok",
+            lambda r: _one(r).shed == 0 and _top(r).shed == 0,
+            "no sheds on the smallest or the largest fleet",
+        ),
+        Gate(
+            "warm_rate_ok",
+            lambda r: _top(r).warm_rate > GATE_WARM_RATE,
+            f"largest fleet's warm rate > {GATE_WARM_RATE}",
+        ),
+        Gate(
+            "overload_shed_ok",
+            lambda r: _over(r).shed > 0,
+            "overload point sheds (typed, not errors)",
+        ),
+        Gate(
+            "overload_accounted_ok",
+            lambda r: _over(r).completed + _over(r).shed == _over(r).requests,
+            "overload point: completed + shed == requests",
+        ),
+        Gate(
+            "overload_identical_ok",
+            lambda r: r.overload.identical,
+            "overload point's admitted responses bitwise-equal",
+        ),
+    )
 
-    @property
-    def overload_point(self) -> FleetScalingPoint | None:
-        for pt in self.points:
-            if pt.overloaded:
-                return pt
-        return None
+    def speedup(self, point: FleetPoint) -> float:
+        """The 1-node makespan over ``point``'s makespan."""
+        span = point.report.makespan_seconds
+        return _one(self).makespan_seconds / span if span > 0 else 0.0
 
-    @property
-    def all_identical(self) -> bool:
-        return all(pt.results_identical for pt in self.points)
+    def perf_record(self) -> dict:
+        rec = self.tight.perf_record()
+        return {**rec, "labels": {**rec["labels"], **self.gate_labels()}}
 
-    def format(self) -> str:
-        lines = [
-            f"fleet scaling sweep: {self.num_patterns} patterns x "
-            f"{self.num_requests} requests (n={self.n}, "
-            f"zipf s={self.zipf_s})",
-            f"{'nodes':>5s} {'done':>5s} {'shed':>5s} "
-            f"{'l1/l2/cold':>12s} {'warm':>5s} {'bal':>5s} "
-            f"{'makespan ms':>11s} {'req/s':>8s} {'speedup':>7s} "
-            f"{'identical':>9s}",
-        ]
-        for pt in self.points:
-            tier = f"{pt.served_l1}/{pt.served_l2}/{pt.served_cold}"
-            tag = "*" if pt.overloaded else " "
-            lines.append(
-                f"{pt.num_nodes:>4d}{tag} {pt.completed:>5d} "
-                f"{pt.shed:>5d} {tier:>12s} {pt.warm_rate:>5.2f} "
-                f"{pt.balance:>5.2f} "
-                f"{pt.makespan_seconds * 1e3:>11.3f} "
-                f"{pt.throughput:>8.0f} {pt.speedup:>6.2f}x "
-                f"{'yes' if pt.results_identical else 'NO':>9s}"
-            )
-        if self.overload_point is not None:
-            lines.append(
-                "* deliberately overloaded point "
-                "(tight admission queues; sheds are typed, not errors)"
-            )
-        return "\n".join(lines)
+
+def _trace(shape: tuple[int, int, int], seed: int) -> list[TraceRequest]:
+    patterns, requests, n = shape
+    return synthesize_trace(
+        num_patterns=patterns,
+        num_requests=requests,
+        n=n,
+        seed=seed,
+        popularity="zipf",
+        zipf_s=ZIPF_S,
+    )
 
 
 def _point(
-    report: FleetReport,
-    reference: dict[int, np.ndarray],
-    base_makespan: float | None,
-    *,
-    overloaded: bool = False,
-) -> FleetScalingPoint:
-    base = base_makespan or report.makespan_seconds
-    # every admitted ``ok`` response matches the single-service solution
-    # for the same trace index bitwise
+    report: FleetReport, reference: dict[int, np.ndarray]
+) -> FleetPoint:
     checked, mismatches = solution_mismatches(
         ok_solutions(report.responses, key="index"), reference
     )
-    return FleetScalingPoint(
-        num_nodes=report.num_nodes,
-        requests=report.requests,
-        completed=report.completed,
-        shed=report.shed,
-        served_l1=report.served_l1,
-        served_l2=report.served_l2,
-        served_cold=report.served_cold,
-        warm_rate=float(report.warm_rate),
-        balance=float(report.balance),
-        makespan_seconds=float(report.makespan_seconds),
-        throughput=float(report.throughput),
-        speedup=float(
-            base / report.makespan_seconds
-            if report.makespan_seconds > 0 else 0.0
-        ),
-        results_identical=checked > 0 and mismatches == 0,
-        overloaded=overloaded,
-    )
+    return FleetPoint(report, checked > 0 and mismatches == 0)
 
 
-def run_fleet_bench(
-    *,
-    num_patterns: int = 6,
-    num_requests: int = 96,
-    n: int = 120,
-    node_counts: tuple[int, ...] = (1, 2, 4, 8),
-    zipf_s: float = 1.1,
-    seed: int = 0,
-    flush_every: int = 6,
-    smoke: bool = True,
-) -> FleetBenchReport:
-    """Run the node sweep plus the overload point and return the report.
+def run_fleet_bench(*, smoke: bool = False, seed: int = 0) -> FleetBenchReport:
+    """Run the node sweep, the overload point and the tight-L1 point.
 
     The trace is zipf-skewed (a few hot patterns dominate), which is
     exactly the traffic consistent-hash routing is built for: every
     pattern has one home node, so adding nodes spreads *distinct*
-    patterns without ever splitting a hot pattern's warm cache.  The
-    overload point reruns the largest node count with admission queues
-    an order of magnitude tighter than the flush interval, forcing
-    typed sheds while every admitted response stays bitwise-correct.
+    patterns without ever splitting a hot pattern's warm cache.
     """
-    if not smoke:
-        num_patterns, num_requests, n = 8, 192, 160
-    trace = synthesize_trace(
-        num_patterns=num_patterns,
-        num_requests=num_requests,
-        n=n,
-        seed=seed,
-        popularity="zipf",
-        zipf_s=zipf_s,
-    )
-    base_cfg = FleetConfig(num_nodes=1)
-    reference = service_reference(trace, base_cfg.serve, flush_every)
+    shape = SMOKE_TRACE if smoke else FULL_TRACE
+    trace = _trace(shape, seed)
+    base = FleetConfig(num_nodes=1)
+    reference = service_reference(trace, base.serve, FLUSH_EVERY)
 
-    points: list[FleetScalingPoint] = []
-    base_makespan: float | None = None
-    for count in node_counts:
-        report = run_fleet_load(
-            trace,
-            dataclasses.replace(base_cfg, num_nodes=int(count)),
-            flush_every=flush_every,
+    points = tuple(
+        _point(
+            run_fleet_load(
+                trace,
+                dataclasses.replace(base, num_nodes=count),
+                flush_every=FLUSH_EVERY,
+            ),
+            reference,
         )
-        if base_makespan is None:
-            base_makespan = report.makespan_seconds
-        points.append(_point(report, reference, base_makespan))
-
-    # overload point: tight per-node admission queues against a long
-    # flush interval -> typed sheds, graceful degradation
-    overload_cfg = dataclasses.replace(
-        base_cfg,
-        num_nodes=int(max(node_counts)),
-        max_pending_per_node=3,
+        for count in NODE_COUNTS
     )
-    overload = run_fleet_load(trace, overload_cfg, flush_every=4 * 8)
-    points.append(
-        _point(overload, reference, base_makespan, overloaded=True)
+    overload = run_fleet_load(
+        trace,
+        dataclasses.replace(
+            base,
+            num_nodes=max(NODE_COUNTS),
+            max_pending_per_node=OVERLOAD_PENDING,
+        ),
+        flush_every=OVERLOAD_FLUSH_EVERY,
+    )
+    tight_shape = SMOKE_TIGHT_TRACE if smoke else FULL_TIGHT_TRACE
+    tight = run_fleet_load(
+        _trace(tight_shape, seed),
+        FleetConfig(
+            num_nodes=TIGHT_NODES,
+            serve=ServeConfig(cache_capacity_bytes=TIGHT_L1_BYTES),
+        ),
+        flush_every=FLUSH_EVERY,
     )
     return FleetBenchReport(
-        num_patterns=num_patterns,
-        num_requests=num_requests,
-        n=n,
-        zipf_s=zipf_s,
-        points=tuple(points),
+        trace=shape,
+        points=points,
+        overload=_point(overload, reference),
+        tight_trace=tight_shape,
+        tight=tight,
     )
+
+
+def format_fleet_bench(report: FleetBenchReport) -> str:
+    patterns, requests, n = report.trace
+    lines = [
+        f"fleet scaling sweep: {patterns} patterns x {requests} requests "
+        f"(n={n}, zipf s={ZIPF_S})",
+        f"{'nodes':>5s} {'done':>5s} {'shed':>5s} "
+        f"{'l1/l2/cold':>12s} {'warm':>5s} {'bal':>5s} "
+        f"{'makespan ms':>11s} {'req/s':>8s} {'speedup':>7s} "
+        f"{'identical':>9s}",
+    ]
+    for pt in (*report.points, report.overload):
+        r = pt.report
+        tier = f"{r.served_l1}/{r.served_l2}/{r.served_cold}"
+        tag = "*" if pt is report.overload else " "
+        lines.append(
+            f"{r.num_nodes:>4d}{tag} {r.completed:>5d} "
+            f"{r.shed:>5d} {tier:>12s} {r.warm_rate:>5.2f} "
+            f"{r.balance:>5.2f} "
+            f"{r.makespan_seconds * 1e3:>11.3f} "
+            f"{r.throughput:>8.0f} {report.speedup(pt):>6.2f}x "
+            f"{'yes' if pt.identical else 'NO':>9s}"
+        )
+    t = report.tight
+    patterns, requests, n = report.tight_trace
+    lines += [
+        "* deliberately overloaded point "
+        "(tight admission queues; sheds are typed, not errors)",
+        f"tight L1 ({TIGHT_L1_BYTES >> 10} KiB) on {t.num_nodes} nodes, "
+        f"{patterns} patterns x {requests} requests (n={n}): "
+        f"l1/l2/cold {t.served_l1}/{t.served_l2}/{t.served_cold}, "
+        f"l2 hit rate {t.l2_hit_rate:.2f}, shed {t.shed}, "
+        f"p50/p99 {t.latency_p50 * 1e3:.3f}/{t.latency_p99 * 1e3:.3f} ms",
+    ]
+    return "\n".join(lines + report.gate_lines())

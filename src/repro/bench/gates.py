@@ -1,10 +1,12 @@
-"""Declared gates, the gated-drill registry and shared bitwise compares.
+"""Declared gates, the gated registry and shared bitwise compares.
 
-A gated drill argues like the paper: measured values set against stated
-bounds.  Its report class lists those bounds once as a ``gates`` table
-of :class:`Gate`; :class:`GatedReport` derives the verdicts, ``passed``
-and the perf-record gate labels from it.  :data:`EXPERIMENTS` declares
-each drill once, and the CLI subcommands and perf scenarios are
+A gated sweep or drill argues like the paper: measured values set
+against stated bounds.  Its report class lists those bounds once as a
+``gates`` table of :class:`Gate`; :class:`GatedReport` derives the
+verdicts, ``passed``, the marked report lines and the perf-record gate
+labels from it.  :data:`EXPERIMENTS` declares each sweep and drill
+once, with its smoke and full points fixed in its module, and the CLI
+subcommands (``--smoke``/``--seed`` only) and perf scenarios are
 generated from it.
 """
 
@@ -25,6 +27,8 @@ class Gate:
 
     label: str
     check: Callable[[Any], bool]
+    #: the predicate as printed by :meth:`GatedReport.gate_lines`
+    text: str = ""
 
 
 class GatedReport:
@@ -43,6 +47,18 @@ class GatedReport:
         """The ``[  ok]``/``[FAIL]`` prefix of one gate's report line."""
         return mark(self.verdicts()[label])
 
+    def verdict_line(self) -> str:
+        return f"  verdict: {'PASS' if self.passed else 'FAIL'}"
+
+    def gate_lines(self) -> list[str]:
+        """One marked line per gate, then the verdict line."""
+        verdicts = self.verdicts()
+        lines = [
+            f"  {mark(verdicts[g.label])} {g.text or g.label}"
+            for g in self.gates
+        ]
+        return [*lines, self.verdict_line()]
+
     def gate_labels(self) -> dict[str, str]:
         """Every verdict plus ``passed``, as perf-record labels."""
         labels = {k: str(v).lower() for k, v in self.verdicts().items()}
@@ -60,7 +76,8 @@ def mark(ok: bool) -> str:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One gated drill: CLI subcommand, perf scenario, runner, renderer."""
+    """One gated sweep or drill: CLI subcommand, perf scenario, runner,
+    renderer."""
 
     command: str
     scenario: str
@@ -73,13 +90,55 @@ EXPERIMENTS: tuple[Experiment, ...]
 
 
 def __getattr__(name: str) -> Any:
-    # The drills import the gate vocabulary above, so the registry that
-    # imports them is built on first access rather than at import time.
+    # The sweeps and drills import the gate vocabulary above, so the
+    # registry that imports them is built on first access rather than at
+    # import time.
     if name != "EXPERIMENTS":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import churn, drift, fault_drill, supernodal
+    from . import (
+        churn,
+        drift,
+        fault_drill,
+        fleet,
+        multigpu,
+        overlap,
+        serve,
+        supernodal,
+    )
 
     experiments = (
+        Experiment(
+            "overlap-bench",
+            "overlap/e2e_CR2",
+            overlap.run_overlap_bench,
+            overlap.format_overlap_report,
+            "transfer/compute overlap on vs off across out-of-core chunk "
+            "sizes; gates bitwise identity",
+        ),
+        Experiment(
+            "multigpu-bench",
+            "multigpu/e2e",
+            multigpu.run_multigpu_bench,
+            multigpu.format_multigpu_report,
+            "strong and weak scaling of the end-to-end multi-GPU solver; "
+            "gates bitwise identity with one device",
+        ),
+        Experiment(
+            "serve-bench",
+            "serve/replay",
+            serve.run_serve_sweep,
+            serve.format_serve_report,
+            "repeated-pattern replay through the solver service at three "
+            "cache capacities; gates hit rate, speedup and latency",
+        ),
+        Experiment(
+            "fleet-bench",
+            "fleet/serve",
+            fleet.run_fleet_bench,
+            fleet.format_fleet_bench,
+            "node-count sweep of the fleet tier plus an overloaded point; "
+            "gates scaling, sheds, warm rate and bitwise identity",
+        ),
         Experiment(
             "fault-drill",
             "faults/drill",

@@ -1,7 +1,9 @@
-"""Multi-GPU scaling benchmark: strong/weak sweep over a device pool.
+"""Multi-GPU scaling sweep: strong and weak scaling over a device pool.
 
-Runs :func:`repro.core.multi_gpu_endtoend` for a sweep of device counts
-on one registry workload and reports, per point:
+The measurement harness behind ``repro multigpu-bench`` and the
+``multigpu/e2e`` perf scenario.  It runs
+:func:`repro.core.multi_gpu_endtoend` for each declared sweep on one
+registry workload and reports, per point:
 
 * makespan and speedup vs. the single-device point (strong mode), or
   time-per-filled-nonzero grind and its efficiency vs. the base size
@@ -13,78 +15,190 @@ on one registry workload and reports, per point:
   must match the single-device :class:`~repro.core.pipeline.EndToEndLU`
   run bitwise (sharding may only move time, never results).
 
-``repro multigpu-bench`` prints the table.
+Each mode declares two sweeps: strong scaling over pcie3, whose
+:data:`PERF_DEVICES`-device point is the perf record, and weak scaling
+over nvlink2 with halo sends routed through per-device copy engines.
+
+One gate, asserted by the CLI exit status and the perf baseline:
+
+* **identical** — every point of every sweep is bitwise-identical to
+  its single-device run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..core import EndToEndLU, SolverConfig, multi_gpu_endtoend
 from ..sparse import CSRMatrix
 from ..workloads.registry import by_abbr
-from .gates import factor_mismatches
+from .gates import Gate, GatedReport, factor_mismatches
 
 __all__ = [
+    "Sweep",
     "ScalingPoint",
-    "MultiGpuBenchReport",
+    "ScalingSweep",
+    "MultiGpuReport",
     "run_multigpu_bench",
 ]
+
+#: RM, a dense-filling circuit pattern, is transfer-light relative to
+#: its numeric work: wide early levels give every device a slice of real
+#: work per level while the halo volume stays a small fraction of the
+#: factor bytes, which is where the cyclic level-aware sharding pays off
+ABBR = "RM"
+
+#: device count of the strong sweep's point recorded as ``multigpu/e2e``
+PERF_DEVICES = 4
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One declared sweep: base size, device counts, interconnect."""
+
+    n: int
+    devices: tuple[int, ...]
+    link: str = "pcie3"
+    overlap: bool = False
+    weak: bool = False
+
+
+SMOKE_SWEEPS = (
+    Sweep(160, (1, 2, 4)),
+    Sweep(160, (1, 2), "nvlink2", overlap=True, weak=True),
+)
+FULL_SWEEPS = (
+    Sweep(400, (1, 2, 4, 8)),
+    Sweep(160, (1, 2, 4), "nvlink2", overlap=True, weak=True),
+)
 
 
 @dataclass(frozen=True)
 class ScalingPoint:
-    """One device-count configuration of the sweep."""
+    """One device-count configuration of a sweep."""
 
     num_devices: int
     n: int
     filled_nnz: int
     makespan_seconds: float
     #: vs. the sweep's single-device point (strong: same instance;
-    #: weak: grind ratio — see :meth:`MultiGpuBenchReport.format`)
+    #: weak: grind ratio)
     speedup: float
     balance: float
     reshard_bytes: int
     halo_bytes: int
-    halo_batches: int
     halo_wait_seconds: float
     results_identical: bool
-
-    @property
-    def grind_seconds_per_knnz(self) -> float:
-        """Makespan per thousand filled nonzeros (weak-mode metric)."""
-        return self.makespan_seconds / max(self.filled_nnz, 1) * 1e3
+    #: the multi-GPU result's perf record
+    record: dict = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
-class MultiGpuBenchReport:
-    """The full sweep on one workload."""
+class ScalingSweep:
+    """One sweep's points on one workload."""
 
-    abbr: str
-    base_n: int
+    sweep: Sweep
     nnz: int
-    link: str
-    overlap: bool
-    weak: bool
     points: tuple[ScalingPoint, ...]
 
-    @property
-    def all_identical(self) -> bool:
-        return all(pt.results_identical for pt in self.points)
 
-    def format(self) -> str:
-        mode = "weak" if self.weak else "strong"
-        gain = "eff" if self.weak else "speedup"
-        lines = [
-            f"multi-GPU {mode}-scaling sweep on {self.abbr} "
-            f"(base n={self.base_n}, nnz={self.nnz}, link {self.link}, "
-            f"overlap {'on' if self.overlap else 'off'})",
+@dataclass(frozen=True)
+class MultiGpuReport(GatedReport):
+    """Every declared sweep of one mode."""
+
+    sweeps: tuple[ScalingSweep, ...]
+
+    gates = (
+        Gate(
+            "identical_ok",
+            lambda r: all(
+                pt.results_identical for s in r.sweeps for pt in s.points
+            ),
+            "identical: every point bitwise-equal to its single-device run",
+        ),
+    )
+
+    def perf_record(self) -> dict:
+        strong = self.sweeps[0]
+        (pt,) = (p for p in strong.points if p.num_devices == PERF_DEVICES)
+        labels = {**pt.record["labels"], **self.gate_labels()}
+        return {**pt.record, "labels": labels}
+
+
+def _instance(n: int, seed: int) -> CSRMatrix:
+    spec = by_abbr(ABBR)
+    return dataclasses.replace(
+        spec, n_scaled=int(n), seed=spec.seed + seed
+    ).generate()
+
+
+def _run_sweep(sweep: Sweep, seed: int) -> ScalingSweep:
+    cfg = SolverConfig()
+    a_base = _instance(sweep.n, seed)
+    single_base = EndToEndLU(cfg).factorize(a_base)
+    base_grind = None
+
+    points = []
+    for d in sweep.devices:
+        if sweep.weak and d > 1:
+            a = _instance(sweep.n * d, seed)
+            single = EndToEndLU(cfg).factorize(a)
+        else:
+            a = a_base
+            single = single_base
+        res = multi_gpu_endtoend(
+            a, cfg, num_devices=d, link=sweep.link, overlap=sweep.overlap
+        )
+        grind = res.makespan_seconds / max(res.filled.nnz, 1)
+        if base_grind is None:
+            base_grind = (
+                grind if sweep.weak else float(single_base.sim_seconds)
+            )
+        if sweep.weak:
+            speedup = base_grind / grind
+        else:
+            speedup = base_grind / res.makespan_seconds
+        points.append(
+            ScalingPoint(
+                num_devices=d,
+                n=int(a.n_rows),
+                filled_nnz=int(res.filled.nnz),
+                makespan_seconds=float(res.makespan_seconds),
+                speedup=float(speedup),
+                balance=float(res.balance()),
+                reshard_bytes=int(res.reshard_bytes),
+                halo_bytes=int(res.halo_bytes),
+                halo_wait_seconds=float(res.halo_wait_seconds),
+                results_identical=factor_mismatches(single, res) == 0,
+                record=res.perf_record(),
+            )
+        )
+    return ScalingSweep(sweep, int(a_base.nnz), tuple(points))
+
+
+def run_multigpu_bench(
+    *, smoke: bool = False, seed: int = 0
+) -> MultiGpuReport:
+    """Run the mode's declared sweeps and return the report."""
+    sweeps = SMOKE_SWEEPS if smoke else FULL_SWEEPS
+    return MultiGpuReport(tuple(_run_sweep(s, seed) for s in sweeps))
+
+
+def format_multigpu_report(report: MultiGpuReport) -> str:
+    lines = []
+    for s in report.sweeps:
+        sw = s.sweep
+        gain = "eff" if sw.weak else "speedup"
+        lines += [
+            f"multi-GPU {'weak' if sw.weak else 'strong'}-scaling sweep "
+            f"on {ABBR} (base n={sw.n}, nnz={s.nnz}, link {sw.link}, "
+            f"overlap {'on' if sw.overlap else 'off'})",
             f"{'devs':>4s} {'n':>6s} {'makespan ms':>11s} {gain:>7s} "
             f"{'balance':>7s} {'reshard B':>9s} {'halo B':>9s} "
             f"{'stall ms':>8s} {'identical':>9s}",
         ]
-        for pt in self.points:
+        for pt in s.points:
             lines.append(
                 f"{pt.num_devices:>4d} {pt.n:>6d} "
                 f"{pt.makespan_seconds * 1e3:>11.3f} {pt.speedup:>6.2f}x "
@@ -93,82 +207,4 @@ class MultiGpuBenchReport:
                 f"{pt.halo_wait_seconds * 1e3:>8.3f} "
                 f"{'yes' if pt.results_identical else 'NO':>9s}"
             )
-        return "\n".join(lines)
-
-
-def _instance(abbr: str, n: int) -> CSRMatrix:
-    return dataclasses.replace(by_abbr(abbr), n_scaled=int(n)).generate()
-
-
-def run_multigpu_bench(
-    *,
-    abbr: str = "RM",
-    n: int | None = None,
-    devices: tuple[int, ...] = (1, 2, 4, 8),
-    link: str = "pcie3",
-    overlap: bool = False,
-    weak: bool = False,
-    smoke: bool = True,
-) -> MultiGpuBenchReport:
-    """Run the device sweep and return the report.
-
-    The default workload (RM, a dense-filling circuit pattern) is
-    transfer-light relative to its numeric work: wide early levels give
-    every device a slice of real work per level while the halo volume
-    stays a small fraction of the factor bytes, which is where the
-    cyclic level-aware sharding pays off (>1.5x makespan at 4 devices
-    already at smoke size).
-    """
-    if n is None:
-        n = 400 if smoke else 640
-    base_n = int(n)
-    cfg = SolverConfig()
-
-    a_base = _instance(abbr, base_n)
-    single_base = EndToEndLU(cfg).factorize(a_base)
-    base_grind = None
-
-    points = []
-    for d in devices:
-        if weak and d > 1:
-            a = _instance(abbr, base_n * int(d))
-            single = EndToEndLU(cfg).factorize(a)
-        else:
-            a = a_base
-            single = single_base
-        res = multi_gpu_endtoend(
-            a, cfg, num_devices=int(d), link=link, overlap=overlap
-        )
-        grind = res.makespan_seconds / max(res.filled.nnz, 1)
-        if base_grind is None:
-            base_grind = (
-                grind if weak else float(single_base.sim_seconds)
-            )
-        if weak:
-            speedup = base_grind / grind
-        else:
-            speedup = base_grind / res.makespan_seconds
-        points.append(
-            ScalingPoint(
-                num_devices=int(d),
-                n=int(a.n_rows),
-                filled_nnz=int(res.filled.nnz),
-                makespan_seconds=float(res.makespan_seconds),
-                speedup=float(speedup),
-                balance=float(res.balance()),
-                reshard_bytes=int(res.reshard_bytes),
-                halo_bytes=int(res.halo_bytes),
-                halo_batches=int(res.halo_batches),
-                halo_wait_seconds=float(res.halo_wait_seconds),
-                results_identical=factor_mismatches(single, res) == 0,
-            )
-        )
-    return MultiGpuBenchReport(
-        abbr=abbr,
-        base_n=base_n,
-        nnz=int(a_base.nnz),
-        link=link,
-        overlap=bool(overlap),
-        weak=bool(weak),
-        points=tuple(points),
-    )
+    return "\n".join(lines + report.gate_lines())

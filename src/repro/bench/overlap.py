@@ -1,20 +1,27 @@
-"""Transfer/compute overlap benchmark: ``overlap`` on/off × chunk sizes.
+"""Transfer/compute overlap sweep: ``overlap`` on/off × chunk sizes.
 
-Runs the end-to-end pipeline on a transfer-bound out-of-core instance
-(dense FEM pattern, sized device memory halved so both the symbolic
-output and the numeric segment window stream), once with the serial
-charging and once through the :mod:`repro.streams` copy-engine pipeline,
-for a sweep of out-of-core chunk sizes.  Reports, per configuration:
+The measurement harness behind ``repro overlap-bench`` and the
+``overlap/e2e_CR2`` perf scenario.  It runs the end-to-end pipeline on a
+transfer-bound out-of-core instance (CR2, the densest Table 2 pattern,
+on a sized device whose memory is divided by :data:`MEM_DIVISOR`, so
+both the symbolic output and the numeric segment window stream), once
+with the serial charging and once through the :mod:`repro.streams`
+copy-engine pipeline, for each declared out-of-core chunk size.  Per
+chunk size it reports:
 
 * serial vs overlap simulated seconds and the relative drop;
 * copy-engine and compute utilization over the async regions' makespan;
 * overlap efficiency (fraction of serial busy time hidden);
 * a results-identical flag (fill structure and factors must match
-  bitwise — overlap may only move time, never results);
-* the overlap run's copy/compute op counts, stream and sync-region
-  counts, and bytes moved (the ``overlap/e2e_CR2`` perf record).
+  bitwise — overlap may only move time, never results).
 
-``repro overlap-bench`` prints the table.
+One gate, asserted by the CLI exit status and the perf baseline:
+
+* **identical** — every row's overlap run is bitwise-identical to its
+  serial run.
+
+The perf record is the row at the mode's perf chunk size (the overlap
+run's op counts, stream and sync-region counts, bytes moved).
 """
 
 from __future__ import annotations
@@ -26,9 +33,20 @@ from ..core import EndToEndLU, SolverConfig
 from ..streams.device import SyncReport
 from ..symbolic import symbolic_fill_reference
 from ..workloads.registry import by_abbr
-from .gates import factor_mismatches
+from .gates import Gate, GatedReport, factor_mismatches
 
 __all__ = ["OverlapRow", "OverlapReport", "run_overlap_bench"]
+
+ABBR = "CR2"
+
+#: divide the sized device memory by this factor (the streamed regime)
+MEM_DIVISOR = 2
+
+#: ``(n, chunk sizes, perf chunk size)`` per mode; full mode needs n
+#: large enough that the reduced device still sits below the all-rows
+#: symbolic requirement for this nearly-dense fill
+SMOKE_POINTS = (160, (16, 32, 64), 32)
+FULL_POINTS = (320, (32, 64, 128), 128)
 
 
 @dataclass(frozen=True)
@@ -85,58 +103,47 @@ class OverlapRow:
 
 
 @dataclass(frozen=True)
-class OverlapReport:
+class OverlapReport(GatedReport):
     """The full sweep on one matrix instance."""
 
-    abbr: str
     n: int
     nnz: int
-    mem_divisor: int
+    perf_chunk_rows: int
     rows: tuple[OverlapRow, ...]
 
-    def format(self) -> str:
-        lines = [
-            f"overlap sweep on {self.abbr} (n={self.n}, nnz={self.nnz}, "
-            f"device memory / {self.mem_divisor})",
-            f"{'chunk':>6s} {'serial ms':>10s} {'overlap ms':>11s} "
-            f"{'drop':>6s} {'h2d':>5s} {'d2h':>5s} {'comp':>5s} "
-            f"{'eff':>5s} {'identical':>9s}",
-        ]
-        for r in self.rows:
-            eng = r.engines
-            lines.append(
-                f"{r.chunk_rows:>6d} {r.serial_seconds * 1e3:>10.3f} "
-                f"{r.overlap_seconds * 1e3:>11.3f} {r.drop:>6.1%} "
-                f"{eng.utilization('h2d'):>5.0%} "
-                f"{eng.utilization('d2h'):>5.0%} "
-                f"{eng.utilization('compute'):>5.0%} "
-                f"{eng.overlap_efficiency:>5.0%} "
-                f"{'yes' if r.results_identical else 'NO':>9s}"
-            )
-        return "\n".join(lines)
+    gates = (
+        Gate(
+            "identical_ok",
+            lambda r: all(row.results_identical for row in r.rows),
+            "identical: every overlap run bitwise-equal to its serial run",
+        ),
+    )
+
+    def perf_record(self) -> dict:
+        (row,) = (
+            r for r in self.rows if r.chunk_rows == self.perf_chunk_rows
+        )
+        rec = row.perf_record()
+        return {
+            "counters": {**rec["counters"], "n": self.n, "nnz": self.nnz},
+            "timings": rec["timings"],
+            "labels": {**rec["labels"], **self.gate_labels()},
+        }
 
 
-def run_overlap_bench(
-    *,
-    abbr: str = "CR2",
-    n: int | None = None,
-    chunk_rows: tuple[int, ...] = (16, 32, 64),
-    mem_divisor: int = 2,
-    smoke: bool = True,
-) -> OverlapReport:
-    """Run the overlap on/off sweep and return the report."""
-    spec = by_abbr(abbr)
-    if n is None:
-        n = 160 if smoke else spec.n_scaled
-    spec = dataclasses.replace(spec, n_scaled=int(n))
+def run_overlap_bench(*, smoke: bool = False, seed: int = 0) -> OverlapReport:
+    """Run the overlap on/off sweep at the mode's declared points."""
+    n, chunks, perf_chunk = SMOKE_POINTS if smoke else FULL_POINTS
+    spec = by_abbr(ABBR)
+    spec = dataclasses.replace(spec, n_scaled=n, seed=spec.seed + seed)
     a = spec.generate()
     filled = symbolic_fill_reference(a)
 
     rows = []
-    for cr in chunk_rows:
+    for cr in chunks:
         device = spec.device_for_symbolic(a, filled.nnz, chunk_rows=cr)
         device = dataclasses.replace(
-            device, memory_bytes=device.memory_bytes // mem_divisor
+            device, memory_bytes=device.memory_bytes // MEM_DIVISOR
         )
         base = SolverConfig(device=device, host=spec.host_for(device))
         res_off = EndToEndLU(base).factorize(a)
@@ -146,7 +153,7 @@ def run_overlap_bench(
         gpu = res_on.gpu  # StreamedGPU (overlap=True)
         rows.append(
             OverlapRow(
-                chunk_rows=int(cr),
+                chunk_rows=cr,
                 serial_seconds=float(res_off.sim_seconds),
                 overlap_seconds=float(res_on.sim_seconds),
                 engines=gpu.combined_report(),
@@ -159,9 +166,27 @@ def run_overlap_bench(
             )
         )
     return OverlapReport(
-        abbr=abbr,
-        n=int(n),
-        nnz=int(a.nnz),
-        mem_divisor=int(mem_divisor),
-        rows=tuple(rows),
+        n=n, nnz=int(a.nnz), perf_chunk_rows=perf_chunk, rows=tuple(rows)
     )
+
+
+def format_overlap_report(report: OverlapReport) -> str:
+    lines = [
+        f"overlap sweep on {ABBR} (n={report.n}, nnz={report.nnz}, "
+        f"device memory / {MEM_DIVISOR})",
+        f"{'chunk':>6s} {'serial ms':>10s} {'overlap ms':>11s} "
+        f"{'drop':>6s} {'h2d':>5s} {'d2h':>5s} {'comp':>5s} "
+        f"{'eff':>5s} {'identical':>9s}",
+    ]
+    for r in report.rows:
+        eng = r.engines
+        lines.append(
+            f"{r.chunk_rows:>6d} {r.serial_seconds * 1e3:>10.3f} "
+            f"{r.overlap_seconds * 1e3:>11.3f} {r.drop:>6.1%} "
+            f"{eng.utilization('h2d'):>5.0%} "
+            f"{eng.utilization('d2h'):>5.0%} "
+            f"{eng.utilization('compute'):>5.0%} "
+            f"{eng.overlap_efficiency:>5.0%} "
+            f"{'yes' if r.results_identical else 'NO':>9s}"
+        )
+    return "\n".join(lines + report.gate_lines())

@@ -238,6 +238,6 @@ def format_supernodal_report(report: SupernodalReport) -> str:
         f"  {report.mark('bitwise_ok')} bitwise: "
         f"{report.bitwise_checked} factor arrays compared, "
         f"{report.bitwise_mismatches} mismatches",
-        f"  verdict: {'PASS' if report.passed else 'FAIL'}",
+        report.verdict_line(),
     ]
     return "\n".join(lines)

@@ -7,37 +7,25 @@ Commands
 ``analyze``   structural report: pattern statistics, fill-in, levels,
               numeric-format decision — a Table 2-style row for any matrix.
 ``generate``  write a synthetic workload matrix (circuit/fem/mesh) to .mtx.
-``bench``     run one paper experiment by name (fig3..fig8, table3, table4,
-              serve_bench) or ``all`` (EXPERIMENTS.md regeneration).
+``bench``     run one paper experiment by name (fig3..fig8, table3, table4)
+              or ``all`` (EXPERIMENTS.md regeneration).
 ``report``    structural report table for several .mtx files at once.
 ``trace``     factorize a .mtx and write a Chrome trace of the simulated
               device timeline (load in chrome://tracing or Perfetto).
 ``export-suite``  write all scaled Table 2/4 instances + manifest to a dir.
-``serve-bench``   replay a repeated-pattern workload through the
-              :mod:`repro.serve` solver service and report cache hit
-              rate, latency percentiles, and speedup vs. cold solves.
-``overlap-bench`` sweep transfer/compute overlap on/off across
-              out-of-core chunk sizes; reports the simulated-seconds
-              drop, copy-engine utilization and overlap efficiency
-              (see docs/streams.md).
-``multigpu-bench`` strong/weak-scaling sweep of the end-to-end
-              multi-GPU solver over a device pool (1/2/4/8 by default);
-              reports makespan speedup, balance, reshard/halo traffic
-              and the bitwise results-identical flag per point
-              (see docs/multigpu.md).
-``fleet-bench``   node-count sweep of the cluster-scale serving tier
-              (:mod:`repro.fleet`): consistent-hash routing + shared L2
-              cache + admission control replaying a zipf trace over
-              1/2/4/8 solver nodes, plus a deliberately overloaded
-              point; reports throughput scaling, tier split, shed rate
-              and the bitwise results-identical flag (see
-              docs/fleet.md).
+``overlap-bench``, ``multigpu-bench``, ``serve-bench``, ``fleet-bench``
+              the gated sweeps: transfer/compute overlap across chunk
+              sizes (docs/streams.md), multi-GPU strong/weak scaling
+              (docs/multigpu.md), the solver service at three cache
+              capacities (docs/serving.md) and the fleet node sweep
+              (docs/fleet.md).
 ``fault-drill``, ``churn-drill``, ``drift-bench``, ``supernodal-bench``
-              the gated drills: each prints its report and exits 1 if
-              any declared gate fails.  Their subcommands (``--smoke``,
-              ``--seed``) are generated from
-              :data:`repro.bench.gates.EXPERIMENTS` (see docs/faults.md,
-              docs/churn.md, docs/incremental.md, docs/supernodal.md).
+              the gated drills (see docs/faults.md, docs/churn.md,
+              docs/incremental.md, docs/supernodal.md).
+              Every sweep and drill takes only ``--smoke`` and
+              ``--seed``, prints its report and exits 1 if any declared
+              gate fails; its subcommand and perf scenario are generated
+              from :data:`repro.bench.gates.EXPERIMENTS`.
 ``perf``      benchmark-snapshot subsystem: ``perf run`` captures a
               schema-versioned ``BENCH_*.json`` snapshot of the curated
               scenario suite, ``perf compare`` gates it against the
@@ -173,102 +161,6 @@ def cmd_export_suite(args) -> int:
     manifest = export_suite(args.directory)
     print(f"suite written; manifest at {manifest}")
     return 0
-
-
-def cmd_serve_bench(args) -> int:
-    from .serve import (
-        ServeConfig,
-        format_metrics,
-        format_report,
-        run_load,
-        synthesize_trace,
-    )
-
-    trace = synthesize_trace(
-        num_patterns=args.patterns,
-        num_requests=args.requests,
-        n=args.n,
-        nnz_per_row=args.density,
-        seed=args.seed,
-    )
-    cfg = ServeConfig(
-        solver=_config(args),
-        num_devices=args.devices,
-        cache_capacity_bytes=(
-            0 if args.no_cache else int(args.cache_mb * 2**20)
-        ),
-        max_queue_depth=args.queue_depth,
-    )
-    report = run_load(trace, cfg, flush_every=args.flush_every)
-    print(f"trace: {args.patterns} patterns x "
-          f"{args.requests} requests (n={args.n})")
-    print(format_report(report))
-    if args.stats:
-        print(format_metrics(report.stats))
-    return 0
-
-
-def cmd_overlap_bench(args) -> int:
-    from .bench.overlap import run_overlap_bench
-
-    report = run_overlap_bench(
-        abbr=args.matrix,
-        n=args.n,
-        chunk_rows=tuple(args.chunk_rows),
-        mem_divisor=args.mem_divisor,
-        smoke=not args.full,
-    )
-    print(report.format())
-    return 0 if all(r.results_identical for r in report.rows) else 1
-
-
-def cmd_multigpu_bench(args) -> int:
-    from .bench.multigpu import run_multigpu_bench
-
-    report = run_multigpu_bench(
-        abbr=args.matrix,
-        n=args.n,
-        devices=tuple(args.devices),
-        link=args.link,
-        overlap=args.overlap,
-        weak=args.weak,
-        smoke=not args.full,
-    )
-    print(report.format())
-    return 0 if report.all_identical else 1
-
-
-def cmd_fleet_bench(args) -> int:
-    from .bench.fleet import run_fleet_bench
-    from .fleet import format_fleet_report, run_fleet_load
-    from .serve import synthesize_trace
-
-    report = run_fleet_bench(
-        num_patterns=args.patterns,
-        num_requests=args.requests,
-        n=args.n,
-        node_counts=tuple(args.nodes),
-        zipf_s=args.zipf_s,
-        seed=args.seed,
-        flush_every=args.flush_every,
-        smoke=not args.full,
-    )
-    print(report.format())
-    if args.stats:
-        from .fleet import FleetConfig
-
-        trace = synthesize_trace(
-            num_patterns=args.patterns, num_requests=args.requests,
-            n=args.n, seed=args.seed, popularity="zipf",
-            zipf_s=args.zipf_s,
-        )
-        full = run_fleet_load(
-            trace, FleetConfig(num_nodes=max(args.nodes)),
-            flush_every=args.flush_every,
-        )
-        print()
-        print(format_fleet_report(full))
-    return 0 if report.all_identical else 1
 
 
 def cmd_experiment(exp, args) -> int:
@@ -426,112 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="run a paper experiment")
     sp.add_argument("experiment",
                     choices=["fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-                             "table3", "table4", "serve_bench", "all"])
+                             "table3", "table4", "all"])
     sp.add_argument("--fast", action="store_true")
     sp.set_defaults(fn=cmd_bench)
-
-    sp = sub.add_parser(
-        "overlap-bench",
-        help="sweep transfer/compute overlap on/off across out-of-core "
-             "chunk sizes (copy-engine utilization, overlap efficiency)",
-    )
-    sp.add_argument("--matrix", default="CR2",
-                    help="workload-registry abbreviation (default CR2, "
-                         "the densest Table 2 pattern)")
-    sp.add_argument("--n", type=int, default=None,
-                    help="override instance rows (default: 160 smoke, "
-                         "registry scale with --full)")
-    sp.add_argument("--chunk-rows", type=int, nargs="+",
-                    default=[16, 32, 64],
-                    help="out-of-core chunk sizes to sweep")
-    sp.add_argument("--mem-divisor", type=int, default=2,
-                    help="divide the sized device memory by this factor "
-                         "(pushes the run into the streamed regime)")
-    sp.add_argument("--full", action="store_true",
-                    help="registry-scale instance instead of smoke size")
-    sp.set_defaults(fn=cmd_overlap_bench)
-
-    sp = sub.add_parser(
-        "multigpu-bench",
-        help="strong/weak-scaling sweep of the end-to-end multi-GPU "
-             "solver (makespan speedup, balance, reshard/halo traffic, "
-             "bitwise results-identical check)",
-    )
-    sp.add_argument("--matrix", default="RM",
-                    help="workload-registry abbreviation (default RM, a "
-                         "transfer-light circuit pattern)")
-    sp.add_argument("--n", type=int, default=None,
-                    help="override instance rows (default: 400 smoke, "
-                         "640 with --full)")
-    sp.add_argument("--devices", type=int, nargs="+", default=[1, 2, 4, 8],
-                    help="device counts to sweep")
-    sp.add_argument("--link", default="pcie3",
-                    choices=["pcie3", "nvlink2"],
-                    help="interconnect preset for peer transfers")
-    sp.add_argument("--overlap", action="store_true",
-                    help="route halo sends through per-device copy "
-                         "engines instead of blocking the producer")
-    sp.add_argument("--weak", action="store_true",
-                    help="weak scaling: grow the instance with the pool "
-                         "(n x devices) and report grind efficiency")
-    sp.add_argument("--full", action="store_true",
-                    help="larger instance instead of smoke size")
-    sp.set_defaults(fn=cmd_multigpu_bench)
-
-    sp = sub.add_parser(
-        "serve-bench",
-        help="replay a repeated-pattern workload through the solver "
-             "service (repro.serve) and report reuse speedup",
-    )
-    sp.add_argument("--patterns", type=int, default=3,
-                    help="distinct sparsity patterns in the trace")
-    sp.add_argument("--requests", type=int, default=72,
-                    help="total solve requests")
-    sp.add_argument("--n", type=int, default=200,
-                    help="unknowns per matrix")
-    sp.add_argument("--density", type=float, default=7.0,
-                    help="nonzeros per row of the generated patterns")
-    sp.add_argument("--devices", type=int, default=1,
-                    help="simulated GPUs in the dispatch pool")
-    sp.add_argument("--cache-mb", type=float, default=64.0,
-                    help="analysis-cache byte budget in MiB")
-    sp.add_argument("--no-cache", action="store_true",
-                    help="disable the analysis cache (cold service)")
-    sp.add_argument("--queue-depth", type=int, default=64,
-                    help="bounded-queue capacity (backpressure limit)")
-    sp.add_argument("--flush-every", type=int, default=6,
-                    help="dispatch a batch every this many submits")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--stats", action="store_true",
-                    help="also print full service metrics")
-    add_device(sp)
-    sp.set_defaults(fn=cmd_serve_bench)
-
-    sp = sub.add_parser(
-        "fleet-bench",
-        help="node-count sweep of the cluster serving tier "
-             "(repro.fleet): throughput scaling, L1/L2/cold split, "
-             "shed rate, bitwise results-identical check",
-    )
-    sp.add_argument("--patterns", type=int, default=6,
-                    help="distinct sparsity patterns in the trace")
-    sp.add_argument("--requests", type=int, default=96,
-                    help="total solve requests")
-    sp.add_argument("--n", type=int, default=120,
-                    help="unknowns per matrix")
-    sp.add_argument("--nodes", type=int, nargs="+", default=[1, 2, 4, 8],
-                    help="node counts to sweep")
-    sp.add_argument("--zipf-s", type=float, default=1.1,
-                    help="zipf popularity exponent of the trace")
-    sp.add_argument("--flush-every", type=int, default=6,
-                    help="dispatch the fleet every this many submits")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--full", action="store_true",
-                    help="larger trace instead of smoke size")
-    sp.add_argument("--stats", action="store_true",
-                    help="also print the full fleet report at the "
-                         "largest node count")
-    sp.set_defaults(fn=cmd_fleet_bench)
 
     from .bench.gates import EXPERIMENTS
 

@@ -13,24 +13,25 @@ The scenario families, each seeded and therefore bit-deterministic:
 * ``symbolic/outofcore_chunking`` — the two-stage chunked symbolic phase
   alone on a memory-starved device (chunk plans, iterations, split
   point).
-* ``overlap/e2e_CR2`` — the copy-engine overlap pipeline on the
-  transfer-bound out-of-core regime (a dense FEM matrix on a
-  memory-halved device, so both the symbolic output and the numeric
-  segment window stream): runs the same instance with ``overlap`` off
-  and on, records the drop, engine utilizations, and a
-  results-identical flag.
 * ``multigpu/symbolic_OT2`` (full mode) — sharded symbolic
   factorization over four devices (makespan, balance, summed ledgers).
-* ``multigpu/e2e`` — the end-to-end multi-GPU solver over four devices.
-* ``serve/replay`` — a repeated-pattern trace through the solver service
-  (cache hit rate, latency percentiles, speedup vs. cold solves).
-* ``fleet/serve`` — the cluster tier: a zipf trace over a 4-node fleet
-  with a deliberately tight L1 (routing balance, L1/L2 tier hit rates,
-  shed count, exact latency percentiles).
-* ``faults/drill``, ``fleet/churn``, ``serve/drift``, ``supernodal/e2e``
-  — the gated drills of :data:`repro.bench.gates.EXPERIMENTS`: each
-  records the drill's counters and timings plus one label per gate and
-  ``passed``.
+* one scenario per entry of :data:`repro.bench.gates.EXPERIMENTS`,
+  which runs the entry's sweep or drill and records its counters and
+  timings plus one label per gate and ``passed``:
+
+  - ``overlap/e2e_CR2`` — the copy-engine overlap pipeline on the
+    transfer-bound out-of-core regime, ``overlap`` off vs on (drop,
+    engine utilizations, results-identical flag);
+  - ``multigpu/e2e`` — the end-to-end multi-GPU solver over four
+    devices;
+  - ``serve/replay`` — a repeated-pattern trace through the solver
+    service (cache hit rate, latency percentiles, speedup vs. cold
+    solves);
+  - ``fleet/serve`` — the cluster tier: a zipf trace over a 4-node
+    fleet with a deliberately tight L1 (routing balance, L1/L2 tier hit
+    rates, shed count, exact latency percentiles);
+  - ``faults/drill``, ``fleet/churn``, ``serve/drift``,
+    ``supernodal/e2e`` — the gated drills.
 
 ``run_suite`` executes them all and returns a
 :class:`~repro.perf.snapshot.PerfSnapshot`.
@@ -46,7 +47,6 @@ from ..bench.gates import EXPERIMENTS, Experiment
 from ..core import EndToEndLU, SolverConfig
 from ..core.outofcore import outofcore_symbolic
 from ..gpusim import GPU, TracingGPU, scaled_device, scaled_host
-from ..serve import ServeConfig, run_load, synthesize_trace
 from ..symbolic import symbolic_fill_reference
 from ..workloads import circuit_like
 from ..workloads.registry import by_abbr
@@ -159,30 +159,6 @@ def _symbolic_scenario(smoke: bool) -> ScenarioRecord:
     return ScenarioRecord.from_parts("symbolic/outofcore_chunking", part)
 
 
-def _overlap_scenario(smoke: bool) -> ScenarioRecord:
-    """Overlap on/off on the regime the streams subsystem targets.
-
-    CR2 (crankseg_2) is the densest Table 2 pattern; halving the sized
-    device memory pushes the run into the fully streamed regime — the
-    symbolic output ships per chunk and the numeric phase runs the
-    segment-window executor — where transfers dominate and the two copy
-    engines have real work to hide.
-    """
-    from ..bench.overlap import run_overlap_bench
-
-    # full mode needs n large enough that the halved device still sits
-    # below the all-rows symbolic requirement for this nearly-dense fill
-    report = run_overlap_bench(
-        chunk_rows=(_SMOKE_CHUNK_ROWS if smoke else 128,),
-        n=_SMOKE_N if smoke else 320,
-    )
-    (row,) = report.rows
-    sizes = {"counters": {"n": report.n, "nnz": report.nnz}}
-    return ScenarioRecord.from_parts(
-        "overlap/e2e_CR2", row.perf_record(), sizes
-    )
-
-
 def _multigpu_scenario(smoke: bool) -> ScenarioRecord:
     from ..core.multigpu import multi_gpu_symbolic
 
@@ -195,68 +171,6 @@ def _multigpu_scenario(smoke: bool) -> ScenarioRecord:
     return ScenarioRecord.from_parts(
         "multigpu/symbolic_OT2", res.perf_record()
     )
-
-
-def _multigpu_e2e_scenario(smoke: bool) -> ScenarioRecord:
-    from ..core.multigpu import multi_gpu_endtoend
-
-    spec = by_abbr("RM")
-    spec = dataclasses.replace(spec, n_scaled=_SMOKE_N if smoke else 400)
-    a = spec.generate()
-    cfg = SolverConfig()
-    res = multi_gpu_endtoend(a, cfg, num_devices=4, link="pcie3")
-    return ScenarioRecord.from_parts("multigpu/e2e", res.perf_record())
-
-
-def _serve_scenario(smoke: bool) -> ScenarioRecord:
-    if smoke:
-        patterns, requests, n = 2, 24, 120
-    else:
-        patterns, requests, n = 3, 72, 200
-    trace = synthesize_trace(
-        num_patterns=patterns,
-        num_requests=requests,
-        n=n,
-        seed=0,
-    )
-    cfg = ServeConfig(
-        solver=SolverConfig(),
-        cache_capacity_bytes=64 << 20,
-    )
-    report = run_load(trace, cfg, flush_every=6)
-    return ScenarioRecord.from_parts("serve/replay", report.perf_record())
-
-
-def _fleet_scenario(smoke: bool) -> ScenarioRecord:
-    """Cluster-tier replay: a zipf trace over a 4-node fleet.
-
-    The L1 budget is held just above one analysis (~84 KB at n=120 is
-    ~190 KB; budget 256 KB) so nodes owning several patterns lean on
-    the shared L2 — the snapshot then gates routing balance, both tier
-    hit rates, shed count (must stay 0 at this load) and the exact
-    p50/p99 latencies.
-    """
-    from ..fleet import FleetConfig
-    from ..fleet.loadgen import run_fleet_load
-
-    if smoke:
-        patterns, requests, n = 6, 48, 120
-    else:
-        patterns, requests, n = 8, 144, 160
-    trace = synthesize_trace(
-        num_patterns=patterns,
-        num_requests=requests,
-        n=n,
-        seed=0,
-        popularity="zipf",
-        zipf_s=1.1,
-    )
-    cfg = FleetConfig(
-        num_nodes=4,
-        serve=ServeConfig(cache_capacity_bytes=256 << 10),
-    )
-    report = run_fleet_load(trace, cfg, flush_every=6)
-    return ScenarioRecord.from_parts("fleet/serve", report.perf_record())
 
 
 def _experiment_scenario(exp: Experiment, smoke: bool) -> ScenarioRecord:
@@ -276,14 +190,10 @@ def _scenarios(smoke: bool) -> dict[str, Callable[[], ScenarioRecord]]:
     runners["symbolic/outofcore_chunking"] = partial(
         _symbolic_scenario, smoke
     )
-    runners["overlap/e2e_CR2"] = partial(_overlap_scenario, smoke)
     if not smoke:
         runners["multigpu/symbolic_OT2"] = partial(
             _multigpu_scenario, smoke
         )
-    runners["multigpu/e2e"] = partial(_multigpu_e2e_scenario, smoke)
-    runners["serve/replay"] = partial(_serve_scenario, smoke)
-    runners["fleet/serve"] = partial(_fleet_scenario, smoke)
     for exp in EXPERIMENTS:
         runners[exp.scenario] = partial(_experiment_scenario, exp, smoke)
     return runners

@@ -1,6 +1,6 @@
-"""The gated-drill registry (repro.bench.gates): each drill is declared
-once, and its CLI subcommand, perf scenario, verdicts and exit status
-all derive from that declaration."""
+"""The gated registry (repro.bench.gates): each sweep and drill is
+declared once, and its CLI subcommand, perf scenario, verdicts and exit
+status all derive from that declaration."""
 
 import argparse
 import dataclasses
@@ -8,8 +8,9 @@ import dataclasses
 import pytest
 
 from repro import cli
-from repro.bench.gates import EXPERIMENTS, Gate
-from repro.perf import run_scenario, scenario_names
+from repro.bench import gates
+from repro.bench.gates import EXPERIMENTS
+from repro.perf import run_scenario, scenario_names, suite
 
 
 def _subcommands() -> dict:
@@ -55,20 +56,29 @@ def test_passing_drill_exits_zero(drill, capsys):
     assert capsys.readouterr().out == exp.format(report) + "\n"
 
 
-def test_failing_gate_exits_one_and_prints_fail(monkeypatch, capsys):
-    from repro.bench.supernodal import SupernodalReport
-
-    forced = tuple(
-        Gate(g.label, lambda r: False) if g.label == "circuit_ok" else g
-        for g in SupernodalReport.gates
+def test_failing_gate_exits_one_and_prints_fail(drill, monkeypatch, capsys):
+    """Forcing one gate false flips the generated subcommand's exit
+    status, prints a ``[FAIL]`` line and the perf scenario's labels."""
+    exp, report = drill
+    forced, *kept = type(report).gates
+    monkeypatch.setattr(
+        type(report),
+        "gates",
+        (dataclasses.replace(forced, check=lambda r: False), *kept),
     )
-    monkeypatch.setattr(SupernodalReport, "gates", forced)
-    rc = cli.main(["supernodal-bench", "--smoke"])
+    cached = tuple(
+        dataclasses.replace(e, run=lambda **kw: report) if e is exp else e
+        for e in EXPERIMENTS
+    )
+    monkeypatch.setattr(gates, "EXPERIMENTS", cached)
+    monkeypatch.setattr(suite, "EXPERIMENTS", cached)
+
+    rc = cli.main([exp.command, "--smoke"])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "[FAIL] circuit partition" in out
-    assert "[  ok] bitwise" in out
-    assert "verdict: FAIL" in out
-    labels = run_scenario("supernodal/e2e", smoke=True).labels
-    assert labels["circuit_ok"] == labels["passed"] == "false"
-    assert labels["bitwise_ok"] == "true"
+    assert out.count("[FAIL]") == 1
+    assert "verdict: FAIL" in out or "drill FAILED" in out
+    labels = run_scenario(exp.scenario, smoke=True).labels
+    assert labels[forced.label] == labels["passed"] == "false"
+    for gate in kept:
+        assert labels[gate.label] == str(gate.check(report)).lower()
