@@ -1,5 +1,7 @@
 """Extension benches: device-memory sweep, multi-device scaling, supernodes."""
 
+import pytest
+
 from repro.core import SolverConfig, multi_gpu_symbolic
 from repro.gpusim import scaled_device, scaled_host
 from repro.workloads import TABLE2, by_abbr
@@ -20,6 +22,7 @@ def test_device_memory_sweep(once):
     print(res)
 
 
+@pytest.mark.multigpu
 def test_multi_device_scaling(once):
     """Sharded symbolic scales with devices; the heavy-tail block bounds
     efficiency (the distributed-GSOFA regime, §2.1)."""
@@ -62,6 +65,7 @@ def test_supernode_formation_by_class(once):
     print(res)
 
 
+@pytest.mark.streams
 def test_streamed_numeric_overhead(once):
     """Out-of-core *numeric* factorization (beyond the paper: the filled
     matrix itself exceeds device memory): identical factors, bounded

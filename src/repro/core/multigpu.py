@@ -6,10 +6,14 @@ single-GPU focus but inherits the property that makes scale-out trivial
 for the symbolic phase: *fill2 source rows are independent*.  This module
 provides two layers on top of that observation:
 
-* :func:`multi_gpu_symbolic` — the original symbolic-only sweep: source
-  rows are partitioned into cyclic row blocks and every device runs the
-  two-stage out-of-core scheme on its shard.
-* :func:`multi_gpu_endtoend` — the full pipeline sharded end-to-end.
+* :func:`multi_gpu_symbolic` — the symbolic-only sweep: source rows are
+  partitioned into cyclic ``TB_max``-row blocks, and every device books
+  the single-device pipeline's own Algorithm 3/4 path
+  (:func:`repro.core.outofcore.book_symbolic`) on its rows, chunks
+  planned over the shard's own frontier — GSoFa's row split, each GPU
+  running the single-GPU traversal.
+* :func:`multi_gpu_endtoend` — the full pipeline sharded end-to-end,
+  its symbolic phase booked by the same row shards.
   The numeric phase (Algorithm 6 level scheduling) is column-sharded
   with a *cyclic level-aware* assignment: within level ``k``, the i-th
   column goes to device ``(i + k) % D``, so every device owns a slice of
@@ -42,7 +46,10 @@ Factor *values* never travel through any of this: the numeric result is
 computed once by the exact deterministic code path the single-device
 pipeline uses, so factors, fill pattern and pivot sequence are bitwise
 identical at every device count — the differential test layer's
-contract.  Device count changes only the simulated timeline.
+contract.  Device count changes only the simulated timeline, and one
+device books :class:`~repro.core.pipeline.EndToEndLU`'s: the same
+symbolic, levelize and numeric charges, and a makespan equal to its
+simulated seconds.
 """
 
 from __future__ import annotations
@@ -63,12 +70,7 @@ from ..graph import (
 from ..numeric import NumericStats, extract_lu
 from ..preprocess import PreprocessResult, preprocess
 from ..sparse import CSCMatrix, CSRMatrix
-from ..symbolic import (
-    chunk_blocks,
-    frontier_counts,
-    symbolic_fill_reference,
-    traversal_edges_per_row,
-)
+from ..symbolic import symbolic_fill_reference
 from .config import SolverConfig
 from .levelize_gpu import levelize_gpu_dynamic
 from .numeric_gpu import (
@@ -76,6 +78,7 @@ from .numeric_gpu import (
     factorize_with_pivot_recovery,
     launch_inputs,
 )
+from .outofcore import SymbolicResult, book_symbolic, row_work
 from .pipeline import FactorSolve
 from .resilient import RecoveryReport
 
@@ -163,76 +166,35 @@ def _cyclic_blocks(
     return out
 
 
-def _run_symbolic_shard(
-    gpu: GPU,
+def _book_shards(
     a: CSRMatrix,
-    blocks: list[tuple[int, int]],
-    *,
-    edges: np.ndarray,
-    frontier: np.ndarray,
-    fill_count: np.ndarray,
-    avg_degree: float,
+    filled: CSRMatrix,
     config: SolverConfig,
-    ship_to_host: bool,
-):
-    """Charge one device's row-shard of the two-stage symbolic scheme.
-
-    Returns ``(graph_bufs, out_buf, shard_fill_bytes)``; with
-    ``ship_to_host`` the shard is d2h'd and everything freed (the
-    symbolic-only gather), otherwise the graph and shard buffers stay
-    resident for the numeric phase and are returned live.
-    """
-    n = a.n_rows
-    idx, val = config.index_bytes, config.value_bytes
-    block_rows = gpu.spec.max_concurrent_blocks
-    conservative = config.scratch_bytes_per_row(n)
-    with gpu.ledger.phase("symbolic"):
-        graph_bufs = [
-            gpu.malloc((n + 1) * idx, "A.indptr"),
-            gpu.malloc(a.nnz * idx, "A.indices"),
-            gpu.malloc(a.nnz * val, "A.values"),
-            gpu.malloc(n * idx, "fill_count shard"),
-        ]
-        gpu.h2d((n + 1) * idx + a.nnz * (idx + val))
-        shard_rows = sum(hi - lo for lo, hi in blocks)
-        shard_fill = sum(
-            int(fill_count[lo:hi].sum()) for lo, hi in blocks
+    num_devices: int,
+    dev: DeviceSpec,
+    hst: HostSpec,
+    *,
+    keep_on_device: bool,
+) -> tuple[list[GPU], list[SymbolicResult]]:
+    """Give each of ``num_devices`` fresh devices its cyclic
+    ``TB_max``-row blocks, booked by the single-device symbolic path
+    (:func:`~repro.core.outofcore.book_symbolic`)."""
+    work = row_work(a, filled)
+    block_of = np.arange(a.n_rows) // dev.max_concurrent_blocks
+    gpus = [
+        GPU(spec=dev, host=hst, cost=config.cost_model)
+        for _ in range(num_devices)
+    ]
+    shards = [
+        book_symbolic(
+            gpu, a, filled, config,
+            work=work,
+            rows=np.flatnonzero(block_of % num_devices == d),
+            keep_on_device=keep_on_device,
         )
-        shard_fill_bytes = (shard_rows + 1) * idx + shard_fill * (
-            idx + val
-        )
-        out_buf = gpu.malloc(shard_fill_bytes, "factorized shard")
-        # how many rows of a block fit a scratch chunk on this device
-        sub = max(1, min(block_rows,
-                         gpu.free_bytes // max(conservative, 1)))
-        for stage in range(2):
-            for lo, hi in blocks:
-                for start in range(lo, hi, sub):
-                    end = min(start + sub, hi)
-                    scratch = gpu.malloc(
-                        (end - start) * conservative, "shard scratch"
-                    )
-                    work = int(edges[start:end].sum())
-                    if stage == 1:
-                        work += int(fill_count[start:end].sum())
-                    gpu.launch_traversal(
-                        edges=work,
-                        avg_degree=avg_degree,
-                        blocks=chunk_blocks(frontier[start:end]),
-                    )
-                    gpu.free(scratch)
-            if stage == 0:
-                gpu.launch_utility(shard_rows)
-                gpu.d2h(8)
-        if ship_to_host:
-            # shards ship their slice of the factorized matrix back for
-            # assembly (the gather step of the distributed scheme)
-            gpu.d2h(shard_fill_bytes)
-            gpu.free(out_buf)
-            for buf in graph_bufs:
-                gpu.free(buf)
-            return [], None, shard_fill_bytes
-    return graph_bufs, out_buf, shard_fill_bytes
+        for d, gpu in enumerate(gpus)
+    ]
+    return gpus, shards
 
 
 def multi_gpu_symbolic(
@@ -246,8 +208,10 @@ def multi_gpu_symbolic(
     """Run out-of-core symbolic factorization sharded over devices.
 
     Every device receives the whole input graph (broadcast, charged per
-    device) and a cyclic-block row shard; each runs the two-stage chunked
-    scheme independently.  The filled structure is identical to the
+    device) and a cyclic-block row shard, on which it runs the
+    single-device two-stage scheme (Algorithms 3/4 planned over the
+    shard's own frontier), then ships its slice of the factorized matrix
+    back for assembly.  The filled structure is identical to the
     single-device result by construction (tests assert it).
 
     Scaling is sublinear on small instances: the block holding the
@@ -259,31 +223,16 @@ def multi_gpu_symbolic(
         raise ValueError("num_devices must be >= 1")
     dev = device or config.device
     hst = host or config.host
-    n = a.n_rows
-
     filled = symbolic_fill_reference(a)
-    edges = traversal_edges_per_row(a, filled)
-    frontier = frontier_counts(filled)
-    fill_count = filled.row_nnz().astype(np.int64)
-    avg_degree = a.nnz / max(n, 1)
-    assignment = _cyclic_blocks(n, num_devices, dev.max_concurrent_blocks)
-
-    gpus: list[GPU] = []
-    shard_seconds: list[float] = []
-    for d in range(num_devices):
-        gpu = GPU(spec=dev, host=hst, cost=config.cost_model)
-        _run_symbolic_shard(
-            gpu, a, assignment[d],
-            edges=edges, frontier=frontier, fill_count=fill_count,
-            avg_degree=avg_degree, config=config, ship_to_host=True,
-        )
-        gpus.append(gpu)
-        shard_seconds.append(gpu.ledger.total_seconds)
-
+    gpus, _ = _book_shards(
+        a, filled, config, num_devices, dev, hst, keep_on_device=False
+    )
     return MultiGpuSymbolicResult(
         filled=filled,
-        shard_blocks=assignment,
-        shard_seconds=shard_seconds,
+        shard_blocks=_cyclic_blocks(
+            a.n_rows, num_devices, dev.max_concurrent_blocks
+        ),
+        shard_seconds=[g.ledger.total_seconds for g in gpus],
         gpus=gpus,
     )
 
@@ -563,9 +512,10 @@ def multi_gpu_endtoend(
     path (preprocess → reference fill → dependency graph → Kahn levels →
     in-place right-looking factorization, with pivot recovery under
     ``config.resilience``), then the per-device timeline is simulated:
-    row-sharded symbolic, replicated levelization, the reshard
-    all-to-all, level-by-level numeric with halo exchange, and the final
-    factor download.  See the module docstring for the model.  The level
+    symbolic on each device's row shard (the single-device Algorithm 3/4
+    booking), replicated levelization, the reshard all-to-all,
+    level-by-level numeric with halo exchange, and the final factor
+    download.  See the module docstring for the model.  The level
     loop books per-column launches only, so ``config.supernodal`` raises
     :class:`~repro.errors.ConfigurationError` rather than being charged
     as per-column work.
@@ -599,25 +549,15 @@ def multi_gpu_endtoend(
         As = As.astype(config.compute_dtype)
 
     # ---- per-device symbolic (row shards) + replicated levelize -------
-    edges = traversal_edges_per_row(work, filled)
-    frontier = frontier_counts(filled)
-    fill_count = filled.row_nnz().astype(np.int64)
-    avg_degree = work.nnz / max(n, 1)
-    block_rows = dev.max_concurrent_blocks
-    row_blocks = _cyclic_blocks(n, d_count, block_rows)
-
-    gpus: list[GPU] = []
-    residents: list[dict] = []
-    for d in range(d_count):
-        gpu = GPU(spec=dev, host=hst, cost=config.cost_model)
-        graph_bufs, out_buf, _ = _run_symbolic_shard(
-            gpu, work, row_blocks[d],
-            edges=edges, frontier=frontier, fill_count=fill_count,
-            avg_degree=avg_degree, config=config, ship_to_host=False,
-        )
+    gpus, shards = _book_shards(
+        work, filled, config, d_count, dev, hst, keep_on_device=True
+    )
+    residents = [
+        {"graph": sym.device_graph, "rows": sym.device_filled}
+        for sym in shards
+    ]
+    for gpu in gpus:
         levelize_gpu_dynamic(gpu, graph)
-        gpus.append(gpu)
-        residents.append({"graph": graph_bufs, "rows": out_buf})
 
     inter = Interconnect(d_count, spec)
     out_engines = [_P2POutEngine() for _ in range(d_count)]
@@ -664,6 +604,7 @@ def multi_gpu_endtoend(
     # ---- reshard all-to-all (row shards → column shards) --------------
     col_nnz = np.diff(As.indptr).astype(np.int64)
     col_bytes = idx + col_nnz * (idx + val)
+    block_rows = dev.max_concurrent_blocks
     reshard = _reshard_matrix(As, owner, block_rows, d_count, idx + val)
     reshard_total = 0
     for s in range(d_count):

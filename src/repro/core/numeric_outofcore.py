@@ -13,11 +13,10 @@ too; this module completes the story with a streamed numeric executor:
   least-recently-used segments — dirty ones are written back, since the
   right-looking kernel mutates its sub-columns.
 
-Numerics are identical to the in-core executor (tests assert it); the
-simulated timeline is not.  Besides the transfer traffic, the kernel
-shape differs: each level is charged as one kernel of
-``max(cols, updates)`` blocks, not as the in-core executor's GLU 3.0
-A/B/C launches (:meth:`repro.core.numeric_gpu._LaunchInputs.table`).
+Numerics are identical to the in-core executor (tests assert it), and
+so are the kernels: each level issues the in-core CSC executor's GLU 3.0
+A/B/C launches (:meth:`repro.core.numeric_gpu._LaunchInputs.table`)
+once its segments are resident.  Only the transfer traffic differs.
 """
 
 from __future__ import annotations
@@ -32,7 +31,11 @@ from ..sparse import CSRMatrix
 from ..sparse.types import INDEX_DTYPE
 from ..streams import StreamedGPU
 from .config import SolverConfig
-from .numeric_gpu import NumericResult, factorize_with_pivot_recovery
+from .numeric_gpu import (
+    NumericResult,
+    factorize_with_pivot_recovery,
+    launch_inputs,
+)
 
 
 @dataclass
@@ -187,11 +190,12 @@ def numeric_factorize_outofcore(
         )
 
         seg_of = np.arange(n, dtype=INDEX_DTYPE) // segment_columns
+        inputs = launch_inputs(filled, schedule)
+        table = inputs.table(stats.per_level, inputs.tags(schedule, None))
+        cap = gpu.spec.max_concurrent_blocks
 
-        for (flops, cols, updates, search), level in zip(
-            stats.per_level, schedule.levels
-        ):
-            if cols == 0:
+        for launches, level in zip(table.launches(), schedule.levels):
+            if not launches:
                 continue
             # the level's access set: its own columns + their sub-columns
             touched = set(seg_of[level].tolist())
@@ -200,23 +204,20 @@ def numeric_factorize_outofcore(
                 subs = rj[rj > int(j)]
                 touched.update(seg_of[subs].tolist())
             window.touch(touched, write=True)
-            if streamed:
-                if pending["load"] is not None:
-                    gpu.wait_event(compute_stream, pending["load"])
-                pending["kernel"] = gpu.launch_numeric_async(
-                    max(1, flops),
-                    max(cols, updates),
-                    compute_stream,
-                    concurrency_cap=gpu.spec.max_concurrent_blocks,
-                    search_steps=search,
-                )
-            else:
-                gpu.launch_numeric(
-                    max(1, flops),
-                    max(cols, updates),
-                    concurrency_cap=gpu.spec.max_concurrent_blocks,
-                    search_steps=search,
-                )
+            if streamed and pending["load"] is not None:
+                gpu.wait_event(compute_stream, pending["load"])
+            for flops, blocks, search in launches:
+                ledger.count("numeric_kernel_launches")
+                if streamed:
+                    pending["kernel"] = gpu.launch_numeric_async(
+                        flops, blocks, compute_stream,
+                        concurrency_cap=cap, search_steps=search,
+                    )
+                else:
+                    gpu.launch_numeric(
+                        flops, blocks,
+                        concurrency_cap=cap, search_steps=search,
+                    )
         window.flush()
         if streamed:
             gpu.synchronize()  # makespan lands in the "numeric" phase

@@ -19,7 +19,10 @@ The fill structure itself is computed by the bitset engine
 (:func:`repro.symbolic.symbolic_fill_reference` — same fixpoint as the
 fill2 kernel, validated in tests); this module contributes the *memory
 management and scheduling* behaviour and charges the simulated time from
-the real per-row traversal workloads.
+the real per-row traversal workloads.  :func:`book_symbolic` is the one
+home of that charge: it books the scheme for any set of source rows, so
+:func:`outofcore_symbolic` books all of them and each device of the
+multi-GPU solver (:mod:`repro.core.multigpu`) books its own row shard.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from ..sparse import CSRMatrix
 from ..streams import DoubleBufferedPipeline, StreamedGPU
 from ..symbolic import (
     chunk_blocks,
+    fill_counts,
     frontier_counts,
     symbolic_fill_reference,
     traversal_edges_per_row,
@@ -83,6 +87,19 @@ class SymbolicResult:
         return int(self.filled.nnz)  # total nonzeros of L+U (counts incl. A)
 
 
+def row_work(
+    a: CSRMatrix, filled: CSRMatrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per source row of ``a``: the adjacency entries its fill2
+    traversal scans, its frontier population and its filled nonzeros
+    (the stage-1 count)."""
+    return (
+        traversal_edges_per_row(a, filled),
+        frontier_counts(filled),
+        fill_counts(filled),
+    )
+
+
 def plan_chunks(
     gpu: GPU,
     a: CSRMatrix,
@@ -103,12 +120,18 @@ def plan_chunks(
     can be explored, but it will also imply more kernel launches"): part
     boundaries sit at geometrically-halved frontier thresholds
     (``fmax * split_fraction^(k-1-i)``), and only the last part keeps the
-    conservative sizing.  Returns the plans and the start row of the
-    second part (``None`` when the rows did not split).
+    conservative sizing.  The plans cover the rows whose ``frontier`` is
+    given (a device's row shard; all ``n`` rows without one), while the
+    scratch per row stays sized by the full ``n``.  Returns the plans and
+    the start of the second part as an offset into those rows (``None``
+    when the rows did not split); no rows plan no chunks.
     """
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
     n = a.n_rows
+    rows = n if frontier is None else len(frontier)
+    if rows == 0:
+        return [], None
     free = gpu.free_bytes if free_bytes is None else int(free_bytes)
     conservative = config.scratch_bytes_per_row(n)
     idx = config.index_bytes
@@ -119,9 +142,9 @@ def plan_chunks(
         c = free // per_row
         if c <= 0:
             raise DeviceMemoryError(per_row, free, "symbolic per-row scratch")
-        return min(c, n)
+        return min(c, rows)
 
-    single = [ChunkPlan(0, n, chunk_for(conservative), conservative)]
+    single = [ChunkPlan(0, rows, chunk_for(conservative), conservative)]
     if num_parts == 1:
         return single, None
     if frontier is None:
@@ -134,15 +157,15 @@ def plan_chunks(
     for i in range(num_parts - 1):
         cutoff = fmax * config.split_fraction ** (num_parts - 1 - i)
         hits = np.flatnonzero(frontier >= cutoff)
-        b = int(hits[0]) if len(hits) else n
+        b = int(hits[0]) if len(hits) else rows
         boundaries.append(max(b, boundaries[-1]))
-    boundaries.append(n)
+    boundaries.append(rows)
 
     plans: list[ChunkPlan] = []
     for start, end in zip(boundaries, boundaries[1:]):
         if start >= end:
             continue
-        if end == n:
+        if end == rows:
             per_row = conservative
         else:
             # stamp array + output staging (2n) + double-buffered
@@ -172,23 +195,54 @@ def outofcore_symbolic(
     it, dynamic assignment (default ``config.dynamic_assignment``) plans
     two parts and naive assignment one.
     """
-    if num_parts is None:
-        if dynamic is None:
-            dynamic = config.dynamic_assignment
+    if num_parts is None and dynamic is not None:
         num_parts = 2 if dynamic else 1
+    # ground-truth structure (the device kernels compute exactly this)
+    filled = symbolic_fill_reference(a)
+    return book_symbolic(
+        gpu, a, filled, config,
+        num_parts=num_parts, keep_on_device=keep_on_device,
+    )
+
+
+def book_symbolic(
+    gpu: GPU,
+    a: CSRMatrix,
+    filled: CSRMatrix,
+    config: SolverConfig,
+    *,
+    work: tuple[np.ndarray, ...] | None = None,
+    rows: np.ndarray | None = None,
+    num_parts: int | None = None,
+    keep_on_device: bool = True,
+) -> SymbolicResult:
+    """Book Algorithms 3/4 on ``gpu`` for the source rows ``rows`` of
+    ``a`` (all rows, in order, by default) whose fill is ``filled``.
+
+    The device holds the whole input graph, plans its chunks over the
+    rows' own frontier (:func:`plan_chunks`), sizes the factorized matrix
+    by the rows' filled entries and runs both stages over the rows.  A
+    row set with no rows books only the graph upload and the prefix sum.
+    ``work`` is the pattern's :func:`row_work`, computed when omitted;
+    ``num_parts`` defaults to ``config.dynamic_assignment``'s.  Without
+    ``keep_on_device`` the factorized rows ship to the host and every
+    device buffer is freed.
+    """
+    if num_parts is None:
+        num_parts = 2 if config.dynamic_assignment else 1
     n = a.n_rows
     idx = config.index_bytes
     val = config.value_bytes
     ledger = gpu.ledger
     t0 = ledger.total_seconds
+    work = row_work(a, filled) if work is None else work
+    edges_per_row, frontier, fill_count = (
+        work if rows is None else (x[rows] for x in work)
+    )
+    num_rows = len(frontier)
+    avg_degree = a.nnz / max(n, 1)
 
     with ledger.phase("symbolic"):
-        # -- ground-truth structure (device kernels compute exactly this) --
-        filled = symbolic_fill_reference(a)
-        edges_per_row = traversal_edges_per_row(a, filled)
-        frontier = frontier_counts(filled)
-        avg_degree = a.nnz / max(n, 1)
-
         # -- persistent device residents: the input graph in CSR ----------
         graph_bufs = [
             gpu.malloc((n + 1) * idx, "A.indptr"),
@@ -204,7 +258,8 @@ def outofcore_symbolic(
         # factorized matrix cannot fit alongside one row of scratch, switch
         # to streaming mode: stage-2 chunks ship their output straight to
         # the host and the numeric phase uses the out-of-core executor.
-        filled_bytes = (n + 1) * idx + filled.nnz * (idx + val)
+        out_nnz = filled.nnz if rows is None else int(fill_count.sum())
+        filled_bytes = (num_rows + 1) * idx + out_nnz * (idx + val)
         streaming_output = (
             filled_bytes > gpu.free_bytes - config.scratch_bytes_per_row(n)
         )
@@ -218,7 +273,6 @@ def outofcore_symbolic(
             free_bytes=gpu.free_bytes - plan_reserve,
         )
 
-        fill_count = filled.row_nnz().astype(np.int64)
         iterations = 0
         checkpoint = SymbolicCheckpoint()
 
@@ -265,12 +319,12 @@ def outofcore_symbolic(
         for_each_chunk("symbolic_1", stage1_body)
 
         # -- prefix sum on fill_count (line 7) ------------------------------
-        gpu.launch_utility(n)
+        gpu.launch_utility(num_rows)
         gpu.d2h(8)  # total nnz back to host for the allocation decision
 
         # -- allocate the factorized matrix (line 8) unless streaming ------
         device_filled = (
-            None if streaming_output
+            None if streaming_output or not num_rows
             else gpu.malloc(filled_bytes, "factorized matrix")
         )
 
@@ -318,17 +372,18 @@ def outofcore_symbolic(
         if pipe is not None:
             pipe.drain()  # makespan lands in the "symbolic" phase
 
-        if not keep_on_device and device_filled is not None:
-            gpu.d2h(filled_bytes)
-            gpu.free(device_filled)
-            device_filled = None
+        if not keep_on_device:
+            if device_filled is not None:
+                gpu.d2h(filled_bytes)
+                gpu.free(device_filled)
+                device_filled = None
             for buf in graph_bufs:
                 gpu.free(buf)
             graph_bufs = []
 
     return SymbolicResult(
         filled=filled,
-        fill_count=fill_count,
+        fill_count=work[2],
         plans=plans,
         split_point=split_point,
         iterations=iterations,

@@ -1,6 +1,9 @@
-"""Shared fixtures: small reference matrices and deterministic RNG."""
+"""Shared fixtures: small reference matrices, deterministic RNG and the
+session's smoke runs of the gated registry."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,6 +18,39 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture(scope="session")
+def smoke_report():
+    """``smoke_report(exp, seed)``: the smoke report of one
+    ``EXPERIMENTS`` entry, run once per seed and shared by every test of
+    the session, so a test must not modify it.  A test that checks
+    determinism compares it with a run of its own."""
+    reports: dict = {}
+
+    def run(exp, seed=0):
+        key = (exp.command, seed)
+        if key not in reports:
+            reports[key] = exp.run(smoke=True, seed=seed)
+        return reports[key]
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def smoke_snapshot(smoke_report):
+    """The smoke perf suite, its experiment scenarios recorded from the
+    shared smoke reports."""
+    from repro.bench.gates import EXPERIMENTS
+    from repro.perf import run_suite, suite
+
+    cached = tuple(
+        dataclasses.replace(
+            exp, run=lambda *, smoke, seed, exp=exp: smoke_report(exp, seed)
+        )
+        for exp in EXPERIMENTS
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suite, "EXPERIMENTS", cached)
+        return run_suite(smoke=True)
 
 
 @pytest.fixture

@@ -4,7 +4,8 @@ Guards the enqueue-time scheduling invariant that the interconnect
 model must preserve: every simulated timeline — each registered sweep
 and drill, per-device ledgers, peer-transfer logs — is a pure function
 of (input, seed, config).  Each check runs the full entry point twice
-and compares the rendered output byte-for-byte.
+and compares the rendered output byte-for-byte; for a registered
+entry, one of the two runs is the session's shared smoke run.
 """
 
 import json
@@ -32,10 +33,9 @@ _EXPECTED_LINES = {
 
 
 @pytest.mark.parametrize("exp", EXPERIMENTS, ids=lambda e: e.command)
-def test_same_seed_report_byte_identical(exp, capsys):
-    argv = [exp.command, "--smoke", "--seed", "3"]
-    first = _run_cli(capsys, argv)
-    assert _run_cli(capsys, argv) == first
+def test_same_seed_report_byte_identical(exp, capsys, smoke_report):
+    first = exp.format(smoke_report(exp, 3)) + "\n"
+    assert _run_cli(capsys, [exp.command, "--smoke", "--seed", "3"]) == first
     assert _EXPECTED_LINES.get(exp.command, "") in first
     if exp.command == "multigpu-bench":
         # the overlap sweep books halo sends through copy engines, under

@@ -22,10 +22,10 @@ def _subcommands() -> dict:
     return action.choices
 
 
-@pytest.fixture(scope="module", params=EXPERIMENTS, ids=lambda e: e.command)
-def drill(request):
+@pytest.fixture(params=EXPERIMENTS, ids=lambda e: e.command)
+def drill(request, smoke_report):
     exp = request.param
-    return exp, exp.run(smoke=True, seed=0)
+    return exp, smoke_report(exp)
 
 
 def test_every_experiment_has_a_subcommand_and_a_smoke_scenario():
@@ -37,12 +37,12 @@ def test_every_experiment_has_a_subcommand_and_a_smoke_scenario():
         assert exp.scenario in smoke
 
 
-def test_record_gate_labels_equal_verdicts(drill):
+def test_record_gate_labels_equal_verdicts(drill, smoke_snapshot):
     exp, report = drill
     verdicts = report.verdicts()
     assert list(verdicts) == [g.label for g in type(report).gates]
     assert report.passed == all(verdicts.values())
-    labels = run_scenario(exp.scenario, smoke=True).labels
+    labels = smoke_snapshot.scenario(exp.scenario).labels
     for label, ok in verdicts.items():
         assert labels[label] == str(ok).lower()
     assert labels["passed"] == str(report.passed).lower()

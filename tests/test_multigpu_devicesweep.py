@@ -1,4 +1,7 @@
-"""Multi-device symbolic sharding and the device-memory sweep."""
+"""Multi-device symbolic sharding, the scaling sweep's single-device
+point and the device-memory sweep."""
+
+import dataclasses
 
 import pytest
 
@@ -62,6 +65,25 @@ class TestMultiGpu:
         res = multi_gpu_symbolic(matrix, cfg(), num_devices=3)
         for gpu in res.gpus:
             assert gpu.pool.live_bytes == 0
+
+
+def test_strong_sweep_one_device_point_has_speedup_one(smoke_report):
+    """One device of the multi-GPU solver is the single-device pipeline,
+    so the strong sweep's 1-device speedup (single-device time over the
+    makespan) is exactly 1 at the smoke and the full point."""
+    from repro.bench import multigpu
+    from repro.bench.gates import EXPERIMENTS
+
+    (exp,) = (e for e in EXPERIMENTS if e.command == "multigpu-bench")
+    smoke = smoke_report(exp).sweeps[0]
+    full = multigpu._run_sweep(
+        dataclasses.replace(multigpu.FULL_SWEEPS[0], devices=(1,)), 0
+    )
+    for sweep in (smoke, full):
+        assert not sweep.sweep.weak
+        one = sweep.points[0]
+        assert one.num_devices == 1
+        assert one.speedup == 1.0, sweep.sweep
 
 
 class TestDeviceSweep:

@@ -6,7 +6,8 @@ never the numeric result.  For every workload in the registry and every
 swept device count this harness asserts the fill pattern, both factors
 and the pivot sequence are bitwise-identical to the single-device
 :class:`~repro.core.pipeline.EndToEndLU` run, with pivot recovery on
-too, and that one device books the in-core executor's kernels.
+too, and that one device is the single-device pipeline: the same
+kernels and, phase by phase, the same simulated seconds.
 """
 
 import dataclasses
@@ -14,7 +15,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import EndToEndLU, SolverConfig, multi_gpu_endtoend
+from repro.core import (
+    EndToEndLU,
+    SolverConfig,
+    multi_gpu_endtoend,
+    multi_gpu_symbolic,
+)
+from repro.core import multigpu
 from repro.core.numeric_gpu import launch_inputs
 from repro.errors import ConfigurationError, SingularMatrixError
 from repro.gpusim import GPU, GPUProxy
@@ -174,7 +181,11 @@ def test_one_device_issues_the_single_device_launches(fmt, monkeypatch):
     the in-core executor: same ``(flops, blocks, search_steps, cap)``
     sequence, over type A, B and C levels.  The in-core run goes through
     a proxy, which issues every launch (a bare device books them as one
-    tape)."""
+    tape).  The device is the single-device pipeline phase by phase too:
+    its symbolic (Alg. 3/4 on all rows), levelize and numeric seconds
+    are ``EndToEndLU``'s to the last bit, and its makespan is
+    ``EndToEndLU``'s simulated time, so sharding adds only reshard,
+    halo and download."""
     calls: list[tuple[int, int, int, int | None]] = []
     real = GPU.launch_numeric
 
@@ -196,11 +207,56 @@ def test_one_device_issues_the_single_device_launches(fmt, monkeypatch):
         single = EndToEndLU(cfg).factorize(a, gpu=gpu)
         want = list(calls)
         calls.clear()
-        multi_gpu_endtoend(a, cfg, num_devices=1)
+        multi = multi_gpu_endtoend(a, cfg, num_devices=1)
         assert calls == want, spec.abbr
+        for phase in ("symbolic", "levelize", "numeric"):
+            assert multi.gpus[0].ledger.seconds(
+                phase
+            ) == single.gpu.ledger.seconds(phase), (spec.abbr, phase)
+        assert multi.makespan_seconds == single.sim_seconds, spec.abbr
         seen_tags.update(
             launch_inputs(single.filled, single.schedule).tags(
                 single.schedule, None
             )
         )
     assert seen_tags == {"A", "B", "C"}
+
+
+def test_devices_without_rows_book_no_traversal(monkeypatch):
+    """At n=96 there is one 160-row block, so on 3 devices only device 0
+    owns rows: devices 1-2 book the graph upload and the prefix sum but
+    no traversal chunk, results stay bitwise equal and every buffer is
+    released."""
+    booked: list = []
+    real = multigpu.book_symbolic
+
+    def record(*args, **kw):
+        booked.append(real(*args, **kw))
+        return booked[-1]
+
+    monkeypatch.setattr(multigpu, "book_symbolic", record)
+    a = dataclasses.replace(
+        next(s for s in TABLE2 if s.abbr == "OT2"), n_scaled=_N
+    ).generate()
+    cfg = SolverConfig()
+    single = EndToEndLU(cfg).factorize(a)
+
+    sym = multi_gpu_symbolic(a, cfg, num_devices=3)
+    assert [r.iterations > 0 for r in booked] == [True, False, False]
+    assert sym.shard_blocks == [[(0, _N)], [], []]
+    assert np.array_equal(sym.filled.indices, single.filled.indices)
+    # the prefix sum is an empty device's only kernel
+    assert [g.ledger.get_count("kernel_launches") for g in sym.gpus[1:]] == [
+        1,
+        1,
+    ]
+
+    booked.clear()
+    res = multi_gpu_endtoend(a, cfg, num_devices=3)
+    assert [r.iterations > 0 for r in booked] == [True, False, False]
+    for name in ("L", "U"):
+        mine, ref = getattr(res, name), getattr(single, name)
+        assert np.array_equal(mine.indices, ref.indices)
+        assert np.array_equal(mine.data, ref.data)
+    for gpu in (*sym.gpus, *res.gpus):
+        assert gpu.pool.live_bytes == 0

@@ -7,7 +7,9 @@ from repro.core import (
     numeric_factorize_gpu,
     numeric_factorize_outofcore,
 )
-from repro.gpusim import GPU, scaled_device, scaled_host
+from repro.core.numeric_gpu import launch_inputs
+from repro.gpusim import GPU, GPUProxy, scaled_device, scaled_host
+from repro.streams import StreamedGPU
 from repro.graph import build_dependency_graph, kahn_levels
 from repro.symbolic import symbolic_fill_reference
 from repro.workloads import circuit_like
@@ -93,6 +95,50 @@ class TestStreamedNumeric:
             segment_columns=128,
         )
         assert s32.segments > s128.segments
+
+
+@pytest.mark.streams
+def test_roomy_window_issues_the_incore_csc_launches(setup, monkeypatch):
+    """With a window that holds every segment, the streamed executor
+    issues exactly the in-core CSC executor's kernels (GLU 3.0's A/B/C
+    launches): the same ``(flops, blocks, search_steps, cap)`` sequence,
+    serially and on its compute stream under overlap.  The in-core run
+    goes through a proxy, which issues every launch."""
+    a, filled, sched = setup
+    calls: list[tuple[int, int, int, int | None]] = []
+    real = GPU.launch_numeric
+    real_async = StreamedGPU.launch_numeric_async
+
+    def record(self, flops, blocks, *, concurrency_cap=None,
+               search_steps=0, **kw):
+        calls.append((flops, blocks, search_steps, concurrency_cap))
+        return real(self, flops, blocks, concurrency_cap=concurrency_cap,
+                    search_steps=search_steps, **kw)
+
+    def record_async(self, flops, blocks, stream="compute", *,
+                     concurrency_cap=None, search_steps=0):
+        calls.append((flops, blocks, search_steps, concurrency_cap))
+        return real_async(self, flops, blocks, stream,
+                          concurrency_cap=concurrency_cap,
+                          search_steps=search_steps)
+
+    monkeypatch.setattr(GPU, "launch_numeric", record)
+    monkeypatch.setattr(StreamedGPU, "launch_numeric_async", record_async)
+    mem = 64 << 20
+    numeric_factorize_gpu(
+        GPUProxy(gpu_of(mem)), filled.to_csc(), filled, sched,
+        SolverConfig(device=scaled_device(mem), numeric_format="csc"),
+    )
+    want = list(calls)
+    tags = launch_inputs(filled, sched).tags(sched, None)
+    assert set(tags) == {"A", "B", "C"}
+    for overlap in (False, True):
+        calls.clear()
+        gpu = StreamedGPU(gpu_of(mem)) if overlap else gpu_of(mem)
+        conf = SolverConfig(device=scaled_device(mem), overlap=overlap)
+        _, stats = numeric_factorize_outofcore(gpu, filled, sched, conf)
+        assert stats.loads == stats.segments
+        assert calls == want, overlap
 
 
 class TestPipelineAutoStreaming:
