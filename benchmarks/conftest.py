@@ -1,13 +1,16 @@
 """Benchmark-suite configuration.
 
-Each benchmark regenerates one of the paper's tables/figures.  The measured
-quantity of interest is *simulated* time computed by the experiment runner;
-``benchmark.pedantic(rounds=1)`` wraps each runner so pytest-benchmark also
-records the harness wall-clock without re-running the heavy simulations.
+``test_registry.py`` runs every row of the gated registry (the sweeps,
+the drills and the paper's tables and figures) at its full point;
+``test_ablations.py`` and ``test_scaling_extensions.py`` run the
+ablations and scaling studies.  The measured quantity of interest is
+*simulated* time computed by the runner; ``benchmark.pedantic(rounds=1)``
+wraps each runner so pytest-benchmark also records the harness
+wall-clock without re-running the heavy simulations.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/test_registry.py
 """
 
 import pytest

@@ -3,16 +3,25 @@
 For every Table 2 matrix, runs both solvers end to end and reports
 normalized execution times split into symbolic and numeric phases, plus the
 speedup.  Paper result: speedups 1.13-32.65, larger for higher ``nnz/n``
-("GPUs become more efficient as computations get dense").
+("GPUs become more efficient as computations get dense"), and the gap is
+the symbolic phase (§4.2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ..workloads import MatrixSpec, TABLE2
-from .report import format_table
+import numpy as np
+
+from ..workloads import TABLE2, by_abbr
+from .gates import Claim, PaperReport, span
 from .runner import prepare, run_glu3, run_outofcore
+
+#: the smoke point spans the density range: the sparsest matrix (the low
+#: end), OT2 and CR1 (the high end); the full point is all of Table 2
+SMOKE = tuple(map(by_abbr, ("AP", "OT2", "CR1")))
+FULL = TABLE2
 
 
 @dataclass(frozen=True)
@@ -42,23 +51,82 @@ class Fig4Row:
         )
 
 
+def _in_range(r: Fig4Result) -> bool:
+    lo, hi = r.speedup_range()
+    return 0.8 <= lo <= 2.0 and 20.0 <= hi <= 45.0
+
+
+def _extremes(r: Fig4Result) -> tuple[float, float]:
+    """Speedups of the sparsest and the densest matrix."""
+    by_density = sorted(r.rows, key=lambda x: x.density)
+    return by_density[0].speedup, by_density[-1].speedup
+
+
+def _extremes_ok(r: Fig4Result) -> bool:
+    lo, hi = r.speedup_range()
+    return _extremes(r) == (lo, hi) and lo > 1.0
+
+
+def _symbolic_ratio(r: Fig4Result) -> float:
+    """Smallest GLU 3.0 symbolic/numeric ratio where speedup >= 3."""
+    ratios = [x.glu3_symbolic / x.glu3_numeric for x in r.rows]
+    big = [q for q, x in zip(ratios, r.rows) if x.speedup >= 3]
+    return min(big, default=math.inf)
+
+
 @dataclass
-class Fig4Result:
+class Fig4Result(PaperReport):
     rows: list[Fig4Row]
 
-    @property
-    def speedups(self) -> list[float]:
-        return [r.speedup for r in self.rows]
-
-    def speedup_range(self) -> tuple[float, float]:
-        s = self.speedups
-        return (min(s), max(s))
+    title = (
+        "Figure 4 — end-to-end times (simulated s): "
+        "out-of-core GPU vs modified GLU 3.0"
+    )
+    columns = (
+        ("matrix", "abbr"),
+        ("nnz/n", "density"),
+        ("glu3 sym", "glu3_symbolic"),
+        ("glu3 num", "glu3_numeric"),
+        ("ooc sym", "ooc_symbolic"),
+        ("ooc num", "ooc_numeric"),
+        ("speedup", "speedup"),
+    )
+    gates = (
+        Claim(
+            "speedup_range_ok",
+            _in_range,
+            "speedups from [0.8, 2.0] to [20, 45]",
+            "1.13-32.65x over modified GLU 3.0",
+            lambda r: span(r.speedups),
+        ),
+        Claim(
+            "density_trend_ok",
+            lambda r: r.density_speedup_correlation() > 0.9,
+            "Spearman rho(nnz/n, speedup) > 0.9",
+            "speedups grow with nnz/n",
+            lambda r: f"rho = {r.density_speedup_correlation():.3f}",
+        ),
+        Claim(
+            "extremes_ok",
+            _extremes_ok,
+            "sparsest gains least but > 1x, densest gains most",
+            "sparsest near parity, densest largest",
+            lambda r: "sparsest {:.2f}x, densest {:.2f}x".format(
+                *_extremes(r)
+            ),
+        ),
+        Claim(
+            "symbolic_gap_ok",
+            lambda r: _symbolic_ratio(r) > 5.0,
+            "GLU 3.0 symbolic > 5x its numeric wherever speedup >= 3",
+            "the gap comes mainly from the symbolic phase",
+            lambda r: f"min ratio {_symbolic_ratio(r):.1f}x",
+        ),
+    )
 
     def density_speedup_correlation(self) -> float:
         """Spearman rank correlation between nnz/n and speedup — the
         paper's qualitative claim is a positive association."""
-        import numpy as np
-
         d = np.array([r.density for r in self.rows])
         s = np.array(self.speedups)
         rd = np.argsort(np.argsort(d)).astype(float)
@@ -68,41 +136,20 @@ class Fig4Result:
         denom = float(np.sqrt((rd**2).sum() * (rs**2).sum()))
         return float((rd * rs).sum() / denom) if denom else 0.0
 
-    def __str__(self) -> str:
-        return format_table(
-            ["matrix", "nnz/n", "glu3 sym", "glu3 num", "ooc sym",
-             "ooc num", "speedup"],
-            [
-                (r.abbr, r.density, r.glu3_symbolic, r.glu3_numeric,
-                 r.ooc_symbolic, r.ooc_numeric, r.speedup)
-                for r in self.rows
-            ],
-            title="Figure 4 — end-to-end times (simulated s): "
-                  "out-of-core GPU vs modified GLU 3.0",
-        )
+
+def fig4_row(spec, seed: int = 0) -> Fig4Row:
+    """Run both solvers end to end on one matrix."""
+    art = prepare(spec, seed=seed)
+    gb = run_glu3(art).breakdown()
+    ob = run_outofcore(art).breakdown()
+    # two-way split as in the paper's stacked bars: everything that is
+    # not symbolic (levelization, numeric, factor download) counts as
+    # the numeric-side bar segment
+    glu3 = (gb.symbolic, gb.total - gb.symbolic, gb.total)
+    ooc = (ob.symbolic, ob.total - ob.symbolic, ob.total)
+    return Fig4Row(spec.abbr, spec.paper_density, *glu3, *ooc)
 
 
-def run_fig4(specs: tuple[MatrixSpec, ...] = TABLE2) -> Fig4Result:
-    """Regenerate Figure 4 over ``specs`` (default: all 18 Table 2 matrices)."""
-    rows = []
-    for spec in specs:
-        art = prepare(spec)
-        glu = run_glu3(art)
-        ooc = run_outofcore(art)
-        gb, ob = glu.breakdown(), ooc.breakdown()
-        # two-way split as in the paper's stacked bars: everything that is
-        # not symbolic (levelization, numeric, factor download) counts as
-        # the numeric-side bar segment
-        rows.append(
-            Fig4Row(
-                abbr=spec.abbr,
-                density=spec.paper_density,
-                glu3_symbolic=gb.symbolic,
-                glu3_numeric=gb.total - gb.symbolic,
-                glu3_total=gb.total,
-                ooc_symbolic=ob.symbolic,
-                ooc_numeric=ob.total - ob.symbolic,
-                ooc_total=ob.total,
-            )
-        )
-    return Fig4Result(rows)
+def run_fig4(*, smoke: bool = False, seed: int = 0) -> Fig4Result:
+    """Regenerate Figure 4 at the smoke or full point."""
+    return Fig4Result([fig4_row(s, seed) for s in (SMOKE if smoke else FULL)])

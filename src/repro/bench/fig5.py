@@ -11,9 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..workloads import MatrixSpec, unified_memory_specs
-from .report import format_table
+from ..workloads import by_abbr, unified_memory_specs
+from .gates import Claim, PaperReport, span
 from .runner import prepare, run_outofcore, run_unified
+
+#: the smoke point is the two sparsest matrices of the UM subset, where
+#: the out-of-core gain peaks; the full point is the whole subset
+SMOKE = tuple(map(by_abbr, ("OT2", "R15")))
+FULL = unified_memory_specs()
 
 
 @dataclass(frozen=True)
@@ -33,54 +38,57 @@ class Fig5Row:
         return self.um_total / self.ooc_total
 
 
+def _top(r: Fig5Result) -> str:
+    """The matrix that gains most."""
+    return max(r.rows, key=lambda x: x.speedup).abbr
+
+
 @dataclass
-class Fig5Result:
+class Fig5Result(PaperReport):
     rows: list[Fig5Row]
 
-    @property
-    def speedups(self) -> list[float]:
-        return [r.speedup for r in self.rows]
+    title = (
+        "Figure 5 — end-to-end times (simulated s): out-of-core "
+        "vs unified memory (prefetch enabled)"
+    )
+    columns = (
+        ("matrix", "abbr"),
+        ("nnz/n", "density"),
+        ("ooc sym", "ooc_symbolic"),
+        ("ooc num", "ooc_numeric"),
+        ("um sym", "um_symbolic"),
+        ("um num", "um_numeric"),
+        ("ooc speedup", "speedup"),
+    )
+    gates = (
+        Claim(
+            "speedup_range_ok",
+            lambda r: all(1.0 < s < 2.5 for s in r.speedups),
+            "every speedup in (1.0, 2.5)",
+            "1.06-2.22x over UM w/ prefetch (abstract: 1.2-2.2x)",
+            lambda r: span(r.speedups),
+        ),
+        Claim(
+            "sparsest_gains_most_ok",
+            lambda r: _top(r) == "OT2",
+            "OT2 gains most",
+            "UM weakest on the sparsest matrices (R15, OT2)",
+            lambda r: f"{_top(r)} gains most",
+        ),
+    )
 
-    def speedup_range(self) -> tuple[float, float]:
-        s = self.speedups
-        return (min(s), max(s))
 
-    def __str__(self) -> str:
-        return format_table(
-            ["matrix", "nnz/n", "ooc sym", "ooc num", "um sym", "um num",
-             "ooc speedup"],
-            [
-                (r.abbr, r.density, r.ooc_symbolic, r.ooc_numeric,
-                 r.um_symbolic, r.um_numeric, r.speedup)
-                for r in self.rows
-            ],
-            title="Figure 5 — end-to-end times (simulated s): out-of-core "
-                  "vs unified memory (prefetch enabled)",
-        )
-
-
-def run_fig5(specs: tuple[MatrixSpec, ...] | None = None) -> Fig5Result:
-    """Regenerate Figure 5 (default: the paper's 7-matrix UM subset)."""
-    specs = specs or unified_memory_specs()
+def run_fig5(*, smoke: bool = False, seed: int = 0) -> Fig5Result:
+    """Regenerate Figure 5 at the smoke or full point."""
     rows = []
-    for spec in specs:
-        art = prepare(spec)
+    for spec in SMOKE if smoke else FULL:
+        art = prepare(spec, seed=seed)
         assert spec.um_intermediates_fit_host(art.host), (
             f"{spec.abbr}: UM subset member must fit host memory"
         )
-        ooc = run_outofcore(art)
-        um = run_unified(art, prefetch=True)
-        ob, ub = ooc.breakdown(), um.breakdown()
-        rows.append(
-            Fig5Row(
-                abbr=spec.abbr,
-                density=spec.paper_density,
-                ooc_symbolic=ob.symbolic,
-                ooc_numeric=ob.total - ob.symbolic,
-                ooc_total=ob.total,
-                um_symbolic=ub.symbolic,
-                um_numeric=ub.total - ub.symbolic,
-                um_total=ub.total,
-            )
-        )
+        ob = run_outofcore(art).breakdown()
+        ub = run_unified(art, prefetch=True).breakdown()
+        ooc = (ob.symbolic, ob.total - ob.symbolic, ob.total)
+        um = (ub.symbolic, ub.total - ub.symbolic, ub.total)
+        rows.append(Fig5Row(spec.abbr, spec.paper_density, *ooc, *um))
     return Fig5Result(rows)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..workloads import FIG3_SPECS, MatrixSpec
-from .report import format_table
+from .fig3 import FULL, SMOKE
+from .gates import Claim, PaperReport, span
 from .runner import prepare, run_symbolic_only
 
 
@@ -31,31 +31,63 @@ class Fig7Row:
         """Fractional gain of dynamic over naive (paper: up to ~0.10)."""
         return 1.0 - self.dynamic_seconds / self.naive_seconds
 
+    @property
+    def gain_pct(self) -> float:
+        return 100.0 * self.improvement
+
+
+def _gain_ok(r: Fig7Result) -> bool:
+    gains = [x.improvement for x in r.rows]
+    return all(0.0 < g <= 0.15 for g in gains) and max(gains) >= 0.05
+
 
 @dataclass
-class Fig7Result:
+class Fig7Result(PaperReport):
     rows: list[Fig7Row]
 
-    def __str__(self) -> str:
-        return format_table(
-            ["matrix", "naive (s)", "dynamic (s)", "iters naive",
-             "iters dyn", "gain %"],
-            [
-                (r.abbr, r.naive_seconds, r.dynamic_seconds,
-                 r.naive_iterations, r.dynamic_iterations,
-                 100.0 * r.improvement)
-                for r in self.rows
-            ],
-            title="Figure 7 — symbolic factorization: dynamic parallelism "
-                  "assignment vs naive out-of-core",
-        )
+    title = (
+        "Figure 7 — symbolic factorization: dynamic parallelism "
+        "assignment vs naive out-of-core"
+    )
+    columns = (
+        ("matrix", "abbr"),
+        ("naive (s)", "naive_seconds"),
+        ("dynamic (s)", "dynamic_seconds"),
+        ("iters naive", "naive_iterations"),
+        ("iters dyn", "dynamic_iterations"),
+        ("gain %", "gain_pct"),
+    )
+    gates = (
+        Claim(
+            "gain_ok",
+            _gain_ok,
+            "every gain in (0, 15%], the largest >= 5%",
+            "up to ~10% over naive out-of-core",
+            lambda r: span((x.gain_pct for x in r.rows), ".1f", "%"),
+        ),
+        Claim(
+            "two_part_plan_ok",
+            lambda r: all(
+                x.dynamic_iterations < x.naive_iterations
+                and x.split_point is not None
+                for x in r.rows
+            ),
+            "dynamic splits the plan and runs fewer iterations",
+            "a low-frontier prefix with larger chunks (Algorithm 4)",
+            lambda r: ", ".join(
+                f"{x.abbr} {x.naive_iterations}->{x.dynamic_iterations}"
+                for x in r.rows
+            ),
+        ),
+    )
 
 
-def run_fig7(specs: tuple[MatrixSpec, ...] = FIG3_SPECS) -> Fig7Result:
-    """Regenerate Figure 7 on the two large matrices."""
+def run_fig7(*, smoke: bool = False, seed: int = 0) -> Fig7Result:
+    """Regenerate Figure 7 on the two Fig. 3 matrices at the smoke or
+    full point."""
     rows = []
-    for spec in specs:
-        art = prepare(spec)
+    for spec in SMOKE if smoke else FULL:
+        art = prepare(spec, seed=seed)
         naive, _ = run_symbolic_only(art, mode="outofcore", dynamic=False)
         dyn, _ = run_symbolic_only(art, mode="outofcore", dynamic=True)
         rows.append(

@@ -14,9 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core import EndToEndLU
-from ..workloads import MatrixSpec, TABLE4
-from .report import format_table
+from ..workloads import TABLE4
+from .gates import Claim, PaperReport, span
 from .runner import prepare
+
+#: the smoke point is the first Table 4 matrix; the full point all four
+SMOKE = TABLE4[:1]
+FULL = TABLE4
 
 
 @dataclass(frozen=True)
@@ -32,37 +36,55 @@ class Fig8Row:
         return self.dense_seconds / self.csc_seconds
 
 
+def _blocks(r: Fig8Result) -> str:
+    csc = "/".join(str(x.csc_blocks) for x in r.rows)
+    dense = "/".join(str(x.dense_max_blocks) for x in r.rows)
+    return f"csc {csc}, dense {dense}"
+
+
 @dataclass
-class Fig8Result:
+class Fig8Result(PaperReport):
     rows: list[Fig8Row]
 
-    @property
-    def speedups(self) -> list[float]:
-        return [r.speedup for r in self.rows]
+    title = (
+        "Figure 8 — numeric factorization: binary-search CSC vs "
+        "dense format"
+    )
+    columns = (
+        ("matrix", "abbr"),
+        ("dense (s)", "dense_seconds"),
+        ("csc (s)", "csc_seconds"),
+        ("M dense", "dense_max_blocks"),
+        ("blocks csc", "csc_blocks"),
+        ("speedup", "speedup"),
+    )
+    gates = (
+        Claim(
+            "speedup_range_ok",
+            lambda r: all(2.5 <= s <= 3.8 for s in r.speedups),
+            "every speedup in [2.5, 3.8]",
+            "2.88-3.33x binary-search CSC vs dense",
+            lambda r: span(r.speedups),
+        ),
+        Claim(
+            "blocks_ok",
+            lambda r: all(
+                x.csc_blocks == 160 and x.dense_max_blocks < 160
+                for x in r.rows
+            ),
+            "csc blocks == TB_max 160, dense M < 160",
+            "binary search runs 160 blocks; dense is capped at M < 160",
+            _blocks,
+        ),
+    )
 
-    def speedup_range(self) -> tuple[float, float]:
-        s = self.speedups
-        return (min(s), max(s))
 
-    def __str__(self) -> str:
-        return format_table(
-            ["matrix", "dense (s)", "csc (s)", "M dense", "blocks csc",
-             "speedup"],
-            [
-                (r.abbr, r.dense_seconds, r.csc_seconds, r.dense_max_blocks,
-                 r.csc_blocks, r.speedup)
-                for r in self.rows
-            ],
-            title="Figure 8 — numeric factorization: binary-search CSC vs "
-                  "dense format",
-        )
-
-
-def run_fig8(specs: tuple[MatrixSpec, ...] = TABLE4) -> Fig8Result:
-    """Regenerate Figure 8 over the Table 4 matrices."""
+def run_fig8(*, smoke: bool = False, seed: int = 0) -> Fig8Result:
+    """Regenerate Figure 8 over the Table 4 matrices at the smoke or full
+    point."""
     rows = []
-    for spec in specs:
-        art = prepare(spec, for_numeric=True)
+    for spec in SMOKE if smoke else FULL:
+        art = prepare(spec, seed=seed, for_numeric=True)
         dense = EndToEndLU(art.config(numeric_format="dense")).factorize(art.a)
         csc = EndToEndLU(art.config(numeric_format="csc")).factorize(art.a)
         rows.append(

@@ -4,21 +4,28 @@ A gated sweep or drill argues like the paper: measured values set
 against stated bounds.  Its report class lists those bounds once as a
 ``gates`` table of :class:`Gate`; :class:`GatedReport` derives the
 verdicts, ``passed``, the marked report lines and the perf-record gate
-labels from it.  :data:`EXPERIMENTS` declares each sweep and drill
-once, with its smoke and full points fixed in its module, and the CLI
-subcommands (``--smoke``/``--seed`` only) and perf scenarios are
-generated from it.
+labels from it.  A paper figure or table is a :class:`PaperReport`
+whose gates are :class:`Claim` gates: each also states the paper's claim
+and renders the measured value, which is what the claim table of
+``EXPERIMENTS.md`` shows.  :data:`EXPERIMENTS` declares each sweep,
+drill and paper experiment once, with its smoke and full points fixed
+in its module, and the CLI subcommands (``--smoke``/``--seed`` only)
+and perf scenarios are generated from it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Any, Callable, ClassVar, Iterable
 
 import numpy as np
 
 from ..serve import ServeConfig, SolverService, replay
 from ..serve.loadgen import TraceRequest
+from .report import format_table
 
 
 @dataclass(frozen=True)
@@ -29,6 +36,22 @@ class Gate:
     check: Callable[[Any], bool]
     #: the predicate as printed by :meth:`GatedReport.gate_lines`
     text: str = ""
+
+    def line(self, report: Any) -> str:
+        return self.text or self.label
+
+
+@dataclass(frozen=True)
+class Claim(Gate):
+    """A gate on one of the paper's claims."""
+
+    #: the claim as the paper states it
+    paper: str = ""
+    #: the measured value the predicate reads, as printed
+    measured: Callable[[Any], str] = lambda report: ""
+
+    def line(self, report: Any) -> str:
+        return f"{self.text}: {self.measured(report)}"
 
 
 class GatedReport:
@@ -54,8 +77,7 @@ class GatedReport:
         """One marked line per gate, then the verdict line."""
         verdicts = self.verdicts()
         lines = [
-            f"  {mark(verdicts[g.label])} {g.text or g.label}"
-            for g in self.gates
+            f"  {mark(verdicts[g.label])} {g.line(self)}" for g in self.gates
         ]
         return [*lines, self.verdict_line()]
 
@@ -70,14 +92,76 @@ class GatedReport:
         raise NotImplementedError
 
 
+class PaperReport(GatedReport):
+    """A paper figure or table: a list of per-matrix ``rows`` (frozen
+    dataclasses keyed by ``abbr``) gated by :class:`Claim` gates."""
+
+    rows: list[Any]
+    #: the result table: its title and ``(header, row attribute)`` columns
+    title: ClassVar[str] = ""
+    columns: ClassVar[tuple[tuple[str, str], ...]] = ()
+
+    def __str__(self) -> str:
+        attrs = [attr for _, attr in self.columns]
+        return format_table(
+            [header for header, _ in self.columns],
+            [[getattr(r, attr) for attr in attrs] for r in self.rows],
+            title=self.title,
+        )
+
+    @property
+    def speedups(self) -> list[float]:
+        return [r.speedup for r in self.rows]
+
+    def speedup_range(self) -> tuple[float, float]:
+        return min(self.speedups), max(self.speedups)
+
+    def value(self, abbr: str, attr: str) -> float:
+        """``attr`` of the row of matrix ``abbr``; NaN, which fails every
+        bound, if the report has no such row."""
+        rows = (getattr(x, attr) for x in self.rows if x.abbr == abbr)
+        return next(rows, math.nan)
+
+    def perf_record(self) -> dict[str, Any]:
+        """The row count, every int field of every row as a counter and
+        every float field as a timing, keyed ``<abbr>_<field>``; the
+        gates as labels."""
+        counters: dict[str, int] = {"rows": len(self.rows)}
+        timings: dict[str, float] = {}
+        for row in self.rows:
+            for f in dataclasses.fields(row):
+                value = getattr(row, f.name)
+                key = f"{row.abbr}_{f.name}"
+                if isinstance(value, float):
+                    timings[key] = value
+                elif isinstance(value, (int, np.integer)):
+                    counters[key] = value
+        return {
+            "counters": counters,
+            "timings": timings,
+            "labels": self.gate_labels(),
+        }
+
+
+def format_paper_report(report: PaperReport) -> str:
+    """The result table, then one marked line per claim."""
+    return "\n".join([str(report), *report.gate_lines()])
+
+
+def span(values: Iterable[float], fmt: str = ".2f", unit: str = "x") -> str:
+    """``min-max`` of ``values``, as a claim's measured text."""
+    vals = list(values)
+    return f"{min(vals):{fmt}}-{max(vals):{fmt}}{unit}"
+
+
 def mark(ok: bool) -> str:
     return f"[{'ok' if ok else 'FAIL':>4s}]"
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """One gated sweep or drill: CLI subcommand, perf scenario, runner,
-    renderer."""
+    """One gated sweep, drill or paper experiment: CLI subcommand, perf
+    scenario, runner, renderer."""
 
     command: str
     scenario: str
@@ -90,9 +174,9 @@ EXPERIMENTS: tuple[Experiment, ...]
 
 
 def __getattr__(name: str) -> Any:
-    # The sweeps and drills import the gate vocabulary above, so the
-    # registry that imports them is built on first access rather than at
-    # import time.
+    # The sweeps, drills and paper experiments import the gate vocabulary
+    # above, so the registry that imports them is built on first access
+    # rather than at import time.
     if name != "EXPERIMENTS":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import (
@@ -106,6 +190,7 @@ def __getattr__(name: str) -> Any:
         supernodal,
     )
 
+    paper = "table2 fig3 fig4 fig5 fig6 table3 fig7 table4 fig8".split()
     experiments = (
         Experiment(
             "overlap-bench",
@@ -170,6 +255,17 @@ def __getattr__(name: str) -> Any:
             supernodal.format_supernodal_report,
             "per-column vs supernodal numeric on a FEM + circuit pair; "
             "gates time/launch ratios, singleton split, bitwise identity",
+        ),
+        *(
+            Experiment(
+                name,
+                f"paper/{name}",
+                getattr(module, f"run_{name}"),
+                format_paper_report,
+                str(module.__doc__).splitlines()[0],
+            )
+            for name in paper
+            for module in [import_module(f".{name}", __package__)]
         ),
     )
     globals()["EXPERIMENTS"] = experiments

@@ -44,8 +44,12 @@ class MatrixArtifacts:
         return GPU(spec=cfg.device, host=cfg.host, cost=cfg.cost_model)
 
 
-def prepare(spec: MatrixSpec, *, for_numeric: bool = False) -> MatrixArtifacts:
-    """Generate the scaled instance and its scaled hardware pairing."""
+def prepare(
+    spec: MatrixSpec, *, seed: int = 0, for_numeric: bool = False
+) -> MatrixArtifacts:
+    """Generate the scaled instance, its generator seed offset by
+    ``seed``, and its scaled hardware pairing."""
+    spec = replace(spec, seed=spec.seed + seed)
     a = spec.generate()
     filled = symbolic_fill_reference(a)  # memoized; device sizing needs nnz
     if for_numeric:

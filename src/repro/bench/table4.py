@@ -9,12 +9,17 @@ paper's value exactly (124 / 119 / 109 / 102), all below ``TB_max = 160``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from ..core import SolverConfig, dense_format_max_blocks
 from ..gpusim import GPU
-from ..workloads import MatrixSpec, TABLE4
-from .report import format_table
+from ..workloads import TABLE4
+from .gates import Claim, PaperReport
 from .runner import prepare
+
+#: the smoke point is the first two Table 4 matrices; the full point all
+SMOKE = TABLE4[:2]
+FULL = TABLE4
 
 
 @dataclass(frozen=True)
@@ -34,30 +39,56 @@ class Table4Row:
         """The §3.4 condition: dense format cannot fill the device."""
         return self.max_blocks < self.tb_max
 
+    @property
+    def occupancy(self) -> float:
+        """The dense format's share of the device's block slots."""
+        return self.max_blocks / self.tb_max
+
 
 @dataclass
-class Table4Result:
+class Table4Result(PaperReport):
     rows: list[Table4Row]
 
-    def __str__(self) -> str:
-        return format_table(
-            ["matrix", "paper n", "paper nnz", "scaled n", "max #blocks",
-             "paper max #blocks"],
-            [
-                (r.name, r.paper_n, r.paper_nnz, r.scaled_n, r.max_blocks,
-                 r.paper_max_blocks)
-                for r in self.rows
-            ],
-            title="Table 4 — large matrices and the dense-format "
-                  "parallel-block cap (TB_max = 160)",
-        )
+    title = (
+        "Table 4 — large matrices and the dense-format "
+        "parallel-block cap (TB_max = 160)"
+    )
+    columns = (
+        ("matrix", "name"),
+        ("paper n", "paper_n"),
+        ("paper nnz", "paper_nnz"),
+        ("scaled n", "scaled_n"),
+        ("max #blocks", "max_blocks"),
+        ("paper max #blocks", "paper_max_blocks"),
+    )
+    gates = (
+        Claim(
+            "max_blocks_ok",
+            lambda r: all(
+                x.max_blocks == x.paper_max_blocks
+                and x.under_occupied
+                and x.tb_max == 160
+                for x in r.rows
+            ),
+            "max #blocks == the paper's, < TB_max 160",
+            "124 / 119 / 109 / 102 (< TB_max 160)",
+            lambda r: "/".join(str(x.max_blocks) for x in r.rows),
+        ),
+    )
+
+    def perf_record(self) -> dict[str, Any]:
+        record = super().perf_record()
+        for x in self.rows:
+            record["timings"][f"{x.abbr}_occupancy"] = x.occupancy
+        return record
 
 
-def run_table4(specs: tuple[MatrixSpec, ...] = TABLE4) -> Table4Result:
-    """Regenerate Table 4 (matrix specs + max parallel blocks)."""
+def run_table4(*, smoke: bool = False, seed: int = 0) -> Table4Result:
+    """Regenerate Table 4 (matrix specs + max parallel blocks) at the smoke
+    or full point."""
     rows = []
-    for spec in specs:
-        art = prepare(spec, for_numeric=True)
+    for spec in SMOKE if smoke else FULL:
+        art = prepare(spec, seed=seed, for_numeric=True)
         cfg = SolverConfig(device=art.device, host=art.host)
         gpu = GPU(spec=art.device, host=art.host)
         # the dense buffers compete with the resident graph + factorized

@@ -7,8 +7,6 @@ Commands
 ``analyze``   structural report: pattern statistics, fill-in, levels,
               numeric-format decision — a Table 2-style row for any matrix.
 ``generate``  write a synthetic workload matrix (circuit/fem/mesh) to .mtx.
-``bench``     run one paper experiment by name (fig3..fig8, table3, table4)
-              or ``all`` (EXPERIMENTS.md regeneration).
 ``report``    structural report table for several .mtx files at once.
 ``trace``     factorize a .mtx and write a Chrome trace of the simulated
               device timeline (load in chrome://tracing or Perfetto).
@@ -22,10 +20,15 @@ Commands
 ``fault-drill``, ``churn-drill``, ``drift-bench``, ``supernodal-bench``
               the gated drills (see docs/faults.md, docs/churn.md,
               docs/incremental.md, docs/supernodal.md).
-              Every sweep and drill takes only ``--smoke`` and
-              ``--seed``, prints its report and exits 1 if any declared
-              gate fails; its subcommand and perf scenario are generated
-              from :data:`repro.bench.gates.EXPERIMENTS`.
+``table2``..``table4``, ``fig3``..``fig8``
+              the paper's experiments, each gated by the paper's claims
+              (``python -m repro.bench.experiments`` runs them all and
+              writes EXPERIMENTS.md).
+              Every sweep, drill and paper experiment takes only
+              ``--smoke`` and ``--seed``, prints its report and exits 1
+              if any declared gate fails; its subcommand and perf
+              scenario are generated from
+              :data:`repro.bench.gates.EXPERIMENTS`.
 ``perf``      benchmark-snapshot subsystem: ``perf run`` captures a
               schema-versioned ``BENCH_*.json`` snapshot of the curated
               scenario suite, ``perf compare`` gates it against the
@@ -250,19 +253,6 @@ def cmd_perf(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_bench(args) -> int:
-    if args.experiment == "all":
-        from .bench.experiments import main as exp_main
-
-        return exp_main(["--fast"] if args.fast else [])
-    import importlib
-
-    mod = importlib.import_module(f"repro.bench.{args.experiment}")
-    runner = getattr(mod, f"run_{args.experiment}")
-    print(runner())
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -314,13 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the scaled Table 2/4 suite to a dir")
     sp.add_argument("directory")
     sp.set_defaults(fn=cmd_export_suite)
-
-    sp = sub.add_parser("bench", help="run a paper experiment")
-    sp.add_argument("experiment",
-                    choices=["fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-                             "table3", "table4", "all"])
-    sp.add_argument("--fast", action="store_true")
-    sp.set_defaults(fn=cmd_bench)
 
     from .bench.gates import EXPERIMENTS
 

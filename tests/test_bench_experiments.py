@@ -1,26 +1,20 @@
-"""Experiment harness: reporting helpers and paper-shape assertions.
+"""Experiment harness: reporting helpers, instance preparation and the
+Fig. 4 shape on the density extremes.
 
-The heavier per-figure shape checks live in benchmarks/ (run with
-``pytest benchmarks/ --benchmark-only``); here we exercise the harness on a
-reduced scope so the unit suite stays fast while still pinning every
-runner's plumbing and the key paper shapes on representative matrices.
+The paper's shapes are the gates of the ``paper/*`` registry rows
+(``repro.bench.gates.EXPERIMENTS``); tier-1 runs their smoke points
+through ``tests/test_experiment_registry.py``.  ``TestFig4Shape`` adds
+the densest matrices (MI, CR2), which the fig4 smoke point leaves out.
 """
 
 import numpy as np
 import pytest
 
 from repro.bench import format_series, format_table, prepare
-from repro.bench.fig3 import run_fig3
-from repro.bench.fig4 import run_fig4
-from repro.bench.fig5 import run_fig5
-from repro.bench.fig6 import run_fig6
-from repro.bench.fig7 import run_fig7
-from repro.bench.table3 import run_table3
-from repro.bench.table4 import run_table4
-from repro.workloads import TABLE4, by_abbr
+from repro.bench.fig4 import fig4_row
+from repro.workloads import by_abbr
 
-EXTREMES = (by_abbr("AP"), by_abbr("OT2"), by_abbr("MI"), by_abbr("CR2"))
-UM_PAIR = (by_abbr("OT2"), by_abbr("WI"))
+EXTREMES = ("AP", "OT2", "MI", "CR2")
 
 
 class TestReport:
@@ -49,72 +43,22 @@ class TestReport:
 
 class TestFig4Shape:
     def test_density_extremes(self):
-        res = run_fig4(EXTREMES)
-        by = {r.abbr: r for r in res.rows}
+        by = {a: fig4_row(by_abbr(a)) for a in EXTREMES}
         # sparsest near parity, densest large (Fig. 4's envelope)
         assert 0.7 < by["AP"].speedup < 2.5
         assert by["CR2"].speedup > 15
         # monotone in density on the extremes
-        s = [by[a].speedup for a in ("AP", "OT2", "MI", "CR2")]
+        s = [by[a].speedup for a in EXTREMES]
         assert s == sorted(s)
 
     def test_symbolic_dominates_glu3(self):
-        res = run_fig4((by_abbr("CR2"),))
-        r = res.rows[0]
+        r = fig4_row(by_abbr("CR2"))
         assert r.glu3_symbolic > 5 * r.glu3_numeric
 
     def test_normalized_bars(self):
-        res = run_fig4((by_abbr("MI"),))
-        gs, gn, os_, on = res.rows[0].normalized()
+        gs, gn, os_, on = fig4_row(by_abbr("MI")).normalized()
         assert gs + gn == pytest.approx(1.0)
         assert os_ + on < 1.0  # ooc bar shorter than the baseline bar
-
-
-class TestUnifiedShapes:
-    def test_fig5_ooc_wins(self):
-        res = run_fig5(UM_PAIR)
-        for r in res.rows:
-            assert 1.0 < r.speedup < 2.5
-
-    def test_fig6_ordering_and_density_trend(self):
-        res = run_fig6(UM_PAIR)
-        by = {r.abbr: r for r in res.rows}
-        for r in res.rows:
-            assert r.ooc < r.um_prefetch < r.um_no_prefetch
-        # sparser matrix suffers more from UM (paper: R15/OT2 worst)
-        assert (
-            by["OT2"].speedup_vs_no_prefetch
-            > by["WI"].speedup_vs_no_prefetch
-        )
-
-    def test_table3_shapes(self):
-        res = run_table3(UM_PAIR)
-        for r in res.rows:
-            assert r.fault_groups_prefetch < r.fault_groups_no_prefetch
-            assert r.pct_fault_prefetch < r.pct_fault_no_prefetch
-            assert r.pct_transfer_ooc < 1.0
-            assert 2.0 < r.group_reduction < 7.0
-
-
-class TestFig3Fig7:
-    def test_fig3_tail_spike(self):
-        res = run_fig3()
-        for s in res.series:
-            assert s.tail_is_large()
-
-    def test_fig7_gain_in_paper_band(self):
-        res = run_fig7()
-        for r in res.rows:
-            assert 0.0 < r.improvement <= 0.15
-            assert r.dynamic_iterations < r.naive_iterations
-
-
-class TestTable4:
-    def test_exact_paper_max_blocks(self):
-        res = run_table4(TABLE4[:2])
-        for r in res.rows:
-            assert r.max_blocks == r.paper_max_blocks
-            assert r.under_occupied
 
 
 class TestPrepare:
@@ -126,3 +70,9 @@ class TestPrepare:
         cfg = art.config(numeric_format="csc")
         assert cfg.numeric_format == "csc"
         assert cfg.device is art.device
+
+    def test_seed_offsets_the_generator_seed(self):
+        spec = by_abbr("OT2")
+        art = prepare(spec, seed=3)
+        assert art.spec.seed == spec.seed + 3
+        assert prepare(spec).spec == spec

@@ -152,7 +152,7 @@ class TestCli:
         assert "format=csc" in capsys.readouterr().out
 
     def test_bench_command_table4(self, capsys):
-        rc = cli_main(["bench", "table4"])
+        rc = cli_main(["table4", "--smoke"])
         assert rc == 0
         assert "max #blocks" in capsys.readouterr().out
 

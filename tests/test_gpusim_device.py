@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import SolverConfig, factorize
 from repro.gpusim import V100, XEON_E5_2680, scaled_device, scaled_host
+from repro.workloads import circuit_like
 
 
 class TestTable1:
@@ -37,6 +39,14 @@ class TestTable1:
     def test_derived_quantities(self):
         assert V100.cores_per_sm == 64
         assert V100.peak_flops > 1e13  # ~14 TFLOP/s fp32
+
+    def test_pipeline_bringup_on_the_default_device(self):
+        """The whole pipeline runs on the default (Table 1) device and
+        releases every device byte it allocated."""
+        res = factorize(circuit_like(300, 8.0, seed=1), SolverConfig())
+        assert res.gpu.spec.num_sms == V100.num_sms
+        assert res.sim_seconds > 0
+        assert res.gpu.pool.live_bytes == 0
 
 
 class TestHost:

@@ -34,14 +34,16 @@ class TestPlots:
         # the longest bar (1.0) fills the full width
         assert max(ln.count("█") + ln.count("░") for ln in bars) == 20
 
-    def test_render_fig4_and_fig5(self):
-        from repro.bench.fig4 import run_fig4
-        from repro.bench.fig5 import run_fig5
+    def test_render_fig4_and_fig5(self, smoke_report):
+        from repro.bench.gates import EXPERIMENTS
 
-        r4 = run_fig4((by_abbr("OT2"),))
+        r4, r5 = (
+            smoke_report(next(e for e in EXPERIMENTS if e.command == name))
+            for name in ("fig4", "fig5")
+        )
         out4 = render_fig4(r4)
         assert "OT2" in out4 and "speedup" in out4
-        r5 = run_fig5((by_abbr("OT2"),))
+        assert r5.rows[0].abbr == "OT2"
         out5 = render_fig5(r5)
         assert "unified memory" in out5 and "out-of-core" in out5
         # ooc bar is shorter than the UM bar (it is faster)
