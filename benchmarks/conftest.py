@@ -1,9 +1,9 @@
 """Benchmark-suite configuration.
 
 ``test_registry.py`` runs every row of the gated registry (the sweeps,
-the drills and the paper's tables and figures) at its full point;
-``test_ablations.py`` and ``test_scaling_extensions.py`` run the
-ablations and scaling studies.  The measured quantity of interest is
+the drills, the paper's tables and figures and the ablations) at its
+full point; ``test_scaling_extensions.py`` runs the multi-device and
+streamed-numeric studies.  The measured quantity of interest is
 *simulated* time computed by the runner; ``benchmark.pedantic(rounds=1)``
 wraps each runner so pytest-benchmark also records the harness
 wall-clock without re-running the heavy simulations.

@@ -1,8 +1,9 @@
 """Every row of the gated registry at its full point.
 
-The sweeps, the drills and the paper's experiments (Table 2-4, Figures
-3-8) are declared once, in :data:`repro.bench.gates.EXPERIMENTS`; their
-gates are the acceptance bars.  Tier-1 runs every row's smoke point;
+The sweeps, the drills, the paper's experiments (Table 2-4, Figures
+3-8) and the ablations are declared once, in
+:data:`repro.bench.gates.EXPERIMENTS`; their gates are the acceptance
+bars.  Tier-1 runs every row's smoke point;
 this runs every full point, which must report ``passed``.
 """
 

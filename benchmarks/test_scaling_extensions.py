@@ -1,25 +1,9 @@
-"""Extension benches: device-memory sweep, multi-device scaling, supernodes."""
+"""Extension benches: multi-device symbolic scaling, streamed numeric."""
 
 import pytest
 
 from repro.core import SolverConfig, multi_gpu_symbolic
 from repro.gpusim import scaled_device, scaled_host
-from repro.workloads import TABLE2, by_abbr
-
-
-def test_device_memory_sweep(once):
-    """Out-of-core overhead shrinks monotonically toward the in-core run,
-    and Algorithm 4 recovers most of the tight-memory penalty."""
-    from repro.bench.device_sweep import run_device_sweep
-
-    res = once(run_device_sweep, by_abbr("PR"),
-               fractions=(0.01, 0.02, 0.05, 0.1, 0.25))
-    assert res.monotone_nonincreasing(tolerance=0.10)
-    assert 1.5 < res.max_overhead() < 5.0  # tight memory hurts, boundedly
-    tight = res.points[0]
-    assert tight.dynamic_seconds < tight.symbolic_seconds  # Alg. 4 helps
-    print()
-    print(res)
 
 
 @pytest.mark.multigpu
@@ -49,20 +33,6 @@ def test_multi_device_scaling(once):
               f"(efficiency {eff:.2f}, balance {res.balance():.2f})")
     d2 = dict(results)
     assert d2[2].parallel_efficiency(t1.makespan_seconds) > 0.6
-
-
-def test_supernode_formation_by_class(once):
-    """§5: circuit matrices resist supernode formation; FEM matrices don't."""
-    from repro.bench.ablations import run_supernode_ablation
-
-    specs = tuple(s for s in TABLE2 if s.abbr in
-                  ("OT2", "R15", "OT1", "MI", "WI", "GO"))
-    res = once(run_supernode_ablation, specs)
-    assert res.claim_holds()
-    assert res.fem_mean() > 2.0       # FEM forms real supernodes
-    assert res.circuit_mean() < 2.5   # circuit mostly does not
-    print()
-    print(res)
 
 
 @pytest.mark.streams

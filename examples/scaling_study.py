@@ -18,20 +18,20 @@ Usage::
 
 import sys
 
-from repro.bench.device_sweep import run_device_sweep
+from repro.bench.ablations import run_memory
+from repro.bench.gates import format_paper_report
 from repro.core import EndToEndLU, SolverConfig, multi_gpu_symbolic
 from repro.gpusim import GPU, TracingGPU, scaled_device, scaled_host
-from repro.workloads import by_abbr, circuit_like
+from repro.workloads import circuit_like
 
 
 def main() -> None:
     # ---- 1. out-of-core overhead vs device memory ----------------------
-    sweep = run_device_sweep(by_abbr("PR"), fractions=(0.02, 0.1, 0.25, 0.5))
-    print(sweep)
-    print(
-        f"-> worst out-of-core overhead: {sweep.max_overhead():.2f}x the "
-        "in-core run\n"
-    )
+    sweep = run_memory()
+    print(format_paper_report(sweep))
+    assert sweep.passed
+    worst = max(p.overhead for p in sweep.rows)
+    print(f"-> worst out-of-core overhead: {worst:.2f}x the in-core run\n")
 
     # ---- 2. multi-device scaling ------------------------------------------
     cfg = SolverConfig(

@@ -137,11 +137,12 @@ class Fig4Result(PaperReport):
         return float((rd * rs).sum() / denom) if denom else 0.0
 
 
-def fig4_row(spec, seed: int = 0) -> Fig4Row:
-    """Run both solvers end to end on one matrix."""
+def fig4_row(spec, seed: int = 0, **overrides) -> Fig4Row:
+    """Run both solvers end to end on one matrix, ``overrides`` applied
+    to both solvers' configuration."""
     art = prepare(spec, seed=seed)
-    gb = run_glu3(art).breakdown()
-    ob = run_outofcore(art).breakdown()
+    gb = run_glu3(art, **overrides).breakdown()
+    ob = run_outofcore(art, **overrides).breakdown()
     # two-way split as in the paper's stacked bars: everything that is
     # not symbolic (levelization, numeric, factor download) counts as
     # the numeric-side bar segment

@@ -10,7 +10,8 @@ and renders the measured value, which is what the claim table of
 ``EXPERIMENTS.md`` shows.  :data:`EXPERIMENTS` declares each sweep,
 drill and paper experiment once, with its smoke and full points fixed
 in its module, and the CLI subcommands (``--smoke``/``--seed`` only)
-and perf scenarios are generated from it.
+and perf scenarios are generated from it.  The ablations of the paper's
+design choices (:mod:`repro.bench.ablations`) are paper reports too.
 """
 
 from __future__ import annotations
@@ -180,6 +181,7 @@ def __getattr__(name: str) -> Any:
     if name != "EXPERIMENTS":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import (
+        ablations,
         churn,
         drift,
         fault_drill,
@@ -191,6 +193,7 @@ def __getattr__(name: str) -> Any:
     )
 
     paper = "table2 fig3 fig4 fig5 fig6 table3 fig7 table4 fig8".split()
+    ablation = "levelize numeric format alg4 memory costmodel supernodes"
     experiments = (
         Experiment(
             "overlap-bench",
@@ -266,6 +269,17 @@ def __getattr__(name: str) -> Any:
             )
             for name in paper
             for module in [import_module(f".{name}", __package__)]
+        ),
+        *(
+            Experiment(
+                f"ablate-{name}",
+                f"ablation/{name}",
+                run,
+                format_paper_report,
+                " ".join(str(run.__doc__).split()),
+            )
+            for name in ablation.split()
+            for run in [getattr(ablations, f"run_{name}")]
         ),
     )
     globals()["EXPERIMENTS"] = experiments

@@ -62,6 +62,21 @@ def prepare(
     )
 
 
+def resident_replica(art: MatrixArtifacts) -> GPU:
+    """A fresh GPU holding what the numeric executor keeps resident (the
+    graph and the factorized matrix): its free memory is what dense
+    column buffers could claim."""
+    cfg = art.config()
+    idx, val = cfg.index_bytes, cfg.value_bytes
+    n = art.a.n_rows
+    gpu = GPU(spec=art.device, host=art.host)
+    gpu.malloc((n + 1) * idx + art.a.nnz * (idx + val), "graph")
+    gpu.malloc(
+        (n + 1) * idx + art.filled_nnz * (idx + val), "factorized matrix"
+    )
+    return gpu
+
+
 def run_outofcore(
     art: MatrixArtifacts, *, dynamic: bool = True, **overrides
 ) -> EndToEndResult:

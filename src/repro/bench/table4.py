@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..core import SolverConfig, dense_format_max_blocks
-from ..gpusim import GPU
+from ..core import dense_format_max_blocks
 from ..workloads import TABLE4
 from .gates import Claim, PaperReport
-from .runner import prepare
+from .runner import prepare, resident_replica
 
 #: the smoke point is the first two Table 4 matrices; the full point all
 SMOKE = TABLE4[:2]
@@ -89,17 +88,10 @@ def run_table4(*, smoke: bool = False, seed: int = 0) -> Table4Result:
     rows = []
     for spec in SMOKE if smoke else FULL:
         art = prepare(spec, seed=seed, for_numeric=True)
-        cfg = SolverConfig(device=art.device, host=art.host)
-        gpu = GPU(spec=art.device, host=art.host)
         # the dense buffers compete with the resident graph + factorized
         # matrix, exactly as in the numeric executor
-        idx, val = cfg.index_bytes, cfg.value_bytes
         n = art.a.n_rows
-        gpu.malloc((n + 1) * idx + art.a.nnz * (idx + val), "graph")
-        gpu.malloc(
-            (n + 1) * idx + art.filled_nnz * (idx + val), "factorized matrix"
-        )
-        m = dense_format_max_blocks(gpu, n, cfg)
+        m = dense_format_max_blocks(resident_replica(art), n, art.config())
         rows.append(
             Table4Row(
                 name=spec.name,

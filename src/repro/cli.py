@@ -24,7 +24,11 @@ Commands
               the paper's experiments, each gated by the paper's claims
               (``python -m repro.bench.experiments`` runs them all and
               writes EXPERIMENTS.md).
-              Every sweep, drill and paper experiment takes only
+``ablate-levelize``, ``ablate-numeric``, ``ablate-format``, ``ablate-alg4``,
+``ablate-memory``, ``ablate-costmodel``, ``ablate-supernodes``
+              the ablations of the paper's design choices, each gated
+              (also written to EXPERIMENTS.md).
+              Every sweep, drill, paper experiment and ablation takes only
               ``--smoke`` and ``--seed``, prints its report and exits 1
               if any declared gate fails; its subcommand and perf
               scenario are generated from

@@ -34,8 +34,8 @@ cached launch inputs and the pass's ``per_level`` stats, and every
 executor reads its launches from it — the multi-GPU executor per device,
 on the columns each one owns.
 
-The ablation (`run_kernel_mode_ablation`) verifies the adaptive choice is
-never worse than forcing any single mode.
+The ablation ``repro ablate-numeric`` gates the adaptive choice within
+5 % of forcing any single mode.
 
 On a bare :class:`~repro.gpusim.GPU` (its exact type, no proxy) a pass
 makes no launch call: the cost model prices the whole table at once and

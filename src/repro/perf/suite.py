@@ -31,7 +31,9 @@ The scenario families, each seeded and therefore bit-deterministic:
     fleet with a deliberately tight L1 (routing balance, L1/L2 tier hit
     rates, shed count, exact latency percentiles);
   - ``faults/drill``, ``fleet/churn``, ``serve/drift``,
-    ``supernodal/e2e`` — the gated drills.
+    ``supernodal/e2e`` — the gated drills;
+  - ``paper/<name>`` and ``ablation/<name>`` — the paper's tables and
+    figures and the ablations of its design choices.
 
 ``run_suite`` executes them all and returns a
 :class:`~repro.perf.snapshot.PerfSnapshot`.

@@ -5,14 +5,18 @@ model must preserve: every simulated timeline — each registered sweep
 and drill, per-device ledgers, peer-transfer logs — is a pure function
 of (input, seed, config).  Each check runs the full entry point twice
 and compares the rendered output byte-for-byte; for a registered
-entry, one of the two runs is the session's shared smoke run.
+entry, one of the two runs is the session's shared smoke run, and the
+two perf records must be equal too (the perf suite's own rerun skips
+the registry rows).
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro import cli
+from repro.bench import gates
 from repro.bench.gates import EXPERIMENTS
 
 pytestmark = pytest.mark.multigpu
@@ -33,9 +37,26 @@ _EXPECTED_LINES = {
 
 
 @pytest.mark.parametrize("exp", EXPERIMENTS, ids=lambda e: e.command)
-def test_same_seed_report_byte_identical(exp, capsys, smoke_report):
-    first = exp.format(smoke_report(exp, 3)) + "\n"
+def test_same_seed_report_byte_identical(
+    exp, capsys, monkeypatch, smoke_report
+):
+    """The CLI run is independent of the shared one: its rendered report
+    and its perf record must both be identical."""
+    shared = smoke_report(exp, 3)
+    first = exp.format(shared) + "\n"
+    reports = []
+
+    def run(**kw):
+        reports.append(exp.run(**kw))
+        return reports[-1]
+
+    monkeypatch.setattr(gates, "EXPERIMENTS", tuple(
+        dataclasses.replace(e, run=run) if e is exp else e
+        for e in EXPERIMENTS
+    ))
     assert _run_cli(capsys, [exp.command, "--smoke", "--seed", "3"]) == first
+    assert reports[0] is not shared
+    assert reports[0].perf_record() == shared.perf_record()
     assert _EXPECTED_LINES.get(exp.command, "") in first
     if exp.command == "multigpu-bench":
         # the overlap sweep books halo sends through copy engines, under
@@ -46,8 +67,6 @@ def test_same_seed_report_byte_identical(exp, capsys, smoke_report):
 
 
 def test_multigpu_execution_record_identical():
-    import dataclasses
-
     from repro.core import SolverConfig, multi_gpu_endtoend
     from repro.workloads.registry import by_abbr
 
@@ -70,8 +89,6 @@ def test_supernodal_run_and_scenario_identical():
     """The supernodal e2e run (ledger snapshot + perf record) and the
     committed ``supernodal/e2e`` perf scenario are pure functions of
     (input, config) — rerunning produces byte-identical records."""
-    import dataclasses
-
     from repro.core import EndToEndLU, SolverConfig
     from repro.perf.suite import run_scenario
     from repro.workloads.registry import by_abbr

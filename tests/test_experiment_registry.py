@@ -85,27 +85,26 @@ def test_failing_gate_exits_one_and_prints_fail(drill, monkeypatch, capsys):
 
 
 def test_experiments_md_claim_table_matches_the_gates(smoke_report):
-    """The committed EXPERIMENTS.md lists one claim row per paper gate,
-    in registry order, with the declared paper and gate text, and every
+    """The committed EXPERIMENTS.md has a claim table for the paper rows
+    and one for the ablation rows; each lists one claim row per gate, in
+    registry order, with the declared paper and gate text, and every
     claim holds."""
     from pathlib import Path
 
-    from repro.bench.experiments import (
-        CLAIM_HEADER,
-        paper_experiments,
-        title,
-    )
+    from repro.bench.experiments import CLAIM_HEADER, family, title
 
     text = Path(__file__).parents[1].joinpath("EXPERIMENTS.md").read_text()
-    table = text.split(CLAIM_HEADER + "\n")[1].split("\n\n")[0]
-    rows = [
-        [cell.strip() for cell in line.strip("|").split("|")]
-        for line in table.splitlines()[1:]
-    ]
-    expected = [
-        [title(exp), gate.paper, gate.text]
-        for exp in paper_experiments()
-        for gate in type(smoke_report(exp)).gates
-    ]
-    assert expected and [row[:3] for row in rows] == expected
-    assert all(row[-1] == "yes" for row in rows)
+    tables = text.split(CLAIM_HEADER + "\n")[1:]
+    assert len(tables) == 2
+    for table, name in zip(tables, ("paper", "ablation")):
+        rows = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.split("\n\n")[0].splitlines()[1:]
+        ]
+        expected = [
+            [title(exp), gate.paper, gate.text]
+            for exp in family(name)
+            for gate in type(smoke_report(exp)).gates
+        ]
+        assert expected and [row[:3] for row in rows] == expected
+        assert all(row[-1] == "yes" for row in rows)

@@ -80,16 +80,18 @@ class TestGeneratorEdges:
         assert a.n_rows == 200
 
 
-class TestDeviceSweepDataclass:
-    def test_dynamic_overhead_property(self):
-        from repro.bench.device_sweep import DeviceSweepPoint
+class TestMemoryRowGates:
+    def test_tightest_point_needs_alg4_faster(self):
+        from repro.bench.ablations import MemoryResult, MemoryRow
 
-        p = DeviceSweepPoint(
-            device_bytes=1000, fraction_of_incore=0.1,
-            symbolic_seconds=2.0, dynamic_seconds=1.5,
-            iterations=10, overhead_vs_incore=2.0,
-        )
-        assert p.dynamic_overhead == pytest.approx(0.75)
+        def report(alg4_s):
+            return MemoryResult([
+                MemoryRow("X@0.01", 0.01, 1000, 2.0, alg4_s, 10, 2.0),
+                MemoryRow("X@0.1", 0.1, 9000, 1.0, 1.0, 5, 1.0),
+            ])
+
+        assert report(1.5).passed
+        assert not report(2.0).verdicts()["overhead_ok"]
 
 
 class TestSolveGpuDefaults:

@@ -1,5 +1,5 @@
-"""Multi-device symbolic sharding, the scaling sweep's single-device
-point and the device-memory sweep."""
+"""Multi-device symbolic sharding and the scaling sweep's single-device
+point."""
 
 import dataclasses
 
@@ -8,7 +8,7 @@ import pytest
 from repro.core import SolverConfig, multi_gpu_symbolic
 from repro.gpusim import scaled_device, scaled_host
 from repro.symbolic import symbolic_fill_reference
-from repro.workloads import by_abbr, circuit_like
+from repro.workloads import circuit_like
 
 pytestmark = pytest.mark.multigpu
 
@@ -84,24 +84,3 @@ def test_strong_sweep_one_device_point_has_speedup_one(smoke_report):
         one = sweep.points[0]
         assert one.num_devices == 1
         assert one.speedup == 1.0, sweep.sweep
-
-
-class TestDeviceSweep:
-    def test_sweep_shapes(self):
-        from repro.bench.device_sweep import run_device_sweep
-
-        res = run_device_sweep(by_abbr("OT2"),
-                               fractions=(0.01, 0.05, 0.2, 0.5))
-        assert len(res.points) == 4
-        # out-of-core never beats in-core
-        assert all(p.overhead_vs_incore >= 0.99 for p in res.points)
-        # more memory -> fewer iterations
-        iters = [p.iterations for p in res.points]
-        assert iters == sorted(iters, reverse=True)
-        # and never much slower with more memory
-        assert res.monotone_nonincreasing(tolerance=0.10)
-        # tightest memory shows real naive overhead; Algorithm 4 reduces it
-        tight = res.points[0]
-        assert tight.overhead_vs_incore > 1.2
-        assert tight.dynamic_seconds <= tight.symbolic_seconds
-        assert "Device-memory sweep" in str(res)

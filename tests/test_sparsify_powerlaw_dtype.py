@@ -1,4 +1,4 @@
-"""Dependency-edge pruning, power-law workloads, and dtype sensitivity."""
+"""Dependency-edge pruning and power-law workloads."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from repro.graph import (
 )
 from repro.sparse import CSRMatrix
 from repro.symbolic import symbolic_fill_reference
-from repro.workloads import TABLE4, by_abbr, circuit_like, powerlaw_like
+from repro.workloads import circuit_like, powerlaw_like
 
 from helpers import random_dense
 
@@ -106,20 +106,3 @@ class TestPowerlaw:
         d = a.to_dense()
         off = np.abs(d).sum(axis=1) - np.abs(np.diag(d))
         assert np.all(np.abs(np.diag(d)) > off - 1e-9)
-
-
-class TestDtypeAblation:
-    def test_float64_halves_dense_cap(self):
-        from repro.bench.ablations import run_dtype_ablation
-
-        res = run_dtype_ablation(TABLE4[0])
-        assert res.halving_holds()
-        assert res.m_f32 == 124  # the Table 4 paper value
-        assert res.format_f32 == "csc" and res.format_f64 == "csc"
-
-    def test_sparsify_ablation_speedup(self):
-        from repro.bench.ablations import run_sparsify_ablation
-
-        res = run_sparsify_ablation(by_abbr("OT2"))
-        assert res.edge_reduction > 0.5
-        assert res.speedup > 1.0

@@ -1,4 +1,4 @@
-"""Validation report, suite export, and the extended ablations."""
+"""Validation report, suite export, and the format ablation's rule gate."""
 
 import json
 
@@ -77,56 +77,26 @@ class TestSuiteExport:
         assert isinstance(json.loads(raw), list)
 
 
-class TestExtendedAblations:
-    def test_parts_sweep_two_parts_never_worse_than_one(self):
-        from repro.bench.ablations import run_parts_sweep
-
-        res = run_parts_sweep(by_abbr("PR"), (1, 2, 4))
-        t = {p.num_parts: p.symbolic_seconds for p in res.points}
-        assert t[2] <= t[1]
-        assert res.best().num_parts != 1
-
-    def test_scheduling_comparison_levelize_never_slower(self):
-        from repro.bench.ablations import run_scheduling_comparison
-
-        res = run_scheduling_comparison(by_abbr("MI"))
-        assert res.etree_levels >= res.levelize_levels
-        assert res.levelize_speedup >= 0.999
-
-    def test_robustness_of_fig4_claims(self):
-        from repro.bench.ablations import run_robustness
-
-        res = run_robustness(
-            (by_abbr("AP"), by_abbr("OT2"), by_abbr("MI"), by_abbr("CR2")),
-            factors=(0.5, 2.0),
-        )
-        assert res.all_hold()
-
-
 class TestFormatCrossoverRule:
-    """The §3.4 check of the format-crossover ablation, on synthetic
-    points (the real sweep runs in benchmarks/test_ablations.py)."""
+    """The §3.4 rule gate of ``repro ablate-format`` on synthetic points:
+    each broken report fails it."""
 
     @staticmethod
-    def point(m, auto, streamed=(False, False, False)):
-        from repro.bench.ablations import FormatCrossoverPoint
+    def point(m, auto, streamed=0):
+        from repro.bench.ablations import FormatRow
 
-        return FormatCrossoverPoint(
-            device_mb=1.0, m_dense=m, tb_max=160, auto_format=auto,
-            dense_seconds=1.0, csc_seconds=1.0,
-            streamed_runs=dict(zip(("dense", "csc", "auto"), streamed)),
-        )
+        return FormatRow("X", 1.0, 160, m, auto, 1.0, 1.0, streamed,
+                         0, "-", 0, "-")
 
     def rule(self, *points):
-        from repro.bench.ablations import FormatCrossoverResult
+        from repro.bench.ablations import FormatResult
 
-        return FormatCrossoverResult("X", list(points)).rule_respected()
+        return FormatResult(list(points)).verdicts()["rule_ok"]
 
     def test_in_core_points_on_both_sides_pass(self):
-        all_streamed = (True, True, True)
         assert self.rule(self.point(82, "csc"), self.point(160, "dense"))
         assert self.rule(
-            self.point(160, "csc-streamed", all_streamed),
+            self.point(160, "csc-streamed", 3),
             self.point(82, "csc"),
             self.point(160, "dense"),
         )
@@ -142,7 +112,7 @@ class TestFormatCrossoverRule:
 
     def test_partly_streamed_point_fails(self):
         assert not self.rule(
-            self.point(160, "csc-streamed", (False, True, True)),
+            self.point(160, "csc-streamed", 2),
             self.point(82, "csc"),
             self.point(160, "dense"),
         )
