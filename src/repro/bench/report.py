@@ -52,12 +52,14 @@ def format_series(
 
 
 def _fmt(x: object) -> str:
+    """A float to four significant digits, in scientific notation
+    outside [1e-3, 1000); anything else as ``str``."""
     if isinstance(x, float):
         if x == 0:
             return "0"
         if abs(x) >= 1000 or abs(x) < 1e-3:
             return f"{x:.3e}"
-        return f"{x:.3f}"
+        return f"{x:#.4g}".rstrip(".")
     return str(x)
 
 

@@ -13,7 +13,8 @@ This module reuses the repository's Kahn infrastructure on the factor
 patterns and charges the simulated launch/compute/transfer costs, giving
 ``solve_gpu`` — the fully on-device companion of the factorization
 pipeline.  The values come from the host solver of
-:mod:`repro.numeric.trisolve`, so all of them are real.
+:mod:`repro.numeric.trisolve`, one compiled SuperLU column loop per
+factor, so all of them are real.
 """
 
 from __future__ import annotations

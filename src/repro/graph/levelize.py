@@ -66,7 +66,7 @@ class PatternPlans:
     supernodal: dict[tuple[int, int, int], SupernodalPlan] = field(
         default_factory=dict
     )
-    #: pull streams of both sweeps (:mod:`repro.numeric.trisolve`)
+    #: SuperLU inputs of both sweeps (:mod:`repro.numeric.trisolve`)
     solve: SolvePlan | None = None
     #: read-only sorted-CSC ``(indptr, indices)``
     #: (:mod:`repro.core.refactorize`)

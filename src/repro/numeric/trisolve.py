@@ -1,43 +1,42 @@
 """Sparse triangular solves: the post-factorization half of ``Ax = b``.
 
-Both sweeps are level-scheduled *pull* substitutions on the CSC factors
-the numeric phase produces, for one right-hand side ``(n,)`` or a block
-``(n, k)``.  A level partition of the columns is valid for a sweep when
-every off-diagonal entry's source column sits in an earlier level than
-its target.  The numeric :class:`~repro.graph.LevelSchedule` carries
-GLU 3.0's full L and U dependency set, so it is valid for the forward
-sweep and, run in reverse, for the backward sweep (the level-set solve
-of the paper's citation [28] and of GLU 3.0).  Callers without one use
-the partition with one column per level, which is valid for both.
+Both sweeps run in SciPy's compiled SuperLU ``gstrs``, one call per
+factor, on the CSC factors the numeric phase produces, for one
+right-hand side ``(n,)`` or a block ``(n, k)``.  The level-set solve of
+the paper's citation [28] and of GLU 3.0 is what
+:mod:`repro.core.trisolve_gpu` charges in simulation; on the host,
+where one column per level is the common case, a compiled column loop
+is cheaper than a level schedule of NumPy calls.
 
-A structure-only :class:`SolvePlan` stable-sorts each factor's
-off-diagonal entries by the level of their target, starting from an
-order in which sources ascend for ``L`` and descend for ``U``.  Each
-level then costs one gather of its sources, one multiply and one
-``np.subtract.at`` into its targets (plus, for ``U``, one division of
-the gathered sources by their diagonals).  Why the result is bitwise
-equal to the column-at-a-time loop of :mod:`repro.oracles`:
+Each sweep divides an unknown by its stored diagonal (1 where none is
+stored; dividing by 1.0 is exact) and then pushes it into the later
+unknowns of its column.  That is SuperLU's backward phase, given an
+identity "L" that carries the diagonal and the strictly off-diagonal
+entries as "U".  ``U`` maps across as it is.  ``L`` maps across in
+reversed index order (column and row ``j`` become ``n - 1 - j``), so its
+forward sweep becomes a backward one; one column's pushes hit distinct
+rows, so reversing a column needs no sort.  SuperLU stores each column
+as its own supernode and runs, per column, exactly the division and
+the pushes of the loops in :mod:`repro.oracles`, in their order, so the
+result is bitwise equal to them.
 
-* ``ufunc.at`` applies repeated targets in array order, so every
-  unknown receives its updates in the loop's source order;
-* every source sits in an earlier level, so it has all its updates when
-  it is read, and reading it as ``x / d`` gives exactly the bits the
-  loop stored for it; the unknowns themselves are divided once, at the
-  end;
-* IEEE products and quotients do not depend on how they are batched.
-
-Errors are those of the loop too: the column it would reject first
-decides between a triangularity error and a zero pivot.  The plan
-depends only on the factor patterns, so :func:`solve_plan` keeps it in
-the schedule's plan store and numeric-only passes over one analysis
-skip the build.
+Errors are those of the loop too: checked in Python before the call,
+the column it would reject first decides between a triangularity error
+and a zero pivot.  The :class:`SolvePlan` depends only on the factor
+patterns, so :func:`solve_plan` keeps it in the schedule's plan store
+and numeric-only passes over one analysis skip the build.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+from collections.abc import Callable
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
+import scipy
 
 from ..errors import (
     NotLowerTriangularError,
@@ -48,55 +47,58 @@ from ..graph import LevelSchedule
 from ..sparse import CSCMatrix
 
 
+def _load_gstrs() -> Callable[..., tuple[np.ndarray, int]]:
+    """SuperLU's ``gstrs`` from SciPy's extension file alone: importing
+    it as a submodule runs the ``scipy.sparse`` package inits, about
+    30 MB of resident memory."""
+    name = "scipy.sparse.linalg._dsolve._superlu"
+    where = os.path.join(scipy.__path__[0], "sparse", "linalg", "_dsolve")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(where, "_superlu" + suffix)
+        spec = importlib.util.spec_from_file_location(name, path)
+        if os.path.exists(path) and spec and spec.loader:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if hasattr(module, "gstrs"):
+                return module.gstrs
+    raise ImportError(
+        f"repro needs scipy>=1.14 for SuperLU's gstrs; scipy "
+        f"{scipy.__version__} has no {name}.gstrs"
+    )
+
+
+_gstrs = _load_gstrs()
+
+
 @dataclass(frozen=True)
-class _PullStream:
-    """One factor's sweep: its off-diagonal entries in pull order."""
+class _Sweep:
+    """One factor's sweep as SuperLU's backward phase."""
 
     lower: bool
     #: data position of each column's diagonal entry, -1 where absent
     diag: np.ndarray
-    #: data position and source column of each entry, in pull order
-    entry: np.ndarray
-    src: np.ndarray
-    #: per level with updates: (targets, sources, first entry, end entry)
-    steps: list[tuple[np.ndarray, np.ndarray, int, int]]
+    #: data positions, ``intc`` rows and colptr of the strictly
+    #: off-diagonal entries, index-reversed for ``L``
+    off: np.ndarray
+    rows: np.ndarray
+    colptr: np.ndarray
     #: the first column, in loop order, with an entry on the wrong side
     #: of the diagonal; -1 when the factor is triangular
     bad: int
 
     @classmethod
-    def build(
-        cls, t: CSCMatrix, level_of: np.ndarray | None, *, lower: bool
-    ) -> _PullStream:
+    def build(cls, t: CSCMatrix, *, lower: bool) -> _Sweep:
         n = t.n_cols
         rows, cols = t.indices, t.col_ids_of_entries()
         wrong = cols[rows < cols] if lower else cols[rows > cols]
         bad = int(wrong.min() if lower else wrong.max()) if len(wrong) else -1
-        # CSC order has sources ascending; U walks it from the back
-        pos = np.flatnonzero(rows > cols if lower else rows < cols)
-        pos = pos if lower else pos[::-1]
-        tgt, src = rows[pos], cols[pos]
-        # the sweep level of each column, reversed for U; a partition
-        # that does not order this factor's entries is not used.  16-bit
-        # keys (|key| < n) take NumPy's radix sort when they fit.
-        small = np.int16 if n <= np.iinfo(np.int16).max else np.int64
-        valid = level_of is not None and len(level_of) == n
-        key = (level_of if valid else np.arange(n)).astype(small)
-        key = key if lower else -key
-        if not np.all(key[src] < key[tgt]):
-            key = np.arange(n, dtype=small) * (1 if lower else -1)
-        level = key[tgt]
-        by_level = np.argsort(level, kind="stable")
-        tgt, src = tgt[by_level], src[by_level]
-        per_level = np.bincount(level - key.min()) if len(level) else []
-        bounds = [0, *np.cumsum(per_level).tolist()]
-        steps = [
-            (tgt[e0:e1], src[e0:e1], e0, e1)
-            for e0, e1 in zip(bounds, bounds[1:])
-            if e1 > e0
-        ]
-        diag = t.diagonal_positions()
-        return cls(lower, diag, pos[by_level], src, steps, bad)
+        off = np.flatnonzero(rows > cols if lower else rows < cols)
+        src, tgt = cols[off], rows[off]
+        if lower:
+            off, src, tgt = off[::-1], n - 1 - src[::-1], n - 1 - tgt[::-1]
+        colptr = np.searchsorted(src, np.arange(n + 1)).astype(np.intc)
+        tgt = tgt.astype(np.intc)
+        return cls(lower, t.diagonal_positions(), off, tgt, colptr, bad)
 
     def sweep(
         self, t: CSCMatrix, b: np.ndarray, *, unit_diagonal: bool = False
@@ -119,22 +121,17 @@ class _PullStream:
                 else NotUpperTriangularError
             )
             raise error(f"column {self.bad} has entry {side} diagonal")
-        x = b.copy()
-        vals = t.data[self.entry]
-        if x.ndim == 2:
-            vals, d = vals[:, None], d[:, None]
-        # a source is read as x / d, the bits the loop stored for it; the
-        # unknowns themselves are divided once, at the end
-        unit = unit_diagonal and bool(np.all(d == 1.0))
-        d_src = None if unit else d[self.src]
-        for tgt, src, e0, e1 in self.steps:
-            xs = x[src]
-            if d_src is not None:
-                xs /= d_src[e0:e1]
-            np.subtract.at(x, tgt, vals[e0:e1] * xs)
-        if not unit:
-            x /= d
-        return x
+        n = len(d)
+        eye = np.arange(n + 1, dtype=np.intc)
+        vals = t.data[self.off].astype(np.float64, copy=False)
+        if self.lower:
+            d, b = d[::-1].copy(), b[::-1]
+        # SuperLU's "L" holds only the diagonal, its "U" the strict part;
+        # b goes in as a Fortran-ordered copy, which gstrs may solve in
+        diagonal = (n, n, d, eye[:n], eye)
+        strict = (n, len(vals), vals, self.rows, self.colptr)
+        x, _ = _gstrs("N", *diagonal, *strict, np.array(b, order="F"))
+        return np.ascontiguousarray(x[::-1] if self.lower else x)
 
 
 def _rhs(b: np.ndarray, n: int) -> np.ndarray:
@@ -146,19 +143,14 @@ def _rhs(b: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolvePlan:
-    """Structure-only pull streams of both sweeps of one factor pair."""
+    """Structure-only SuperLU inputs of both sweeps of one factor pair."""
 
-    lower: _PullStream
-    upper: _PullStream
+    lower: _Sweep
+    upper: _Sweep
 
     @classmethod
-    def build(
-        cls, L: CSCMatrix, U: CSCMatrix, level_of: np.ndarray | None = None
-    ) -> SolvePlan:
-        return cls(
-            _PullStream.build(L, level_of, lower=True),
-            _PullStream.build(U, level_of, lower=False),
-        )
+    def build(cls, L: CSCMatrix, U: CSCMatrix) -> SolvePlan:
+        return cls(_Sweep.build(L, lower=True), _Sweep.build(U, lower=False))
 
     def solve(self, L: CSCMatrix, U: CSCMatrix, b: np.ndarray) -> np.ndarray:
         """Solve ``(L U) x = b`` for unit-lower ``L``; ``b`` is ``(n,)``
@@ -170,20 +162,19 @@ class SolvePlan:
 def solve_plan(
     L: CSCMatrix, U: CSCMatrix, schedule: LevelSchedule | None = None
 ) -> SolvePlan:
-    """The solve plan of ``(L, U)`` on ``schedule``'s levels.
+    """The solve plan of ``(L, U)``, kept in ``schedule``'s plan store.
 
-    The plan is kept in the schedule's plan store
-    (:class:`~repro.graph.PatternPlans`), so every factor pair of one
-    analysis shares a single build.  ``L`` stores its unit diagonal, so
-    the pair holds the filled pattern's entries plus ``n``.  Without a
-    schedule the plan uses one column per level and is not kept.
+    The store (:class:`~repro.graph.PatternPlans`) lets every factor pair
+    of one analysis share a single build.  ``L`` stores its unit
+    diagonal, so the pair holds the filled pattern's entries plus ``n``.
+    Without a schedule the plan is built and not kept.
     """
     if schedule is None:
         return SolvePlan.build(L, U)
     n = U.n_cols
     plans = schedule.plans_for(n, L.nnz + U.nnz - n)
     if plans.solve is None:
-        plans.solve = SolvePlan.build(L, U, schedule.level_of)
+        plans.solve = SolvePlan.build(L, U)
     return plans.solve
 
 
@@ -192,20 +183,19 @@ def forward_substitute(
 ) -> np.ndarray:
     """Solve ``L x = b`` for lower-triangular ``L`` (CSC, sorted rows);
     ``b`` is ``(n,)`` or ``(n, k)``."""
-    stream = _PullStream.build(L, None, lower=True)
-    return stream.sweep(L, _rhs(b, L.n_cols), unit_diagonal=unit_diagonal)
+    sweep = _Sweep.build(L, lower=True)
+    return sweep.sweep(L, _rhs(b, L.n_cols), unit_diagonal=unit_diagonal)
 
 
 def backward_substitute(U: CSCMatrix, b: np.ndarray) -> np.ndarray:
     """Solve ``U x = b`` for upper-triangular ``U`` (CSC, sorted rows);
     ``b`` is ``(n,)`` or ``(n, k)``."""
-    stream = _PullStream.build(U, None, lower=False)
-    return stream.sweep(U, _rhs(b, U.n_cols))
+    return _Sweep.build(U, lower=False).sweep(U, _rhs(b, U.n_cols))
 
 
 def lu_solve(L: CSCMatrix, U: CSCMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve ``(L U) x = b`` via forward then backward substitution,
-    with one column per level (:func:`solve_plan` reuses a plan)."""
+    """Solve ``(L U) x = b`` via forward then backward substitution
+    (:func:`solve_plan` reuses a plan)."""
     return SolvePlan.build(L, U).solve(L, U, b)
 
 

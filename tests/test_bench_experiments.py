@@ -30,6 +30,11 @@ class TestReport:
         out = format_table(["v"], [(0.000001,), (12345.6,), (0,)])
         assert "e-" in out and "e+" in out
 
+    def test_format_table_keeps_four_significant_digits(self):
+        out = format_table(["v"], [(0.0021344,), (0.0024,), (66.597,)])
+        cells = [line.strip() for line in out.splitlines()[2:]]
+        assert cells == ["0.002134", "0.002400", "66.60"]
+
     def test_format_series_sparkline(self):
         out = format_series("s", range(10), np.linspace(0, 1, 10))
         assert "s:" in out and "min=0" in out

@@ -1,19 +1,26 @@
-"""Level-scheduled triangular solve vs the column-loop oracles.
+"""Compiled triangular solve vs the column-loop oracles.
 
-The pull solve of :mod:`repro.numeric.trisolve` may only change
+The SuperLU sweeps of :mod:`repro.numeric.trisolve` may only change
 wall-clock, never a bit: on every registry workload its solutions equal
 the scalar substitution loops of :mod:`repro.oracles`, for one
-right-hand side and for a block, on the numeric schedule and on the
-one-column-per-level partition.  Every error branch raises what the
+right-hand side and for a block, with the plan kept in the numeric
+schedule's store and without one.  Every error branch raises what the
 loop raises, for the same column.  The regression tests at the bottom
-cover the right-hand-side shapes the solve entry points accept.
+cover the right-hand-side shapes the solve entry points accept, the
+serving pattern sizes, float32 factors, empty and scalar systems, and
+the import of the compiled sweep.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import oracles
 from repro.core import EndToEndLU, SolverConfig
 from repro.core.refactorize import analyze
@@ -137,7 +144,8 @@ def test_make_lu_solver_builds_one_plan(monkeypatch):
 def test_invalid_schedule_falls_back_to_per_column_levels():
     a = circuit_like(60, 5.0, seed=2)
     res = EndToEndLU().factorize(a)
-    # every column on one level orders no edge: the plan must not use it
+    # the plan reads no levels: a schedule whose levels order no edge
+    # only stores it
     flat = dataclasses.replace(
         res.schedule, level_of=np.zeros(a.n_rows, dtype=np.int64), levels=[]
     )
@@ -379,3 +387,116 @@ def test_iterative_refinement_takes_one_rhs():
                               col_scale=res.pre.col_scale)
     with pytest.raises(ValueError):
         iterative_refinement(a, np.ones((a.n_rows, 2)), solve_fn)
+
+
+# ---------------------------------------------------------------------------
+# the compiled sweep: serving sizes, dtypes, layouts, edge sizes, import
+
+
+def _check_solution(x, b_before, b, ref):
+    assert x.dtype == np.float64 and x.flags.c_contiguous
+    assert np.array_equal(b, b_before), "the solve must not modify b"
+    _assert_bitwise(x, ref)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n", [200, 500])
+def test_serving_patterns_bitwise_equal_oracle(n, k):
+    a = circuit_like(n, 7.0, seed=0)
+    res = EndToEndLU().factorize(a)
+    rng = np.random.default_rng(n + k)
+    b = rng.normal(size=n) if k == 1 else rng.normal(size=(n, k))
+    before = b.copy()
+    x = solve_plan(res.L, res.U, res.schedule).solve(res.L, res.U, b)
+    _check_solution(x, before, b, _oracle_lu_solve(res.L, res.U, b))
+    _check_solution(res.solve(b), before, b, res.solve(before))
+    fwd, bwd = (_FORWARD, _BACKWARD) if k == 1 else (_FORWARD_BLOCK,
+                                                      _BACKWARD_BLOCK)
+    _check_solution(fwd["production"](res.L, b), before, b,
+                    fwd["oracle"](res.L, b))
+    _check_solution(bwd["production"](res.U, b), before, b,
+                    bwd["oracle"](res.U, b))
+
+
+def _with_dtype(t, dtype):
+    return CSCMatrix(t.n_rows, t.n_cols, t.indptr, t.indices,
+                     t.data.astype(dtype), check=False)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_float32_factors_bitwise_equal_oracle(ndim):
+    # float32 values widen exactly; the oracle gets them widened, since
+    # numpy < 2 would multiply a float32 column by a float64 scalar in
+    # float32
+    a = circuit_like(120, 6.0, seed=5)
+    res = EndToEndLU().factorize(a)
+    L, U = _with_dtype(res.L, np.float32), _with_dtype(res.U, np.float32)
+    L64, U64 = _with_dtype(L, np.float64), _with_dtype(U, np.float64)
+    rng = np.random.default_rng(6)
+    b = rng.normal(size=(a.n_rows,) if ndim == 1 else (a.n_rows, 3))
+    before = b.copy()
+    _check_solution(lu_solve(L, U, b), before, b,
+                    _oracle_lu_solve(L64, U64, b))
+    fwd = _FORWARD if ndim == 1 else _FORWARD_BLOCK
+    _check_solution(trisolve.forward_substitute(L, b), before, b,
+                    fwd["oracle"](L64, b))
+
+
+def test_fortran_ordered_and_integer_rhs():
+    a = circuit_like(90, 6.0, seed=8)
+    res = EndToEndLU().factorize(a)
+    plan = solve_plan(res.L, res.U, res.schedule)
+    rng = np.random.default_rng(9)
+    for b in (np.asfortranarray(rng.normal(size=(a.n_rows, 4))),
+              rng.integers(-5, 6, size=a.n_rows),
+              np.asfortranarray(rng.integers(-5, 6, size=(a.n_rows, 2)))):
+        before = b.copy()
+        x = plan.solve(res.L, res.U, b)
+        ref = _oracle_lu_solve(res.L, res.U, b.astype(np.float64))
+        _check_solution(x, before, b, ref)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_empty_and_scalar_systems(n, ndim):
+    L = CSCMatrix.identity(n)
+    U = _csc(np.full((n, n), 4.0))
+    b = np.full((n,) if ndim == 1 else (n, 2), 2.0)
+    before = b.copy()
+    x = lu_solve(L, U, b)
+    assert x.shape == b.shape
+    _check_solution(x, before, b, np.full(b.shape, 0.5))
+    if n:
+        _check_solution(x, before, b, _oracle_lu_solve(L, U, b))
+    for fn in (trisolve.forward_substitute, trisolve.backward_substitute):
+        _check_solution(fn(L, b), before, b, b)
+
+
+def test_import_does_not_load_scipy_sparse():
+    code = (
+        "import sys, repro.numeric\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_missing_gstrs_names_the_scipy_floor(monkeypatch, tmp_path):
+    import scipy
+
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=r"scipy>=1\.14"):
+        trisolve._load_gstrs()
+    # an extension file without the symbol is rejected the same way
+    stub = tmp_path / "sparse" / "linalg" / "_dsolve" / "_superlu.py"
+    stub.parent.mkdir(parents=True)
+    stub.write_text("gssv = None\n")
+    monkeypatch.setattr(trisolve, "EXTENSION_SUFFIXES", [".py"])
+    with pytest.raises(ImportError, match=r"scipy>=1\.14"):
+        trisolve._load_gstrs()
