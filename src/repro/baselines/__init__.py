@@ -10,7 +10,7 @@
 
 from .glu3 import glu3_factorize, glu3_symbolic_cpu
 from .gsofa import GsofaResult, gsofa_count_symbolic
-from .unified_solver import unified_config, unified_symbolic
+from .unified_solver import unified_symbolic
 
 __all__ = [
     "glu3_factorize",
@@ -18,5 +18,4 @@ __all__ = [
     "gsofa_count_symbolic",
     "GsofaResult",
     "unified_symbolic",
-    "unified_config",
 ]

@@ -77,7 +77,7 @@ def glu3_factorize(
     if gpu is None:
         gpu = GPU(spec=cfg.device, host=cfg.host, cost=cfg.cost_model)
 
-    pre = preprocess(a, cfg.preprocess)
+    pre = preprocess(a)
     work = pre.matrix
 
     sym = glu3_symbolic_cpu(gpu, work, cfg)

@@ -135,10 +135,3 @@ def unified_symbolic(
         device_filled=None,
         device_graph=[],
     )
-
-
-def unified_config(base: SolverConfig, *, prefetch: bool) -> SolverConfig:
-    """Copy of ``base`` switched to the unified-memory symbolic mode."""
-    from dataclasses import replace
-
-    return replace(base, symbolic_mode="unified", um_prefetch=prefetch)

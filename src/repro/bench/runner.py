@@ -122,7 +122,7 @@ def run_symbolic_only(
 
     cfg = art.config(dynamic_assignment=dynamic)
     gpu = art.gpu(cfg)
-    pre = preprocess(art.a, cfg.preprocess)
+    pre = preprocess(art.a)
     if mode == "outofcore":
         sym = outofcore_symbolic(gpu, pre.matrix, cfg, dynamic=dynamic)
         if sym.device_filled is not None:

@@ -62,7 +62,6 @@ from .multigpu import (
     multi_gpu_endtoend,
     multi_gpu_symbolic,
 )
-from .trisolve_gpu import GpuSolveResult, solve_gpu
 from .pipeline import EndToEndLU, EndToEndResult, PhaseBreakdown
 from .solver import factorize, solve
 
@@ -87,8 +86,6 @@ __all__ = [
     "best_donor",
     "incremental_analyze",
     "incremental_analyze_pre",
-    "solve_gpu",
-    "GpuSolveResult",
     "factorize_btf",
     "BTFFactorization",
     "multi_gpu_symbolic",

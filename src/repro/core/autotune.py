@@ -59,7 +59,7 @@ def autotune_symbolic(
     simulated GPU; structures are identical by construction, so only
     simulated time differs.  Returns every candidate plus the winner.
     """
-    pre = preprocess(a, config.preprocess)
+    pre = preprocess(a)
     work = pre.matrix
 
     def run(num_parts: int, fraction: float) -> TuneCandidate:

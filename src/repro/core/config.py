@@ -16,7 +16,6 @@ from ..gpusim import (
     V100,
     XEON_E5_2680,
 )
-from ..preprocess import PreprocessOptions
 
 SymbolicMode = Literal["outofcore", "unified", "incore"]
 NumericFormat = Literal["auto", "dense", "csc"]
@@ -76,7 +75,6 @@ class SolverConfig:
     index_bytes: ClassVar[int] = 4
 
     pivot_tolerance: float = 0.0
-    preprocess: PreprocessOptions = field(default_factory=PreprocessOptions)
 
     #: recovery ladder (op retry, chunk resume, pivot perturbation, with
     #: the budgets of :mod:`repro.core.resilient`); ``False`` keeps the

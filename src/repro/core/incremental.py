@@ -116,7 +116,7 @@ def incremental_analyze(
     cfg = config or donor.config
     if a.shape != donor.pre.matrix.shape:
         return None
-    pre = preprocess(a, cfg.preprocess)
+    pre = preprocess(a)
     delta = compute_delta(donor.pre.matrix, pre.matrix)
     if not _within_budget(delta.size, donor.pre.matrix.nnz):
         return None

@@ -309,9 +309,6 @@ class MultiGpuEndToEndResult(FactorSolve):
         """min/max device busy time — 1.0 is perfect balance."""
         return min(self.shard_seconds) / max(self.shard_seconds)
 
-    def speedup_vs(self, single_device_seconds: float) -> float:
-        return single_device_seconds / self.makespan_seconds
-
     @property
     def halo_wait_seconds(self) -> float:
         """Summed receiver stalls on halo / reshard arrivals."""
@@ -536,7 +533,7 @@ def multi_gpu_endtoend(
     d_count = int(num_devices)
 
     # ---- the math, once (device count cannot influence values) --------
-    pre = preprocess(a, config.preprocess)
+    pre = preprocess(a)
     work = pre.matrix
     n = work.n_rows
     filled = symbolic_fill_reference(work)

@@ -47,10 +47,6 @@ class StreamingStats:
     loads: int
     writebacks: int
 
-    @property
-    def bytes_streamed(self) -> int:
-        return (self.loads + self.writebacks) * self.segment_bytes
-
 
 class _SegmentWindow:
     """LRU residency of column segments inside a device-byte budget.

@@ -82,10 +82,6 @@ class SymbolicResult:
         default_factory=SymbolicCheckpoint
     )
 
-    @property
-    def new_fill_ins(self) -> int:
-        return int(self.filled.nnz)  # total nonzeros of L+U (counts incl. A)
-
 
 def row_work(
     a: CSRMatrix, filled: CSRMatrix

@@ -13,6 +13,7 @@ benchmark harness reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import cast
 
 import numpy as np
 
@@ -24,11 +25,10 @@ from ..sparse import CSCMatrix, CSRMatrix
 from ..streams import StreamedGPU
 from .config import SolverConfig
 from .resilient import (
-    REFINE_MAX_ITER,
-    REFINE_THRESHOLD,
     RecoveryReport,
     ResilientGPU,
     recovery_log_of,
+    refined_solve,
 )
 from .levelize_gpu import LevelizeResult, levelize_gpu_dynamic
 from .numeric_gpu import NumericResult, numeric_factorize_gpu
@@ -49,7 +49,9 @@ class PhaseBreakdown:
             raise ValueError("baseline total must be positive")
         f = 1.0 / baseline_total
         return PhaseBreakdown(
-            self.symbolic * f, self.levelize * f, self.numeric * f,
+            self.symbolic * f,
+            self.levelize * f,
+            self.numeric * f,
             self.total * f,
         )
 
@@ -70,11 +72,9 @@ class FactorSolve:
 
         ``b`` is one right-hand side ``(n,)`` or a block ``(n, k)``.
         When pivot recovery perturbed some diagonal entries, the factors
-        only approximate ``A``; in that case the solve drives iterative
-        refinement against the retained source matrix until the residual
-        passes the configured threshold, and records the refinement
-        outcome on :attr:`recovery`.  Refinement takes one right-hand
-        side and raises :class:`ValueError` for a block.
+        only approximate ``A``; in that case the solve refines against the
+        retained source matrix (:func:`~repro.core.resilient.refined_solve`)
+        and records the refinement outcome on :attr:`recovery`.
         """
         rec = self.recovery
         if (
@@ -82,20 +82,8 @@ class FactorSolve:
             and rec.perturbed_columns
             and self.source is not None
         ):
-            from ..numeric import iterative_refinement, make_lu_solver
-
-            solve_fn = make_lu_solver(
-                self.L, self.U,
-                row_perm=self.pre.row_perm,
-                col_perm=self.pre.col_perm,
-                row_scale=self.pre.row_scale,
-                col_scale=self.pre.col_scale,
-                schedule=self.schedule,
-            )
-            refined = iterative_refinement(
-                self.source, b, solve_fn,
-                max_iter=REFINE_MAX_ITER,
-                tol=REFINE_THRESHOLD,
+            refined = refined_solve(
+                self.source, self.L, self.U, self.pre, self.schedule, b
             )
             rec.refine_iterations = refined.iterations
             rec.final_residual = refined.final_residual
@@ -106,8 +94,6 @@ class FactorSolve:
             b,
             row_perm=self.pre.row_perm,
             col_perm=self.pre.col_perm,
-            row_scale=self.pre.row_scale,
-            col_scale=self.pre.col_scale,
             schedule=self.schedule,
         )
 
@@ -173,12 +159,8 @@ class EndToEndResult(FactorSolve):
             "max_parallel_columns": int(self.numeric.max_parallel_columns),
             "kernel_launches": lg.get_count("kernel_launches"),
             "child_kernel_launches": lg.get_count("child_kernel_launches"),
-            "numeric_kernel_launches": lg.get_count(
-                "numeric_kernel_launches"
-            ),
-            "panel_kernel_launches": lg.get_count(
-                "panel_kernel_launches"
-            ),
+            "numeric_kernel_launches": lg.get_count("numeric_kernel_launches"),
+            "panel_kernel_launches": lg.get_count("panel_kernel_launches"),
             "supernode_panels": int(self.numeric.panels),
             "panel_waves": int(self.numeric.panel_waves),
             "bytes_h2d": lg.get_count("bytes_h2d"),
@@ -192,9 +174,7 @@ class EndToEndResult(FactorSolve):
             "levelize_seconds": float(bd.levelize),
             "numeric_seconds": float(bd.numeric),
             "panelize_seconds": float(lg.seconds("panelize")),
-            "numeric_panel_seconds": float(
-                lg.seconds("numeric-panels")
-            ),
+            "numeric_panel_seconds": float(lg.seconds("numeric-panels")),
             "pool_peak_utilization": float(self.gpu.pool.peak_utilization),
         }
         labels = {
@@ -252,8 +232,9 @@ class EndToEndLU:
     def __init__(self, config: SolverConfig | None = None) -> None:
         self.config = config or SolverConfig()
 
-    def factorize(self, a: CSRMatrix, *, gpu: GPU | GPUProxy | None = None
-                  ) -> EndToEndResult:
+    def factorize(
+        self, a: CSRMatrix, *, gpu: GPU | GPUProxy | None = None
+    ) -> EndToEndResult:
         """Run the full pipeline on square matrix ``a``."""
         cfg = self.config
         if gpu is None:
@@ -267,10 +248,12 @@ class EndToEndLU:
             # outermost wrapper: async enqueues and serial ops (after
             # draining the async region) both pass down the whole stack
             gpu = StreamedGPU(gpu)
+        # a proxy stack forwards the whole GPU surface (GPUProxy)
+        gpu = cast(GPU, gpu)
 
         # Pre-processing runs on the host and is outside the paper's
         # measured phases (Figure 2's first box).
-        pre = preprocess(a, cfg.preprocess)
+        pre = preprocess(a)
         work = pre.matrix
 
         # -- symbolic ------------------------------------------------------
@@ -281,13 +264,15 @@ class EndToEndLU:
         else:  # "unified"
             from ..baselines.unified_solver import unified_symbolic
 
-            sym = unified_symbolic(gpu, work, cfg, prefetch=cfg.um_prefetch)
+            sym = unified_symbolic(
+                gpu, work, cfg, prefetch=cfg.um_prefetch
+            )
 
         # -- levelization -----------------------------------------------------
         graph = build_dependency_graph(sym.filled)
         lev = levelize_gpu_dynamic(gpu, graph)
 
-        # -- numeric -----------------------------------------------------------
+        # -- numeric ----------------------------------------------------------
         if (
             cfg.symbolic_mode == "outofcore"
             and sym.device_filled is None

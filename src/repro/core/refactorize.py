@@ -49,6 +49,7 @@ from .config import SolverConfig
 from .levelize_gpu import levelize_gpu_dynamic
 from .numeric_gpu import NumericResult, numeric_factorize_gpu
 from .outofcore import outofcore_symbolic
+from .resilient import refined_solve
 
 
 @dataclass
@@ -59,18 +60,26 @@ class RefactorizeResult:
     U: CSCMatrix
     numeric: NumericResult
     analysis: "ReusableAnalysis"
+    #: the pass's input matrix, which a recovered solve refines against
+    source: CSRMatrix
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``source x = b``; after pivot perturbation the solve
+        refines against ``source`` (one right-hand side only), as
+        :meth:`repro.core.EndToEndResult.solve` does."""
         pre = self.analysis.pre
+        schedule = self.analysis.schedule
+        if self.numeric.perturbed_columns:
+            return refined_solve(
+                self.source, self.L, self.U, pre, schedule, b
+            ).x
         return lu_solve_permuted(
             self.L,
             self.U,
             b,
             row_perm=pre.row_perm,
             col_perm=pre.col_perm,
-            row_scale=pre.row_scale,
-            col_scale=pre.col_scale,
-            schedule=self.analysis.schedule,
+            schedule=schedule,
         )
 
     @property
@@ -166,7 +175,7 @@ class ReusableAnalysis:
         """Approximate host bytes retained by this analysis.
 
         Sums every ndarray the analysis keeps alive (pre-processed matrix,
-        transforms, filled pattern, dependency graph, level schedule,
+        permutations, filled pattern, dependency graph, level schedule,
         scatter map, pattern snapshot).  The serving cache
         (:mod:`repro.serve.cache`) uses this for its byte-budget
         accounting, so the figure only needs to be proportional to the
@@ -189,10 +198,6 @@ class ReusableAnalysis:
             self._pattern_indices,
             self._scatter,
         ]
-        if self.pre.row_scale is not None:
-            arrays.append(self.pre.row_scale)
-        if self.pre.col_scale is not None:
-            arrays.append(self.pre.col_scale)
         total = sum(int(arr.nbytes) for arr in arrays)
         total += sum(int(lv.nbytes) for lv in self.schedule.levels)
         return total
@@ -208,23 +213,15 @@ class ReusableAnalysis:
         """Numeric-only factorization of new values on the same pattern.
 
         ``a`` must be the matrix *after* applying the analysis's
-        pre-processing transforms would yield the analyzed pattern; in
+        pre-processing permutation would yield the analyzed pattern; in
         practice: the same generator/stamper output with new values.  The
-        pre-processing permutations/scalings recorded at analysis time are
-        re-applied to the values here.  Non-finite values raise
+        row permutation recorded at analysis time is re-applied to the
+        values here.  Non-finite values raise
         :class:`~repro.errors.NonFiniteValueError` before any device
         work.
         """
-        # re-apply the recorded transforms to the new values
+        # re-apply the recorded permutation to the new values
         work = a
-        if self.pre.row_scale is not None:
-            from ..sparse import scale
-
-            work = scale(
-                work,
-                row_scale=self.pre.row_scale,
-                col_scale=self.pre.col_scale,
-            )
         if self._permuted:
             from ..sparse import permute
 
@@ -257,7 +254,9 @@ class ReusableAnalysis:
             as_resident=False,
         )
         L, U = num.factors()
-        return RefactorizeResult(L=L, U=U, numeric=num, analysis=self)
+        return RefactorizeResult(
+            L=L, U=U, numeric=num, analysis=self, source=a
+        )
 
 
 def analyze(
@@ -272,7 +271,7 @@ def analyze(
     if gpu is None:
         gpu = GPU(spec=cfg.device, host=cfg.host, cost=cfg.cost_model)
     t0 = gpu.ledger.total_seconds
-    pre = preprocess(a, cfg.preprocess)
+    pre = preprocess(a)
     sym = outofcore_symbolic(gpu, pre.matrix, cfg)
     graph = build_dependency_graph(sym.filled)
     lev = levelize_gpu_dynamic(gpu, graph)

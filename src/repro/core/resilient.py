@@ -32,8 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from ..errors import RecoverableError
 from ..gpusim import GPU, DeviceOp, GPUProxy
+from ..graph import LevelSchedule
+from ..numeric import RefinementResult, iterative_refinement, make_lu_solver
+from ..preprocess import PreprocessResult
+from ..sparse import CSCMatrix, CSRMatrix
 
 __all__ = [
     "RetryPolicy",
@@ -44,6 +50,7 @@ __all__ = [
     "SymbolicCheckpoint",
     "run_chunk",
     "recovery_log_of",
+    "refined_solve",
 ]
 
 
@@ -84,6 +91,27 @@ PIVOT_PERTURBATION_REL = 1.5e-8
 #: refinement target and sweep cap of the post-recovery solve
 REFINE_THRESHOLD = 1e-8
 REFINE_MAX_ITER = 20
+
+
+def refined_solve(
+    source: CSRMatrix,
+    L: CSCMatrix,
+    U: CSCMatrix,
+    pre: PreprocessResult,
+    schedule: LevelSchedule,
+    b: np.ndarray,
+) -> RefinementResult:
+    """Rung 3's solve of ``source x = b`` on factors that perturbed
+    pivots made inexact: iterative refinement against ``source`` itself,
+    to :data:`REFINE_THRESHOLD` in at most :data:`REFINE_MAX_ITER`
+    sweeps.  Takes one right-hand side; a block raises
+    :class:`ValueError`."""
+    solve_fn = make_lu_solver(
+        L, U, pre.row_perm, pre.col_perm, schedule=schedule
+    )
+    return iterative_refinement(
+        source, b, solve_fn, max_iter=REFINE_MAX_ITER, tol=REFINE_THRESHOLD
+    )
 
 
 @dataclass(frozen=True)

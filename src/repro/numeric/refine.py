@@ -57,8 +57,7 @@ def iterative_refinement(
     return RefinementResult(x, max_iter, tuple(norms))
 
 
-def make_lu_solver(L, U, row_perm=None, col_perm=None, row_scale=None,
-                   col_scale=None, *, schedule=None):
+def make_lu_solver(L, U, row_perm=None, col_perm=None, *, schedule=None):
     """Bind factors + permutations into a ``solve_fn`` for refinement.
 
     The solve plan is built once (on ``schedule``'s levels when given)
@@ -69,8 +68,7 @@ def make_lu_solver(L, U, row_perm=None, col_perm=None, row_scale=None,
     def solve_fn(rhs: np.ndarray) -> np.ndarray:
         return lu_solve_permuted(
             L, U, rhs,
-            row_perm=row_perm, col_perm=col_perm,
-            row_scale=row_scale, col_scale=col_scale, plan=plan,
+            row_perm=row_perm, col_perm=col_perm, plan=plan,
         )
 
     return solve_fn

@@ -3,10 +3,10 @@
 Both sweeps run in SciPy's compiled SuperLU ``gstrs``, one call per
 factor, on the CSC factors the numeric phase produces, for one
 right-hand side ``(n,)`` or a block ``(n, k)``.  The level-set solve of
-the paper's citation [28] and of GLU 3.0 is what
-:mod:`repro.core.trisolve_gpu` charges in simulation; on the host,
-where one column per level is the common case, a compiled column loop
-is cheaper than a level schedule of NumPy calls.
+the paper's citation [28] and of GLU 3.0 is not simulated: the serving
+layer charges a solve as one utility launch over the factor entries.
+On the host, where one column per level is the common case, a compiled
+column loop is cheaper than a level schedule of NumPy calls.
 
 Each sweep divides an unknown by its stored diagonal (1 where none is
 stored; dividing by 1.0 is exact) and then pushes it into the later
@@ -205,36 +205,27 @@ def lu_solve_permuted(
     b: np.ndarray,
     row_perm: np.ndarray | None = None,
     col_perm: np.ndarray | None = None,
-    row_scale: np.ndarray | None = None,
-    col_scale: np.ndarray | None = None,
     *,
     schedule: LevelSchedule | None = None,
     plan: SolvePlan | None = None,
 ) -> np.ndarray:
-    """Solve the original system when ``P (Dr A Dc) Q = L U`` was factorized.
+    """Solve the original system when ``P A Q = L U`` was factorized.
 
     ``row_perm``/``col_perm`` follow the gather convention of
-    :func:`repro.sparse.ops.permute` (``perm[new] = old``) and
-    ``row_scale``/``col_scale`` are the equilibration diagonals applied
-    before factorization, so
+    :func:`repro.sparse.ops.permute` (``perm[new] = old``), so
 
-        A x = b  <=>  x = Dc Q (U^-1 L^-1) P Dr b.
+        A x = b  <=>  x = Q (U^-1 L^-1) P b.
 
     ``b`` is one right-hand side ``(n,)`` or a block ``(n, k)``.  Pass
     the numeric ``schedule`` to solve on its cached plan, or a prebuilt
     ``plan`` to reuse one across solves.
     """
     b = _rhs(b, L.n_cols)
-    if row_scale is not None:
-        b = b * (row_scale if b.ndim == 1 else row_scale[:, None])
     if row_perm is not None:
         b = b[np.asarray(row_perm)]
     y = (plan or solve_plan(L, U, schedule)).solve(L, U, b)
-    if col_perm is not None:
-        x = np.empty_like(y)
-        x[np.asarray(col_perm)] = y
-    else:
-        x = y
-    if col_scale is not None:
-        x = x * (col_scale if x.ndim == 1 else col_scale[:, None])
+    if col_perm is None:
+        return y
+    x = np.empty_like(y)
+    x[np.asarray(col_perm)] = y
     return x

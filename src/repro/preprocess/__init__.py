@@ -1,9 +1,9 @@
-"""Pre-processing: permutations and scalings applied before factorization.
+"""Pre-processing: the checks and the row permutation applied before
+factorization.
 
 The paper (like GLU/KLU/SuperLU) treats this stage as given; we implement
-the standard components from scratch so the end-to-end solver is complete:
-zero-free diagonal matching, RCM and minimum-degree orderings,
-equilibration, and static pivot boosting.
+the components the end-to-end solver needs from scratch: zero-free
+diagonal matching and the block triangular form used by the BTF solver.
 """
 
 from .btf import (
@@ -12,15 +12,7 @@ from .btf import (
     strongly_connected_components,
 )
 from .matching import maximum_matching, zero_free_diagonal_permutation
-from .mindegree import fill_in_count, minimum_degree_ordering
-from .pipeline import (
-    PreprocessOptions,
-    PreprocessResult,
-    preprocess,
-    require_finite,
-)
-from .rcm import bandwidth_of, rcm_ordering
-from .scaling import Equilibration, boost_small_pivots, equilibrate
+from .pipeline import PreprocessResult, preprocess, require_finite
 
 __all__ = [
     "BTFResult",
@@ -28,15 +20,7 @@ __all__ = [
     "strongly_connected_components",
     "maximum_matching",
     "zero_free_diagonal_permutation",
-    "minimum_degree_ordering",
-    "fill_in_count",
-    "rcm_ordering",
-    "bandwidth_of",
-    "equilibrate",
-    "boost_small_pivots",
-    "Equilibration",
     "preprocess",
     "require_finite",
-    "PreprocessOptions",
     "PreprocessResult",
 ]

@@ -422,7 +422,7 @@ class BatchScheduler:
         if not donors:
             return None
         solver = self.config.solver
-        pre = preprocess(batch.requests[0].a, solver.preprocess)
+        pre = preprocess(batch.requests[0].a)
         pick = best_donor(donors, pre.matrix)
         if pick is None:
             # family members resident but every delta over threshold:
@@ -670,7 +670,7 @@ class BatchScheduler:
                         fallback=True))
                 continue
             try:
-                pre = preprocess(viable[0].a, cfg.preprocess)
+                pre = preprocess(viable[0].a)
                 filled = symbolic_fill_reference(pre.matrix)
                 t += cost.cpu_traversal_seconds(filled.nnz, host)
                 L, U = factorize_leftlooking(pre.matrix, filled)
@@ -694,7 +694,6 @@ class BatchScheduler:
                 x = lu_solve_permuted(
                     L, U, r.b,
                     row_perm=pre.row_perm, col_perm=pre.col_perm,
-                    row_scale=pre.row_scale, col_scale=pre.col_scale,
                     plan=plan,
                 )
                 # the two triangular sweeps touch each factor entry once

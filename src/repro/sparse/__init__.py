@@ -27,7 +27,6 @@ from .ops import (
     invert_permutation,
     permute,
     residual_norm,
-    scale,
 )
 from .pattern import (
     PatternStats,
@@ -36,7 +35,6 @@ from .pattern import (
     pattern_stats,
     replace_zero_diagonal,
     split_lu_pattern,
-    symmetrize_pattern,
     upper_pattern_csr,
 )
 from .types import INDEX_DTYPE, PAPER_VALUE_DTYPE, VALUE_DTYPE
@@ -59,7 +57,6 @@ __all__ = [
     "save_factors",
     "load_factors",
     "permute",
-    "scale",
     "invert_permutation",
     "add_scaled_identity",
     "residual_norm",
@@ -68,7 +65,6 @@ __all__ = [
     "split_lu_pattern",
     "lower_pattern_csr",
     "upper_pattern_csr",
-    "symmetrize_pattern",
     "ensure_diagonal",
     "replace_zero_diagonal",
     "INDEX_DTYPE",

@@ -1,4 +1,4 @@
-"""Value-carrying sparse operations: permutation, scaling, products.
+"""Value-carrying sparse operations: permutation, identity shift, residual.
 
 The pre-processing pipeline applies a row permutation ``P`` and a column
 permutation ``Q`` to form ``P A Q`` before factorization; these helpers do
@@ -53,30 +53,8 @@ def permute(a: CSRMatrix, row_perm=None, col_perm=None) -> CSRMatrix:
     return COOMatrix(a.n_rows, a.n_cols, rows, cols, a.data.copy()).to_csr()
 
 
-def scale(a: CSRMatrix, row_scale=None, col_scale=None) -> CSRMatrix:
-    """Return ``Dr A Dc`` for diagonal scalings ``Dr``, ``Dc``."""
-    data = a.data.copy()
-    if row_scale is not None:
-        row_scale = np.asarray(row_scale).reshape(-1)
-        if len(row_scale) != a.n_rows:
-            raise SparseFormatError("row_scale length mismatch")
-        data *= row_scale[a.row_ids_of_entries()]
-    if col_scale is not None:
-        col_scale = np.asarray(col_scale).reshape(-1)
-        if len(col_scale) != a.n_cols:
-            raise SparseFormatError("col_scale length mismatch")
-        data *= col_scale[a.indices]
-    return CSRMatrix(a.n_rows, a.n_cols, a.indptr.copy(), a.indices.copy(), data,
-                     check=False)
-
-
-def spgemm_dense_check(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
-    """Dense reference product ``A @ B`` (verification only, small matrices)."""
-    return a.to_dense() @ b.to_dense()
-
-
 def add_scaled_identity(a: CSRMatrix, alpha: float) -> CSRMatrix:
-    """Return ``A + alpha * I`` (used for static pivot boosting)."""
+    """Return ``A + alpha * I``."""
     n = min(a.n_rows, a.n_cols)
     coo = a.to_coo()
     rows = np.concatenate([coo.rows, np.arange(n, dtype=INDEX_DTYPE)])

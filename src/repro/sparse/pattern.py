@@ -129,22 +129,6 @@ def _subset(a: CSRMatrix, keep: np.ndarray) -> CSRMatrix:
     )
 
 
-def symmetrize_pattern(a: CSRMatrix) -> CSRMatrix:
-    """Pattern of ``A + A^T`` (values summed; used by ordering heuristics)."""
-    from .coo import COOMatrix
-
-    rows = a.row_ids_of_entries()
-    cols = a.indices
-    coo = COOMatrix(
-        a.n_rows,
-        a.n_cols,
-        np.concatenate([rows, cols]),
-        np.concatenate([cols, rows]),
-        np.concatenate([a.data, a.data]),
-    )
-    return coo.to_csr()
-
-
 def ensure_diagonal(a: CSRMatrix, value: float = 0.0) -> CSRMatrix:
     """Return ``a`` with every diagonal position structurally present.
 

@@ -51,8 +51,8 @@ def load_matrix(path):
 
 
 def save_factors(path, L: CSCMatrix, U: CSCMatrix, *, row_perm=None,
-                 col_perm=None, row_scale=None, col_scale=None) -> None:
-    """Persist LU factors plus the transforms needed at solve time."""
+                 col_perm=None) -> None:
+    """Persist LU factors plus the permutations needed at solve time."""
     n = L.n_rows
     payload = {
         "schema": np.array(_SCHEMA_FACTORS),
@@ -60,8 +60,7 @@ def save_factors(path, L: CSCMatrix, U: CSCMatrix, *, row_perm=None,
         "L_indptr": L.indptr, "L_indices": L.indices, "L_data": L.data,
         "U_indptr": U.indptr, "U_indices": U.indices, "U_data": U.data,
     }
-    for name, arr in (("row_perm", row_perm), ("col_perm", col_perm),
-                      ("row_scale", row_scale), ("col_scale", col_scale)):
+    for name, arr in (("row_perm", row_perm), ("col_perm", col_perm)):
         if arr is not None:
             payload[name] = np.asarray(arr)
     np.savez_compressed(Path(path), **payload)
@@ -70,8 +69,8 @@ def save_factors(path, L: CSCMatrix, U: CSCMatrix, *, row_perm=None,
 def load_factors(path):
     """Load factors; returns ``(L, U, transforms_dict)``.
 
-    ``transforms_dict`` holds whichever of ``row_perm`` / ``col_perm`` /
-    ``row_scale`` / ``col_scale`` were saved, ready to splat into
+    ``transforms_dict`` holds whichever of ``row_perm`` / ``col_perm``
+    were saved, ready to splat into
     :func:`repro.numeric.lu_solve_permuted`.
     """
     with np.load(Path(path), allow_pickle=False) as z:
@@ -82,7 +81,7 @@ def load_factors(path):
         U = CSCMatrix(n, n, z["U_indptr"], z["U_indices"], z["U_data"])
         transforms = {
             k: z[k]
-            for k in ("row_perm", "col_perm", "row_scale", "col_scale")
+            for k in ("row_perm", "col_perm")
             if k in z
         }
         return L, U, transforms

@@ -120,7 +120,6 @@ def check_factorization(
         solve_fn = make_lu_solver(
             L, U,
             row_perm=result.pre.row_perm, col_perm=result.pre.col_perm,
-            row_scale=result.pre.row_scale, col_scale=result.pre.col_scale,
             schedule=result.schedule,
         )
         rep.metrics["cond_1 estimate"] = condest(a, solve_fn)

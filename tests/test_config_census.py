@@ -16,6 +16,7 @@ import repro.core.resilient
 import repro.fleet
 import repro.fleet.admission
 import repro.fleet.l2cache
+import repro.preprocess
 from repro.core import EndToEndLU, RetryPolicy, SolverConfig
 from repro.fleet import FleetConfig
 from repro.gpusim.interconnect import PCIE3
@@ -52,6 +53,10 @@ REMOVED_NAMES = [
     (repro.fleet.admission, "AdmissionConfig"),
     (repro.core, "plan_chunks_multipart"),
     (repro.core, "MultiGpuSolver"),
+    (repro.preprocess, "PreprocessOptions"),
+    (repro.preprocess, "rcm_ordering"),
+    (repro.preprocess, "equilibrate"),
+    (repro.core, "solve_gpu"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""BTF solver, GPU trisolve, multi-RHS solves."""
+"""BTF solver, multi-RHS solves."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,8 @@ from repro.core import (
     SolverConfig,
     factorize,
     factorize_btf,
-    solve_gpu,
 )
-from repro.gpusim import GPU, scaled_device, scaled_host
+from repro.gpusim import scaled_device, scaled_host
 from repro.numeric import lu_solve
 from repro.sparse import CSRMatrix, residual_norm
 from repro.workloads import circuit_like
@@ -80,47 +79,6 @@ class TestBTF:
         assert a.has_full_diagonal()  # structurally fine
         with pytest.raises(SingularMatrixError):
             factorize_btf(a, cfg())
-
-
-class TestGpuTrisolve:
-    def test_solution_matches_host(self, rng):
-        a = circuit_like(150, 7.0, seed=73)
-        res = factorize(a, cfg())
-        b = rng.normal(size=a.n_rows)
-        gpu = GPU(spec=scaled_device(8 << 20), host=scaled_host(64 << 20))
-        out = solve_gpu(gpu, res.L, res.U, b, cfg())
-        # compare against the host composed solve on the same factors
-        np.testing.assert_allclose(out.x, lu_solve(res.L, res.U, b),
-                                   atol=1e-12)
-        assert out.sim_seconds > 0
-        assert out.l_levels >= 1 and out.u_levels >= 1
-        assert gpu.ledger.seconds("solve") == pytest.approx(out.sim_seconds)
-
-    def test_schedules_reusable(self, rng):
-        a = circuit_like(120, 6.0, seed=74)
-        res = factorize(a, cfg())
-        gpu = GPU(spec=scaled_device(8 << 20), host=scaled_host(64 << 20))
-        first = solve_gpu(gpu, res.L, res.U, np.ones(a.n_rows), cfg())
-        # reuse: pass schedules back in; factors already resident
-        from repro.core.trisolve_gpu import _triangular_levels
-
-        ls = _triangular_levels(res.L, lower=True)
-        us = _triangular_levels(res.U, lower=False)
-        second = solve_gpu(
-            gpu, res.L, res.U, np.ones(a.n_rows), cfg(),
-            l_schedule=ls, u_schedule=us, factors_resident=True,
-        )
-        assert second.sim_seconds <= first.sim_seconds
-
-    def test_levels_bound_by_dependency_chains(self):
-        # diagonal factors: single level each
-        from repro.sparse import CSCMatrix
-
-        eye = CSCMatrix.identity(5)
-        gpu = GPU(spec=scaled_device(1 << 20), host=scaled_host(8 << 20))
-        out = solve_gpu(gpu, eye, eye, np.arange(5.0), cfg(1 << 20))
-        assert out.l_levels == 1 and out.u_levels == 1
-        np.testing.assert_allclose(out.x, np.arange(5.0))
 
 
 class TestMultiRhs:

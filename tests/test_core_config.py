@@ -30,13 +30,14 @@ class TestValidation:
             SolverConfig(numeric_format="coo")
 
 
-#: every field some caller outside the tests sets (or, for the last four,
-#: a numerics choice); a new knob must earn its place in this set
+#: every field some caller outside the tests sets (or, for
+#: ``pivot_tolerance``, a numerics choice that reaches the kernel's pivot
+#: check); a new knob must earn its place in this set
 RETAINED_FIELDS = {
     "device", "host", "cost_model",
     "symbolic_mode", "dynamic_assignment", "split_fraction", "um_prefetch",
     "numeric_format", "supernodal", "value_dtype", "overlap",
-    "compute_dtype", "pivot_tolerance", "preprocess", "resilience",
+    "compute_dtype", "pivot_tolerance", "resilience",
 }
 
 #: knobs that only changed simulated charges and that no caller set
@@ -44,6 +45,7 @@ REMOVED_FIELDS = (
     "levelize_on_gpu", "levelize_dynamic_parallelism",
     "prune_dependency_edges", "supernode_relax", "supernode_max_panel",
     "overlap_compute_lanes", "overlap_staging_buffers", "index_bytes",
+    "preprocess",
 )
 
 

@@ -8,9 +8,8 @@ import scipy.sparse.linalg as spla
 from repro import SolverConfig, factorize, solve
 from repro.errors import DeviceMemoryError
 from repro.gpusim import scaled_device, scaled_host
-from repro.preprocess import PreprocessOptions
 from repro.sparse import residual_norm, to_scipy_csr
-from repro.workloads import circuit_like, fem_like
+from repro.workloads import circuit_like
 
 from helpers import random_dense
 
@@ -61,15 +60,6 @@ class TestCorrectness:
     def test_rejects_unknown_input(self):
         with pytest.raises(TypeError):
             factorize("not a matrix")
-
-    def test_with_preprocessing_options(self, rng):
-        a = fem_like(120, 12.0, seed=42)
-        cfg = small_config(
-            preprocess=PreprocessOptions(ordering="rcm", equilibrate=True)
-        )
-        res = factorize(a, cfg)
-        b = rng.normal(size=a.n_rows)
-        assert residual_norm(a, res.solve(b), b) < 1e-9
 
 
 class TestModesAgree:

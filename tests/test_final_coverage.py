@@ -94,18 +94,6 @@ class TestMemoryRowGates:
         assert not report(2.0).verdicts()["overhead_ok"]
 
 
-class TestSolveGpuDefaults:
-    def test_default_config_accepted(self):
-        from repro.core import solve_gpu
-        from repro.gpusim import GPU
-        from repro.sparse import CSCMatrix
-
-        gpu = GPU(spec=scaled_device(1 << 20), host=scaled_host(8 << 20))
-        out = solve_gpu(gpu, CSCMatrix.identity(3), CSCMatrix.identity(3),
-                        np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(out.x, [1.0, 2.0, 3.0])
-
-
 class TestTraceBusySeconds:
     def test_unknown_category_zero(self):
         from repro.gpusim import GPU, TracingGPU

@@ -1,98 +1,41 @@
-"""Equilibration, pivot boosting, and the composed pre-processing pipeline."""
+"""The pre-processing pipeline: checks plus zero-free-diagonal matching."""
 
 import numpy as np
 import pytest
 
-from repro.preprocess import (
-    PreprocessOptions,
-    boost_small_pivots,
-    equilibrate,
-    preprocess,
-)
-from repro.sparse import CSRMatrix
+from repro.core import EndToEndLU, analyze
+from repro.preprocess import preprocess
+from repro.serve.loadgen import restamp
+from repro.sparse import CSRMatrix, permute
+from repro.workloads import circuit_like
 
 from helpers import random_dense
 
 
-class TestEquilibrate:
-    def test_row_col_maxima_near_one(self):
-        d = random_dense(12, 0.4, seed=3) * 1000.0
-        scaled, eq = equilibrate(CSRMatrix.from_dense(d))
-        out = np.abs(scaled.to_dense())
-        assert out.max(axis=1).max() <= 1.0 + 1e-12
-        # reconstruct: Dr A Dc == scaled
-        rebuilt = np.diag(eq.row_scale) @ d @ np.diag(eq.col_scale)
-        np.testing.assert_allclose(scaled.to_dense(), rebuilt, atol=1e-12)
-
-    def test_handles_empty_rows(self):
-        d = np.zeros((3, 3))
-        d[0, 0] = 2.0
-        scaled, eq = equilibrate(CSRMatrix.from_dense(d))
-        assert eq.row_scale[1] == 1.0  # empty row untouched
-
-
-class TestBoostPivots:
-    def test_boosts_tiny_diagonal(self):
-        d = np.eye(4)
-        d[2, 2] = 1e-14
-        boosted, count = boost_small_pivots(CSRMatrix.from_dense(d))
-        assert count == 1
-        assert abs(boosted.get(2, 2)) > 1e-8
-
-    def test_preserves_sign(self):
-        d = np.eye(3)
-        d[1, 1] = -1e-14
-        boosted, _ = boost_small_pivots(CSRMatrix.from_dense(d))
-        assert boosted.get(1, 1) < 0
-
-    def test_noop_on_healthy_matrix(self, small_csr):
-        _, count = boost_small_pivots(small_csr)
-        assert count == 0
-
-    def test_empty_matrix(self):
-        m = CSRMatrix(2, 2, [0, 0, 0], [], [])
-        out, count = boost_small_pivots(m)
-        assert count == 0
-
-
 class TestPipeline:
     def test_solve_transform_consistency(self, rng):
-        """The PreprocessResult transforms must compose so that
-        ``matrix == P (Dr A Dc) Q`` with gather-convention perms."""
+        """The PreprocessResult permutations must compose so that
+        ``matrix == P A Q`` with gather-convention perms."""
         d = random_dense(14, 0.35, seed=5)
-        a = CSRMatrix.from_dense(d)
-        for opts in (
-            PreprocessOptions(),
-            PreprocessOptions(ordering="rcm"),
-            PreprocessOptions(ordering="mindegree", equilibrate=True),
-            PreprocessOptions(equilibrate=True, boost_pivots=True),
-        ):
-            res = preprocess(a, opts)
-            base = d.copy()
-            if res.row_scale is not None:
-                base = np.diag(res.row_scale) @ base @ np.diag(res.col_scale)
-            expected = base[np.asarray(res.row_perm)][:, np.asarray(res.col_perm)]
-            got = res.matrix.to_dense()
-            # boosting may alter diagonal entries; compare off-diagonal
-            mask = ~np.eye(14, dtype=bool)
-            np.testing.assert_allclose(got[mask], expected[mask], atol=1e-12)
+        for dense in (d, d[rng.permutation(14)]):
+            res = preprocess(CSRMatrix.from_dense(dense))
+            expected = dense[np.asarray(res.row_perm)][
+                :, np.asarray(res.col_perm)
+            ]
+            np.testing.assert_array_equal(res.matrix.to_dense(), expected)
 
     def test_diagonal_matched_when_deficient(self, rng):
         d = random_dense(10, 0.4, seed=6)
         shuffled = d[rng.permutation(10)]
         a = CSRMatrix.from_dense(shuffled)
-        res = preprocess(a, PreprocessOptions(match_diagonal=True))
+        res = preprocess(a)
         assert res.matrix.has_full_diagonal()
 
     def test_missing_diagonal_inserted_structurally(self):
         d = np.zeros((3, 3))
         d[0, 1] = d[1, 0] = d[1, 2] = d[2, 1] = 1.0
         d[0, 0] = 1.0
-        res = preprocess(
-            CSRMatrix.from_dense(d),
-            PreprocessOptions(match_diagonal=False,
-                              insert_missing_diagonal=True),
-        )
+        res = preprocess(CSRMatrix.from_dense(d))
         assert res.matrix.has_full_diagonal()
 
     def test_rejects_rectangular(self):
@@ -101,8 +44,40 @@ class TestPipeline:
             preprocess(m)
 
     def test_natural_ordering_is_identity_perm(self, small_csr):
-        res = preprocess(small_csr, PreprocessOptions())
+        res = preprocess(small_csr)
         np.testing.assert_array_equal(res.row_perm,
                                       np.arange(small_csr.n_rows))
         np.testing.assert_array_equal(res.col_perm,
                                       np.arange(small_csr.n_cols))
+
+
+class TestMatchingThroughRefactorize:
+    """Matching is the one transform pre-processing applies; a pattern
+    that needs it must analyze once and refactorize like a cold run."""
+
+    def test_row_shuffled_pattern_refactorizes_bitwise(self):
+        base = circuit_like(80, 5.0, seed=2)
+        shuffle = np.random.default_rng(0).permutation(base.n_rows)
+        a = permute(base, row_perm=shuffle)
+        assert not a.has_full_diagonal()
+        analysis = analyze(a)
+        assert not np.array_equal(
+            analysis.pre.row_perm, np.arange(a.n_rows)
+        )
+        b = np.random.default_rng(1).normal(size=a.n_rows)
+        for m in (a, restamp(a, 3), restamp(a, 4)):
+            warm = analysis.refactorize(m)
+            cold = EndToEndLU().factorize(m)
+            for f in ("L", "U"):
+                w, c = getattr(warm, f), getattr(cold, f)
+                assert np.array_equal(w.indptr, c.indptr)
+                assert np.array_equal(w.indices, c.indices)
+                assert w.data.tobytes() == c.data.tobytes()
+            x = warm.solve(b)
+            assert x.tobytes() == cold.solve(b).tobytes()
+            # normwise backward error ||Ax - b|| / (||A|| ||x|| + ||b||)
+            anorm = np.abs(m.to_dense()).sum(axis=1).max()
+            err = np.abs(m.matvec(x) - b).max() / (
+                anorm * np.abs(x).max() + np.abs(b).max()
+            )
+            assert err <= 1e-8

@@ -8,7 +8,6 @@ from repro.gpusim import TimeLedger
 from repro.graph import build_dependency_graph, kahn_levels
 from repro.preprocess import (
     maximum_matching,
-    rcm_ordering,
     strongly_connected_components,
 )
 from repro.sparse import CSRMatrix
@@ -95,13 +94,6 @@ def test_matching_is_always_valid_on_full_diagonal(a):
     for j, i in enumerate(match):
         cols, _ = a.row(int(i))
         assert j in cols.tolist()
-
-
-@given(dominant_matrices())
-@settings(max_examples=30, deadline=None)
-def test_rcm_is_permutation(a):
-    p = rcm_ordering(a)
-    assert sorted(p.tolist()) == list(range(a.n_rows))
 
 
 @given(dominant_matrices())

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import (
     EndToEndLU,
+    analyze,
     ResilientGPU,
     RetryPolicy,
     SolverConfig,
@@ -218,6 +219,19 @@ class TestPivotRecovery:
         assert rec.residual_ok
         assert np.linalg.norm(a.matvec(x) - b) <= 1e-6 * np.linalg.norm(b)
         assert "recovery:" in res.report()
+
+    def test_refactorize_pass_refines_after_perturbation(self):
+        """A numeric-only pass with perturbed pivots refines against its
+        own input, as the cold pipeline's solve does."""
+        n = 60
+        a = _singular_matrix(n)
+        b = np.random.default_rng(0).random(n)
+        cfg = SolverConfig(resilience=True)
+        res = analyze(a, cfg).refactorize(a)
+        assert res.numeric.perturbed_columns
+        x = res.solve(b)
+        assert np.linalg.norm(a.matvec(x) - b) <= 1e-8 * np.linalg.norm(b)
+        assert x.tobytes() == EndToEndLU(cfg).factorize(a).solve(b).tobytes()
 
     def test_clean_matrix_reports_quiet_ladder(self):
         a = circuit_like(60, 5.0, seed=5)

@@ -1,4 +1,4 @@
-"""Permutation, scaling and residual helpers."""
+"""Permutation, identity-shift and residual helpers."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.sparse import (
     invert_permutation,
     permute,
     residual_norm,
-    scale,
 )
 
 from helpers import random_dense
@@ -52,22 +51,6 @@ class TestPermute:
         inv = invert_permutation(p)
         np.testing.assert_array_equal(p[inv], np.arange(20))
         np.testing.assert_array_equal(inv[p], np.arange(20))
-
-
-class TestScale:
-    def test_row_col_scaling(self, rng):
-        d = random_dense(8, 0.5, seed=4, dominant=False)
-        m = CSRMatrix.from_dense(d)
-        r = rng.uniform(0.5, 2.0, 8)
-        c = rng.uniform(0.5, 2.0, 8)
-        out = scale(m, row_scale=r, col_scale=c)
-        np.testing.assert_allclose(
-            out.to_dense(), np.diag(r) @ d @ np.diag(c), atol=1e-12
-        )
-
-    def test_length_mismatch(self, small_csr):
-        with pytest.raises(SparseFormatError):
-            scale(small_csr, row_scale=np.ones(2))
 
 
 class TestMisc:

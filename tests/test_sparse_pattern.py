@@ -10,7 +10,6 @@ from repro.sparse import (
     pattern_stats,
     replace_zero_diagonal,
     split_lu_pattern,
-    symmetrize_pattern,
     upper_pattern_csr,
 )
 
@@ -75,22 +74,6 @@ class TestSplitLU:
         np.testing.assert_allclose(
             np.tril(ld, -1) + ud, small_dense, atol=1e-12
         )
-
-
-class TestSymmetrize:
-    def test_pattern_is_union(self):
-        d = np.zeros((3, 3))
-        d[0, 2] = 1.0
-        s = symmetrize_pattern(CSRMatrix.from_dense(d))
-        assert s.get(0, 2) != 0
-        assert s.get(2, 0) != 0
-
-    def test_values_summed(self):
-        d = np.zeros((2, 2))
-        d[0, 1] = 1.0
-        d[1, 0] = 2.0
-        s = symmetrize_pattern(CSRMatrix.from_dense(d))
-        assert s.get(0, 1) == pytest.approx(3.0)
 
 
 class TestDiagonalRepair:

@@ -323,7 +323,7 @@ class TestPolicyAndThreshold:
         far = perturb_pattern(a, add=12, seed=3)
         target = perturb_pattern(near, add=1, seed=4)
         donors = [analyze(far, cfg), analyze(near, cfg)]
-        pre = preprocess(target, cfg.preprocess)
+        pre = preprocess(target)
         pick = best_donor(donors, pre.matrix)
         assert pick is not None
         donor, delta = pick
@@ -335,7 +335,7 @@ class TestPolicyAndThreshold:
         a = circuit_like(100, 5.0, seed=1)
         b = perturb_pattern(a, add=30, bandwidth=16, seed=2)
         donors = [analyze(a, cfg)]
-        pre = preprocess(b, cfg.preprocess)
+        pre = preprocess(b)
         monkeypatch.setattr(incremental, "MAX_DELTA_FRACTION", 0.001)
         assert best_donor(donors, pre.matrix) is None
 
