@@ -17,11 +17,18 @@ pattern, never on the values.  So the kernel resolves them up front, in
 level-batches bounded by :data:`_MAX_BATCH_UPDATES`, into a structure-only
 *plan*.  Every target is found through a dense position map
 (:class:`_PositionMap`, slot ``(col - c0) * n + row`` -> flat CSC
-position, ``-1`` where the pattern has no entry): one gather per map
-window resolves all of a batch's multipliers and targets at once.  The
-map covers a window of target columns sized so that it never holds more
-than :data:`_MAX_MAP_ENTRIES` slots (32 MB); a pattern with ``n * n``
-within that cap is a single window, larger ones loop over windows.  This
+position, ``-1`` where the pattern has no entry).  The map covers a
+window of target columns sized so that it never holds more than
+:data:`_MAX_MAP_ENTRIES` slots (32 MB); a pattern with ``n * n`` within
+that cap is a single window, larger ones walk the windows in order.  In
+each window, one gather resolves the ``U`` entries of the batch's pairs
+that fall in it; the one-column and gathered levels' updates resolve
+through one compact key array of their own; and each ``(column,
+window)`` segment of a column-outer level forms its ``(pair, row)`` keys
+with one ``np.add.outer`` in a small reused scratch buffer and gathers
+them straight into the stored targets.  No key array spans a batch's
+updates, and every stream is written in pair order, so none depends on
+the window size.  A ``-1`` raises before any value is touched.  This
 replaces a per-update binary search on the host only: Algorithm 6's
 device kernel still finds each target by binary search in the sorted
 column, and ``count_search_steps`` still charges its probe depth to
@@ -58,16 +65,17 @@ every diagonal of the level is structurally present; and the level's
   ``|pivot| > tol`` check and the **scale stage** (one gather, divide
   and scatter through the ``L`` entries and their divisor stream
   ``s_div``), the **update stage** writes one ``np.multiply.outer`` per
-  column into a level buffer and applies it with one
+  column into the pass's update buffer and applies it with one
   ``np.subtract.at``, which accumulates repeated targets in array
   order, i.e. exactly the scalar loop's update order, so floating-point
   results match bitwise (``u * l == l * u`` in IEEE arithmetic);
 * **gathered level** — every other multi-column level (many columns,
   few updates each, where a call per column would cost more than it
-  saves).  Its update stage gathers every multiplier through its own
-  stored ``L``-index stream ``l_flat`` and every ``U`` entry with one
-  ``np.repeat``, then applies them with the same ``np.subtract.at``.
-  Only these levels store an ``L`` index per update;
+  saves).  Its update stage gathers every multiplier into the update
+  buffer through its own stored ``L``-index stream ``l_flat``, scales
+  them by every ``U`` entry with one ``np.repeat``, then applies them
+  with the same ``np.subtract.at``.  Only these levels store an ``L``
+  index per update;
 * **any level whose quick check fails**, a level with a structurally
   missing diagonal, and every level of a pass with
   ``pivot_perturbation > 0`` go through the **pivot stage** first: it
@@ -77,6 +85,10 @@ every diagonal of the level is structurally present; and the level's
   failing column, its message and ``perturbed_columns`` stay the
   oracle's.  A one-column level taking this route forms its update as
   a column-outer level of one column.
+
+A value pass allocates its update buffer once, at the length of the
+plan's largest level (``max_level_updates``, structure-only), instead
+of a fresh array per level.
 
 Bitwise equivalence relies on the schedule carrying GLU 3.0's *full*
 dependency set (``include_l_dependencies=True``, the library default):
@@ -210,10 +222,13 @@ class _NumericPlan:
     pattern, so keeping the plan there is sound.
     """
 
-    __slots__ = ("diag_pos", "batches")
+    __slots__ = ("diag_pos", "batches", "max_level_updates")
 
     diag_pos: np.ndarray
     batches: list[_BatchPlan]
+    #: updates of the plan's largest level: the length of the buffer a
+    #: value pass forms its column-outer and gathered products in
+    max_level_updates: int
 
     @property
     def nbytes(self) -> int:
@@ -235,8 +250,8 @@ class _PositionMap:
     The map covers a window of ``width`` consecutive columns
     ``[c0, c0 + width)``: slot ``(col - c0) * n + row`` holds the flat
     position of entry ``(row, col)`` and ``-1`` where the pattern has no
-    entry, so resolving a whole stream of probes is one gather and the
-    pattern check is ``pos >= 0``.  ``width`` keeps the map within
+    entry, so resolving a block of probes is one gather and the pattern
+    check is ``min() < 0``.  ``width`` keeps the map within
     ``_MAX_MAP_ENTRIES`` slots (``n`` slots when ``n`` alone exceeds it);
     a pattern with ``n * n`` within the cap is one window, loaded once
     for the whole plan.
@@ -259,7 +274,7 @@ class _PositionMap:
         self.loaded = -1
         self.loaded_slots = np.empty(0, dtype=np.int64)
 
-    def _load(self, wi: int) -> None:
+    def load(self, wi: int) -> None:
         """Make the map hold the entries of window ``wi``'s columns."""
         if wi == self.loaded:
             return
@@ -272,125 +287,120 @@ class _PositionMap:
         self.slots[self.loaded_slots] = np.arange(s, e, dtype=np.int64)
         self.loaded = wi
 
-    def _lookup(
-        self,
-        wi: int,
-        pair_j: np.ndarray,
-        pair_k: np.ndarray,
-        keys: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of ``(j, k)`` and of the targets ``keys`` (each
-        ``col * n + row``) for pairs whose column ``k`` lies in window
-        ``wi``."""
-        self._load(wi)
-        first = wi * self.width * self.n
-        pos_ujk = self.slots[pair_k * self.n - first + pair_j]
-        if (pos_ujk < 0).any():
-            raise SparseFormatError(
-                "symbolic pattern is missing a U entry — filled pattern "
-                "is inconsistent"
-            )
-        pos_tgt = self.slots[keys - first if first else keys]
-        if (pos_tgt < 0).any():
-            raise SparseFormatError(
-                "fill positions missing — filled pattern is inconsistent"
-            )
-        return pos_ujk, pos_tgt
 
-    def resolve(
-        self,
-        b: _BatchPlan,
-        pair_j: np.ndarray,
-        pair_k: np.ndarray,
-        keys: np.ndarray,
-    ) -> None:
-        """Set ``b.pos_ujk`` and ``b.pos_tgt`` for the batch's pairs and
-        their update targets ``keys``.
-
-        Pairs are grouped by window with a stable sort and the results
-        written back in pair order, so the streams (and with them the
-        update order) do not depend on the window size.
-        """
-        win = pair_k // self.width
-        counts = np.bincount(win, minlength=self.n_windows)
-        if np.count_nonzero(counts) == 1:
-            # the whole batch in one window: gather in place, no grouping
-            b.pos_ujk, b.pos_tgt = self._lookup(
-                int(win[0]), pair_j, pair_k, keys
-            )
-            return
-        order = np.argsort(win, kind="stable")
-        ends = np.cumsum(counts)
-        b.pos_ujk = np.empty(len(pair_k), dtype=np.int64)
-        b.pos_tgt = np.empty(len(keys), dtype=np.int64)
-        for wi in np.flatnonzero(counts):
-            sel = order[ends[wi] - counts[wi] : ends[wi]]
-            t_sel = concat_ranges(b.exp_off[sel], b.pair_rows[sel])
-            b.pos_ujk[sel], b.pos_tgt[t_sel] = self._lookup(
-                int(wi), pair_j[sel], pair_k[sel], keys[t_sel]
-            )
+def _missing_fill() -> SparseFormatError:
+    return SparseFormatError(
+        "fill positions missing — filled pattern is inconsistent"
+    )
 
 
-def _target_keys(
+def _resolve_targets(
     b: _BatchPlan,
+    pos_map: _PositionMap,
     pair_j: np.ndarray,
     pair_k: np.ndarray,
     sub_start: np.ndarray,
     indices: np.ndarray,
-    n: int,
     col_off: np.ndarray,
     outer: np.ndarray,
     gathered: np.ndarray,
-) -> np.ndarray:
-    """Key ``k * n + row`` of every update target of the batch, in
-    update order; also sets ``b.l_flat`` for its gathered levels.
+    scratch: np.ndarray,
+) -> None:
+    """Set ``b.pos_ujk``, ``b.pos_tgt`` and ``b.l_flat``.
 
     ``col_off`` bounds the batch's levels in ``b.cols_cat`` and
-    ``outer`` / ``gathered`` are their kinds.  One ragged gather lists
-    the ``L`` rows of the one-column and gathered levels' updates; a
-    column-outer level costs one ``np.add.outer`` per column and no
-    ``L`` index at all.
+    ``outer`` / ``gathered`` are their kinds.  The one-column and
+    gathered levels' updates get one compact key array; column-outer
+    levels get none.  The map windows the batch's sub-columns fall in
+    are walked in order.  Each window resolves its pairs' ``U`` entries,
+    then its share of the compact keys, then its column-outer
+    ``(column, window)`` segments one at a time: a segment's ``(pair,
+    row)`` keys are one ``np.add.outer`` into ``scratch``, gathered
+    straight into ``b.pos_tgt``.  Every stream is written in pair order,
+    so none depends on the window size.
     """
+    n, width, slots = pos_map.n, pos_map.width, pos_map.slots
+    single = pos_map.n_windows == 1
     lp = b.pair_off[col_off]
     le = b.exp_off[lp]
-    kn = pair_k * n
     rest = ~outer
-    has_outer = bool(outer.any())
-    if has_outer:
-        p_sel = concat_ranges(lp[:-1][rest], np.diff(lp)[rest])
-        rows = b.pair_rows[p_sel]
-        l_rest = concat_ranges(sub_start[pair_j[p_sel]], rows)
-        keys = np.empty(int(le[-1]), dtype=np.int64)
-        t_sel = concat_ranges(le[:-1][rest], np.diff(le)[rest])
-        keys[t_sel] = np.repeat(kn[p_sel], rows) + indices[l_rest]
-    else:
-        l_rest = concat_ranges(sub_start[pair_j], b.pair_rows)
-        keys = np.repeat(kn, b.pair_rows)
-        keys += indices[l_rest]
-    # only a gathered level reads an L index in a value pass (a level
-    # without updates has none to drop)
+    # each pair's window, and its column's first slot in that window
+    win = pair_k // width
+    kw = (pair_k - win * width) * n
+    outer_pair = np.repeat(outer, np.diff(lp))
+    # the one-column and gathered levels' updates: their pairs, their
+    # keys and their L rows; only a gathered level keeps its L rows (a
+    # level without updates has none)
+    p_rest = np.flatnonzero(~outer_pair)
+    r_rows = b.pair_rows[p_rest]
+    l_rest = concat_ranges(sub_start[pair_j[p_rest]], r_rows)
+    r_keys = np.repeat(kw[p_rest], r_rows)
+    r_keys += indices[l_rest]
     upd = np.diff(le)[rest]
     keep = gathered[rest] | (upd == 0)
     b.l_flat = l_rest if keep.all() else l_rest[np.repeat(keep, upd)]
-    if not has_outer:
-        return keys
-    # column-outer levels: the (pair, row) outer sum of each column
-    oc = concat_ranges(col_off[:-1][outer], np.diff(col_off)[outer])
-    pa = b.pair_off[oc]
-    for p0, p1, e0, lo, s in zip(
-        pa.tolist(),
-        b.pair_off[oc + 1].tolist(),
-        b.exp_off[pa].tolist(),
-        sub_start[b.cols_cat[oc]].tolist(),
-        (b.scale_off[oc + 1] - b.scale_off[oc]).tolist(),
-    ):
-        if p1 > p0 and s:
-            np.add.outer(
-                kn[p0:p1],
-                indices[lo : lo + s],
-                out=keys[e0 : e0 + (p1 - p0) * s].reshape(p1 - p0, s),
+    del l_rest  # freed before the target stream is written
+    # column-outer segments: runs of one column's pairs that share a
+    # window (a column without sub-diagonal rows has no updates)
+    p_out = np.flatnonzero(outer_pair & (b.pair_rows > 0))
+    same = pair_j[p_out[1:]] == pair_j[p_out[:-1]]
+    same &= win[p_out[1:]] == win[p_out[:-1]]
+    cut = np.ones(len(p_out), dtype=bool)
+    cut[1:] = ~same
+    last = np.ones(len(p_out), dtype=bool)
+    last[:-1] = cut[1:]
+    seg_p0, seg_p1 = p_out[cut], p_out[last] + 1
+    seg_win = win[seg_p0]
+
+    b.pos_ujk = np.empty(len(pair_k), dtype=np.int64)
+    b.pos_tgt = np.empty(int(le[-1]), dtype=np.int64)
+    # where the compact keys' targets go in the stream; with one window
+    # and no column-outer level they are the whole stream, in order
+    r_pos: np.ndarray | None = None
+    if not single or len(r_keys) < len(b.pos_tgt):
+        r_pos = concat_ranges(b.exp_off[p_rest], r_rows)
+    r_off = _offsets(r_rows)
+    counts = np.bincount(win, minlength=pos_map.n_windows)
+    for wi in np.flatnonzero(counts).tolist():
+        pos_map.load(wi)
+        sel = np.flatnonzero(win == wi)
+        ujk = slots[kw[sel] + pair_j[sel]]
+        if ujk.min() < 0:
+            raise SparseFormatError(
+                "symbolic pattern is missing a U entry — filled pattern"
+                + " is inconsistent"
             )
-    return keys
+        b.pos_ujk[sel] = ujk
+        keys = r_keys
+        if not single:
+            rw = np.flatnonzero(win[p_rest] == wi)
+            in_w = concat_ranges(r_off[rw], r_rows[rw])
+            keys = keys[in_w]
+        if len(keys):
+            out = b.pos_tgt if r_pos is None else None
+            tgt = np.take(slots, keys, mode="clip", out=out)
+            if tgt.min() < 0:
+                raise _missing_fill()
+            if r_pos is not None:
+                b.pos_tgt[r_pos if single else r_pos[in_w]] = tgt
+        ws = np.flatnonzero(seg_win == wi)
+        p0s = seg_p0[ws]
+        for p0, p1, e0, lo, s in zip(
+            p0s.tolist(),
+            seg_p1[ws].tolist(),
+            b.exp_off[p0s].tolist(),
+            sub_start[pair_j[p0s]].tolist(),
+            b.pair_rows[p0s].tolist(),
+        ):
+            m = (p1 - p0) * s
+            keys = scratch[:m]
+            np.add.outer(
+                kw[p0:p1], indices[lo : lo + s], out=keys.reshape(p1 - p0, s)
+            )
+            tgt = b.pos_tgt[e0 : e0 + m]
+            np.take(slots, keys, mode="clip", out=tgt)
+            if tgt.min() < 0:
+                raise _missing_fill()
 
 
 def _outer_updates(
@@ -401,18 +411,16 @@ def _outer_updates(
     c1: int,
     p0: int,
     s0: int,
-    e0: int,
-    e1: int,
-) -> np.ndarray:
-    """Updates of columns ``c0:c1`` of a column-outer level, in update
-    order: per column, the ``(pair, row)`` outer product of its ``U``
-    entries (in ``u``, from pair ``p0``) and its quotients (in ``q``,
-    from scale entry ``s0``)."""
-    out = np.empty(e1 - e0, dtype=q.dtype)
+    out: np.ndarray,
+) -> None:
+    """Write the updates of columns ``c0:c1`` of a column-outer level
+    into ``out``, in update order: per column, the ``(pair, row)`` outer
+    product of its ``U`` entries (in ``u``, from pair ``p0``) and its
+    quotients (in ``q``, from scale entry ``s0``)."""
     po = b.pair_off[c0 : c1 + 1]
     pairs = (po - p0).tolist()
     rows = (b.scale_off[c0 : c1 + 1] - s0).tolist()
-    ends = (b.exp_off[po] - e0).tolist()
+    ends = (b.exp_off[po] - b.exp_off[po[0]]).tolist()
     for pa, pb, ra, rb, ea, eb in zip(
         pairs, pairs[1:], rows, rows[1:], ends, ends[1:]
     ):
@@ -420,7 +428,6 @@ def _outer_updates(
             np.multiply.outer(
                 u[pa:pb], q[ra:rb], out=out[ea:eb].reshape(pb - pa, rb - ra)
             )
-    return out
 
 
 def _build_plan(
@@ -469,13 +476,16 @@ def _build_plan(
     )
     # flattened update count contributed by column j: one row update per
     # (sub-column pair, sub-diagonal row) combination
-    exp_cum = _offsets(sc_len[all_cols] * sub_len[all_cols])
-    exp_per_level = np.diff(exp_cum[level_off]).tolist()
+    col_exp = sc_len[all_cols] * sub_len[all_cols]
+    exp_per_level = np.diff(_offsets(col_exp)[level_off]).tolist()
 
     plan = _NumericPlan()
     plan.diag_pos = diag_pos
     plan.batches = []
+    plan.max_level_updates = max(exp_per_level, default=0)
     pos_map = _PositionMap(indptr, indices, col_ids, n)
+    # keys of one column-outer (column, window) segment at a time
+    scratch = np.empty(int(col_exp.max(initial=0)), dtype=np.int64)
 
     start = 0
     while start < schedule.num_levels:
@@ -527,11 +537,18 @@ def _build_plan(
         gathered = multi & ~outer
         g_upd = np.where(gathered, le1 - le0, 0)
         lg = np.where(gathered, _offsets(g_upd)[:-1], -1)
-        keys = _target_keys(
-            b, pair_j, pair_k, sub_start, indices, n, col_off, outer, gathered
+        _resolve_targets(
+            b,
+            pos_map,
+            pair_j,
+            pair_k,
+            sub_start,
+            indices,
+            col_off,
+            outer,
+            gathered,
+            scratch,
         )
-        pos_map.resolve(b, pair_j, pair_k, keys)
-        del keys  # freed before the next batch builds its own
         search = pair_search[lp1] - pair_search[lp0]
         table = (lc0, lc1, ls0, ls1, lp0, lp1, le0, le1, one, diag_ok, lg)
         b.levels = list(zip(*(col.tolist() for col in table)))
@@ -648,6 +665,9 @@ def factorize_in_place(
     # in ``_pivot_stage``, whatever the dtype)
     quick = pivot_perturbation <= 0.0
     tol64 = np.float64(pivot_tolerance)
+    # the products of every level but a quick one-column step, formed
+    # in one buffer per pass
+    buf = np.empty(plan.max_level_updates, dtype=data.dtype)
     for b in plan.batches:
         pos_tgt, pos_ujk = b.pos_tgt, b.pos_ujk
         for c0, c1, s0, s1, p0, p1, e0, e1, one, diag_ok, lg in b.levels:
@@ -685,12 +705,17 @@ def factorize_in_place(
                 data[s_flat] = q
             if e1 > e0:
                 u = data[pos_ujk[p0:p1]]
+                contrib = buf[: e1 - e0]
                 if lg >= 0:
-                    contrib = data[b.l_flat[lg : lg + e1 - e0]] * np.repeat(
-                        u, b.pair_rows[p0:p1]
+                    np.take(
+                        data,
+                        b.l_flat[lg : lg + e1 - e0],
+                        mode="clip",
+                        out=contrib,
                     )
+                    contrib *= np.repeat(u, b.pair_rows[p0:p1])
                 else:
-                    contrib = _outer_updates(b, u, q, c0, c1, p0, s0, e0, e1)
+                    _outer_updates(b, u, q, c0, c1, p0, s0, contrib)
                 np.subtract.at(data, pos_tgt[e0:e1], contrib)
             if fail_col >= 0:
                 # the scalar loop raises mid-level: the preceding

@@ -22,12 +22,7 @@ from .convert import (
 )
 from .io import read_matrix_market, write_matrix_market
 from .serialize import load_factors, load_matrix, save_factors, save_matrix
-from .ops import (
-    add_scaled_identity,
-    invert_permutation,
-    permute,
-    residual_norm,
-)
+from .ops import invert_permutation, permute, residual_norm
 from .pattern import (
     PatternStats,
     ensure_diagonal,
@@ -58,7 +53,6 @@ __all__ = [
     "load_factors",
     "permute",
     "invert_permutation",
-    "add_scaled_identity",
     "residual_norm",
     "PatternStats",
     "pattern_stats",

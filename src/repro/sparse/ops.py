@@ -1,4 +1,4 @@
-"""Value-carrying sparse operations: permutation, identity shift, residual.
+"""Value-carrying sparse operations: permutation and residual.
 
 The pre-processing pipeline applies a row permutation ``P`` and a column
 permutation ``Q`` to form ``P A Q`` before factorization; these helpers do
@@ -51,16 +51,6 @@ def permute(a: CSRMatrix, row_perm=None, col_perm=None) -> CSRMatrix:
         col_perm = _check_perm(col_perm, a.n_cols, "col_perm")
         cols = invert_permutation(col_perm)[cols]
     return COOMatrix(a.n_rows, a.n_cols, rows, cols, a.data.copy()).to_csr()
-
-
-def add_scaled_identity(a: CSRMatrix, alpha: float) -> CSRMatrix:
-    """Return ``A + alpha * I``."""
-    n = min(a.n_rows, a.n_cols)
-    coo = a.to_coo()
-    rows = np.concatenate([coo.rows, np.arange(n, dtype=INDEX_DTYPE)])
-    cols = np.concatenate([coo.cols, np.arange(n, dtype=INDEX_DTYPE)])
-    data = np.concatenate([coo.data, np.full(n, alpha, dtype=coo.data.dtype)])
-    return COOMatrix(a.n_rows, a.n_cols, rows, cols, data).to_csr()
 
 
 def residual_norm(a: CSRMatrix, x: np.ndarray, b: np.ndarray) -> float:

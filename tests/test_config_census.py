@@ -17,6 +17,7 @@ import repro.fleet
 import repro.fleet.admission
 import repro.fleet.l2cache
 import repro.preprocess
+import repro.sparse
 from repro.core import EndToEndLU, RetryPolicy, SolverConfig
 from repro.fleet import FleetConfig
 from repro.gpusim.interconnect import PCIE3
@@ -57,6 +58,7 @@ REMOVED_NAMES = [
     (repro.preprocess, "rcm_ordering"),
     (repro.preprocess, "equilibrate"),
     (repro.core, "solve_gpu"),
+    (repro.sparse, "add_scaled_identity"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Permutation, identity-shift and residual helpers."""
+"""Permutation and residual helpers."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.errors import SparseFormatError
 from repro.sparse import (
     CSRMatrix,
-    add_scaled_identity,
     invert_permutation,
     permute,
     residual_norm,
@@ -54,13 +53,6 @@ class TestPermute:
 
 
 class TestMisc:
-    def test_add_scaled_identity(self, small_dense):
-        m = CSRMatrix.from_dense(small_dense)
-        out = add_scaled_identity(m, 3.0)
-        np.testing.assert_allclose(
-            out.to_dense(), small_dense + 3.0 * np.eye(len(small_dense))
-        )
-
     def test_residual_norm_zero_for_exact(self, small_dense, rng):
         m = CSRMatrix.from_dense(small_dense)
         x = rng.normal(size=m.n_cols)

@@ -16,6 +16,7 @@ import ast
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,74 @@ def test_windowed_position_map_bitwise_and_bounded(spec, monkeypatch):
     )
 
 
+def _plan_streams(plan):
+    """Every array of a plan (dtype and bytes), its level tables, its
+    ``per_level`` tuples and its scalars, batch by batch."""
+    out = [plan.diag_pos.dtype.str, plan.diag_pos.tobytes()]
+    out.append(plan.max_level_updates)
+    for b in plan.batches:
+        for name in vectorized._BatchPlan.__slots__:
+            value = getattr(b, name)
+            if isinstance(value, np.ndarray):
+                out.append((name, value.dtype.str, value.tobytes()))
+            else:
+                out.append((name, value))
+    return out
+
+
+@pytest.mark.parametrize("spec", _registry_specs(), ids=lambda s: s.abbr)
+def test_plan_streams_independent_of_map_window(spec, level_kind, monkeypatch):
+    # the same plan, byte for byte, from one map window and from many
+    filled = symbolic_fill_reference(_generate(spec))
+    As = filled.to_csc()
+    sched = kahn_levels(build_dependency_graph(filled))
+    streams = []
+    for cap in (vectorized._MAX_MAP_ENTRIES, 4 * _N):
+        monkeypatch.setattr(vectorized, "_MAX_MAP_ENTRIES", cap)
+        plan = vectorized._build_plan(As, filled, sched, True)
+        streams.append(_plan_streams(plan))
+    assert streams[0] == streams[1]
+
+
+def test_plan_build_holds_no_batch_wide_key_stream():
+    # RM's updates sit almost all in column-outer levels, whose target
+    # keys are formed one column at a time in a reused scratch buffer
+    spec = next(s for s in _registry_specs() if s.abbr == "RM")
+    filled = symbolic_fill_reference(_generate(spec, _WIDE_N))
+    As = filled.to_csc()
+    sched = kahn_levels(build_dependency_graph(filled))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plan = vectorized._build_plan(As, filled, sched, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = As.n_cols
+    map_bytes = 8 * max(1, min(n, vectorized._MAX_MAP_ENTRIES // n)) * n
+    # updates of the one-column and gathered levels, per batch
+    rest = max(
+        sum(
+            lv[7] - lv[6]
+            for lv in b.levels
+            if lv[10] >= 0 or lv[1] - lv[0] == 1
+        )
+        for b in plan.batches
+    )
+    pairs = max(len(b.pos_ujk) for b in plan.batches)
+    updates = max(len(b.pos_tgt) for b in plan.batches)
+    column = max(
+        int(np.diff(b.exp_off[b.pair_off]).max()) for b in plan.batches
+    )
+    # beyond the plan: the map, one column's keys, a few int64 streams
+    # over one batch's one-column and gathered levels' updates and over
+    # its pairs, and the entry-sized set-up arrays
+    limit = map_bytes + 8 * (column + 6 * rest + 12 * pairs + 3 * As.nnz)
+    # ... which is well below the map plus a batch-wide int64 key stream
+    assert limit < map_bytes + 8 * updates // 2
+    assert peak - base - plan.nbytes < limit
+
+
 # ---------------------------------------------------------------------------
 # error and recovery branches
 
@@ -392,13 +461,20 @@ def test_level_kinds_sparse_format_errors(
     _, broken = _arrow_fill_without(9, 8, blocks=2)
     sched = kahn_levels(build_dependency_graph(broken))
     assert len(sched.levels[0]) == 2
+    As = broken.to_csc()
     with pytest.raises(SparseFormatError, match="fill positions missing"):
-        factorize(broken.to_csc(), broken, sched)
+        factorize(As, broken, sched)
+    # the fast path checks the whole pattern before it touches a value
+    # (the oracle raises mid-pass)
+    fast = factorize is not oracles.factorize_in_place
+    assert not fast or np.array_equal(As.data, broken.to_csc().data)
     # multiplier (5, 8) is listed by the row adjacency only
     filled, broken = _arrow_fill_without(5, 8, blocks=2)
     sched = kahn_levels(build_dependency_graph(filled))
+    As = broken.to_csc()
     with pytest.raises(SparseFormatError, match="missing (a )?U entry"):
-        factorize(broken.to_csc(), filled, sched)
+        factorize(As, filled, sched)
+    assert not fast or np.array_equal(As.data, broken.to_csc().data)
 
 
 # ---------------------------------------------------------------------------
