@@ -75,6 +75,7 @@ from ..graph import LevelSchedule, sub_column_counts
 from ..numeric import NumericStats, extract_lu, factorize_in_place
 from ..numeric.supernodal import SupernodalPlan, supernodal_plan_for
 from ..sparse import CSCMatrix, CSRMatrix
+from ..sparse.pattern import LUSplit
 from .config import SolverConfig
 from .resilient import PIVOT_PERTURBATION_REL, recovery_log_of
 
@@ -100,8 +101,12 @@ class NumericResult:
     singleton_panels: int = 0
     panel_coverage: float = 0.0
 
-    def factors(self) -> tuple[CSCMatrix, CSCMatrix]:
-        return extract_lu(self.As)
+    def factors(
+        self, split: LUSplit | None = None
+    ) -> tuple[CSCMatrix, CSCMatrix]:
+        """``(L, U)`` of :attr:`As`; ``split`` is the kept structure of
+        its pattern (a refactorize pass has one)."""
+        return extract_lu(self.As, split)
 
     @property
     def perturbed_columns(self) -> tuple[int, ...]:

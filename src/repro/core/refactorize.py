@@ -21,15 +21,19 @@ across Newton steps and re-runs only the value arithmetic, it reuses:
 * the scatter map, which sends every original entry straight to its
   position in that CSC, so the values are placed by one scatter into a
   zeroed array with no CSR-to-CSC sort;
+* the L/U split structure (:class:`~repro.sparse.pattern.LUSplit`: both
+  factors' ``indptr``/``indices`` and the masks that pick each factor's
+  values), so the split after the kernel is a value gather;
 * the kernel's numeric plan, the per-level launch inputs of the charge
   and, for the solve, the solve plan (all in the same plan store).
 
-The L/U split after the kernel is sort-free on every path.  A pass
-therefore costs one scatter, the kernel's value passes, the split and the
-same simulated charges as a cold factorization's numeric phase.  Only a
-pattern whose pre-processing permuted it still sorts once per pass:
-:func:`~repro.sparse.permute` re-applies the permutation to the values.
-Whether it did is a structure-only fact, decided once per analysis.
+A pass therefore costs one scatter, the kernel's value passes, the
+split's gather and the same simulated charges as a cold factorization's
+numeric phase.  A cold factorization splits through the same structure,
+built for that one call.  Only a pattern whose pre-processing permuted
+it still sorts once per pass: :func:`~repro.sparse.permute` re-applies
+the permutation to the values.  Whether it did is a structure-only
+fact, decided once per analysis.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from ..graph import DependencyGraph, LevelSchedule, build_dependency_graph
 from ..numeric import lu_solve_permuted
 from ..preprocess import PreprocessResult, preprocess, require_finite
 from ..sparse import CSCMatrix, CSRMatrix
+from ..sparse.pattern import LUSplit
 from ..sparse.types import INDEX_DTYPE
 from .config import SolverConfig
 from .levelize_gpu import levelize_gpu_dynamic
@@ -104,6 +109,18 @@ def filled_csc_layout(
         csc.indices.setflags(write=False)
         plans.csc_layout = (csc.indptr, csc.indices)
     return plans.csc_layout
+
+
+def filled_lu_split(filled: CSRMatrix, schedule: LevelSchedule) -> LUSplit:
+    """L/U split structure of the filled pattern's sorted CSC.
+
+    Kept read-only in the schedule's plan store beside the layout, so a
+    pass's split (:meth:`LUSplit.apply`) only gathers values.
+    """
+    plans = schedule.plans_for(filled.n_rows, filled.nnz)
+    if plans.lu_split is None:
+        plans.lu_split = LUSplit.of(*filled_csc_layout(filled, schedule))
+    return plans.lu_split
 
 
 class ReusableAnalysis:
@@ -253,7 +270,7 @@ class ReusableAnalysis:
             self.config,
             as_resident=False,
         )
-        L, U = num.factors()
+        L, U = num.factors(filled_lu_split(self.filled, self.schedule))
         return RefactorizeResult(
             L=L, U=U, numeric=num, analysis=self, source=a
         )

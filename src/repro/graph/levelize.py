@@ -31,6 +31,7 @@ if TYPE_CHECKING:
     from ..numeric.supernodal import SupernodalPlan
     from ..numeric.trisolve import SolvePlan
     from ..numeric.vectorized import _NumericPlan
+    from ..sparse.pattern import LUSplit
 
 #: GLU 3.0 level taxonomy (§2.2): type A levels have many columns with few
 #: sub-columns, type C few columns with many sub-columns, type B the
@@ -71,6 +72,8 @@ class PatternPlans:
     #: read-only sorted-CSC ``(indptr, indices)``
     #: (:mod:`repro.core.refactorize`)
     csc_layout: tuple[np.ndarray, np.ndarray] | None = None
+    #: read-only L/U split structure (:mod:`repro.core.refactorize`)
+    lu_split: LUSplit | None = None
     #: launch inputs and charge tapes (:mod:`repro.core.numeric_gpu`)
     launch: _LaunchInputs | None = None
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..sparse import CSCMatrix
-from ..sparse.pattern import split_lu_csc
+from ..sparse.pattern import LUSplit, split_lu_csc
 
 
 @dataclass
@@ -51,11 +51,14 @@ class NumericStats:
         return self.div_flops + self.update_flops
 
 
-def extract_lu(As: CSCMatrix) -> tuple[CSCMatrix, CSCMatrix]:
+def extract_lu(
+    As: CSCMatrix, split: LUSplit | None = None
+) -> tuple[CSCMatrix, CSCMatrix]:
     """Split a factorized ``As`` into unit-lower ``L`` and upper ``U`` (CSC).
 
     ``As`` is sorted CSC, so the split needs no sort
-    (:func:`repro.sparse.pattern.split_lu_csc`); the coordinate-list
-    split it replaced is kept as :func:`repro.oracles.extract_lu`.
+    (:func:`repro.sparse.pattern.split_lu_csc`; ``split`` is its
+    pattern's kept structure, if any); the coordinate-list split it
+    replaced is kept as :func:`repro.oracles.extract_lu`.
     """
-    return split_lu_csc(As)
+    return split_lu_csc(As, split)

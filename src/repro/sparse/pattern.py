@@ -8,7 +8,7 @@ the numeric phase consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,40 +59,103 @@ def pattern_stats(a: CSRMatrix) -> PatternStats:
     )
 
 
-def split_lu_csc(a: CSCMatrix) -> tuple[CSCMatrix, CSCMatrix]:
+@dataclass(frozen=True, eq=False)
+class LUSplit:
+    """Structure of the L/U split of one sorted-CSC pattern.
+
+    Both factors' ``indptr``/``indices`` plus the source of each of
+    their entries, all read-only, so that splitting new values on the
+    same pattern (:meth:`apply`) is a value gather.  Rows are sorted
+    within each column, so column ``j``'s ``U`` part is the prefix with
+    ``row <= j`` and its ``L`` part the suffix, behind a unit diagonal.
+    The sources are two masks over the entries: ``upper`` picks ``U``'s,
+    and ``lower`` picks the strictly-lower ones plus each column's last
+    ``U`` entry, whose slot ``L``'s unit diagonal takes.  Only a column
+    with no ``U`` entry has no such slot; ``insert`` lists where, in the
+    gathered ``L`` values, those columns' diagonals go.
+    """
+
+    l_indptr: np.ndarray
+    l_indices: np.ndarray
+    u_indptr: np.ndarray
+    u_indices: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    insert: np.ndarray
+
+    @classmethod
+    def of(cls, indptr: np.ndarray, indices: np.ndarray) -> LUSplit:
+        """The split structure of the square sorted-CSC pattern
+        ``(indptr, indices)``."""
+        n = len(indptr) - 1
+        rows = indices
+        cols = np.repeat(np.arange(n, dtype=INDEX_DTYPE), np.diff(indptr))
+        upper = rows <= cols
+        u_cnt = np.bincount(cols[upper], minlength=n)
+        u_indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
+        np.cumsum(u_cnt, out=u_indptr[1:])
+        # column j of L: its unit diagonal, then the strictly-lower suffix
+        l_indptr = indptr - u_indptr + np.arange(n + 1, dtype=INDEX_DTYPE)
+        off_diag = np.ones(int(l_indptr[-1]), dtype=bool)
+        off_diag[l_indptr[:-1]] = False
+        l_indices = np.empty(len(off_diag), dtype=INDEX_DTYPE)
+        l_indices[~off_diag] = np.arange(n, dtype=INDEX_DTYPE)
+        lower = ~upper
+        l_indices[off_diag] = rows[lower]
+        has_u = u_cnt > 0
+        lower[(indptr[:-1] + u_cnt - 1)[has_u]] = True
+        empty = np.flatnonzero(~has_u)
+        insert = l_indptr[empty] - np.arange(len(empty), dtype=INDEX_DTYPE)
+        arrays = (
+            l_indptr, l_indices, u_indptr, rows[upper], upper, lower, insert
+        )
+        for arr in arrays:
+            arr.setflags(write=False)
+        return cls(*arrays)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the structure's arrays."""
+        return sum(int(getattr(self, f.name).nbytes) for f in fields(self))
+
+    def apply(self, data: np.ndarray) -> tuple[CSCMatrix, CSCMatrix]:
+        """``(L, U)`` of the values ``data`` of the split pattern.
+
+        Values are carried over with ``+ 0``, which stores ``-0.0`` as
+        ``+0.0`` exactly as the summing conversion of a coordinate-list
+        split does, so the output is bitwise that split's.
+        """
+        n = len(self.l_indptr) - 1
+        u_data = data[self.upper]
+        u_data += 0
+        l_data = data[self.lower]
+        if len(self.insert):
+            l_data = np.insert(l_data, self.insert, 1)
+        l_data[self.l_indptr[:-1]] = 1
+        l_data += 0
+        L = CSCMatrix(
+            n, n, self.l_indptr, self.l_indices, l_data, check=False
+        )
+        U = CSCMatrix(
+            n, n, self.u_indptr, self.u_indices, u_data, check=False
+        )
+        return L, U
+
+
+def split_lu_csc(
+    a: CSCMatrix, split: LUSplit | None = None
+) -> tuple[CSCMatrix, CSCMatrix]:
     """Split a sorted-CSC ``a`` into unit-lower ``L`` and upper ``U`` CSC.
 
     ``U`` receives the diagonal and strictly-upper entries, ``L`` the
     strictly-lower entries behind an explicit unit diagonal (value 1).
-    Rows are sorted within each column, so column ``j``'s ``U`` part is
-    the prefix with ``row <= j`` and its ``L`` part the suffix: two
-    boolean selections and one placement of the diagonal replace the
-    sort of a coordinate-list split.  Values are carried over with
-    ``+ 0``, which stores ``-0.0`` as ``+0.0`` exactly as the summing
-    conversion of that split did, so the output is bitwise the same.
+    ``split`` is the structure of ``a``'s pattern (:class:`LUSplit`),
+    which a caller that splits one pattern many times keeps; without it
+    the structure is built for this call.
     """
-    n = a.n_cols
-    rows = a.indices
-    cols = a.col_ids_of_entries()
-    upper = rows <= cols
-    lower = ~upper
-
-    u_indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
-    np.cumsum(np.bincount(cols[upper], minlength=n), out=u_indptr[1:])
-    U = CSCMatrix(n, n, u_indptr, rows[upper], a.data[upper] + 0, check=False)
-
-    # column j of L: its unit diagonal, then the strictly-lower suffix
-    l_indptr = a.indptr - u_indptr + np.arange(n + 1, dtype=INDEX_DTYPE)
-    l_nnz = int(l_indptr[-1])
-    off_diag = np.ones(l_nnz, dtype=bool)
-    off_diag[l_indptr[:-1]] = False
-    l_indices = np.empty(l_nnz, dtype=INDEX_DTYPE)
-    l_indices[~off_diag] = np.arange(n, dtype=INDEX_DTYPE)
-    l_indices[off_diag] = rows[lower]
-    l_data = np.ones(l_nnz, dtype=a.data.dtype)
-    l_data[off_diag] = a.data[lower] + 0
-    L = CSCMatrix(n, n, l_indptr, l_indices, l_data, check=False)
-    return L, U
+    if split is None:
+        split = LUSplit.of(a.indptr, a.indices)
+    return split.apply(a.data)
 
 
 def split_lu_pattern(filled: CSRMatrix) -> tuple[CSCMatrix, CSCMatrix]:

@@ -17,7 +17,8 @@ from repro.workloads import circuit_like
 
 SCHEDULE_FIELDS = {"level_of", "levels", "plans"}
 PLAN_FIELDS = {
-    "pattern", "numeric", "supernodal", "solve", "csc_layout", "launch",
+    "pattern", "numeric", "supernodal", "solve", "csc_layout", "lu_split",
+    "launch",
 }
 
 
@@ -56,7 +57,7 @@ def test_one_analysis_fills_its_plans_once(supernodal):
     plans = an.schedule.plans
     assert plans.pattern == (an.filled.n_rows, an.filled.nnz)
     # the supernodal path charges panels, not per-level launches
-    kept = ["numeric", "solve", "csc_layout",
+    kept = ["numeric", "solve", "csc_layout", "lu_split",
             "supernodal" if supernodal else "launch"]
     before = {name: getattr(plans, name) for name in kept}
     assert all(before.values())

@@ -19,7 +19,7 @@ from repro import oracles
 from repro.core import SolverConfig, analyze
 from repro.core import numeric_gpu
 from repro.core.numeric_gpu import numeric_factorize_gpu
-from repro.core.refactorize import filled_csc_layout
+from repro.core.refactorize import filled_csc_layout, filled_lu_split
 from repro.errors import (
     FlopConservationError,
     ReproError,
@@ -36,6 +36,9 @@ from repro.symbolic.incremental import _flat_keys
 from repro.symbolic.reference import symbolic_fill_reference
 from repro.workloads import circuit_like
 from repro.workloads.registry import FIG3_SPECS, TABLE2, TABLE4
+
+#: a floating-point warning anywhere in a pass fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 #: shrunk registry instance size, as in the vectorization equivalence suite
 _N = 96
@@ -184,7 +187,12 @@ def _reference_pass(an, a, monkeypatch):
     an input built without the scatter map or the cached layout."""
     with monkeypatch.context() as m:
         use_oracles(m)
-        m.setattr(numeric_gpu, "extract_lu", oracles.extract_lu)
+        # the oracle split derives its structure; it takes no kept one
+        m.setattr(
+            numeric_gpu,
+            "extract_lu",
+            lambda As, split=None: oracles.extract_lu(As),
+        )
         gpu = GPU(
             spec=an.config.device,
             host=an.config.host,
@@ -223,6 +231,38 @@ def test_cached_layout_is_read_only_and_shared(pattern):
     ):
         assert np.shares_memory(shared, cached)
         assert not shared.flags.writeable
+
+
+def _factor_arrays(res):
+    return (res.L.indptr, res.L.indices, res.U.indptr, res.U.indices)
+
+
+@pytest.mark.parametrize("spec", _registry_specs(), ids=lambda s: s.abbr)
+def test_pass_split_gathers_into_kept_structure(spec):
+    pattern = dataclasses.replace(spec, n_scaled=_N).generate()
+    an = analyze(pattern, _cfg())
+    passes = [an.refactorize(restamp(pattern, seed=s)) for s in (1, 2)]
+    for res in passes:
+        L_ref, U_ref = oracles.extract_lu(res.numeric.As)
+        _assert_csc_bitwise(res.L, L_ref)
+        _assert_csc_bitwise(res.U, U_ref)
+    # both passes share the structure's read-only arrays; each owns its
+    # values
+    first, second = passes
+    for a, b in zip(_factor_arrays(first), _factor_arrays(second)):
+        assert np.shares_memory(a, b)
+        assert not a.flags.writeable
+    for a, b in ((first.L.data, second.L.data), (first.U.data, second.U.data)):
+        assert not np.shares_memory(a, b)
+        assert a.flags.writeable and b.flags.writeable
+    split = filled_lu_split(an.filled, an.schedule)
+    assert np.shares_memory(first.L.indices, split.l_indices)
+    assert np.shares_memory(first.U.indices, split.u_indices)
+    # the kept bytes: one int64 index per factor entry (the filled
+    # entries plus L's unit diagonal), two indptrs and a one-byte mask
+    # per filled entry for each factor
+    n, nnz = an.filled.n_rows, an.filled.nnz
+    assert split.nbytes <= 10 * nnz + 32 * (n + 1)
 
 
 def test_nbytes_unchanged(pattern):

@@ -17,6 +17,7 @@ import dataclasses
 import itertools
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,10 @@ from repro.symbolic.fill2 import fill2_rows
 from repro.symbolic.reference import symbolic_fill_reference
 from repro.workloads import circuit_like
 from repro.workloads.registry import FIG3_SPECS, TABLE2, TABLE4
+
+#: a floating-point warning anywhere in a pass fails the test: the
+#: kernel's unchecked pass must not leak one the scalar loop would not
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 #: shrunk instance size — structure class and density are what matter,
 #: and both paths run every branch (bulk and small-wave) at this size
@@ -655,6 +660,85 @@ def test_structurally_missing_diagonal_mixed_levels(multi, perturb):
         broken.to_csc(), broken, sched, pivot_perturbation=perturb
     )
     assert ref[0] == "err" and ref[1] == (col, 0.0)
+
+
+def _count_passes(monkeypatch) -> list[bool]:
+    """The ``check`` flag of every value pass the kernel runs."""
+    checks: list[bool] = []
+    original = vectorized._value_pass
+
+    def counted(*args, check, **kw):
+        checks.append(check)
+        return original(*args, check=check, **kw)
+
+    monkeypatch.setattr(vectorized, "_value_pass", counted)
+    return checks
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("multi", [False, True], ids=["one", "multi"])
+@pytest.mark.parametrize(
+    "pivot", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"]
+)
+def test_non_finite_pivot_identical(
+    dtype, multi, pivot, level_kind, monkeypatch
+):
+    # ``|pivot| <= tol`` is false for NaN and both infinities, so the
+    # scalar loop accepts all three; the one test after an unchecked
+    # pass must accept them too, with no checked rerun
+    filled, sched = _mixed_levels()
+    col = _column_in(sched, multi=multi)
+    As = _with_pivot(filled, [col], pivot)
+    checks = _count_passes(monkeypatch)
+    ref, fast = _kernel_outcomes(As, filled, sched, dtype)
+    assert ref[0] == "ok"
+    assert ref[:2] == fast[:2]
+    assert ref[2].dtype == fast[2].dtype == dtype
+    bits = f"i{np.dtype(dtype).itemsize}"  # NaN != NaN: compare the bits
+    assert np.array_equal(ref[2].view(bits), fast[2].view(bits))
+    assert np.isnan(fast[2]).any() == np.isnan(pivot)
+    assert checks == [False]
+    assert _assert_kind(sched, level_kind)
+
+
+@pytest.mark.parametrize(
+    "pivot, kwargs, route",
+    [
+        (1.0, {}, [False]),
+        (0.0, {}, [False, True]),
+        (1e-12, {"pivot_tolerance": 1e-8}, [False, True]),
+        (0.0, {"pivot_tolerance": 1e-8, "pivot_perturbation": 1e-3}, [True]),
+    ],
+    ids=["healthy", "zero", "tolerance", "perturbation"],
+)
+def test_pass_route(pivot, kwargs, route, monkeypatch):
+    # one unchecked pass when its pivots all pass; a failing pivot sends
+    # it back to its snapshot and through the checked loop; perturbation
+    # checks every level
+    filled, sched = _mixed_levels()
+    As = _with_pivot(filled, [_column_in(sched, multi=True)], pivot)
+    checks = _count_passes(monkeypatch)
+    _assert_kernels_agree(As, filled, sched, **kwargs)
+    assert checks == route
+
+
+def test_overflow_reruns_checked_and_warns_as_scalar_loop(monkeypatch):
+    # the unchecked pass raises a floating-point exception instead of
+    # warning; the checked rerun then warns where the scalar loop does
+    filled, sched = _mixed_levels()
+    As = filled.to_csc()
+    As.data[As.indices != As.col_ids_of_entries()] *= 1e200
+    checks = _count_passes(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ref, fast = _kernel_outcomes(As, filled, sched)
+    overflow = {
+        w.filename for w in caught if "overflow" in str(w.message)
+    }
+    assert overflow == {oracles.__file__, vectorized.__file__}
+    assert ref[:2] == fast[:2]
+    assert np.array_equal(ref[2].view(np.int64), fast[2].view(np.int64))
+    assert checks == [False, True]
 
 
 def test_column_outer_plan_holds_no_l_index(monkeypatch):
