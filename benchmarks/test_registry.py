@@ -16,5 +16,5 @@ from repro.bench.gates import EXPERIMENTS
 def test_full_point_passes(exp, once):
     report = once(exp.run)
     print()
-    print(exp.format(report))
+    print(report)
     assert report.passed, report.verdicts()

@@ -19,7 +19,6 @@ Usage::
 import sys
 
 from repro.bench.ablations import run_memory
-from repro.bench.gates import format_paper_report
 from repro.core import EndToEndLU, SolverConfig, multi_gpu_symbolic
 from repro.gpusim import GPU, TracingGPU, scaled_device, scaled_host
 from repro.workloads import circuit_like
@@ -28,7 +27,7 @@ from repro.workloads import circuit_like
 def main() -> None:
     # ---- 1. out-of-core overhead vs device memory ----------------------
     sweep = run_memory()
-    print(format_paper_report(sweep))
+    print(sweep)
     assert sweep.passed
     worst = max(p.overhead for p in sweep.rows)
     print(f"-> worst out-of-core overhead: {worst:.2f}x the in-core run\n")

@@ -82,8 +82,8 @@ class LevelizeResult(PaperReport):
             "dynamic_launch_ok",
             lambda r: all(x.hostlaunch_s > 2 * x.dynamic_s for x in r.rows),
             "dynamic parallelism > 2x faster than host-launch",
-            "Alg. 5 launches from the device: no host sync",
             lambda r: span(x.hostlaunch_s / x.dynamic_s for x in r.rows),
+            "Alg. 5 launches from the device: no host sync",
         ),
         Claim(
             "pruning_ok",
@@ -92,10 +92,10 @@ class LevelizeResult(PaperReport):
                 for x in r.rows
             ),
             "pruning keeps < 50% of edges and levelizes faster",
-            "GLU 3.0's relaxed dependencies shrink Alg. 5's work",
             lambda r: span(
                 (x.edges / x.critical_edges for x in r.rows), ".0f", "x fewer"
             ),
+            "GLU 3.0's relaxed dependencies shrink Alg. 5's work",
         ),
     )
 
@@ -144,15 +144,15 @@ class NumericResult(PaperReport):
             "serial_ok",
             lambda r: all(x.serial_s > x.levelized_s for x in r.rows),
             "the serial column order is slower than the level schedule",
-            "§2.2: levelized columns factorize in parallel",
             lambda r: span(x.serial_s / x.levelized_s for x in r.rows),
+            "§2.2: levelized columns factorize in parallel",
         ),
         Claim(
             "kernel_modes_ok",
             lambda r: all(1.05 * x.forced_ratio >= 1.0 for x in r.rows),
             "adaptive A/B/C within 5% of each forced mode",
-            "GLU 3.0 picks a kernel mode per level",
             lambda r: "fastest forced " + span(x.forced_ratio for x in r.rows),
+            "GLU 3.0 picks a kernel mode per level",
         ),
         Claim(
             "etree_ok",
@@ -164,12 +164,12 @@ class NumericResult(PaperReport):
                 if x.kind == "fem"
             ),
             "on FEM rows: etree levels >= levelize, time >= 0.999x",
-            "§3.3: levelization is at least as parallel as the etree",
             lambda r: " ".join(
                 f"{x.abbr} {x.etree_levels}/{x.levels} levels"
                 for x in r.rows
                 if x.etree_levels
             ),
+            "§3.3: levelization is at least as parallel as the etree",
         ),
     )
 
@@ -252,22 +252,22 @@ class FormatResult(PaperReport):
             "rule_ok",
             _rule_ok,
             "auto picks CSC iff M < TB_max, on both sides of TB_max",
-            "§3.4: switch to CSC when dense cannot fill the device",
             lambda r: " ".join(f"{x.m_dense}:{x.auto_format}" for x in r.rows),
+            "§3.4: switch to CSC when dense cannot fill the device",
         ),
         Claim(
             "csc_ok",
             lambda r: all(x.csc_s <= 1.25 * x.dense_s for x in r.rows),
             "CSC <= 1.25x dense at every point",
-            "beyond the paper: the rule is a feasibility rule",
             lambda r: span(x.csc_s / x.dense_s for x in r.rows),
+            "beyond the paper: the rule is a feasibility rule",
         ),
         Claim(
             "dtype_ok",
             _dtype_ok,
             "float64 halves M (+-1); at 1x float32 M 124, both pick CSC",
-            "§3.4: M = L / (n x sizeof(dtype))",
             lambda r: " ".join(f"{x.m_f32}/{x.m_f64}" for x in r.rows),
+            "§3.4: M = L / (n x sizeof(dtype))",
         ),
     )
 
@@ -329,16 +329,16 @@ class Alg4Result(PaperReport):
             "default_ok",
             lambda r: _times(r)[1] <= min(1.10 * _times(r)[2], _times(r)[0]),
             "(2, 0.5) within 10% of the grid best and <= 1 part",
-            "Alg. 4: two parts split at 50% beat Alg. 3",
             lambda r: f"(2, 0.5)/best {_times(r)[1] / _times(r)[2]:.3f}x",
+            "Alg. 4: two parts split at 50% beat Alg. 3",
         ),
         Claim(
             "two_parts_ok",
             lambda r: _times(r)[2] >= 0.9 * _times(r)[1]
             and r.value(r.winner, "parts") >= 2,
             "best >= 0.9x (2, 0.5); autotune's winner has >= 2 parts",
-            "§3.2: more parts imply more kernel launches",
             lambda r: f"winner {r.winner}",
+            "§3.2: more parts imply more kernel launches",
         ),
     )
 
@@ -381,8 +381,8 @@ class MemoryResult(PaperReport):
                 for a, b in zip(r.rows, r.rows[1:])
             ),
             "more memory: Alg. 3 no slower (2%), fewer iterations",
-            "larger chunks amortize launches until occupancy saturates",
             lambda r: "/".join(str(x.iterations) for x in r.rows),
+            "larger chunks amortize launches until occupancy saturates",
         ),
         Claim(
             "overhead_ok",
@@ -390,8 +390,8 @@ class MemoryResult(PaperReport):
             and 1.5 < r.rows[0].overhead < 5.0
             and r.rows[0].alg4_s < r.rows[0].alg3_s,
             "overhead >= 0.99; tightest in (1.5, 5), Alg. 4 < Alg. 3",
-            "tight memory hurts, boundedly; Alg. 4 recovers some",
             lambda r: span(x.overhead for x in r.rows),
+            "tight memory hurts, boundedly; Alg. 4 recovers some",
         ),
     )
 
@@ -446,8 +446,8 @@ class CostModelResult(PaperReport):
                 x.rho >= 0.85 and x.densest > x.sparsest for x in r.rows
             ),
             "rho >= 0.85 and densest > sparsest at every factor",
-            "Fig. 4's density trend does not hinge on the constants",
             lambda r: "rho " + span((x.rho for x in r.rows), ".3f", ""),
+            "Fig. 4's density trend does not hinge on the constants",
         ),
     )
 
@@ -500,8 +500,8 @@ class SupernodeResult(PaperReport):
             lambda r: _means(r)[0] > max(_means(r)[1], 2.0)
             and _means(r)[1] < 2.5,
             "mean size: FEM > circuit, FEM > 2.0, circuit < 2.5",
-            "§5: circuit matrices form few supernodes, FEM matrices do",
             lambda r: "FEM {:.2f}, circuit {:.2f}".format(*_means(r)),
+            "§5: circuit matrices form few supernodes, FEM matrices do",
         ),
     )
 

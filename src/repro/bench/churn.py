@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fleet import FleetConfig, FleetReport
+from ..fleet import ChurnRecord, FleetConfig, FleetReport
 from ..fleet.loadgen import churn_plan_for_trace, run_fleet_load
 from ..serve import restamp
 from ..serve.loadgen import TraceRequest
@@ -44,17 +44,12 @@ from ..workloads.registry import TABLE2
 from .gates import (
     Gate,
     GatedReport,
-    mark,
     ok_solutions,
     service_reference,
     solution_mismatches,
 )
 
-__all__ = [
-    "ChurnDrillReport",
-    "run_churn_drill",
-    "format_churn_drill",
-]
+__all__ = ["ChurnDrillReport", "run_churn_drill"]
 
 #: the scripted sequence the acceptance criteria name: join a fifth
 #: node, gracefully drain node 1, then crash the joiner — fractions of
@@ -84,9 +79,7 @@ def _registry_trace(
     if len(specs) != len(abbrs):
         missing = set(abbrs) - {s.abbr for s in specs}
         raise ValueError(f"unknown registry abbrs: {sorted(missing)}")
-    patterns = [
-        dataclasses.replace(s, n_scaled=n).generate() for s in specs
-    ]
+    patterns = [dataclasses.replace(s, n_scaled=n).generate() for s in specs]
     trace = []
     for stamp in range(stamps):
         for pid, base in enumerate(patterns):
@@ -148,18 +141,56 @@ class ChurnDrillReport(GatedReport):
     post_p99: float
     makespan_seconds: float
     deterministic: bool
-    events: list[dict] = field(default_factory=list)
+    events: list[ChurnRecord] = field(default_factory=list)
 
+    title = (
+        "churn drill: {r.requests} requests through {r.nodes_initial} "
+        "nodes (x2 runs for determinism): {r.completed} completed, "
+        "{r.shed} shed, {r.lost} lost; p99 {r.pre_p99:.3e} s before the "
+        "first event, {r.post_p99:.3e} s after the last"
+    )
+    columns = (
+        ("event", "action"),
+        ("node", "node_id"),
+        ("trace index", "applied_at_index"),
+        ("remap", "remap_fraction"),
+        ("1/N bound", "theoretical_bound"),
+        ("within", "within_bound"),
+        ("warmed", "warmed_keys"),
+        ("warmed B", "warmed_bytes"),
+        ("drained", "drained"),
+        ("published", "published_keys"),
+        ("lost", "lost"),
+        ("rolled back", "aborted_writes"),
+    )
     gates = (
-        Gate("deterministic", lambda r: r.deterministic),
+        Gate(
+            "deterministic",
+            lambda r: r.deterministic,
+            "determinism: byte-identical across reruns",
+        ),
         Gate(
             "remap_ok",
             lambda r: bool(r.events)
-            and all(ev["within_bound"] for ev in r.events),
+            and all(ev.within_bound for ev in r.events),
+            "remap: every event within its 1/N bound + 0.05",
         ),
-        Gate("bitwise_ok", lambda r: r.checked > 0 and r.mismatches == 0),
-        Gate("recovery_ok", lambda r: r.recovery_ratio <= RECOVERY_FACTOR),
+        Gate(
+            "bitwise_ok",
+            lambda r: r.checked > 0 and r.mismatches == 0,
+            "bitwise: every ok response equal to a single-service replay",
+            lambda r: f"{r.mismatches} of {r.checked} differ",
+        ),
+        Gate(
+            "recovery_ok",
+            lambda r: r.recovery_ratio <= RECOVERY_FACTOR,
+            f"recovery: post-churn p99 <= {RECOVERY_FACTOR}x pre-churn p99",
+            lambda r: f"{r.recovery_ratio:.2f}x",
+        ),
     )
+
+    def table_rows(self) -> list[ChurnRecord]:
+        return self.events
 
     @property
     def recovery_ratio(self) -> float:
@@ -180,7 +211,7 @@ class ChurnDrillReport(GatedReport):
             "churn_events": len(self.events),
         }
         for key in ("warmed_keys", "published_keys", "aborted_writes"):
-            counters[key] = sum(int(ev[key]) for ev in self.events)
+            counters[key] = sum(getattr(ev, key) for ev in self.events)
         timings: dict = {
             "pre_p99": float(self.pre_p99),
             "post_p99": float(self.post_p99),
@@ -189,18 +220,14 @@ class ChurnDrillReport(GatedReport):
         }
         labels: dict = self.gate_labels()
         for ev in self.events:
-            key = f"{ev['action']}_node{ev['node_id']}"
-            timings[f"{key}_remap_fraction"] = float(ev["remap_fraction"])
-            timings[f"{key}_bound"] = float(ev["theoretical_bound"])
-            labels[f"{key}_within_bound"] = str(
-                ev["within_bound"]
-            ).lower()
+            key = f"{ev.action}_node{ev.node_id}"
+            timings[f"{key}_remap_fraction"] = ev.remap_fraction
+            timings[f"{key}_bound"] = ev.theoretical_bound
+            labels[f"{key}_within_bound"] = str(ev.within_bound).lower()
         return {"counters": counters, "timings": timings, "labels": labels}
 
 
-def run_churn_drill(
-    *, smoke: bool = False, seed: int = 0
-) -> ChurnDrillReport:
+def run_churn_drill(*, smoke: bool = False, seed: int = 0) -> ChurnDrillReport:
     """Run the scripted drill twice (determinism check) and gate it.
 
     The trace interleaves Table 2 registry structures with fresh value
@@ -216,7 +243,10 @@ def run_churn_drill(
 
     def _once() -> tuple[FleetReport, list[TraceRequest]]:
         trace = _registry_trace(
-            abbrs=abbrs, stamps=stamps, n=n, seed=seed,
+            abbrs=abbrs,
+            stamps=stamps,
+            n=n,
+            seed=seed,
             arrival_gap=2e-4,
         )
         plan = churn_plan_for_trace(trace, CHURN_SCRIPT)
@@ -237,12 +267,8 @@ def run_churn_drill(
     )
 
     records = first.churn_records
-    first_idx = min(
-        (r.applied_at_index for r in records), default=0
-    )
-    last_idx = max(
-        (r.applied_at_index for r in records), default=0
-    )
+    first_idx = min((r.applied_at_index for r in records), default=0)
+    last_idx = max((r.applied_at_index for r in records), default=0)
     pre_p99, post_p99 = _percentile_split(first, first_idx, last_idx)
 
     return ChurnDrillReport(
@@ -257,53 +283,5 @@ def run_churn_drill(
         post_p99=post_p99,
         makespan_seconds=float(first.makespan_seconds),
         deterministic=deterministic,
-        events=[r.as_dict() for r in records],
+        events=list(records),
     )
-
-
-def format_churn_drill(report: ChurnDrillReport) -> str:
-    lines = [
-        f"churn drill: {report.requests} requests through "
-        f"{report.nodes_initial} nodes, {len(report.events)} scripted "
-        "membership events (x2 runs for determinism)",
-    ]
-    for ev in report.events:
-        extra = ""
-        if ev["action"] == "join":
-            extra = (
-                f", warmed {ev['warmed_keys']} key(s) "
-                f"({ev['warmed_bytes']} B in "
-                f"{ev['warm_seconds'] * 1e3:.3f} ms)"
-            )
-        elif ev["action"] == "leave":
-            extra = (
-                f", drained {ev['drained']}, published "
-                f"{ev['published_keys']} hot key(s)"
-            )
-        else:
-            extra = (
-                f", lost {ev['lost']} inflight, rolled back "
-                f"{ev['aborted_writes']} publish(es)"
-            )
-        lines.append(
-            f"  {mark(ev['within_bound'])} "
-            f"{ev['action']:<5s} node {ev['node_id']} @ trace index "
-            f"{ev['applied_at_index']}: remap "
-            f"{ev['remap_fraction']:.4f} vs bound "
-            f"{ev['theoretical_bound']:.4f}+0.05{extra}"
-        )
-    lines += [
-        f"  {report.mark('bitwise_ok')} bitwise: "
-        f"{report.checked} responses checked vs single-service replay, "
-        f"{report.mismatches} mismatch(es); shed {report.shed}, "
-        f"lost {report.lost}",
-        f"  {report.mark('recovery_ok')} recovery: p99 "
-        f"{report.pre_p99 * 1e3:.3f} ms pre-churn -> "
-        f"{report.post_p99 * 1e3:.3f} ms post-churn "
-        f"(ratio {report.recovery_ratio:.2f} <= {RECOVERY_FACTOR})",
-        f"  {report.mark('deterministic')} determinism: "
-        + ("byte-identical across reruns"
-           if report.deterministic else "reruns DIVERGED"),
-        f"  drill {'PASSED' if report.passed else 'FAILED'}",
-    ]
-    return "\n".join(lines)

@@ -42,7 +42,6 @@ __all__ = [
     "GATE_HIT_RATE",
     "DriftReport",
     "run_drift_bench",
-    "format_drift_report",
 ]
 
 #: minimum off/on amortized simulated analysis-cost ratio
@@ -55,7 +54,8 @@ GATE_HIT_RATE = 0.9
 
 @dataclass
 class DriftReport(GatedReport):
-    """Outcome of one on/off drift replay pair (simulated seconds)."""
+    """Outcome of one on/off drift replay pair (simulated seconds); its
+    perf record is every field and the three derived properties."""
 
     requests: int
     completed: int
@@ -71,20 +71,44 @@ class DriftReport(GatedReport):
     bitwise_checked: int
     bitwise_mismatches: int
 
+    title = (
+        "drift bench: drifting-pattern replay with incremental "
+        "re-analysis on vs off (simulated s)"
+    )
+    columns = (
+        ("requests", "requests"),
+        ("completed", "completed"),
+        ("families", "num_families"),
+        ("exact hits", "cache_hits"),
+        ("misses", "cache_misses"),
+        ("spliced", "incremental_hits"),
+        ("fallbacks", "incremental_fallbacks"),
+        ("eligible", "eligible_misses"),
+        ("cold analysis s", "analyze_seconds_off"),
+        ("incremental analysis s", "analyze_seconds_on"),
+    )
     gates = (
         Gate(
             "amortized_ok",
             lambda r: r.amortized_ratio >= GATE_AMORTIZED_RATIO,
+            "amortized: cold over incremental analysis charge >= "
+            f"{GATE_AMORTIZED_RATIO}x",
+            lambda r: f"{r.amortized_ratio:.2f}x",
         ),
         Gate(
             "hit_rate_ok",
             lambda r: r.incremental_hit_rate >= GATE_HIT_RATE,
+            f"hit rate: spliced share of eligible misses >= {GATE_HIT_RATE}",
+            lambda r: f"{r.incremental_hit_rate:.3f}",
         ),
         Gate(
             "bitwise_ok",
             lambda r: r.bitwise_checked > 0 and r.bitwise_mismatches == 0,
+            "bitwise: every spliced solution equal to the cold one",
+            lambda r: f"{r.bitwise_mismatches} of {r.bitwise_checked} differ",
         ),
     )
+    recorded = ("eligible_misses", "amortized_ratio", "incremental_hit_rate")
 
     # -- derived ---------------------------------------------------------
     @property
@@ -106,29 +130,6 @@ class DriftReport(GatedReport):
         if not self.eligible_misses:
             return 0.0
         return self.incremental_hits / self.eligible_misses
-
-    # -- export ----------------------------------------------------------
-    def perf_record(self) -> dict:
-        counters = {
-            "requests": int(self.requests),
-            "completed": int(self.completed),
-            "num_families": int(self.num_families),
-            "incremental_hits": int(self.incremental_hits),
-            "incremental_fallbacks": int(self.incremental_fallbacks),
-            "cache_hits": int(self.cache_hits),
-            "cache_misses": int(self.cache_misses),
-            "eligible_misses": int(self.eligible_misses),
-            "bitwise_checked": int(self.bitwise_checked),
-            "bitwise_mismatches": int(self.bitwise_mismatches),
-        }
-        timings = {
-            "analyze_seconds_off": float(self.analyze_seconds_off),
-            "analyze_seconds_on": float(self.analyze_seconds_on),
-            "amortized_ratio": float(self.amortized_ratio),
-            "incremental_hit_rate": float(self.incremental_hit_rate),
-        }
-        labels = self.gate_labels()
-        return {"counters": counters, "timings": timings, "labels": labels}
 
 
 def _drift_trace(*, smoke: bool, seed: int) -> list[TraceRequest]:
@@ -170,9 +171,7 @@ def run_drift_bench(*, smoke: bool = False, seed: int = 0) -> DriftReport:
         completed=on.completed,
         num_families=2,
         incremental_hits=int(counters.get("incremental_hits", 0)),
-        incremental_fallbacks=int(
-            counters.get("incremental_fallbacks", 0)
-        ),
+        incremental_fallbacks=int(counters.get("incremental_fallbacks", 0)),
         cache_hits=int(counters.get("cache_hits", 0)),
         cache_misses=int(counters.get("cache_misses", 0)),
         analyze_seconds_off=float(phases_off.get("analysis", 0.0)),
@@ -181,29 +180,3 @@ def run_drift_bench(*, smoke: bool = False, seed: int = 0) -> DriftReport:
         bitwise_checked=checked,
         bitwise_mismatches=mismatches,
     )
-
-
-def format_drift_report(report: DriftReport) -> str:
-    lines = [
-        f"drift bench: {report.requests} requests, "
-        f"{report.num_families} drifting families "
-        f"({report.completed} completed)",
-        f"  batches: {report.cache_hits} exact hits / "
-        f"{report.cache_misses} misses "
-        f"({report.incremental_hits} spliced, "
-        f"{report.incremental_fallbacks} over-threshold fallbacks)",
-        f"  {report.mark('hit_rate_ok')} incremental hit rate "
-        f"{report.incremental_hit_rate:.3f} over "
-        f"{report.eligible_misses} eligible misses "
-        f"(gate >= {GATE_HIT_RATE})",
-        f"  {report.mark('amortized_ok')} amortized analysis "
-        f"cost {report.analyze_seconds_off * 1e3:.3f} ms cold vs "
-        f"{report.analyze_seconds_on * 1e3:.3f} ms incremental = "
-        f"{report.amortized_ratio:.2f}x "
-        f"(gate >= {GATE_AMORTIZED_RATIO}x)",
-        f"  {report.mark('bitwise_ok')} bitwise: "
-        f"{report.bitwise_checked} solutions compared, "
-        f"{report.bitwise_mismatches} mismatches",
-        report.verdict_line(),
-    ]
-    return "\n".join(lines)

@@ -38,7 +38,7 @@ from ..sparse import residual_norm
 from ..workloads import circuit_like
 from .gates import Gate, GatedReport, factor_mismatches
 
-__all__ = ["ScenarioResult", "DrillReport", "run_fault_drill", "format_drill"]
+__all__ = ["ScenarioResult", "DrillReport", "run_fault_drill"]
 
 #: outcome strings (the drill's contract: one of these, never a traceback)
 RECOVERED = "recovered"
@@ -67,9 +67,7 @@ class ScenarioResult:
     def overhead_pct(self) -> float:
         if self.baseline_seconds <= 0:
             return 0.0
-        return 100.0 * (
-            self.faulted_seconds / self.baseline_seconds - 1.0
-        )
+        return 100.0 * (self.faulted_seconds / self.baseline_seconds - 1.0)
 
 
 @dataclass
@@ -79,15 +77,33 @@ class DrillReport(GatedReport):
     results: list[ScenarioResult] = field(default_factory=list)
     deterministic: bool = True
 
+    title = "fault drill: 4 scenarios x 2 runs (determinism check)"
+    columns = (
+        ("scenario", "name"),
+        ("outcome", "outcome"),
+        ("overhead %", "overhead_pct"),
+        ("faults", "faults_injected"),
+        ("actions", "recovery_actions"),
+        ("detail", "detail"),
+    )
     gates = (
-        Gate("deterministic", lambda r: r.deterministic),
+        Gate(
+            "deterministic",
+            lambda r: r.deterministic,
+            "determinism: identical event logs and ledger totals across "
+            "re-runs",
+        ),
         Gate(
             "all_handled",
             lambda r: all(
                 x.outcome in (RECOVERED, DEGRADED) for x in r.results
             ),
+            "every scenario recovered or degraded",
         ),
     )
+
+    def table_rows(self) -> list[ScenarioResult]:
+        return self.results
 
     def perf_record(self) -> dict:
         """Machine-readable record for the perf-snapshot suite: per-scenario
@@ -110,9 +126,7 @@ def _drill_matrix(n: int, seed: int):
     return circuit_like(n, 5.0, seed=seed)
 
 
-def _resilient_config(
-    *, device_bytes: int | None = None
-) -> SolverConfig:
+def _resilient_config(*, device_bytes: int | None = None) -> SolverConfig:
     kw: dict[str, Any] = {"resilience": True}
     if device_bytes is not None:
         kw["device"] = scaled_device(device_bytes)
@@ -293,22 +307,3 @@ def run_fault_drill(*, smoke: bool = False, seed: int = 0) -> DrillReport:
             report.deterministic = False
         report.results.append(first)
     return report
-
-
-def format_drill(report: DrillReport) -> str:
-    lines = ["fault drill: 4 scenarios x 2 runs (determinism check)"]
-    for r in report.results:
-        lines.append(
-            f"  [{r.outcome:>26s}] {r.name:<17s} "
-            f"overhead {r.overhead_pct:+6.1f}%  {r.detail}"
-        )
-    lines += [
-        f"  {report.mark('deterministic')} determinism: "
-        + ("identical event logs and ledger totals across re-runs"
-           if report.deterministic
-           else "MISMATCH between re-runs (seeded reproducibility broken)"),
-        f"  {report.mark('all_handled')} every scenario recovered or "
-        "degraded",
-        report.verdict_line(),
-    ]
-    return "\n".join(lines)

@@ -74,15 +74,15 @@ class Fig3Result(PaperReport):
             "tail_spike_ok",
             lambda r: _holding(r, Fig3Series.tail_is_large) == ["PR", "AK"],
             "on PR and AK, the last 3 iterations' max >= 2x the mean before",
-            "frontiers large in the last few iterations, small otherwise",
             lambda r: "/".join(_holding(r, Fig3Series.tail_is_large)),
+            "frontiers large in the last few iterations, small otherwise",
         ),
         Claim(
             "tail_growth_ok",
             lambda r: _holding(r, Fig3Series.tail_grows) == ["PR", "AK"],
             "on PR and AK, the last frontier > every one of the first half",
-            "frontiers grow with the source-row id (Theorem 1)",
             lambda r: "/".join(_holding(r, Fig3Series.tail_grows)),
+            "frontiers grow with the source-row id (Theorem 1)",
         ),
     )
 
@@ -98,7 +98,7 @@ class Fig3Result(PaperReport):
         labels = self.gate_labels()
         return {"counters": counters, "timings": timings, "labels": labels}
 
-    def __str__(self) -> str:
+    def table(self) -> str:
         return "\n".join(str(s) for s in self.series)
 
 

@@ -96,31 +96,31 @@ class Fig4Result(PaperReport):
             "speedup_range_ok",
             _in_range,
             "speedups from [0.8, 2.0] to [20, 45]",
-            "1.13-32.65x over modified GLU 3.0",
             lambda r: span(r.speedups),
+            "1.13-32.65x over modified GLU 3.0",
         ),
         Claim(
             "density_trend_ok",
             lambda r: r.density_speedup_correlation() > 0.9,
             "Spearman rho(nnz/n, speedup) > 0.9",
-            "speedups grow with nnz/n",
             lambda r: f"rho = {r.density_speedup_correlation():.3f}",
+            "speedups grow with nnz/n",
         ),
         Claim(
             "extremes_ok",
             _extremes_ok,
             "sparsest gains least but > 1x, densest gains most",
-            "sparsest near parity, densest largest",
             lambda r: "sparsest {:.2f}x, densest {:.2f}x".format(
                 *_extremes(r)
             ),
+            "sparsest near parity, densest largest",
         ),
         Claim(
             "symbolic_gap_ok",
             lambda r: _symbolic_ratio(r) > 5.0,
             "GLU 3.0 symbolic > 5x its numeric wherever speedup >= 3",
-            "the gap comes mainly from the symbolic phase",
             lambda r: f"min ratio {_symbolic_ratio(r):.1f}x",
+            "the gap comes mainly from the symbolic phase",
         ),
     )
 

@@ -65,15 +65,15 @@ class Fig5Result(PaperReport):
             "speedup_range_ok",
             lambda r: all(1.0 < s < 2.5 for s in r.speedups),
             "every speedup in (1.0, 2.5)",
-            "1.06-2.22x over UM w/ prefetch (abstract: 1.2-2.2x)",
             lambda r: span(r.speedups),
+            "1.06-2.22x over UM w/ prefetch (abstract: 1.2-2.2x)",
         ),
         Claim(
             "sparsest_gains_most_ok",
             lambda r: _top(r) == "OT2",
             "OT2 gains most",
-            "UM weakest on the sparsest matrices (R15, OT2)",
             lambda r: f"{_top(r)} gains most",
+            "UM weakest on the sparsest matrices (R15, OT2)",
         ),
     )
 

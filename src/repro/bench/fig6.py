@@ -69,17 +69,17 @@ class Fig6Result(PaperReport):
             "ordering_ok",
             lambda r: all(x.ordered for x in r.rows),
             "ooc < UM w/ p < UM w/o p on every matrix",
-            "ooc < UM w/p < UM w/o p",
             lambda r: f"{sum(x.ordered for x in r.rows)} of {len(r.rows)}",
+            "ooc < UM w/p < UM w/o p",
         ),
         Claim(
             "sparse_gap_ok",
             _gap_widens,
             "speedup vs UM w/o p: OT2 > WI and R15 > MI",
-            "the gap widens for sparse matrices (R15, OT2)",
             lambda r: ", ".join(
                 f"{a} {_gap(r, a):.2f}x" for a in ("OT2", "WI", "R15", "MI")
             ),
+            "the gap widens for sparse matrices (R15, OT2)",
         ),
     )
 

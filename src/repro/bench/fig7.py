@@ -62,8 +62,8 @@ class Fig7Result(PaperReport):
             "gain_ok",
             _gain_ok,
             "every gain in (0, 15%], the largest >= 5%",
-            "up to ~10% over naive out-of-core",
             lambda r: span((x.gain_pct for x in r.rows), ".1f", "%"),
+            "up to ~10% over naive out-of-core",
         ),
         Claim(
             "two_part_plan_ok",
@@ -73,11 +73,11 @@ class Fig7Result(PaperReport):
                 for x in r.rows
             ),
             "dynamic splits the plan and runs fewer iterations",
-            "a low-frontier prefix with larger chunks (Algorithm 4)",
             lambda r: ", ".join(
                 f"{x.abbr} {x.naive_iterations}->{x.dynamic_iterations}"
                 for x in r.rows
             ),
+            "a low-frontier prefix with larger chunks (Algorithm 4)",
         ),
     )
 

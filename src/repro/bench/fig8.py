@@ -63,8 +63,8 @@ class Fig8Result(PaperReport):
             "speedup_range_ok",
             lambda r: all(2.5 <= s <= 3.8 for s in r.speedups),
             "every speedup in [2.5, 3.8]",
-            "2.88-3.33x binary-search CSC vs dense",
             lambda r: span(r.speedups),
+            "2.88-3.33x binary-search CSC vs dense",
         ),
         Claim(
             "blocks_ok",
@@ -73,8 +73,8 @@ class Fig8Result(PaperReport):
                 for x in r.rows
             ),
             "csc blocks == TB_max 160, dense M < 160",
-            "binary search runs 160 blocks; dense is capped at M < 160",
             _blocks,
+            "binary search runs 160 blocks; dense is capped at M < 160",
         ),
     )
 

@@ -6,9 +6,9 @@ cluster tier built on top of the serving subsystem (:mod:`repro.fleet`).
 The same zipf-popularity trace is replayed through fleets of
 :data:`NODE_COUNTS` solver nodes, plus one deliberately overloaded
 point that must degrade gracefully (typed sheds, no exceptions escaping
-the replay).  Per sweep point it reports aggregate warm-pattern
-throughput, the speedup of the fleet makespan over the single-node
-point, per-node balance, tier split (L1/L2/cold), and the bitwise
+the replay).  Per point it reports throughput, makespan, tail latency,
+per-node balance and the tier split (L1/L2/cold); the gates read the
+largest fleet's makespan speedup over one node and the bitwise
 results-identical flag: every admitted ``ok`` response must match a
 plain single-:class:`~repro.serve.SolverService` replay of the
 identical trace exactly — node count, routing, the L2 tier and shedding
@@ -41,6 +41,7 @@ from ..serve.loadgen import TraceRequest
 from .gates import (
     Gate,
     GatedReport,
+    Named,
     ok_solutions,
     service_reference,
     solution_mismatches,
@@ -52,7 +53,6 @@ __all__ = [
     "FleetPoint",
     "FleetBenchReport",
     "run_fleet_bench",
-    "format_fleet_bench",
 ]
 
 #: the largest fleet's makespan speedup over one node must exceed this
@@ -114,11 +114,32 @@ class FleetBenchReport(GatedReport):
     tight_trace: tuple[int, int, int]
     tight: FleetReport
 
+    title = (
+        f"fleet sweep, zipf s={ZIPF_S} (patterns, requests, n): "
+        f"{{r.trace}}, tight L1 ({TIGHT_L1_BYTES >> 10} KiB): "
+        "{r.tight_trace} (simulated s)"
+    )
+    columns = (
+        ("point", "name"),
+        ("nodes", "point.num_nodes"),
+        ("done", "point.completed"),
+        ("shed", "point.shed"),
+        ("l1", "point.served_l1"),
+        ("l2", "point.served_l2"),
+        ("cold", "point.served_cold"),
+        ("warm", "point.warm_rate"),
+        ("l2 hit", "point.l2_hit_rate"),
+        ("balance", "point.balance"),
+        ("makespan s", "point.makespan_seconds"),
+        ("req/s", "point.throughput"),
+        ("p99 s", "point.latency_p99"),
+    )
     gates = (
         Gate(
             "identical_ok",
             lambda r: all(p.identical for p in r.points),
             "identical: every sweep point bitwise-equal to one service",
+            lambda r: f"{sum(p.identical for p in r.points)}/{len(r.points)}",
         ),
         Gate(
             "throughput_ok",
@@ -129,6 +150,7 @@ class FleetBenchReport(GatedReport):
             "speedup_ok",
             lambda r: r.speedup(r.points[-1]) > GATE_SPEEDUP,
             f"largest fleet's makespan speedup > {GATE_SPEEDUP}x",
+            lambda r: f"{r.speedup(r.points[-1]):.2f}x",
         ),
         Gate(
             "no_shed_ok",
@@ -161,6 +183,13 @@ class FleetBenchReport(GatedReport):
         """The 1-node makespan over ``point``'s makespan."""
         span = point.report.makespan_seconds
         return _one(self).makespan_seconds / span if span > 0 else 0.0
+
+    def table_rows(self) -> list[Named]:
+        return [
+            *(Named("sweep", p.report) for p in self.points),
+            Named("overload", self.overload.report),
+            Named("tight L1", self.tight),
+        ]
 
     def perf_record(self) -> dict:
         rec = self.tight.perf_record()
@@ -237,39 +266,3 @@ def run_fleet_bench(*, smoke: bool = False, seed: int = 0) -> FleetBenchReport:
         tight_trace=tight_shape,
         tight=tight,
     )
-
-
-def format_fleet_bench(report: FleetBenchReport) -> str:
-    patterns, requests, n = report.trace
-    lines = [
-        f"fleet scaling sweep: {patterns} patterns x {requests} requests "
-        f"(n={n}, zipf s={ZIPF_S})",
-        f"{'nodes':>5s} {'done':>5s} {'shed':>5s} "
-        f"{'l1/l2/cold':>12s} {'warm':>5s} {'bal':>5s} "
-        f"{'makespan ms':>11s} {'req/s':>8s} {'speedup':>7s} "
-        f"{'identical':>9s}",
-    ]
-    for pt in (*report.points, report.overload):
-        r = pt.report
-        tier = f"{r.served_l1}/{r.served_l2}/{r.served_cold}"
-        tag = "*" if pt is report.overload else " "
-        lines.append(
-            f"{r.num_nodes:>4d}{tag} {r.completed:>5d} "
-            f"{r.shed:>5d} {tier:>12s} {r.warm_rate:>5.2f} "
-            f"{r.balance:>5.2f} "
-            f"{r.makespan_seconds * 1e3:>11.3f} "
-            f"{r.throughput:>8.0f} {report.speedup(pt):>6.2f}x "
-            f"{'yes' if pt.identical else 'NO':>9s}"
-        )
-    t = report.tight
-    patterns, requests, n = report.tight_trace
-    lines += [
-        "* deliberately overloaded point "
-        "(tight admission queues; sheds are typed, not errors)",
-        f"tight L1 ({TIGHT_L1_BYTES >> 10} KiB) on {t.num_nodes} nodes, "
-        f"{patterns} patterns x {requests} requests (n={n}): "
-        f"l1/l2/cold {t.served_l1}/{t.served_l2}/{t.served_cold}, "
-        f"l2 hit rate {t.l2_hit_rate:.2f}, shed {t.shed}, "
-        f"p50/p99 {t.latency_p50 * 1e3:.3f}/{t.latency_p99 * 1e3:.3f} ms",
-    ]
-    return "\n".join(lines + report.gate_lines())

@@ -2,16 +2,18 @@
 
 A gated sweep or drill argues like the paper: measured values set
 against stated bounds.  Its report class lists those bounds once as a
-``gates`` table of :class:`Gate`; :class:`GatedReport` derives the
-verdicts, ``passed``, the marked report lines and the perf-record gate
-labels from it.  A paper figure or table is a :class:`PaperReport`
-whose gates are :class:`Claim` gates: each also states the paper's claim
-and renders the measured value, which is what the claim table of
-``EXPERIMENTS.md`` shows.  :data:`EXPERIMENTS` declares each sweep,
-drill and paper experiment once, with its smoke and full points fixed
-in its module, and the CLI subcommands (``--smoke``/``--seed`` only)
-and perf scenarios are generated from it.  The ablations of the paper's
-design choices (:mod:`repro.bench.ablations`) are paper reports too.
+``gates`` table of :class:`Gate`, each with the measured value it reads,
+and its result table once as a title and ``(header, attribute)``
+columns; :class:`GatedReport` derives the verdicts, ``passed``, the
+rendered report and the perf-record gate labels from them.  A paper
+figure or table is a :class:`PaperReport` whose gates are
+:class:`Claim` gates: each also states the paper's claim, which is what
+the claim table of ``EXPERIMENTS.md`` shows.  :data:`EXPERIMENTS`
+declares each sweep, drill and paper experiment once, with its smoke
+and full points fixed in its module, and the CLI subcommands
+(``--smoke``/``--seed`` only) and perf scenarios are generated from it.
+The ablations of the paper's design choices
+(:mod:`repro.bench.ablations`) are paper reports too.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from importlib import import_module
-from typing import Any, Callable, ClassVar, Iterable
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -36,10 +39,13 @@ class Gate:
     label: str
     check: Callable[[Any], bool]
     #: the predicate as printed by :meth:`GatedReport.gate_lines`
-    text: str = ""
+    text: str
+    #: the measured value the predicate reads, printed after the text
+    measured: Callable[[Any], str] = lambda report: ""
 
     def line(self, report: Any) -> str:
-        return self.text or self.label
+        value = self.measured(report)
+        return f"{self.text}: {value}" if value else self.text
 
 
 @dataclass(frozen=True)
@@ -48,17 +54,39 @@ class Claim(Gate):
 
     #: the claim as the paper states it
     paper: str = ""
-    #: the measured value the predicate reads, as printed
-    measured: Callable[[Any], str] = lambda report: ""
-
-    def line(self, report: Any) -> str:
-        return f"{self.text}: {self.measured(report)}"
 
 
 class GatedReport:
-    """Mixin for reports whose verdict is a class-level ``gates`` table."""
+    """Base of every registry row's report.
+
+    Its verdict is the class-level ``gates`` table.  It renders as a
+    ``title`` (a format string over the report, ``r``), a table with
+    one row per object of :meth:`table_rows` over the declared
+    ``(header, attribute)`` ``columns`` (a dotted attribute reads into a
+    nested point), one marked line per gate and the verdict line.
+    """
 
     gates: ClassVar[tuple[Gate, ...]] = ()
+    title: ClassVar[str] = ""
+    columns: ClassVar[tuple[tuple[str, str], ...]] = ()
+    #: derived properties :meth:`perf_record` records beside the fields
+    recorded: ClassVar[tuple[str, ...]] = ()
+
+    def table_rows(self) -> Sequence[Any]:
+        """What the table's rows read: the report itself, as one row."""
+        return (self,)
+
+    def table(self) -> str:
+        """The title and the result table."""
+        getters = [attrgetter(attr) for _, attr in self.columns]
+        return format_table(
+            [header for header, _ in self.columns],
+            [[get(row) for get in getters] for row in self.table_rows()],
+            title=self.title.format(r=self),
+        )
+
+    def __str__(self) -> str:
+        return "\n".join([self.table(), *self.gate_lines()])
 
     def verdicts(self) -> dict[str, bool]:
         return {gate.label: bool(gate.check(self)) for gate in self.gates}
@@ -66,10 +94,6 @@ class GatedReport:
     @property
     def passed(self) -> bool:
         return all(self.verdicts().values())
-
-    def mark(self, label: str) -> str:
-        """The ``[  ok]``/``[FAIL]`` prefix of one gate's report line."""
-        return mark(self.verdicts()[label])
 
     def verdict_line(self) -> str:
         return f"  verdict: {'PASS' if self.passed else 'FAIL'}"
@@ -89,8 +113,41 @@ class GatedReport:
         return labels
 
     def perf_record(self) -> dict[str, Any]:
-        """Counters, timings and labels of the drill's perf scenario."""
-        raise NotImplementedError
+        """Every field and every ``recorded`` property, filed by
+        :func:`filed`; the gates as labels."""
+        derived = ((name, getattr(self, name)) for name in self.recorded)
+        record = filed([*vars(self).items(), *derived])
+        record["labels"].update(self.gate_labels())
+        return record
+
+
+def filed(
+    items: Iterable[tuple[str, Any]], *, labels: bool = True
+) -> dict[str, dict[str, Any]]:
+    """A perf record of ``(key, value)`` pairs filed by type: an int is
+    a counter, a float a timing and a str, if ``labels``, a label."""
+    record: dict[str, dict[str, Any]] = {
+        "counters": {},
+        "timings": {},
+        "labels": {},
+    }
+    for key, value in items:
+        if isinstance(value, float):
+            record["timings"][key] = value
+        elif isinstance(value, (int, np.integer)):
+            record["counters"][key] = value
+        elif labels and isinstance(value, str):
+            record["labels"][key] = value
+    return record
+
+
+@dataclass(frozen=True)
+class Named:
+    """One table row of a report that nests its points: the name of the
+    point and the point."""
+
+    name: str
+    point: Any
 
 
 class PaperReport(GatedReport):
@@ -98,17 +155,9 @@ class PaperReport(GatedReport):
     dataclasses keyed by ``abbr``) gated by :class:`Claim` gates."""
 
     rows: list[Any]
-    #: the result table: its title and ``(header, row attribute)`` columns
-    title: ClassVar[str] = ""
-    columns: ClassVar[tuple[tuple[str, str], ...]] = ()
 
-    def __str__(self) -> str:
-        attrs = [attr for _, attr in self.columns]
-        return format_table(
-            [header for header, _ in self.columns],
-            [[getattr(r, attr) for attr in attrs] for r in self.rows],
-            title=self.title,
-        )
+    def table_rows(self) -> list[Any]:
+        return self.rows
 
     @property
     def speedups(self) -> list[float]:
@@ -127,26 +176,17 @@ class PaperReport(GatedReport):
         """The row count, every int field of every row as a counter and
         every float field as a timing, keyed ``<abbr>_<field>``; the
         gates as labels."""
-        counters: dict[str, int] = {"rows": len(self.rows)}
-        timings: dict[str, float] = {}
-        for row in self.rows:
-            for f in dataclasses.fields(row):
-                value = getattr(row, f.name)
-                key = f"{row.abbr}_{f.name}"
-                if isinstance(value, float):
-                    timings[key] = value
-                elif isinstance(value, (int, np.integer)):
-                    counters[key] = value
-        return {
-            "counters": counters,
-            "timings": timings,
-            "labels": self.gate_labels(),
-        }
-
-
-def format_paper_report(report: PaperReport) -> str:
-    """The result table, then one marked line per claim."""
-    return "\n".join([str(report), *report.gate_lines()])
+        record = filed(
+            (
+                (f"{row.abbr}_{f.name}", getattr(row, f.name))
+                for row in self.rows
+                for f in dataclasses.fields(row)
+            ),
+            labels=False,
+        )
+        record["counters"]["rows"] = len(self.rows)
+        record["labels"].update(self.gate_labels())
+        return record
 
 
 def span(values: Iterable[float], fmt: str = ".2f", unit: str = "x") -> str:
@@ -162,12 +202,11 @@ def mark(ok: bool) -> str:
 @dataclass(frozen=True)
 class Experiment:
     """One gated sweep, drill or paper experiment: CLI subcommand, perf
-    scenario, runner, renderer."""
+    scenario, runner; ``str`` of its report renders it."""
 
     command: str
     scenario: str
     run: Callable[..., GatedReport]
-    format: Callable[[Any], str]
     help: str
 
 
@@ -199,7 +238,6 @@ def __getattr__(name: str) -> Any:
             "overlap-bench",
             "overlap/e2e_CR2",
             overlap.run_overlap_bench,
-            overlap.format_overlap_report,
             "transfer/compute overlap on vs off across out-of-core chunk "
             "sizes; gates bitwise identity",
         ),
@@ -207,7 +245,6 @@ def __getattr__(name: str) -> Any:
             "multigpu-bench",
             "multigpu/e2e",
             multigpu.run_multigpu_bench,
-            multigpu.format_multigpu_report,
             "strong and weak scaling of the end-to-end multi-GPU solver; "
             "gates bitwise identity with one device",
         ),
@@ -215,7 +252,6 @@ def __getattr__(name: str) -> Any:
             "serve-bench",
             "serve/replay",
             serve.run_serve_sweep,
-            serve.format_serve_report,
             "repeated-pattern replay through the solver service at three "
             "cache capacities; gates hit rate, speedup and latency",
         ),
@@ -223,7 +259,6 @@ def __getattr__(name: str) -> Any:
             "fleet-bench",
             "fleet/serve",
             fleet.run_fleet_bench,
-            fleet.format_fleet_bench,
             "node-count sweep of the fleet tier plus an overloaded point; "
             "gates scaling, sheds, warm rate and bitwise identity",
         ),
@@ -231,7 +266,6 @@ def __getattr__(name: str) -> Any:
             "fault-drill",
             "faults/drill",
             fault_drill.run_fault_drill,
-            fault_drill.format_drill,
             "recovery-ladder drill: flaky link, OOM storm, singular "
             "workload, dead device (each must recover or degrade)",
         ),
@@ -239,7 +273,6 @@ def __getattr__(name: str) -> Any:
             "churn-drill",
             "fleet/churn",
             churn.run_churn_drill,
-            churn.format_churn_drill,
             "join, drain and crash fleet nodes mid-replay; gates remap, "
             "bitwise identity, p99 recovery and determinism",
         ),
@@ -247,7 +280,6 @@ def __getattr__(name: str) -> Any:
             "drift-bench",
             "serve/drift",
             drift.run_drift_bench,
-            drift.format_drift_report,
             "drifting-pattern replay with incremental re-analysis on vs "
             "off; gates amortized cost, splice hit rate, bitwise identity",
         ),
@@ -255,7 +287,6 @@ def __getattr__(name: str) -> Any:
             "supernodal-bench",
             "supernodal/e2e",
             supernodal.run_supernodal_bench,
-            supernodal.format_supernodal_report,
             "per-column vs supernodal numeric on a FEM + circuit pair; "
             "gates time/launch ratios, singleton split, bitwise identity",
         ),
@@ -264,7 +295,6 @@ def __getattr__(name: str) -> Any:
                 name,
                 f"paper/{name}",
                 getattr(module, f"run_{name}"),
-                format_paper_report,
                 str(module.__doc__).splitlines()[0],
             )
             for name in paper
@@ -275,7 +305,6 @@ def __getattr__(name: str) -> Any:
                 f"ablate-{name}",
                 f"ablation/{name}",
                 run,
-                format_paper_report,
                 " ".join(str(run.__doc__).split()),
             )
             for name in ablation.split()

@@ -50,7 +50,7 @@ class MatrixReport:
             [
                 (r.name, r.n, r.nnz, r.density, r.symmetry, r.fill_nnz,
                  r.fill_ratio, r.levels, r.etree_levels, r.supernode_mean,
-                 "yes" if r.needs_out_of_core else "no")
+                 r.needs_out_of_core)
                 for r in self.rows
             ],
             title="Matrix structural report",

@@ -18,6 +18,7 @@ registry workload and reports, per point:
 Each mode declares two sweeps: strong scaling over pcie3, whose
 :data:`PERF_DEVICES`-device point is the perf record, and weak scaling
 over nvlink2 with halo sends routed through per-device copy engines.
+Both sweeps' points share one table, each row named by its sweep.
 
 One gate, asserted by the CLI exit status and the perf baseline:
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from ..core import EndToEndLU, SolverConfig, multi_gpu_endtoend
 from ..sparse import CSRMatrix
 from ..workloads.registry import by_abbr
-from .gates import Gate, GatedReport, factor_mismatches
+from .gates import Gate, GatedReport, Named, factor_mismatches
 
 __all__ = [
     "Sweep",
@@ -62,6 +63,13 @@ class Sweep:
     link: str = "pcie3"
     overlap: bool = False
     weak: bool = False
+
+    @property
+    def name(self) -> str:
+        """``strong pcie3``, ``weak nvlink2 overlap``: the table's sweep
+        column."""
+        mode = "weak" if self.weak else "strong"
+        return f"{mode} {self.link}{' overlap' if self.overlap else ''}"
 
 
 SMOKE_SWEEPS = (
@@ -99,7 +107,6 @@ class ScalingSweep:
     """One sweep's points on one workload."""
 
     sweep: Sweep
-    nnz: int
     points: tuple[ScalingPoint, ...]
 
 
@@ -109,6 +116,23 @@ class MultiGpuReport(GatedReport):
 
     sweeps: tuple[ScalingSweep, ...]
 
+    title = (
+        f"multi-GPU scaling sweeps on {ABBR} (simulated s; strong: "
+        "speedup over one device, weak: grind ratio)"
+    )
+    columns = (
+        ("sweep", "name"),
+        ("devs", "point.num_devices"),
+        ("n", "point.n"),
+        ("fill nnz", "point.filled_nnz"),
+        ("makespan s", "point.makespan_seconds"),
+        ("speedup", "point.speedup"),
+        ("balance", "point.balance"),
+        ("reshard B", "point.reshard_bytes"),
+        ("halo B", "point.halo_bytes"),
+        ("stall s", "point.halo_wait_seconds"),
+        ("identical", "point.results_identical"),
+    )
     gates = (
         Gate(
             "identical_ok",
@@ -118,6 +142,11 @@ class MultiGpuReport(GatedReport):
             "identical: every point bitwise-equal to its single-device run",
         ),
     )
+
+    def table_rows(self) -> list[Named]:
+        return [
+            Named(s.sweep.name, pt) for s in self.sweeps for pt in s.points
+        ]
 
     def perf_record(self) -> dict:
         strong = self.sweeps[0]
@@ -174,7 +203,7 @@ def _run_sweep(sweep: Sweep, seed: int) -> ScalingSweep:
                 record=res.perf_record(),
             )
         )
-    return ScalingSweep(sweep, int(a_base.nnz), tuple(points))
+    return ScalingSweep(sweep, tuple(points))
 
 
 def run_multigpu_bench(
@@ -183,28 +212,3 @@ def run_multigpu_bench(
     """Run the mode's declared sweeps and return the report."""
     sweeps = SMOKE_SWEEPS if smoke else FULL_SWEEPS
     return MultiGpuReport(tuple(_run_sweep(s, seed) for s in sweeps))
-
-
-def format_multigpu_report(report: MultiGpuReport) -> str:
-    lines = []
-    for s in report.sweeps:
-        sw = s.sweep
-        gain = "eff" if sw.weak else "speedup"
-        lines += [
-            f"multi-GPU {'weak' if sw.weak else 'strong'}-scaling sweep "
-            f"on {ABBR} (base n={sw.n}, nnz={s.nnz}, link {sw.link}, "
-            f"overlap {'on' if sw.overlap else 'off'})",
-            f"{'devs':>4s} {'n':>6s} {'makespan ms':>11s} {gain:>7s} "
-            f"{'balance':>7s} {'reshard B':>9s} {'halo B':>9s} "
-            f"{'stall ms':>8s} {'identical':>9s}",
-        ]
-        for pt in s.points:
-            lines.append(
-                f"{pt.num_devices:>4d} {pt.n:>6d} "
-                f"{pt.makespan_seconds * 1e3:>11.3f} {pt.speedup:>6.2f}x "
-                f"{pt.balance:>7.2f} {pt.reshard_bytes:>9d} "
-                f"{pt.halo_bytes:>9d} "
-                f"{pt.halo_wait_seconds * 1e3:>8.3f} "
-                f"{'yes' if pt.results_identical else 'NO':>9s}"
-            )
-    return "\n".join(lines + report.gate_lines())

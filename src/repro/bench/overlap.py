@@ -10,7 +10,8 @@ copy-engine pipeline, for each declared out-of-core chunk size.  Per
 chunk size it reports:
 
 * serial vs overlap simulated seconds and the relative drop;
-* copy-engine and compute utilization over the async regions' makespan;
+* copy-engine upload and download counts (the perf record adds the
+  copy-engine and compute utilization over the async regions' makespan);
 * overlap efficiency (fraction of serial busy time hidden);
 * a results-identical flag (fill structure and factors must match
   bitwise — overlap may only move time, never results).
@@ -117,6 +118,21 @@ class OverlapReport(GatedReport):
     perf_chunk_rows: int
     rows: tuple[OverlapRow, ...]
 
+    title = (
+        f"overlap sweep on {ABBR} (n={{r.n}}, nnz={{r.nnz}}, device "
+        f"memory / {MEM_DIVISOR}; simulated s)"
+    )
+    columns = (
+        ("chunk", "chunk_rows"),
+        ("serial s", "serial_seconds"),
+        ("overlap s", "overlap_seconds"),
+        ("drop", "drop"),
+        ("h2d ops", "engines.h2d_ops"),
+        ("d2h ops", "engines.d2h_ops"),
+        ("efficiency", "engines.overlap_efficiency"),
+        ("format", "numeric_format"),
+        ("identical", "results_identical"),
+    )
     gates = (
         Gate(
             "identical_ok",
@@ -133,6 +149,9 @@ class OverlapReport(GatedReport):
             "streamed: every row csc-streamed with copy-engine uploads",
         ),
     )
+
+    def table_rows(self) -> tuple[OverlapRow, ...]:
+        return self.rows
 
     def perf_record(self) -> dict:
         (row,) = (
@@ -183,25 +202,3 @@ def run_overlap_bench(*, smoke: bool = False, seed: int = 0) -> OverlapReport:
     return OverlapReport(
         n=n, nnz=int(a.nnz), perf_chunk_rows=perf_chunk, rows=tuple(rows)
     )
-
-
-def format_overlap_report(report: OverlapReport) -> str:
-    lines = [
-        f"overlap sweep on {ABBR} (n={report.n}, nnz={report.nnz}, "
-        f"device memory / {MEM_DIVISOR})",
-        f"{'chunk':>6s} {'serial ms':>10s} {'overlap ms':>11s} "
-        f"{'drop':>6s} {'h2d':>5s} {'d2h':>5s} {'comp':>5s} "
-        f"{'eff':>5s} {'identical':>9s}",
-    ]
-    for r in report.rows:
-        eng = r.engines
-        lines.append(
-            f"{r.chunk_rows:>6d} {r.serial_seconds * 1e3:>10.3f} "
-            f"{r.overlap_seconds * 1e3:>11.3f} {r.drop:>6.1%} "
-            f"{eng.utilization('h2d'):>5.0%} "
-            f"{eng.utilization('d2h'):>5.0%} "
-            f"{eng.utilization('compute'):>5.0%} "
-            f"{eng.overlap_efficiency:>5.0%} "
-            f"{'yes' if r.results_identical else 'NO':>9s}"
-        )
-    return "\n".join(lines + report.gate_lines())

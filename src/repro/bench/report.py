@@ -6,8 +6,10 @@ from typing import Sequence
 
 
 def format_table(
-    headers: Sequence[str], rows: Sequence[Sequence[object]],
-    *, title: str | None = None,
+    headers: Sequence[str],
+    rows: Sequence[Sequence[object]],
+    *,
+    title: str | None = None,
 ) -> str:
     """Fixed-width ASCII table (numbers right-aligned, text left-aligned)."""
     cells = [[_fmt(x) for x in row] for row in rows]
@@ -45,15 +47,18 @@ def format_series(
         sampled = [vals[int(i * step)] for i in range(width)]
     else:
         sampled = vals
-    spark = "".join(blocks[int((v - lo) / span * (len(blocks) - 1))] for v in sampled)
-    return (
-        f"{name}: n={len(vals)} min={lo:.3g} max={hi:.3g}\n  {spark}"
+    spark = "".join(
+        blocks[int((v - lo) / span * (len(blocks) - 1))] for v in sampled
     )
+    return f"{name}: n={len(vals)} min={lo:.3g} max={hi:.3g}\n  {spark}"
 
 
 def _fmt(x: object) -> str:
     """A float to four significant digits, in scientific notation
-    outside [1e-3, 1000); anything else as ``str``."""
+    outside [1e-3, 1000); a bool as ``yes``/``no``; anything else as
+    ``str``."""
+    if isinstance(x, bool):
+        return "yes" if x else "no"
     if isinstance(x, float):
         if x == 0:
             return "0"

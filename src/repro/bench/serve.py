@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from ..core import SolverConfig
 from ..serve import LoadReport, ServeConfig, run_load, synthesize_trace
 from ..serve.loadgen import cold_baseline_seconds
-from .gates import Gate, GatedReport
+from .gates import Gate, GatedReport, Named
 
 __all__ = [
     "GATE_SMOKE_HIT_RATE",
@@ -38,7 +38,6 @@ __all__ = [
     "GATE_SPEEDUP",
     "ServeSweepReport",
     "run_serve_sweep",
-    "format_serve_report",
 ]
 
 #: minimum ample-cache request-level hit rate in smoke mode (24
@@ -81,6 +80,19 @@ class ServeSweepReport(GatedReport):
     tight: LoadReport
     ample: LoadReport
 
+    title = (
+        "serve-bench: {r.patterns} patterns x {r.requests} requests "
+        "(n={r.n}), solver service vs cold solves (simulated s)"
+    )
+    columns = (
+        ("config", "name"),
+        ("hit rate", "point.hit_rate"),
+        ("service s", "point.service_seconds"),
+        ("cold s", "point.baseline_seconds"),
+        ("speedup", "point.speedup"),
+        ("p50 s", "point.latency_p50"),
+        ("p99 s", "point.latency_p99"),
+    )
     gates = (
         Gate(
             "ample_hit_rate_ok",
@@ -103,6 +115,13 @@ class ServeSweepReport(GatedReport):
             "ample-cache p50 latency < no-cache p50 latency",
         ),
     )
+
+    def table_rows(self) -> list[Named]:
+        runs = (self.no_cache, self.tight, self.ample)
+        return [
+            Named(f"{label} ({cap / 2**20:g} MiB)", run)
+            for (label, cap), run in zip(CAPACITIES, runs)
+        ]
 
     def perf_record(self) -> dict:
         rec = self.ample.perf_record()
@@ -153,23 +172,3 @@ def run_serve_sweep(*, smoke: bool = False, seed: int = 0) -> ServeSweepReport:
     ]
     report = ServeSmokeReport if smoke else ServeSweepReport
     return report(patterns, requests, n, *runs)
-
-
-def format_serve_report(report: ServeSweepReport) -> str:
-    lines = [
-        f"serve-bench: {report.patterns} patterns x {report.requests} "
-        f"requests (n={report.n}), solver service vs cold solves "
-        "(simulated time)",
-        f"{'config':<11s} {'cache MiB':>9s} {'hit rate':>8s} "
-        f"{'service ms':>10s} {'cold ms':>9s} {'speedup':>7s} "
-        f"{'p50 ms':>7s} {'p99 ms':>7s}",
-    ]
-    runs = (report.no_cache, report.tight, report.ample)
-    for (label, cap), r in zip(CAPACITIES, runs):
-        lines.append(
-            f"{label:<11s} {cap / 2**20:>9.1f} {r.hit_rate:>8.3f} "
-            f"{r.service_seconds * 1e3:>10.3f} "
-            f"{r.baseline_seconds * 1e3:>9.3f} {r.speedup:>6.2f}x "
-            f"{r.latency_p50 * 1e3:>7.3f} {r.latency_p99 * 1e3:>7.3f}"
-        )
-    return "\n".join(lines + report.gate_lines())

@@ -45,7 +45,6 @@ __all__ = [
     "GATE_CIRCUIT_SINGLETON_FRACTION",
     "SupernodalReport",
     "run_supernodal_bench",
-    "format_supernodal_report",
 ]
 
 #: minimum off/on simulated ``numeric``-phase time ratio on the FEM instance
@@ -64,7 +63,8 @@ CIRCUIT_ABBR = "OT2"
 
 @dataclass
 class SupernodalReport(GatedReport):
-    """Outcome of one on/off factorization pair (simulated seconds)."""
+    """Outcome of one on/off factorization pair (simulated seconds); its
+    perf record is every field and the three derived ratios."""
 
     n: int
     fem_abbr: str
@@ -88,21 +88,58 @@ class SupernodalReport(GatedReport):
     bitwise_checked: int
     bitwise_mismatches: int
 
+    title = (
+        "supernodal bench at n={r.n}: numeric phase off (per-column "
+        "oracle) vs on (panel schedule), simulated s"
+    )
+    columns = (
+        ("fem", "fem_abbr"),
+        ("panels", "fem_panels"),
+        ("singleton", "fem_singleton_panels"),
+        ("waves", "fem_panel_waves"),
+        ("coverage", "fem_panel_coverage"),
+        ("off s", "fem_numeric_seconds_off"),
+        ("on s", "fem_numeric_seconds_on"),
+        ("off launches", "fem_launches_off"),
+        ("on launches", "fem_launches_on"),
+        ("circuit", "circuit_abbr"),
+        ("panels", "circuit_panels"),
+        ("singleton", "circuit_singleton_panels"),
+    )
     gates = (
-        Gate("fem_time_ok", lambda r: r.fem_time_ratio >= GATE_FEM_TIME_RATIO),
+        Gate(
+            "fem_time_ok",
+            lambda r: r.fem_time_ratio >= GATE_FEM_TIME_RATIO,
+            "fem numeric time, per-column over supernodal >= "
+            f"{GATE_FEM_TIME_RATIO}x",
+            lambda r: f"{r.fem_time_ratio:.2f}x",
+        ),
         Gate(
             "fem_launch_ok",
             lambda r: r.fem_launch_ratio >= GATE_FEM_LAUNCH_RATIO,
+            "fem numeric launches, per-column over supernodal >= "
+            f"{GATE_FEM_LAUNCH_RATIO}x",
+            lambda r: f"{r.fem_launch_ratio:.2f}x",
         ),
         Gate(
             "circuit_ok",
             lambda r: r.circuit_singleton_fraction
             >= GATE_CIRCUIT_SINGLETON_FRACTION,
+            "circuit singleton-panel fraction >= "
+            f"{GATE_CIRCUIT_SINGLETON_FRACTION}",
+            lambda r: f"{r.circuit_singleton_fraction:.2f}",
         ),
         Gate(
             "bitwise_ok",
             lambda r: r.bitwise_checked > 0 and r.bitwise_mismatches == 0,
+            "bitwise: both paths' factors equal on both instances",
+            lambda r: f"{r.bitwise_mismatches} of {r.bitwise_checked} differ",
         ),
+    )
+    recorded = (
+        "fem_time_ratio",
+        "fem_launch_ratio",
+        "circuit_singleton_fraction",
     )
 
     # -- derived ---------------------------------------------------------
@@ -123,45 +160,6 @@ class SupernodalReport(GatedReport):
         if self.circuit_panels <= 0:
             return 0.0
         return self.circuit_singleton_panels / self.circuit_panels
-
-    # -- export ----------------------------------------------------------
-    def perf_record(self) -> dict:
-        counters = {
-            "n": int(self.n),
-            "fem_launches_off": int(self.fem_launches_off),
-            "fem_launches_on": int(self.fem_launches_on),
-            "fem_panels": int(self.fem_panels),
-            "fem_singleton_panels": int(self.fem_singleton_panels),
-            "fem_panel_waves": int(self.fem_panel_waves),
-            "circuit_launches_off": int(self.circuit_launches_off),
-            "circuit_launches_on": int(self.circuit_launches_on),
-            "circuit_panels": int(self.circuit_panels),
-            "circuit_singleton_panels": int(self.circuit_singleton_panels),
-            "bitwise_checked": int(self.bitwise_checked),
-            "bitwise_mismatches": int(self.bitwise_mismatches),
-        }
-        timings = {
-            "fem_numeric_seconds_off": float(self.fem_numeric_seconds_off),
-            "fem_numeric_seconds_on": float(self.fem_numeric_seconds_on),
-            "fem_time_ratio": float(self.fem_time_ratio),
-            "fem_launch_ratio": float(self.fem_launch_ratio),
-            "circuit_numeric_seconds_off": float(
-                self.circuit_numeric_seconds_off
-            ),
-            "circuit_numeric_seconds_on": float(
-                self.circuit_numeric_seconds_on
-            ),
-            "fem_panel_coverage": float(self.fem_panel_coverage),
-            "circuit_singleton_fraction": float(
-                self.circuit_singleton_fraction
-            ),
-        }
-        labels = {
-            "fem_abbr": self.fem_abbr,
-            "circuit_abbr": self.circuit_abbr,
-            **self.gate_labels(),
-        }
-        return {"counters": counters, "timings": timings, "labels": labels}
 
 
 def _factor_pair(
@@ -210,34 +208,3 @@ def run_supernodal_bench(
         bitwise_checked=2 * len(FACTOR_ARRAYS),  # 2 instances
         bitwise_mismatches=fem_bad + cir_bad,
     )
-
-
-def format_supernodal_report(report: SupernodalReport) -> str:
-    lines = [
-        f"supernodal bench: {report.fem_abbr} (fem) + "
-        f"{report.circuit_abbr} (circuit) at n={report.n}, "
-        f"per-column oracle vs panel schedule",
-        f"  {report.fem_abbr}: {report.fem_panels} panels "
-        f"({report.fem_singleton_panels} singleton, coverage "
-        f"{report.fem_panel_coverage:.2f}) in "
-        f"{report.fem_panel_waves} waves",
-        f"  {report.mark('fem_time_ok')} fem numeric time "
-        f"{report.fem_numeric_seconds_off * 1e6:.1f} us per-column vs "
-        f"{report.fem_numeric_seconds_on * 1e6:.1f} us supernodal = "
-        f"{report.fem_time_ratio:.2f}x "
-        f"(gate >= {GATE_FEM_TIME_RATIO}x)",
-        f"  {report.mark('fem_launch_ok')} fem numeric launches "
-        f"{report.fem_launches_off} per-column vs "
-        f"{report.fem_launches_on} supernodal = "
-        f"{report.fem_launch_ratio:.2f}x "
-        f"(gate >= {GATE_FEM_LAUNCH_RATIO}x)",
-        f"  {report.mark('circuit_ok')} circuit partition "
-        f"{report.circuit_singleton_panels}/{report.circuit_panels} "
-        f"singleton panels = {report.circuit_singleton_fraction:.2f} "
-        f"(gate >= {GATE_CIRCUIT_SINGLETON_FRACTION})",
-        f"  {report.mark('bitwise_ok')} bitwise: "
-        f"{report.bitwise_checked} factor arrays compared, "
-        f"{report.bitwise_mismatches} mismatches",
-        report.verdict_line(),
-    ]
-    return "\n".join(lines)

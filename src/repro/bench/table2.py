@@ -77,15 +77,17 @@ class Table2Result(PaperReport):
             "density_ok",
             lambda r: _worst_density(r) < DENSITY_TOLERANCE,
             f"scaled nnz/n within {DENSITY_TOLERANCE:.0%} of the paper's",
-            "each matrix's nnz/n as in Table 2",
             lambda r: f"max deviation {_worst_density(r):.1%}",
+            "each matrix's nnz/n as in Table 2",
         ),
         Claim(
             "out_of_core_ok",
-            lambda r: all(0 < x.device_bytes < x.scratch_bytes for x in r.rows),
+            lambda r: all(
+                0 < x.device_bytes < x.scratch_bytes for x in r.rows
+            ),
             "all-rows scratch > device memory on every matrix",
-            "symbolic intermediates exceed GPU memory",
             _headroom,
+            "symbolic intermediates exceed GPU memory",
         ),
     )
 

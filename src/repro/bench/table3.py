@@ -78,24 +78,24 @@ class Table3Result(PaperReport):
             "fault_reduction_ok",
             lambda r: all(2.5 <= x.group_reduction <= 6.0 for x in r.rows),
             "prefetch cuts fault groups 2.5-6x on every matrix",
-            "prefetch cuts fault groups ~3.5-4x",
             lambda r: span((x.group_reduction for x in r.rows), ".1f"),
+            "prefetch cuts fault groups ~3.5-4x",
         ),
         Claim(
             "service_share_ok",
             lambda r: all(x.shares_ok for x in r.rows),
             "10% < wo p < 90%, w p < wo p, ooc < 1% on every matrix",
-            "wo p 33-86%, w p 19-65%, ooc <1%",
             _shares,
+            "wo p 33-86%, w p 19-65%, ooc <1%",
         ),
         Claim(
             "density_trend_ok",
             lambda r: _share(r, "OT2") > _share(r, "WI"),
             "wo p service share: OT2 > WI",
-            "the shares shrink as density grows (OT2 78% vs WI 33%)",
             lambda r: "OT2 {:.0f}% vs WI {:.0f}%".format(
                 _share(r, "OT2"), _share(r, "WI")
             ),
+            "the shares shrink as density grows (OT2 78% vs WI 33%)",
         ),
     )
 

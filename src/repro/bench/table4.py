@@ -70,8 +70,8 @@ class Table4Result(PaperReport):
                 for x in r.rows
             ),
             "max #blocks == the paper's, < TB_max 160",
-            "124 / 119 / 109 / 102 (< TB_max 160)",
             lambda r: "/".join(str(x.max_blocks) for x in r.rows),
+            "124 / 119 / 109 / 102 (< TB_max 160)",
         ),
     )
 

@@ -172,7 +172,7 @@ def cmd_export_suite(args) -> int:
 
 def cmd_experiment(exp, args) -> int:
     report = exp.run(smoke=args.smoke, seed=args.seed)
-    print(exp.format(report))
+    print(report)
     return 0 if report.passed else 1
 
 

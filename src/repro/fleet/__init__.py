@@ -52,7 +52,6 @@ from .l2cache import L2Cache, L2Fetch
 from .loadgen import (
     FleetReport,
     churn_plan_for_trace,
-    format_fleet_report,
     replay_fleet,
     run_fleet_load,
     synthesize_churn_trace,
@@ -74,7 +73,6 @@ __all__ = [
     "L2Fetch",
     "FleetReport",
     "churn_plan_for_trace",
-    "format_fleet_report",
     "replay_fleet",
     "run_fleet_load",
     "synthesize_churn_trace",

@@ -33,7 +33,6 @@ __all__ = [
     "FleetReport",
     "replay_fleet",
     "run_fleet_load",
-    "format_fleet_report",
     "churn_plan_for_trace",
     "synthesize_churn_trace",
 ]
@@ -355,35 +354,3 @@ def run_fleet_load(
         churn_records=churn_records,
         stats=stats,
     )
-
-
-def format_fleet_report(report: FleetReport) -> str:
-    nodes = " ".join(
-        f"{nid}:{count}" for nid, count in sorted(report.per_node.items())
-    )
-    lines = [
-        f"nodes             {report.num_nodes}",
-        f"requests          {report.requests}",
-        f"admitted          {report.admitted}",
-        f"completed         {report.completed}",
-        f"shed              {report.shed} "
-        f"(rate {report.shed_rate:.3f})",
-        f"lost              {report.lost}",
-        f"errors/timeouts   {report.errors}/{report.timeouts}",
-        f"rerouted          {report.rerouted}",
-        f"served l1/l2/cold {report.served_l1}/{report.served_l2}"
-        f"/{report.served_cold} (warm rate {report.warm_rate:.3f})",
-        f"served delta      {report.served_delta} l1-donor / "
-        f"{report.served_l2_delta} l2-donor",
-        f"l2 store          {report.l2_hits} hits / "
-        f"{report.l2_misses} misses "
-        f"(hit rate {report.l2_hit_rate:.3f})",
-        f"per-node admitted {nodes} (balance {report.balance:.2f})",
-        f"fleet makespan    {report.makespan_seconds * 1e3:.3f} ms "
-        "(simulated)",
-        f"throughput        {report.throughput:.1f} "
-        "req/simulated-second",
-        f"latency p50/p99   {report.latency_p50 * 1e3:.3f} / "
-        f"{report.latency_p99 * 1e3:.3f} ms",
-    ]
-    return "\n".join(lines)

@@ -43,7 +43,6 @@ from .loadgen import (
     LoadReport,
     TraceRequest,
     cold_baseline_seconds,
-    format_report,
     replay,
     restamp,
     run_load,
@@ -87,5 +86,4 @@ __all__ = [
     "replay",
     "cold_baseline_seconds",
     "run_load",
-    "format_report",
 ]

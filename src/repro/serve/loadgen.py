@@ -35,7 +35,6 @@ __all__ = [
     "replay",
     "cold_baseline_seconds",
     "run_load",
-    "format_report",
 ]
 
 
@@ -401,21 +400,3 @@ def run_load(
         responses=responses,
         stats=snap,
     )
-
-
-def format_report(report: LoadReport) -> str:
-    lines = [
-        f"requests          {report.requests}",
-        f"completed         {report.completed}",
-        f"timeouts          {report.timeouts}",
-        f"errors            {report.errors}",
-        f"rejected          {report.rejected}",
-        f"cache hit rate    {report.hit_rate:.3f}",
-        f"service makespan  {report.service_seconds * 1e3:.3f} ms (simulated)",
-        f"cold baseline     {report.baseline_seconds * 1e3:.3f} ms (simulated)",
-        f"speedup           {report.speedup:.2f}x vs cold solve",
-        f"throughput        {report.throughput:.1f} req/simulated-second",
-        f"latency p50/p99   {report.latency_p50 * 1e3:.3f} / "
-        f"{report.latency_p99 * 1e3:.3f} ms",
-    ]
-    return "\n".join(lines)

@@ -41,9 +41,10 @@ def test_same_seed_report_byte_identical(
     exp, capsys, monkeypatch, smoke_report
 ):
     """The CLI run is independent of the shared one: its rendered report
-    and its perf record must both be identical."""
+    and its perf record must both be identical.  The report marks one
+    line per gate, in declared order, and ends in the verdict line."""
     shared = smoke_report(exp, 3)
-    first = exp.format(shared) + "\n"
+    first = str(shared) + "\n"
     reports = []
 
     def run(**kw):
@@ -58,12 +59,21 @@ def test_same_seed_report_byte_identical(
     assert reports[0] is not shared
     assert reports[0].perf_record() == shared.perf_record()
     assert _EXPECTED_LINES.get(exp.command, "") in first
+    lines = first.splitlines()
+    marked = [ln for ln in lines if "[  ok]" in ln or "[FAIL]" in ln]
+    verdicts = shared.verdicts()
+    assert marked == [
+        f"  {gates.mark(verdicts[g.label])} {g.line(shared)}"
+        for g in shared.gates
+    ]
+    assert lines[-1] == shared.verdict_line()
     if exp.command == "multigpu-bench":
         # the overlap sweep books halo sends through copy engines, under
         # the same invariant, and its rows differ from the blocking ones
-        off, on = first.split("multi-GPU ")[1:]
-        assert "overlap off" in off and "overlap on" in on
-        assert off.splitlines()[2:] != on.splitlines()[2:]
+        off = [ln.split()[2:] for ln in lines if ln.startswith("strong ")]
+        on = [ln.split()[3:] for ln in lines if ln.startswith("weak ")]
+        assert off and on and off != on
+        assert all("overlap" in ln for ln in lines if ln.startswith("weak "))
 
 
 def test_multigpu_execution_record_identical():

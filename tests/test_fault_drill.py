@@ -7,7 +7,6 @@ from repro import cli
 from repro.bench.fault_drill import (
     DEGRADED,
     RECOVERED,
-    format_drill,
     run_fault_drill,
 )
 
@@ -47,7 +46,7 @@ class TestFaultDrill:
         assert r.final_residual < 1e-10
 
     def test_format_and_cli_exit_code(self, report, capsys):
-        out = format_drill(report)
+        out = str(report)
         assert "determinism: identical" in out
         for r in report.results:
             assert r.name in out

@@ -484,13 +484,13 @@ def test_no_churn_trace_bytes_unchanged_from_pr6():
 # the drill itself (smoke) — end-to-end gate
 # ---------------------------------------------------------------------------
 def test_churn_drill_smoke_passes_all_gates():
-    from repro.bench.churn import format_churn_drill, run_churn_drill
+    from repro.bench.churn import run_churn_drill
 
     report = run_churn_drill(smoke=True, seed=0)
     verdicts = report.verdicts()
     assert report.passed
     assert verdicts["remap_ok"] and all(
-        ev["within_bound"] for ev in report.events
+        ev.within_bound for ev in report.events
     )
     assert verdicts["bitwise_ok"] and report.mismatches == 0
     assert report.checked == report.completed
@@ -498,8 +498,8 @@ def test_churn_drill_smoke_passes_all_gates():
     assert report.deterministic
     assert verdicts["recovery_ok"]
     assert report.recovery_ratio <= 1.5
-    text = format_churn_drill(report)
-    assert "drill PASSED" in text
+    text = str(report)
+    assert text.splitlines()[-1] == "  verdict: PASS"
     rec = report.perf_record()
     assert rec["labels"]["passed"] == "true"
     assert rec["counters"]["bitwise_mismatches"] == 0

@@ -11,7 +11,6 @@ from repro.serve import (
     ServeConfig,
     SolverService,
     format_metrics,
-    format_report,
     replay,
     run_load,
     synthesize_trace,
@@ -190,16 +189,6 @@ class TestLoadReplay:
         replay(svc, trace, flush_every=5)
         svc.shutdown()
         assert svc.metrics.get_count("coalesced") > 0
-
-    def test_format_report_mentions_headline_numbers(self):
-        trace = synthesize_trace(
-            num_patterns=1, num_requests=4, n=100, seed=9
-        )
-        report = run_load(trace, ServeConfig(solver=solver_cfg()))
-        text = format_report(report)
-        for needle in ("cache hit rate", "speedup", "throughput",
-                       "latency p50/p99"):
-            assert needle in text
 
     def test_arrival_gaps_advance_the_clock(self):
         trace = synthesize_trace(
