@@ -1,18 +1,14 @@
-"""Mixed precision and the iterative fallback path.
+"""Mixed precision and iterative refinement.
 
 The paper evaluates in single precision ("Our experiments use float as the
 data type", §4.1) — viable for circuit simulation because the factorization
-is a preconditioner-quality operation that refinement or Krylov smoothing
-polishes.  This example demonstrates the full accuracy toolbox:
+is a preconditioner-quality operation that refinement polishes.  This
+example:
 
-1. factorize in float32 (the paper's dtype) and in float64; compare
-   residuals;
-2. recover double-precision accuracy from the float32 factors with
-   iterative refinement (one sweep);
-3. solve the same system with ILU(0)-preconditioned GMRES — the iterative
-   fallback when even out-of-core factorization is too expensive — and
-   with exact-LU-preconditioned GMRES (converges immediately, tying the
-   two solver families together).
+1. factorizes in float32 (the paper's dtype) and in float64, compares
+   their residuals and reports the float64 pivot growth;
+2. recovers double-precision accuracy from the float32 factors with
+   iterative refinement (one sweep).
 
 Usage::
 
@@ -24,8 +20,6 @@ import numpy as np
 from repro import SolverConfig, factorize
 from repro.gpusim import scaled_device, scaled_host
 from repro.numeric import (
-    gmres,
-    ilu0_preconditioner,
     iterative_refinement,
     make_lu_solver,
     pivot_growth,
@@ -62,22 +56,6 @@ def main() -> None:
     print(
         f"float32 + iterative refinement: residual "
         f"{refined.final_residual:.2e} after {refined.iterations} sweep(s)"
-    )
-
-    # ---- 3. the iterative fallback ----------------------------------------
-    plain = gmres(a, b, tol=1e-10, restart=40, max_outer=20)
-    prec = gmres(a, b, preconditioner=ilu0_preconditioner(a), tol=1e-10)
-    exact = gmres(a, b, preconditioner=solver32, tol=1e-10)
-    print("\nGMRES comparison (tol 1e-10):")
-    print(f"  unpreconditioned : {plain.iterations:4d} iterations "
-          f"(converged={plain.converged})")
-    print(f"  ILU(0)           : {prec.iterations:4d} iterations "
-          f"(converged={prec.converged})")
-    print(f"  exact LU (f32)   : {exact.iterations:4d} iterations "
-          f"(converged={exact.converged})")
-    print(
-        f"\nall solutions agree with the direct solve to "
-        f"{max(np.abs(prec.x - r64.solve(b)).max(), np.abs(exact.x - r64.solve(b)).max()):.2e}"
     )
 
 

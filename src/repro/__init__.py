@@ -26,7 +26,6 @@ from .core import (
     SolverConfig,
     analyze,
     factorize,
-    factorize_btf,
     solve,
 )
 from .errors import (
@@ -53,7 +52,6 @@ __all__ = [
     "solve",
     "analyze",
     "ReusableAnalysis",
-    "factorize_btf",
     "EndToEndLU",
     "EndToEndResult",
     "SolverConfig",

@@ -55,7 +55,6 @@ from .incremental import (
     incremental_analyze_pre,
 )
 from .autotune import AutotuneResult, TuneCandidate, autotune_symbolic
-from .btf_solver import BTFFactorization, factorize_btf
 from .multigpu import (
     MultiGpuEndToEndResult,
     MultiGpuSymbolicResult,
@@ -86,8 +85,6 @@ __all__ = [
     "best_donor",
     "incremental_analyze",
     "incremental_analyze_pre",
-    "factorize_btf",
-    "BTFFactorization",
     "multi_gpu_symbolic",
     "MultiGpuSymbolicResult",
     "multi_gpu_endtoend",

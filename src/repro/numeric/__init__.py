@@ -9,8 +9,6 @@ cross-check it.
 """
 
 from .condest import condest, onenorm, onenorm_inverse_estimate, pivot_growth
-from .gmres import GmresResult, gmres
-from .ilu import ilu0, ilu0_preconditioner
 from .leftlooking import dense_lu_nopivot, factorize_leftlooking
 from .refine import RefinementResult, iterative_refinement, make_lu_solver
 from .rightlooking import NumericStats, extract_lu
@@ -53,8 +51,4 @@ __all__ = [
     "onenorm",
     "onenorm_inverse_estimate",
     "pivot_growth",
-    "ilu0",
-    "ilu0_preconditioner",
-    "gmres",
-    "GmresResult",
 ]

@@ -10,12 +10,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro
 import repro.core
 import repro.core.incremental
 import repro.core.resilient
 import repro.fleet
 import repro.fleet.admission
 import repro.fleet.l2cache
+import repro.numeric
 import repro.preprocess
 import repro.sparse
 from repro.core import EndToEndLU, RetryPolicy, SolverConfig
@@ -59,6 +61,16 @@ REMOVED_NAMES = [
     (repro.preprocess, "equilibrate"),
     (repro.core, "solve_gpu"),
     (repro.sparse, "add_scaled_identity"),
+    (repro, "factorize_btf"),
+    (repro.core, "factorize_btf"),
+    (repro.core, "BTFFactorization"),
+    (repro.preprocess, "BTFResult"),
+    (repro.preprocess, "block_triangular_form"),
+    (repro.preprocess, "strongly_connected_components"),
+    (repro.numeric, "ilu0"),
+    (repro.numeric, "ilu0_preconditioner"),
+    (repro.numeric, "gmres"),
+    (repro.numeric, "GmresResult"),
 ]
 
 

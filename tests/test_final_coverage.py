@@ -42,26 +42,6 @@ class TestAutotuneEdges:
         assert res.gain_over_naive == pytest.approx(0.0)
 
 
-class TestGmresEdges:
-    def test_identity_preconditioner_equals_plain(self):
-        from repro.numeric import gmres
-
-        a = circuit_like(80, 5.0, seed=194)
-        b = np.ones(80)
-        plain = gmres(a, b, tol=1e-10)
-        ident = gmres(a, b, preconditioner=lambda r: r, tol=1e-10)
-        assert plain.iterations == ident.iterations
-        np.testing.assert_allclose(plain.x, ident.x, atol=1e-10)
-
-    def test_zero_rhs_trivial(self):
-        from repro.numeric import gmres
-        from repro.sparse import CSRMatrix
-
-        res = gmres(CSRMatrix.identity(5), np.zeros(5), tol=1e-10)
-        assert res.converged
-        np.testing.assert_allclose(res.x, 0.0)
-
-
 class TestGeneratorEdges:
     def test_mesh_single_component(self):
         a = mesh_like(100, seed=1, components=1)

@@ -22,6 +22,8 @@ from repro.fleet import (
     ChurnPlan,
     Fleet,
     FleetConfig,
+    FleetReport,
+    FleetResponse,
     HashRing,
     L2Cache,
     NodeLostError,
@@ -32,7 +34,7 @@ from repro.fleet import (
     synthesize_churn_trace,
 )
 from repro.fleet.loadgen import replay_fleet
-from repro.serve import BreakerConfig, ServeConfig, SolverService
+from repro.serve import BreakerConfig, SolveResponse, SolverService
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.loadgen import replay, restamp, synthesize_trace
 from repro.workloads import circuit_like
@@ -503,3 +505,37 @@ def test_churn_drill_smoke_passes_all_gates():
     rec = report.perf_record()
     assert rec["labels"]["passed"] == "true"
     assert rec["counters"]["bitwise_mismatches"] == 0
+
+
+def test_recovery_gate_compares_against_the_warm_pre_churn_tail():
+    """A cold first flush pays a full analysis: it is warm-up, not the
+    steady state, so it must not inflate the pre-churn p99 that a
+    doubled post-churn tail is measured against."""
+    from repro.bench.churn import ChurnDrillReport, _percentile_split
+
+    def ok(index, served, latency):
+        return FleetResponse(
+            index=index, node_id=0, key="k", status="ok", served=served,
+            response=SolveResponse(index, "ok", latency=latency),
+        )
+
+    responses = (
+        [ok(0, "cold", 5e-3)]
+        + [ok(i, "l1", 1e-3) for i in range(1, 10)]
+        + [ok(i, "l1", 2e-3) for i in range(10, 20)]
+    )
+    fleet_report = FleetReport(
+        num_nodes=1, requests=20, admitted=20, completed=20, shed=0,
+        errors=0, timeouts=0, rerouted=0, served_l1=19, served_l2=0,
+        served_cold=1, l2_hits=0, l2_misses=0, makespan_seconds=0.04,
+        latency_p50=2e-3, latency_p99=5e-3, responses=responses,
+    )
+    pre, post = _percentile_split(fleet_report, 10, 10)
+    assert (pre, post) == (1e-3, 2e-3)
+    drill = ChurnDrillReport(
+        nodes_initial=1, requests=20, completed=20, shed=0, lost=0,
+        checked=20, mismatches=0, pre_p99=pre, post_p99=post,
+        makespan_seconds=0.04, deterministic=True,
+    )
+    assert drill.recovery_ratio == pytest.approx(2.0)
+    assert not drill.verdicts()["recovery_ok"]

@@ -5,16 +5,21 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro import SolverConfig, factorize
 from repro.errors import SingularMatrixError
+from repro.gpusim import scaled_device, scaled_host
 from repro.graph import build_dependency_graph, kahn_levels
 from repro.numeric import (
     dense_lu_nopivot,
     extract_lu,
     factorize_in_place,
     factorize_leftlooking,
+    iterative_refinement,
+    make_lu_solver,
 )
-from repro.sparse import CSRMatrix
+from repro.sparse import CSRMatrix, residual_norm
 from repro.symbolic import symbolic_fill_reference
+from repro.workloads import circuit_like
 
 from helpers import random_dense
 
@@ -26,6 +31,11 @@ def rightlooking_factors(a: CSRMatrix, **kw):
     stats = factorize_in_place(As, filled, schedule, **kw)
     L, U = extract_lu(As)
     return L, U, stats
+
+
+def cfg(mem=8 << 20, **kw):
+    return SolverConfig(device=scaled_device(mem), host=scaled_host(8 * mem),
+                        **kw)
 
 
 class TestAgainstDenseReference:
@@ -147,3 +157,24 @@ class TestDenseReference:
         L, U = dense_lu_nopivot(a)
         np.testing.assert_allclose(L, [[1.0, 0.0], [1.5, 1.0]])
         np.testing.assert_allclose(U, [[4.0, 3.0], [0.0, -1.5]])
+
+
+class TestFloat32Compute:
+    def test_float32_factors_coarser_but_refinable(self, rng):
+        a = circuit_like(250, 7.0, seed=165)
+        b = rng.normal(size=a.n_rows)
+        r64 = factorize(a, cfg())
+        r32 = factorize(a, cfg(compute_dtype=np.dtype(np.float32)))
+        assert r32.L.data.dtype == np.float32
+        res64 = residual_norm(a, r64.solve(b), b)
+        res32 = residual_norm(a, r32.solve(b), b)
+        assert res64 < 1e-12
+        assert 1e-12 < res32 < 1e-4  # single precision, still accurate-ish
+        # one refinement sweep recovers double-precision accuracy
+        solver = make_lu_solver(
+            r32.L, r32.U,
+            row_perm=r32.pre.row_perm, col_perm=r32.pre.col_perm,
+        )
+        refined = iterative_refinement(a, b, solver, max_iter=4, tol=1e-12)
+        assert refined.final_residual < 1e-12
+        assert refined.iterations <= 2

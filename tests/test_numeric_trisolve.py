@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import SolverConfig, factorize
 from repro.errors import (
     NotLowerTriangularError,
     NotUpperTriangularError,
     SingularMatrixError,
 )
+from repro.gpusim import scaled_device, scaled_host
 from repro.numeric import (
     backward_substitute,
     forward_substitute,
@@ -17,8 +19,14 @@ from repro.numeric import (
     make_lu_solver,
 )
 from repro.sparse import CSCMatrix, CSRMatrix
+from repro.workloads import circuit_like
 
 from helpers import random_dense
+
+
+def cfg(mem=8 << 20, **kw):
+    return SolverConfig(device=scaled_device(mem), host=scaled_host(8 * mem),
+                        **kw)
 
 
 def lower_unit(n, seed):
@@ -161,3 +169,24 @@ class TestRefinement:
         )
         x_true = rng.normal(size=8)
         np.testing.assert_allclose(solver(d @ x_true), x_true, atol=1e-9)
+
+
+class TestMultiRhs:
+    def test_block_solve_matches_column_solves(self, rng):
+        a = circuit_like(100, 6.0, seed=75)
+        res = factorize(a, cfg())
+        B = rng.normal(size=(a.n_rows, 5))
+        X = lu_solve(res.L, res.U, B)
+        for k in range(5):
+            np.testing.assert_allclose(
+                X[:, k], lu_solve(res.L, res.U, B[:, k]), atol=1e-10
+            )
+
+    def test_shape_validation(self):
+        from repro.numeric import forward_substitute
+        from repro.sparse import CSCMatrix
+
+        with pytest.raises(ValueError):
+            forward_substitute(CSCMatrix.identity(3), np.ones((3, 2, 1)))
+        with pytest.raises(ValueError):
+            forward_substitute(CSCMatrix.identity(3), np.ones((4, 2)))

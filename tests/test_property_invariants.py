@@ -6,10 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro import oracles
 from repro.gpusim import TimeLedger
 from repro.graph import build_dependency_graph, kahn_levels
-from repro.preprocess import (
-    maximum_matching,
-    strongly_connected_components,
-)
+from repro.preprocess import maximum_matching
 from repro.sparse import CSRMatrix
 from repro.symbolic import symbolic_fill_reference
 
@@ -94,14 +91,6 @@ def test_matching_is_always_valid_on_full_diagonal(a):
     for j, i in enumerate(match):
         cols, _ = a.row(int(i))
         assert j in cols.tolist()
-
-
-@given(dominant_matrices())
-@settings(max_examples=30, deadline=None)
-def test_scc_partitions_vertices(a):
-    comps = strongly_connected_components(a)
-    flat = np.concatenate(comps)
-    assert sorted(flat.tolist()) == list(range(a.n_rows))
 
 
 # ---------------------------------------------------------------------------
