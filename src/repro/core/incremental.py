@@ -40,6 +40,7 @@ from ..symbolic import (
     traversal_edges_per_row,
 )
 from .config import SolverConfig
+from .levelize_gpu import wave_workloads
 from .refactorize import ReusableAnalysis
 
 __all__ = [
@@ -197,14 +198,10 @@ def incremental_analyze_pre(
             affected = np.zeros(n, dtype=bool)
             affected[res.rows_changed] = True
             affected |= schedule.level_of != donor.schedule.level_of
-            out_deg = np.diff(graph.indptr)
-            for wave in schedule.levels:
-                hit = wave[affected[wave]]
-                if len(hit):
-                    gpu.launch_utility(
-                        max(1, int(out_deg[hit].sum())), from_device=True
-                    )
-                    gpu.launch_utility(len(hit), from_device=True)
+            for hit, edges in wave_workloads(graph, schedule, affected):
+                if hit:
+                    gpu.launch_utility(max(1, edges), from_device=True)
+                    gpu.launch_utility(hit, from_device=True)
             gpu.d2h(int(affected.sum()) * 4)
     else:
         # identical structure: the donor's graph and schedule objects are

@@ -6,7 +6,12 @@ parallelism (:mod:`repro.core.levelize_gpu`), for which the functions here
 are the CPU references and baselines.
 """
 
-from .depgraph import DependencyGraph, build_dependency_graph, sub_column_counts
+from .depgraph import (
+    DependencyGraph,
+    build_dependency_graph,
+    graph_from_keys,
+    sub_column_counts,
+)
 from .etree import (
     EliminationTree,
     elimination_tree,
@@ -30,6 +35,7 @@ from .levelize import (
 __all__ = [
     "DependencyGraph",
     "build_dependency_graph",
+    "graph_from_keys",
     "sub_column_counts",
     "EliminationTree",
     "elimination_tree",

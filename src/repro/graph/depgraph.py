@@ -65,31 +65,41 @@ def build_dependency_graph(
     *reads* ``As(j, k)``; without this edge the hybrid right-looking
     schedule races on exactly the "double-U" pattern GLU identified.
     """
+    n = filled.n_rows
     rows = filled.row_ids_of_entries()
     cols = filled.indices
     upper = cols > rows
-    src = rows[upper]
-    dst = cols[upper]
+    # CSR order is row-major with sorted columns, so the U keys
+    # ``i * n + j`` are already sorted and unique
+    keys = rows[upper] * np.int64(n) + cols[upper]
     if include_l_dependencies:
         lower = cols < rows
         # L(j, i) != 0 stored at (row=j, col=i): edge i -> j
-        src = np.concatenate([src, cols[lower]])
-        dst = np.concatenate([dst, rows[lower]])
-        # deduplicate (i, j) pairs present in both triangles
-        key = src * np.int64(filled.n_cols) + dst
-        _, first = np.unique(key, return_index=True)
-        src, dst = src[first], dst[first]
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=filled.n_rows)
-    indptr = np.zeros(filled.n_rows + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=indptr[1:])
-    in_degree = np.bincount(dst, minlength=filled.n_rows).astype(INDEX_DTYPE)
+        keys = np.concatenate([keys, cols[lower] * np.int64(n) + rows[lower]])
+        # a stable sort merges the sorted U run with the L keys; a pair
+        # present in both triangles then sits next to its twin
+        keys.sort(kind="stable")
+        if len(keys):
+            fresh = np.empty(len(keys), dtype=bool)
+            fresh[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+            keys = keys[fresh]
+    return graph_from_keys(n, keys)
+
+
+def graph_from_keys(n: int, keys: np.ndarray) -> DependencyGraph:
+    """The graph on ``n`` nodes whose edges are the sorted, unique int64
+    keys ``src * n + dst``."""
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    src = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
+    targets = (keys - src).astype(INDEX_DTYPE, copy=False)
     return DependencyGraph(
-        n=filled.n_rows,
-        indptr=indptr,
-        targets=dst.astype(INDEX_DTYPE),
-        in_degree=in_degree,
+        n=n,
+        indptr=indptr.astype(INDEX_DTYPE, copy=False),
+        targets=targets,
+        in_degree=np.bincount(targets, minlength=n).astype(
+            INDEX_DTYPE, copy=False
+        ),
     )
 
 

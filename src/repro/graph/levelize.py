@@ -10,8 +10,15 @@ longest-path depth in the dependency DAG:
 whose GPU dynamic-parallelism port is the paper's Algorithm 5
 (:mod:`repro.core.levelize_gpu`).  Tests assert it agrees with the
 GLU 3.0-style sequential pass previous work ran on the host
-(:func:`repro.oracles.levelize_cpu`, the baseline of §3.3) and with
-networkx's longest-path computation.
+(:func:`repro.oracles.levelize_cpu`, the baseline of §3.3) with
+networkx's longest-path computation, and with the node-by-node wave
+oracle :func:`repro.oracles.kahn_levels`, wave for wave.
+
+The host sweep pays per edge, not per wave: circuit patterns are nearly
+chains (about one level per column), so most waves are one or two
+nodes with a few dozen out-edges, and a fixed numpy cost per wave would
+dominate.  Such waves run in plain Python; only waves with many
+out-edges go to numpy (:func:`_wave_sweep`).
 """
 
 from __future__ import annotations
@@ -44,8 +51,14 @@ if TYPE_CHECKING:
 TYPE_A_MAX_SUBCOLS = 1.5
 TYPE_C_WARP_TEAMS = 8
 
-#: waves with at most this many out-edges decrement in-degrees in a
-#: Python loop; larger waves pay the (fixed) cost of a bulk bincount
+#: the one per-wave switch of :func:`_wave_sweep`: a wave with at most
+#: this many out-edges decrements in-degrees in a Python loop (about
+#: 0.1 us per edge), a larger one pays the fixed cost of a bulk
+#: ``bincount`` over all ``n`` nodes (about 5 us at n = 200); a wave with
+#: more nodes than this gathers its successors with one
+#: :func:`concat_ranges` call instead of one slice per node.  32, 48,
+#: 96 and 128 were no faster than 64 on circuit (n = 200, 500) and
+#: Table 2 (n = 1519-6494) patterns on a 2-vCPU VM.
 _SCALAR_WAVE_EDGES = 64
 
 
@@ -149,53 +162,71 @@ class LevelSchedule:
 def _wave_sweep(
     graph: DependencyGraph,
 ) -> tuple[np.ndarray, list[np.ndarray], int]:
-    """Bulk Kahn wave sweep: ``(level_of, levels, nodes_processed)``.
+    """Kahn wave sweep at per-edge cost: ``(level_of, levels, processed)``.
 
-    Each wave gathers the successor lists of *all* wave nodes with one
-    ragged gather (:func:`concat_ranges`) and decrements in-degrees with
-    one ``bincount`` — the host-side analogue of Algorithm 5's one-block
-    ``Topo`` kernel.  Waves with only a handful of edges decrement
-    edge-at-a-time instead, skipping the bincount's fixed cost.  A
-    node's wave index equals its longest-path depth (it reaches
-    in-degree zero right after its last predecessor).
+    A wave whose out-edges number at most :data:`_SCALAR_WAVE_EDGES`
+    walks its successor lists in plain Python: the ``indptr`` bounds
+    come from a list and the in-degrees are decremented through a
+    ``memoryview`` of the int64 ``indeg``, so no numpy scalar is made
+    per edge.  A larger wave gathers its successors (from per-node
+    slices, or with one ragged gather, :func:`concat_ranges`, when the
+    wave itself has many nodes) and decrements them with one
+    ``bincount`` -- the host-side analogue of Algorithm 5's one-block
+    ``Topo`` kernel.  A node's wave index equals its longest-path depth
+    (it reaches in-degree zero right after its last predecessor).
     """
+    n = graph.n
     indptr = graph.indptr
     targets = graph.targets
-    indeg = graph.in_degree.copy()
-    level = np.full(graph.n, -1, dtype=INDEX_DTYPE)
-    queue = np.flatnonzero(indeg == 0).astype(INDEX_DTYPE)
-    processed = 0
-    level_num = 0
+    ptr: list[int] = indptr.tolist()
+    succ = memoryview(targets)
+    indeg_arr = graph.in_degree.astype(np.int64)
+    indeg = memoryview(indeg_arr)
+    queue = np.flatnonzero(indeg_arr == 0).astype(INDEX_DTYPE, copy=False)
     levels: list[np.ndarray] = []
+    spans: list[tuple[int, int]] | None
     while len(queue):
-        level[queue] = level_num
         levels.append(queue)
-        processed += len(queue)
-        if len(queue) == 1:
-            q = int(queue[0])
-            cat = targets[int(indptr[q]) : int(indptr[q + 1])]
+        if len(queue) <= _SCALAR_WAVE_EDGES:
+            # few nodes: one (start, end) slice per node, from the list
+            spans = [(ptr[q], ptr[q + 1]) for q in queue.tolist()]
+            edges = sum([e - s for s, e in spans])
         else:
             starts = indptr[queue]
-            cat = targets[concat_ranges(starts, indptr[queue + 1] - starts)]
-        if len(cat) <= _SCALAR_WAVE_EDGES:
-            # tiny wave: decrement edge-at-a-time — cheaper than the
-            # fixed cost of a bincount + full-array scan
+            ends = indptr[queue + 1]
+            edges = int(ends.sum() - starts.sum())
+            spans = None
+        if edges <= _SCALAR_WAVE_EDGES:
+            if spans is None:
+                spans = list(zip(starts.tolist(), ends.tolist()))
             nxt: list[int] = []
-            for t in cat.tolist():
-                d = int(indeg[t]) - 1
-                indeg[t] = d
-                if d == 0:
-                    nxt.append(t)
+            for s, e in spans:
+                for t in succ[s:e].tolist():
+                    d = indeg[t] - 1
+                    indeg[t] = d
+                    if not d:
+                        nxt.append(t)
             nxt.sort()
-            queue = np.asarray(nxt, dtype=INDEX_DTYPE)
+            queue = np.array(nxt, dtype=INDEX_DTYPE)
+            continue
+        if spans is None:
+            cat = targets[concat_ranges(starts, ends - starts)]
+        elif len(spans) == 1:
+            cat = targets[spans[0][0] : spans[0][1]]
         else:
-            dec = np.bincount(cat, minlength=graph.n)
-            indeg -= dec
-            queue = np.flatnonzero((indeg == 0) & (dec > 0)).astype(
-                INDEX_DTYPE
-            )
-        level_num += 1
-    return level, levels, processed
+            cat = np.concatenate([targets[s:e] for s, e in spans])
+        dec = np.bincount(cat, minlength=n)
+        indeg_arr -= dec
+        queue = np.flatnonzero((indeg_arr == 0) & (dec > 0)).astype(
+            INDEX_DTYPE, copy=False
+        )
+    level = np.full(n, -1, dtype=INDEX_DTYPE)
+    sizes = [len(q) for q in levels]
+    if levels:
+        level[np.concatenate(levels)] = np.repeat(
+            np.arange(len(levels), dtype=INDEX_DTYPE), sizes
+        )
+    return level, levels, sum(sizes)
 
 
 def kahn_levels(graph: DependencyGraph) -> LevelSchedule:

@@ -46,16 +46,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph import (
-    DependencyGraph,
     LevelSchedule,
     SupernodePartition,
     amalgamate_supernodes,
     build_dependency_graph,
+    graph_from_keys,
     kahn_levels,
 )
 from ..sparse import CSRMatrix
 from ..sparse.ranges import concat_ranges
-from ..sparse.types import INDEX_DTYPE
 
 __all__ = [
     "PanelWave",
@@ -151,19 +150,7 @@ def _quotient_levels(
     pt = panel_of[g.targets].astype(np.int64, copy=False)
     keep = ps != pt
     key = np.unique(ps[keep] * num_panels + pt[keep])
-    qs = (key // num_panels).astype(INDEX_DTYPE)
-    qt = (key % num_panels).astype(INDEX_DTYPE)
-    indptr = np.zeros(num_panels + 1, dtype=INDEX_DTYPE)
-    indptr[1:] = np.cumsum(np.bincount(qs, minlength=num_panels))
-    quotient = DependencyGraph(
-        n=num_panels,
-        indptr=indptr,
-        targets=qt,
-        in_degree=np.bincount(qt, minlength=num_panels).astype(
-            INDEX_DTYPE
-        ),
-    )
-    return kahn_levels(quotient), len(key)
+    return kahn_levels(graph_from_keys(num_panels, key)), len(key)
 
 
 def build_supernodal_plan(

@@ -1,7 +1,8 @@
 """Bulk ragged-range construction for the vectorized host kernels.
 
-The vectorized hot loops (fill2 frontier expansion, per-level numeric
-gathers, wave levelization) all need the same primitive: given per-item
+The vectorized hot loops (fill2 frontier expansion, the incremental
+fill's row copies, per-level numeric and panel gathers, and the Kahn
+waves that hold many nodes) all need the same primitive: given per-item
 ``starts`` and ``lengths`` into a flat CSR/CSC storage array, materialize
 the concatenation ``[starts[0] .. starts[0]+lengths[0]) ++ [starts[1] ..)
 ++ ...`` as one index array — the host-side analogue of a GPU gather list.

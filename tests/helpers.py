@@ -39,3 +39,15 @@ def coo_from_lists(n_rows, n_cols, entries) -> COOMatrix:
     vals = [e[2] for e in entries]
     return COOMatrix(n_rows, n_cols, np.array(rows), np.array(cols),
                      np.array(vals, dtype=np.float64))
+
+
+def per_wave_workloads(graph, schedule, members=None) -> list[tuple[int, int]]:
+    """Per level: (#member nodes, #edges leaving them), by one gather per
+    wave -- the loop ``repro.core.levelize_gpu.wave_workloads`` replaced,
+    kept as its reference."""
+    out_deg = np.diff(graph.indptr)
+    out = []
+    for wave in schedule.levels:
+        hit = wave if members is None else wave[members[wave]]
+        out.append((len(hit), int(out_deg[hit].sum())))
+    return out

@@ -12,10 +12,13 @@ from repro.core import (
     levelize_gpu_hostlaunch,
     numeric_factorize_gpu,
 )
+from repro.core import levelize_gpu
 from repro.gpusim import GPU, scaled_device, scaled_host
 from repro.graph import build_dependency_graph, kahn_levels
 from repro.symbolic import symbolic_fill_reference
 from repro.workloads import circuit_like, fem_like
+
+from helpers import per_wave_workloads
 
 
 @pytest.fixture
@@ -59,6 +62,21 @@ class TestLevelizeExecutors:
         dyn = levelize_gpu_dynamic(make_gpu(), graph)
         host = levelize_gpu_hostlaunch(make_gpu(), graph)
         assert dyn.sim_seconds < host.sim_seconds
+
+    @pytest.mark.parametrize(
+        "fn", [levelize_gpu_dynamic, levelize_gpu_hostlaunch]
+    )
+    def test_books_the_per_wave_ledger(self, setup, fn, monkeypatch):
+        """Per-level counts from two bincounts book exactly what one
+        gather per wave booked: same launches, same seconds."""
+        _, _, graph = setup
+        new = make_gpu()
+        fn(new, graph)
+        monkeypatch.setattr(levelize_gpu, "wave_workloads", per_wave_workloads)
+        old = make_gpu()
+        fn(old, graph)
+        assert new.ledger.get_count("kernel_launches") > 0
+        assert new.ledger.snapshot() == old.ledger.snapshot()
 
     def test_time_in_levelize_phase(self, setup):
         _, _, graph = setup

@@ -27,6 +27,8 @@ from repro.symbolic import (
 from repro.workloads import circuit_like, fem_like, perturb_pattern
 from repro.workloads.registry import FIG3_SPECS, TABLE2, TABLE4
 
+from helpers import per_wave_workloads
+
 pytestmark = pytest.mark.drift
 
 
@@ -315,6 +317,36 @@ class TestPolicyAndThreshold:
         assert spliced.schedule is donor.schedule
         assert spliced.graph is donor.graph
         assert gpu.ledger.seconds("levelize-delta") == 0.0
+
+    def test_repair_waves_book_the_per_wave_ledger(self, monkeypatch):
+        """The splice's repair waves, counted per level by ``bincount``,
+        book the ``levelize-delta`` seconds, child launches and total
+        that one gather per wave booked."""
+        cfg = SolverConfig()
+        a = circuit_like(200, 7.0, seed=0)
+        donor = analyze(a, cfg)
+        pre = preprocess(perturb_pattern(a, add=3, bandwidth=8, seed=1))
+        delta = compute_delta(donor.pre.matrix, pre.matrix)
+
+        def splice():
+            gpu = GPU(spec=cfg.device, host=cfg.host, cost=cfg.cost_model)
+            spliced, report = incremental.incremental_analyze_pre(
+                donor, pre, delta, cfg, gpu=gpu
+            )
+            assert report.structure_changed
+            return spliced.schedule, gpu.ledger
+
+        schedule, new = splice()
+        monkeypatch.setattr(incremental, "wave_workloads", per_wave_workloads)
+        _, old = splice()
+        launches = new.get_count("child_kernel_launches")
+        # some waves hold no affected column and launch nothing
+        assert 0 < launches < 2 * schedule.num_levels
+        assert launches == old.get_count("child_kernel_launches")
+        assert new.seconds("levelize-delta") > 0
+        assert new.seconds("levelize-delta") == old.seconds("levelize-delta")
+        assert new.total_seconds == old.total_seconds
+        assert new.snapshot() == old.snapshot()
 
     def test_best_donor_prefers_smallest_delta(self):
         cfg = SolverConfig()
